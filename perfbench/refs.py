@@ -31,6 +31,17 @@ from scipy.special import erf, sici
 
 GAUSS_NORM = math.pi ** -0.25  # peak of the unit-norm Gaussian, sigma = 1
 
+# Gauss-Legendre rules of the copropagating entropy: z nodes on
+# [-COPRO_HALFWIDTH, COPRO_HALFWIDTH] and k nodes on [-k0, k0]
+COPRO_Z_NODES = 240
+COPRO_K_NODES = 200
+COPRO_HALFWIDTH = 12.0
+
+# the program's default head-on geometry
+HEADON_K0 = 1e-3
+HEADON_SEPARATION = 10.0
+HEADON_V1, HEADON_V2 = 5000.0, -5000.0
+
 
 def gaussian(z, center=0.0):
     return GAUSS_NORM * np.exp(-0.5 * (np.asarray(z, dtype=float) - center) ** 2)
@@ -86,8 +97,7 @@ def _gauss_legendre(lo: float, hi: float, n: int):
     return half * x + 0.5 * (hi + lo), half * w
 
 
-def copro_entropy(k0: float, phis, *, n: int = 240, nk: int = 200,
-                  halfwidth: float = 12.0) -> np.ndarray:
+def copro_entropy(k0: float, phis) -> np.ndarray:
     """Copropagating linear entropy of two centred unit Gaussians, per Phi.
 
     The state is f(Z1) f(Z2) + alpha p(Z2) sinc(k0 (Z1 - Z2)), p = f^2,
@@ -99,8 +109,8 @@ def copro_entropy(k0: float, phis, *, n: int = 240, nk: int = 200,
     fhat(k) = pi^(-1/4) sqrt(2 pi) exp(-k^2/2). Every factor is damped by
     the profile, so a Gauss-Legendre rule on the pulse support suffices.
     """
-    z, w = _gauss_legendre(-halfwidth, halfwidth, n)
-    k, wk = _gauss_legendre(-k0, k0, nk)
+    z, w = _gauss_legendre(-COPRO_HALFWIDTH, COPRO_HALFWIDTH, COPRO_Z_NODES)
+    k, wk = _gauss_legendre(-k0, k0, COPRO_K_NODES)
     fhat = GAUSS_NORM * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * k * k)
     g = (np.cos(np.outer(z, k)) @ (wk * fhat)) / (2.0 * k0)
     f = gaussian(z)
@@ -134,9 +144,9 @@ class Collision:
     """Head-on pass of two unit Gaussians in the program's default geometry.
 
     f1 is centred at -separation/2 and moves at v1, f2 at +separation/2 and
-    moves at v2; phi is the accumulated phase of a full pass, which fixes
-    chi = phi |v_r| / (2 kappa separation), kappa = k0/pi. In co-moving
-    offsets the closed-form amplitude is
+    moves at v2 (the HEADON_* constants); phi is the accumulated phase of a
+    full pass, which fixes chi = phi |v_r| / (2 kappa separation),
+    kappa = k0/pi. In co-moving offsets the closed-form amplitude is
         psi = f1(z1) f2(z2) + f2(z2) int_0^t C(z2 - z1 - v_r s) g(z2, s) ds,
         g(z2, s) = i chi f1(z2 - v_r s) + beta B(z2),
         beta = (exp(ix) - 1 - ix)/(kappa t^2), x = chi kappa t,
@@ -144,17 +154,15 @@ class Collision:
     B(z2) = int_0^t f1(z2 - v_r s) ds.
     """
 
-    def __init__(self, phi: float, *, k0: float = 1e-3, separation: float = 10.0,
-                 v1: float = 5000.0, v2: float = -5000.0):
-        self.phi, self.k0, self.sep = phi, k0, separation
-        self.c1, self.c2 = -separation / 2.0, separation / 2.0
-        self.v_r = v1 - v2
-        self.kappa = k0 / math.pi
-        self.chi = phi * abs(self.v_r) / (2.0 * self.kappa * separation)
+    k0 = HEADON_K0
+    c1, c2 = -HEADON_SEPARATION / 2.0, HEADON_SEPARATION / 2.0
+    v_r = HEADON_V1 - HEADON_V2
+    kappa = HEADON_K0 / math.pi
+    pass_time = 2.0 * HEADON_SEPARATION / abs(v_r)
 
-    @property
-    def pass_time(self) -> float:
-        return 2.0 * self.sep / abs(self.v_r)
+    def __init__(self, phi: float):
+        self.phi = phi
+        self.chi = phi * abs(self.v_r) / (2.0 * self.kappa * HEADON_SEPARATION)
 
     def _b(self, z2, t):
         """int_0^t f1(z2 - v_r s) ds in closed form (erf)."""

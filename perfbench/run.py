@@ -4,17 +4,20 @@ Usage (from the root of a checkout):
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-A run first times a few bare set-ups (a fresh interpreter importing xpmsim
-and its CLI), then repeats whole passes of the workload for S seconds: it
-starts another pass only while the mean pass so far would still end within
-S, and always makes at least one. Every job of a pass runs in a fresh interpreter (worker.py)
-and every operation is checked against the references in refs.py. The
-last line of standard output is one JSON object with correct, attempted,
-failed and metrics.
+A run repeats whole passes of the workload for S seconds: it starts
+another pass only while the mean pass so far would still end within S,
+and always makes at least one. Every job of a pass runs in a fresh
+interpreter (worker.py) and every operation is checked against the
+references in refs.py. The last line of standard output is one JSON
+object with correct, attempted, failed and metrics.
+
+A job still running PASS_MARGIN_S seconds after S has passed is stopped,
+and the run exits with code 3 without a result: a pass cut short cannot
+be counted, and the program's operations did not fail.
 
 --trace 0 reports, as medians over the run:
   setup_s      fresh interpreter start plus the xpmsim and CLI imports,
-               over every set-up of the run;
+               over the jobs of the run;
   wall_s       per pass, the sum over its jobs from the end of set-up to
                the last output written;
   cpu_s        per pass, user plus system CPU of its jobs after set-up;
@@ -49,8 +52,11 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 WORKER = BENCH_DIR / "worker.py"
 RUNS = BENCH_DIR / "runs"
-SETUP_PROBES = 3
-DEADLINE_S = 170.0  # the whole run must end within 180 s
+PASS_MARGIN_S = 140.0  # room past --seconds for the last pass, or a long first one
+
+
+class RunCut(Exception):
+    """A job outlived the run's deadline."""
 
 
 def _blas_threads():
@@ -79,14 +85,13 @@ class Runner:
         self.work = work
         self.deadline = deadline
 
-    def job(self, job: workloads.Job | None, trace: bool) -> dict:
-        """Run one job (None: a bare set-up) in a fresh interpreter."""
+    def job(self, job: workloads.Job, trace: bool) -> dict:
+        """Run one job in a fresh interpreter."""
         spec_path, report_path = self.work / "spec.json", self.work / "report.json"
-        kind = "probe" if job is None else job.kind
-        spec = {"root": str(ROOT), "kind": kind, "trace": trace,
-                "argv": job and job.argv, "params": job and job.params}
+        spec = {"root": str(ROOT), "kind": job.kind, "trace": trace,
+                "argv": job.argv, "params": job.params}
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
-        for stale in (report_path, job and job.output and self.work / job.output):
+        for stale in (report_path, job.output and self.work / job.output):
             if stale and stale.exists():
                 stale.unlink()
         budget = self.deadline - time.monotonic()
@@ -96,9 +101,9 @@ class Runner:
                                   cwd=self.work, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE, timeout=max(budget, 1.0))
         except subprocess.TimeoutExpired:
-            return {"error": f"{kind}: no result within the run's deadline"}
+            raise RunCut(f"{job.name} was still running at the run's deadline") from None
         if proc.returncode != 0 or not report_path.exists():
-            return {"error": f"{kind}: worker exited {proc.returncode}: "
+            return {"error": f"{job.kind}: worker exited {proc.returncode}: "
                              + proc.stderr.decode(errors="replace")[-2000:]}
         report = json.loads(report_path.read_text(encoding="utf-8"))
         out = {"setup_s": report["t_setup"] - t_spawn,
@@ -106,7 +111,7 @@ class Runner:
                "cpu_s": report["cpu_s"], "rss_mb": report["maxrss_kb"] / 1024.0,
                "layers": report.get("layers"), "spans": report.get("spans"),
                "error": report["error"]}
-        if job is None or out["error"]:
+        if out["error"]:
             return out
         if job.kind == "cli":
             if report["payload"]["rc"] != 0:
@@ -161,6 +166,12 @@ def tally(records: list[dict]) -> tuple[int, dict]:
     return attempted, failures
 
 
+def unknown_failures(failures: dict) -> set[str]:
+    """Failed operations with any problem that is not a known fault."""
+    return {op for op, passes in failures.items()
+            if not all(workloads.is_known_fault(p) for problems in passes for p in problems)}
+
+
 def _median(values) -> float:
     return float(statistics.median(values))
 
@@ -183,18 +194,21 @@ def main(argv=None) -> int:
     RUNS.mkdir(exist_ok=True)
     trace = bool(args.trace)
     with tempfile.TemporaryDirectory(dir=RUNS, prefix="work-") as work:
-        runner = Runner(Path(work), started + DEADLINE_S)
-        setups = [] if trace else [runner.job(None, False) for _ in range(SETUP_PROBES)]
+        runner = Runner(Path(work), started + args.seconds + PASS_MARGIN_S)
         plain, traced = [], []
         t0 = time.monotonic()
-        while True:
-            plain.append(runner.run_pass(workload, trace=False))
-            if trace:
-                traced.append(runner.run_pass(workload, trace=True))
-            # start another round only if it should end within the run length
-            elapsed = time.monotonic() - t0
-            if elapsed + elapsed / len(plain) > args.seconds:
-                break
+        try:
+            while True:
+                plain.append(runner.run_pass(workload, trace=False))
+                if trace:
+                    traced.append(runner.run_pass(workload, trace=True))
+                # start another round only if it should end within the run length
+                elapsed = time.monotonic() - t0
+                if elapsed + elapsed / len(plain) > args.seconds:
+                    break
+        except RunCut as cut:
+            sys.stderr.write(f"perfbench: {cut}; no result\n")
+            return 3
 
     attempted, failures = tally(plain + traced)
     failed = sum(len(v) for v in failures.values())
@@ -202,12 +216,11 @@ def main(argv=None) -> int:
                  for name, sig in a["signatures"].items() if b["signatures"].get(name) != sig]
     for name in sorted(set(differing)):
         sys.stderr.write(f"perfbench: traced output of {name} differs from untraced\n")
+    unknown = unknown_failures(failures)
     for op, problems in sorted(failures.items()):
-        note = workload.known_faults.get(op)
-        sys.stderr.write(f"perfbench: {'known fault' if note else 'FAILED'} {op} "
-                         f"on {len(problems)} pass(es): {problems[0][0]}"
-                         + (f" ({note})" if note else "") + "\n")
-    correct = not differing and all(op in workload.known_faults for op in failures)
+        sys.stderr.write(f"perfbench: {'FAILED' if op in unknown else 'known fault'} {op} "
+                         f"on {len(problems)} pass(es): {problems[0][0]}\n")
+    correct = not differing and not unknown
 
     if trace:
         metrics = {name: {"value": _median(r["layers"].get(name, 0) for r in traced),
@@ -216,10 +229,8 @@ def main(argv=None) -> int:
             "value": _median(r["wall_s"] for r in traced) / _median(r["wall_s"] for r in plain),
             "unit": "ratio"}
     else:
-        all_setups = [s["setup_s"] for s in setups if "setup_s" in s]
-        all_setups += [s for r in plain for s in r["setups"]]
         metrics = {
-            "setup_s": {"value": _median(all_setups), "unit": "s"},
+            "setup_s": {"value": _median(s for r in plain for s in r["setups"]), "unit": "s"},
             "wall_s": {"value": _median(r["wall_s"] for r in plain), "unit": "s"},
             "cpu_s": {"value": _median(r["cpu_s"] for r in plain), "unit": "s"},
             "peak_rss_mb": {"value": _median(r["peak_rss_mb"] for r in plain), "unit": "MB"},

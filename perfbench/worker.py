@@ -19,7 +19,6 @@ spans and per-layer metrics. Job kinds:
   fraction of the pass, an offset from each pulse centre) and, read after
   the timed work, the A, B, D tables there.
 - collision-entropy: collision_entropy at the requested times.
-- probe: nothing; the report carries only the set-up time.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def _collision_entropy(params: dict):
 # each job returns its outputs and, optionally, a step that completes them
 # after the timed work
 _API = {"grid-route": _grid_route, "headon-routes": _headon_routes,
-        "collision-entropy": _collision_entropy, "probe": lambda params: (None, None)}
+        "collision-entropy": _collision_entropy}
 
 
 def main() -> int:
