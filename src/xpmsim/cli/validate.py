@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erf
 
 from ..copropagating import (
     conditional_phase,
@@ -100,12 +98,16 @@ class OracleStore:
         return data[name]
 
 
+# SciPy is imported inside the references only, so that the CLI's other
+# tasks start without it.
 def _c1_gaussian_reference(k0: float) -> float:
     """Unit-Gaussian first overlap coefficient in closed form (erf route)."""
+    from scipy.special import erf
     return float(math.sqrt(math.pi / 2.0) * erf(math.sqrt(2.0 / 3.0) * k0) / k0)
 
 
 def _transition_reference() -> float:
+    from scipy.optimize import brentq
     return float(brentq(lambda k: _c1_gaussian_reference(k) - 0.5,
                         1.0, 5.0, xtol=1e-10))
 

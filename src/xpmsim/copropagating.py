@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import (
     AccuracyError,
@@ -298,7 +297,19 @@ def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None
         raise ParameterError(
             f"bracket [{lo}, {hi}] does not straddle C1 = {c_target}: "
             f"gap({lo})={g_lo:.4g}, gap({hi})={g_hi:.4g}")
-    return float(bisect(gap, lo, hi, xtol=xtol))
+    # the steps and the stopping rule of scipy.optimize.bisect (rtol = 4 eps),
+    # reusing the two bracket evaluations; dm halves every step and xtol > 0,
+    # so the loop ends
+    xa, dm = float(lo), float(hi) - float(lo)
+    rtol = 4.0 * np.finfo(float).eps
+    while True:
+        dm *= 0.5
+        xm = xa + dm
+        fm = gap(xm)
+        if fm * g_lo >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
 
 
 def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float, *,

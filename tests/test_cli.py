@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import xpmsim
 from xpmsim import ParameterError, compute_C1, compute_C2
 from xpmsim.cli.config import (
     RunConfig,
@@ -249,6 +253,18 @@ def test_main_convergence_failure_exits_3(tmp_path):
     code = run_main(["fig1", "--config", str(cfg_file),
                      "--phi", "0:6.2831853:4", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy costs most of a CLI start-up; only `validate` and the tests use it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, xpmsim, xpmsim.cli.main; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_main_validate_exit_reflects_report(tmp_path, monkeypatch):

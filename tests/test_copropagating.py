@@ -11,10 +11,11 @@ integral, C1(k0) = 2 (k0 w Si(k0 w) + cos(k0 w) - 1) / (k0 w)^2.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import bisect, brentq
 from scipy.special import erf, sici
 
 from xpmsim import (
@@ -41,6 +42,7 @@ from xpmsim import (
     transition_k0,
     two_particle_copropagating,
 )
+from xpmsim import copropagating, numerics
 
 GAUSS = make_profile("gaussian")
 
@@ -139,6 +141,49 @@ def test_transition_bracket_errors():
         transition_k0(lo=4.0, hi=6.0)
     with pytest.raises(ParameterError):
         transition_k0(xtol=0.0)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "square"])
+def test_transition_matches_scipy_bisect(shape, monkeypatch):
+    prof = make_profile(shape)
+    k0s = []
+    real = copropagating.compute_C1
+
+    def counting(*args, **kwargs):
+        k0s.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(copropagating, "compute_C1", counting)
+    found = transition_k0(prof, prof)
+    calls = len(k0s)
+    k0s.clear()
+
+    def gap(k0):
+        return copropagating.compute_C1(prof, prof, k0, rtol=1e-8) - 0.5
+
+    assert gap(0.5) > 0.0 > gap(6.0)  # the bracket check transition_k0 makes
+    expected = bisect(gap, 0.5, 6.0, xtol=1e-4)
+    assert found == expected
+    # the in-house loop reuses the bracket values bisect evaluates again
+    assert calls == len(k0s) - 2
+
+
+def test_gauss_rules_built_once_per_node_count(monkeypatch):
+    built = Counter()
+    real = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        built[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    numerics._gauss_legendre.cache_clear()
+    sq = make_profile("square")
+    for k0 in (1.0, 2.5, 1.0, 9.0, 2.5):
+        overlap_coefficients(GAUSS, GAUSS, k0)
+        overlap_coefficients(sq, sq, k0)
+    assert {160, 320, 240, 480} <= set(built)
+    assert max(built.values()) == 1
 
 
 # ------------------------------------------------------ conditional phase

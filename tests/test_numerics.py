@@ -18,6 +18,7 @@ from xpmsim import (
     make_profile,
     sinc_kernel,
 )
+from xpmsim import numerics
 
 
 # ---------------------------------------------------------------- grids
@@ -44,6 +45,17 @@ def test_gauss_legendre_domain_covers_endpoints():
     assert g.lo == -2.0 and g.hi == 3.0
     assert g.nodes[0] > -2.0 and g.nodes[-1] < 3.0
     assert math.fsum(g.weights) == pytest.approx(5.0, abs=1e-12)
+
+
+def test_cached_gauss_rule_is_read_only():
+    # one rule object serves every caller, so no caller may write into it
+    x, w = numerics._gauss_legendre(7)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(7)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_composite_gauss_grid_oscillatory():
@@ -121,6 +133,40 @@ def test_sinc_kernel_small_argument_series():
         assert sinc_kernel(x, k0) == pytest.approx(direct, abs=1e-15)
     with pytest.raises(ParameterError):
         sinc_kernel(1.0, 0.0)
+
+
+def _sinc_two_branch(x, k0):
+    # the formula sinc_kernel used before it evaluated only one branch per entry
+    u = np.asarray(x, dtype=float) * k0
+    small = np.abs(u) < 1e-4
+    safe = np.where(small, 1.0, u)
+    out = np.where(small, 1.0 - u * u / 6.0 + u**4 / 120.0, np.sin(safe) / safe)
+    if np.isscalar(x):
+        return float(out)
+    return out
+
+
+@pytest.mark.parametrize("k0", [1e-3, 0.1, 2.5, 10.0])
+def test_sinc_kernel_bitwise_matches_two_branch_formula(k0):
+    edge = 1e-4 / k0
+    near = edge * np.array([1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6])
+    z = np.concatenate([np.linspace(-7.0, 7.0, 141), [0.0], near, -near,
+                        3.0 + near, 0.5 * near])
+    diff = z[:, None] - z[None, :]
+    assert np.any(diff == 0.0) and np.any(diff < 0.0)
+    u = np.abs(diff * k0)
+    assert np.any((u > 0.0) & (u < 1e-4)) and np.any((u >= 1e-4) & (u < 1.0001e-4))
+    assert np.array_equal(sinc_kernel(diff, k0), _sinc_two_branch(diff, k0))
+    assert np.array_equal(sinc_kernel(diff[3], k0), _sinc_two_branch(diff[3], k0))
+    for x in (0.0, near[0], near[-1], -near[2], -1.3):
+        got = sinc_kernel(float(x), k0)
+        assert type(got) is float and got == _sinc_two_branch(float(x), k0)
+        got = sinc_kernel(np.array(x), k0)
+        assert np.ndim(got) == 0 and float(got) == float(_sinc_two_branch(np.array(x), k0))
+    for sigma in (1.0, 0.5):
+        ks = k0 / sigma
+        assert np.array_equal(commutator_kernel(diff, k0, sigma),
+                              (ks / math.pi) * _sinc_two_branch(diff, ks))
 
 
 def test_commutator_kernel_shape_and_height():
