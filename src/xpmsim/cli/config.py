@@ -42,7 +42,6 @@ KEYMAP = {
     "headon.n_max": ("headon_n_max", "int"),
     "grid.core_n": ("grid_core_n", "int"),
     "grid.halfwidth": ("grid_halfwidth", "float"),
-    "threads": ("threads", "opt_int"),
     "output.format": ("output_format", "str"),
     "output.path": ("output_path", "opt_str"),
     "validate.tol_scale": ("tol_scale", "float"),
@@ -77,7 +76,6 @@ class RunConfig:
     headon_n_max: int = 40
     grid_core_n: int = 401
     grid_halfwidth: float = 10.0
-    threads: int | None = None
     output_format: str = "csv"
     output_path: str | None = None
     tol_scale: float = 1.0
@@ -119,8 +117,6 @@ class RunConfig:
             raise ConfigError("headon velocities must differ")
         if self.headon_k0 <= 0.0:
             raise ConfigError("headon.k0 must be positive")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if self.grid_halfwidth <= 0.0:
             raise ConfigError("grid.halfwidth must be positive")
         if self.tol_scale <= 0.0:

@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pulse profile shape")
     parser.add_argument("--grid-n", type=int, metavar="N",
                         help="points on the uniform core grid")
-    parser.add_argument("--threads", type=int, metavar="K",
-                        help="worker pool size for sweep points")
     return parser
 
 
@@ -98,8 +96,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         overrides["profile_shape"] = args.profile
     if args.grid_n is not None:
         overrides["grid_core_n"] = args.grid_n
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     return config.with_overrides(**overrides)
 
 

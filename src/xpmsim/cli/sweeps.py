@@ -8,8 +8,6 @@ modules; runners only organize axes, defaults, and provenance.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -17,7 +15,6 @@ from ..copropagating import (
     conditional_phase_sweep,
     entropy_phase_sweep,
     fidelity_closed_form,
-    interaction_grids,
     overlap_coefficients,
     transition_k0,
 )
@@ -69,18 +66,11 @@ def _base_provenance(config: RunConfig, label: str) -> dict:
     }
 
 
-def _pool_size(config: RunConfig) -> int:
-    if config.threads is not None:
-        return config.threads
-    return max(1, os.cpu_count() or 1)
-
-
 def run_coeffs(config: RunConfig) -> SweepResult:
     """Overlap coefficients over k0, plus the bisected transition point."""
     f1, f2 = _profile_pair(config)
     k0s = config.k0_values if config.k0_values is not None else DEFAULT_K0_SET
-    with ThreadPoolExecutor(max_workers=_pool_size(config)) as pool:
-        coeffs = list(pool.map(lambda k: overlap_coefficients(f1, f2, k), k0s))
+    coeffs = [overlap_coefficients(f1, f2, k) for k in k0s]
     transition = transition_k0(f1, f2)
     prov = _base_provenance(config, f1.label)
     prov.update({
@@ -135,26 +125,18 @@ def run_fig2(config: RunConfig) -> SweepResult:
     k0s = config.k0_values if config.k0_values is not None else DEFAULT_K0_SET
     phis = _phi_axis(config, default_max=math.pi, default_n=65)
 
-    def one_k0(k0: float):
+    fid, ent = [], []
+    for k0 in k0s:
         coeffs = overlap_coefficients(f1, f2, k0)
-        fid = [fidelity_closed_form(coeffs.c1, coeffs.c2, float(p)) for p in phis]
-        grids = interaction_grids(f1, f2, k0, core_n=config.grid_core_n,
-                                  core_halfwidth=config.grid_halfwidth)
-        ent = entropy_phase_sweep(f1, f2, k0, phis, grids=grids)
-        return fid, ent
-
-    with ThreadPoolExecutor(max_workers=_pool_size(config)) as pool:
-        per_k0 = list(pool.map(one_k0, k0s))
+        fid.extend(fidelity_closed_form(coeffs.c1, coeffs.c2, float(p)) for p in phis)
+        ent.extend(entropy_phase_sweep(f1, f2, k0, phis).tolist())
     prov = _base_provenance(config, f1.label)
     prov["phi_max"] = float(phis[-1])
     return SweepResult(
         kind="fig2",
         axes=(Axis("k0", "dimensionless", tuple(k0s)),
               Axis("Phi", "rad", tuple(float(p) for p in phis))),
-        columns={
-            "F": tuple(float(v) for fid, _ in per_k0 for v in fid),
-            "S_L": tuple(float(v) for _, ent in per_k0 for v in ent),
-        },
+        columns={"F": tuple(fid), "S_L": tuple(ent)},
         provenance=prov,
     )
 
@@ -174,17 +156,15 @@ def run_fig3(config: RunConfig) -> SweepResult:
         raise ConfigError("need 0 <= phi.min < phi.max")
     phis = np.linspace(lo, hi, config.lattice_phi_n)
 
-    def one_k0(k0: float):
+    fid = []
+    for k0 in k0s:
         coeffs = overlap_coefficients(f1, f2, float(k0))
-        return [fidelity_closed_form(coeffs.c1, coeffs.c2, float(p)) for p in phis]
-
-    with ThreadPoolExecutor(max_workers=_pool_size(config)) as pool:
-        blocks = list(pool.map(one_k0, k0s))
+        fid.extend(fidelity_closed_form(coeffs.c1, coeffs.c2, float(p)) for p in phis)
     return SweepResult(
         kind="fig3",
         axes=(Axis("k0", "dimensionless", tuple(float(k) for k in k0s)),
               Axis("Phi", "rad", tuple(float(p) for p in phis))),
-        columns={"F": tuple(float(v) for block in blocks for v in block)},
+        columns={"F": tuple(fid)},
         provenance=_base_provenance(config, f1.label),
     )
 

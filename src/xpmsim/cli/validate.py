@@ -327,8 +327,7 @@ def _c07_entropy(ctx: _Context):
 
     kstar = ctx.transition()
     phis = np.linspace(0.0, math.pi, 129)
-    ent = entropy_phase_sweep(ctx.f1, ctx.f2, kstar, phis,
-                              grids=ctx.grids(kstar))
+    ent = entropy_phase_sweep(ctx.f1, ctx.f2, kstar, phis)
     i_max = int(np.argmax(ent))
     interior = 0 < i_max < phis.size - 1 and ent[i_max] > ent[-1]
     phi_star = float(phis[i_max])
@@ -339,8 +338,7 @@ def _c07_entropy(ctx: _Context):
     chain, gaps = {}, {}
     for k0 in (2.5, 5.0, 10.0):
         chain[k0] = float(entropy_phase_sweep(ctx.f1, ctx.f2, k0,
-                                              np.array([math.pi]),
-                                              grids=ctx.grids(k0))[0])
+                                              np.array([math.pi]))[0])
         gaps[k0] = abs(chain[k0] - _entropy_reference(ctx.f1, ctx.f2, k0, math.pi))
     tol = 1e-3 * ctx.scale
     agrees = all(g <= tol for g in gaps.values())

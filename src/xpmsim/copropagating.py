@@ -68,6 +68,7 @@ __all__ = [
 
 _COEFF_TOL = 1e-9
 _DEGENERATE_EPS = 1e-12
+_ENTROPY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -316,14 +317,15 @@ def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float, *,
                       core_halfwidth: float = 10.0, core_n: int = 401,
                       panel_nodes: int = 8, tail_scale: float = 2400.0,
                       tail_cap: float = 6000.0) -> tuple[Grid1D, Grid1D]:
-    """Grid pair for the sampled interacting amplitude.
+    """Grid pair for the sampled interacting amplitude (the oracle route).
 
     The second axis only ever sees profile-damped integrands and stays on a
     uniform core window. The first axis also carries the kernel's slowly
     decaying sinc tail (the correction term has no profile factor in Z1),
     so the core is extended by Gauss panels of length pi/k0 out to a radius
-    that scales as 1/k0^2, far enough that the truncated |sinc|^2 mass
-    cannot move norms or fidelities at the 1e-4 level.
+    that scales as 1/k0^2. The truncated |sinc|^2 mass still moves
+    fidelities and entropies by up to 2.6e-4 at the defaults, less as
+    tail_scale grows; entropy_phase_sweep traces Z1 out exactly instead.
     """
     if core_n < 3:
         raise ParameterError(f"core_n must be at least 3, got {core_n}")
@@ -367,8 +369,7 @@ def two_particle_copropagating(f1: PulseProfile, f2: PulseProfile,
 
 def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
                           phi: float, *, with_entropy: bool = False,
-                          boundary_tol: float = 1e-3, rtol: float = 1e-6,
-                          grids: tuple[Grid1D, Grid1D] | None = None) -> GateMetrics:
+                          boundary_tol: float = 1e-3, rtol: float = 1e-6) -> GateMetrics:
     """Closed-form fidelity and conditional phase, optional linear entropy.
 
     Within boundary_tol of the regime boundary C1 = 1/2 the pointwise
@@ -389,11 +390,7 @@ def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
     fid = fidelity_closed_form(coeffs.c1, coeffs.c2, phi)
     entropy = None
     if with_entropy:
-        if grids is None:
-            grids = interaction_grids(f1, f2, k0)
-        params = SystemParams.copropagating(k0, phi)
-        state = normalize(two_particle_copropagating(f1, f2, params, *grids))
-        entropy = linear_entropy(state)
+        entropy = float(entropy_phase_sweep(f1, f2, k0, [phi])[0])
     return GateMetrics(fidelity=fid, phase=theta, linear_entropy=entropy)
 
 
@@ -418,47 +415,69 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
                        linear_entropy=entropy)
 
 
+def _entropy_sweep_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float,
+                           phis: np.ndarray, axis: Grid1D) -> np.ndarray:
+    z, w = axis.nodes, axis.weights
+    a1, a2 = f1(z), f2(z)
+    pair = a1 * a2
+    dens = w * np.abs(pair) ** 2
+    # sinc applied to w f1 (giving g, as sinc is symmetric) and to w p conj(f2),
+    # in row blocks that keep the kernel near 32 MB, as in _c1_on_axis
+    vecs = np.stack([w * a1, w * pair * np.conj(a2)], axis=1)
+    applied = np.empty_like(vecs)
+    sinc_sq = 0.0
+    step = max(1, int(4e6) // z.size)
+    for i in range(0, z.size, step):
+        block = sinc_kernel(z[i:i + step, None] - z[None, :], k0)
+        applied[i:i + step] = block @ vecs
+        sinc_sq += float(dens[i:i + step] @ block ** 2 @ dens)
+    u = pair * np.conj(applied[:, 0])
+    # blocks 1-3 are x y^H with these (x, y); block 4 is K = (pi/k0) (p p^H) o sinc
+    xs = np.stack([float(w @ np.abs(a1) ** 2) * a2, u, a2], axis=1)
+    ys = np.stack([a2, a2, u], axis=1)
+    gram = np.empty((4, 4), dtype=complex)
+    gram[:3, :3] = (((xs * w[:, None]).T @ np.conj(xs))
+                    * ((np.conj(ys) * w[:, None]).T @ ys))
+    # <x f2^H, K> for blocks 1 and 2; block 3 is block 2^H, so its entry is the conjugate
+    gram[:2, 3] = (math.pi / k0) * ((xs[:, :2] * (w * np.conj(pair))[:, None]).T
+                                    @ applied[:, 1])
+    gram[2, 3] = np.conj(gram[1, 3])
+    gram[3, :3] = np.conj(gram[:3, 3])
+    gram[3, 3] = (math.pi / k0) ** 2 * sinc_sq
+    trace = np.append(w @ (xs * np.conj(ys)), (math.pi / k0) * dens.sum())
+    alpha = np.exp(1j * phis) - 1.0
+    coef = np.stack([np.ones_like(alpha), alpha, np.conj(alpha),
+                     np.abs(alpha) ** 2], axis=1)
+    pur = np.real(np.einsum("pi,ij,pj->p", coef, gram, np.conj(coef)))
+    return 1.0 - pur / np.real(coef @ trace) ** 2
+
+
 def entropy_phase_sweep(f1: PulseProfile, f2: PulseProfile, k0: float,
-                        phis: np.ndarray, *,
-                        grids: tuple[Grid1D, Grid1D] | None = None) -> np.ndarray:
+                        phis: np.ndarray) -> np.ndarray:
     """Linear entropy of the interacting state across many Phi at one k0.
 
-    The amplitude is affine in alpha = exp(i Phi) - 1, so the reduced
-    kernel and the squared norm are assembled from a fixed family of
-    contractions computed once per k0; each Phi then costs only O(n^2).
-    Matches the direct per-state entropy to rounding.
+    Z1 is traced out exactly: with g(b) = int f1(x) sinc(k0 (x - b)) dx,
+    p = f1 f2, u = p conj(g) and int sinc(k0 (x - a)) sinc(k0 (x - b)) dx
+    = (pi/k0) sinc(k0 (a - b)), the reduced kernel on Z2 is
+        rho = |f1|^2 f2 f2^H + alpha u f2^H + conj(alpha) f2 u^H
+              + |alpha|^2 (pi/k0) (p p^H) o sinc(k0 (a - b)),
+    alpha = exp(i Phi) - 1. Every factor is profile-damped, so the blocks
+    live on the coefficient axis, and the purity is a quadratic form in
+    (1, alpha, conj(alpha), |alpha|^2) over their 4 x 4 weighted Gram
+    matrix: each Phi costs O(1). Evaluated at two axis resolutions;
+    disagreement beyond 1e-8 raises an accuracy error.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1 or phis.size < 1:
         raise ParameterError("phis must be a non-empty 1-D array")
     if np.any(phis < 0.0):
         raise ParameterError("phi values must be non-negative")
-    if grids is None:
-        grids = interaction_grids(f1, f2, k0)
-    grid1, grid2 = grids
-    z1, w1 = grid1.nodes, grid1.weights
-    z2, w2 = grid2.nodes, grid2.weights
-    base = np.outer(f1(z1), f2(z2)).astype(complex)
-    corr = (sinc_kernel(z1[:, None] - z2[None, :], k0)
-            * (f1(z2) * f2(z2))[None, :]).astype(complex)
-
-    def kernel_part(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # reduced kernel over axis 2: rho[a, b] = sum_i w1_i u(i, a) conj(v(i, b))
-        return (u.T * w1[None, :]) @ np.conj(v)
-
-    k_bb = kernel_part(base, base)
-    k_gb = kernel_part(corr, base)
-    k_bg = kernel_part(base, corr)
-    k_gg = kernel_part(corr, corr)
-    n_bb = float(w1 @ np.abs(base) ** 2 @ w2)
-    n_gg = float(w1 @ np.abs(corr) ** 2 @ w2)
-    n_bg = complex(w1 @ (base * np.conj(corr)) @ w2)
-
-    out = np.empty(phis.size)
-    for i, phi in enumerate(phis):
-        alpha = np.exp(1j * phi) - 1.0
-        rho = k_bb + alpha * k_gb + np.conj(alpha) * k_bg + abs(alpha) ** 2 * k_gg
-        nsq = n_bb + 2.0 * (np.conj(alpha) * n_bg).real + abs(alpha) ** 2 * n_gg
-        pur = float(w2 @ np.abs(rho) ** 2 @ w2) / nsq**2
-        out[i] = 1.0 - pur
-    return out
+    coarse, fine = (_entropy_sweep_on_axis(f1, f2, k0, phis,
+                                           _coefficient_axis(f1, f2, k0, 160, refine=r))
+                    for r in (1, 2))
+    worst = int(np.argmax(np.abs(coarse - fine)))
+    if abs(coarse[worst] - fine[worst]) > _ENTROPY_TOL:
+        raise AccuracyError(
+            f"linear entropy not converged at k0={k0}, phi={phis[worst]}: "
+            f"{coarse[worst]} vs {fine[worst]}", coarse=coarse[worst], fine=fine[worst])
+    return fine

@@ -19,7 +19,8 @@ The correction terms depend on z1 only through C, whose range pi/k_s can
 dwarf any co-moving window, so the fidelity takes the correction's squared
 norm over the whole z1 line: the box kernel obeys
 int C(x - a) C(x - b) dx = C(a - b), which turns the z1 integral into a
-time-kernel matrix C(v_r (s - s')).
+time-kernel matrix C(v_r (s - s')). The linear entropy traces z1 over the
+whole line as well, through C's box in k.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .numerics import (
     make_grid,
 )
 from .results import Axis, SweepResult
-from .state import TwoParticleState, free_state, linear_entropy, normalize, overlap
+from .state import TwoParticleState, free_state, normalize, overlap
 from .copropagating import GateMetrics
 
 __all__ = [
@@ -229,6 +230,40 @@ def _line_moments(setup: CollisionSetup, t: float, refine: int):
     return p_mom, r_mom, c_mom
 
 
+def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
+    """Chi-independent blocks of the z2 reduced kernel, z1 traced over the line.
+
+    With C(x) = (1/2 pi) int_{-k_s}^{k_s} exp(ikx) dk, the correction is
+    f2(z2) (1/2 pi) int G(z2, k) exp(-ik z1) dk with
+    G(z2, k) = sum_s w_s g(z2, s) exp(ik (z2 - v_r s)) and g as in
+    _line_moments, so G = i chi G_f + beta G_b. Parseval over z1 then gives
+        rho(a, b) = f2(a) conj(f2(b)) (|f1|^2 + H(a) + conj(H(b))
+                    + (1/2 pi) int G(a, k) conj(G(b, k)) dk),
+    H(a) = (1/2 pi) int G(a, k) F(k) dk, F(k) = int conj(f1(z)) exp(-ikz) dz.
+    This returns |f1|^2, the G_f and G_b parts of H, and the three k-Gram
+    matrices of G_f and G_b; the cost is O(n2 ns nk + n2^2 nk).
+    """
+    p = setup.params
+    tq, wq = _segment_quadrature(0.0, t, p.v_r, p.sigma, refine)
+    g1, g2 = setup.grid1, setup.grid2
+    # k (z2 - v_r s - z1) and k (a - b - v_r (s - s')) stay within ks * reach
+    ks = p.k0 / p.sigma
+    reach = max(g1.hi, g2.hi) - min(g1.lo, g2.lo) + abs(p.v_r) * t
+    kgrid = composite_gauss_grid(-ks, ks, refine * max(1, math.ceil(ks * reach / math.pi)))
+    k, wk = kgrid.nodes, kgrid.weights / (2.0 * math.pi)
+    front = setup.f1(g2.nodes[:, None] - p.v_r * tq[None, :]) * wq[None, :]
+    shift = np.exp(-1j * p.v_r * np.outer(tq, k))
+    phase = np.exp(1j * np.outer(g2.nodes, k))
+    g_f = phase * (front @ shift)
+    g_b = phase * np.outer(front.sum(axis=1), wq @ shift)
+    f1_row = setup.f1(g1.nodes)
+    spec = (g1.weights * np.conj(f1_row)) @ np.exp(-1j * np.outer(g1.nodes, k))
+    norm1 = float(g1.weights @ np.abs(f1_row) ** 2)
+    return (norm1, g_f @ (wk * spec), g_b @ (wk * spec),
+            (g_f * wk) @ np.conj(g_f.T), (g_f * wk) @ np.conj(g_b.T),
+            (g_b * wk) @ np.conj(g_b.T))
+
+
 def _grids_share_spacing(setup: CollisionSetup) -> bool:
     h1 = np.diff(setup.grid1.nodes)
     h2 = np.diff(setup.grid2.nodes)
@@ -245,9 +280,9 @@ class InteractionTables:
     is verified against a doubled time resolution; disagreement beyond atol
     raises an accuracy error. ensure() fills the cache along a whole time
     ladder in one incremental sweep, integrating segment by segment instead
-    of restarting from zero at every sample. line_moments() caches the
-    whole-line correction moments the same way, verified to a relative
-    1e-8.
+    of restarting from zero at every sample. line_moments() and
+    entropy_blocks() cache the whole-line correction moments and reduced-
+    kernel blocks the same way, verified to a relative 1e-8.
     """
 
     def __init__(self, setup: CollisionSetup, *, atol: float = 1e-10):
@@ -263,6 +298,7 @@ class InteractionTables:
             self._idx = None
         self._cache: dict[float, tuple] = {}
         self._line: dict[float, tuple] = {}
+        self._entropy: dict[float, tuple] = {}
 
     def compatible(self, setup: CollisionSetup) -> bool:
         return setup.geometry_signature() == self.signature
@@ -306,22 +342,34 @@ class InteractionTables:
                 self._cache[key] = fine
         return self._expand(self._cache[key])
 
-    def line_moments(self, setup: CollisionSetup, t: float) -> tuple:
-        """Whole-line correction moments (p, r, c) at one time; see _line_moments."""
+    def _whole_line(self, store: dict, build, what: str,
+                    setup: CollisionSetup, t: float) -> tuple:
+        """build() at one time, cached and verified at doubled resolution."""
         self._require_compatible(setup)
         if t <= 0.0:
-            raise ParameterError(f"line moments need a positive time, got {t}")
+            raise ParameterError(f"{what} need a positive time, got {t}")
         key = float(t)
-        if key not in self._line:
-            coarse = _line_moments(self._setup, key, refine=1)
-            fine = _line_moments(self._setup, key, refine=2)
+        if key not in store:
+            coarse = build(self._setup, key, refine=1)
+            fine = build(self._setup, key, refine=2)
             for c, f in zip(coarse, fine):
-                if abs(c - f) > _LINE_RTOL * max(abs(c), abs(f)):
+                dev = float(np.max(np.abs(c - f)))
+                if dev > _LINE_RTOL * max(np.max(np.abs(c)), np.max(np.abs(f))):
                     raise AccuracyError(
-                        f"whole-line correction moments not converged at "
-                        f"t={key}: {c} vs {f}", coarse=c, fine=f)
-            self._line[key] = fine
-        return self._line[key]
+                        f"{what} not converged at t={key}: max deviation "
+                        f"{dev:.3e}", coarse=dev, fine=0.0)
+            store[key] = fine
+        return store[key]
+
+    def line_moments(self, setup: CollisionSetup, t: float) -> tuple:
+        """Whole-line correction moments (p, r, c) at one time; see _line_moments."""
+        return self._whole_line(self._line, _line_moments,
+                                "whole-line correction moments", setup, t)
+
+    def entropy_blocks(self, setup: CollisionSetup, t: float) -> tuple:
+        """Whole-line reduced-kernel blocks at one time; see _entropy_blocks."""
+        return self._whole_line(self._entropy, _entropy_blocks,
+                                "whole-line entropy blocks", setup, t)
 
     def ensure(self, setup: CollisionSetup, times) -> None:
         """Fill the cache for every listed time in one incremental sweep."""
@@ -453,6 +501,12 @@ def _exp_remainder(x: float) -> complex:
     return complex(np.exp(1j * x) - 1.0 - 1j * x)
 
 
+def _warn_gauge(setup: CollisionSetup, t: float) -> None:
+    if setup.gauge(t) > _GAUGE_LIMIT:
+        warnings.warn("slow-pulse approximation degraded: gauge k0|v_r|t/sigma "
+                      "exceeds 0.1", ApproximationWarning, stacklevel=3)
+
+
 def two_particle_headon_closed(setup: CollisionSetup, t: float, *,
                                tables: InteractionTables | None = None) -> TwoParticleState:
     """Summed interaction series on the co-moving grids (not normalized).
@@ -467,9 +521,7 @@ def two_particle_headon_closed(setup: CollisionSetup, t: float, *,
     psi = _free_psi(setup)
     if t == 0.0:
         return TwoParticleState(setup.grid1, setup.grid2, psi)
-    if setup.gauge(t) > _GAUGE_LIMIT:
-        warnings.warn("slow-pulse approximation degraded: gauge k0|v_r|t/sigma "
-                      "exceeds 0.1", ApproximationWarning, stacklevel=2)
+    _warn_gauge(setup, t)
     if tables is None:
         tables = InteractionTables(setup)
     a_tab, b_tab, d_tab = tables.at(setup, t)
@@ -554,11 +606,31 @@ def collision_entropy(setup: CollisionSetup, t: float, *,
                       tables: InteractionTables | None = None) -> float:
     """Linear entropy of the normalized closed-form state at one time.
 
-    Evaluated on the co-moving window: unlike fidelity_evolution, it omits
-    the correction's kernel tail beyond grid_halfwidth.
+    z1 is traced over the whole line (see _entropy_blocks), so the kernel
+    tail beyond grid_halfwidth is included; the reduced kernel lives on the
+    z2 grid, where f2 bounds it. Warns like two_particle_headon_closed when
+    the slow-pulse gauge exceeds 0.1.
     """
-    state = normalize(two_particle_headon_closed(setup, t, tables=tables))
-    return linear_entropy(state)
+    if t < 0.0:
+        raise ParameterError(f"time must be non-negative, got {t}")
+    if t == 0.0:
+        return 0.0
+    _warn_gauge(setup, t)
+    if tables is None:
+        tables = InteractionTables(setup)
+    norm1, h_f, h_b, p_ff, p_fb, p_bb = tables.entropy_blocks(setup, t)
+    p = setup.params
+    ichi = 1j * p.chi
+    beta = _exp_remainder(p.chi * p.kappa * t) / (p.kappa * t * t)
+    h = ichi * h_f + beta * h_b
+    cross = ichi * beta.conjugate() * p_fb
+    kern = (norm1 + h[:, None] + np.conj(h)[None, :] + p.chi ** 2 * p_ff
+            + cross + np.conj(cross.T) + abs(beta) ** 2 * p_bb)
+    f2_row = setup.f2(setup.grid2.nodes)
+    rho = f2_row[:, None] * kern * np.conj(f2_row)[None, :]
+    w2 = setup.grid2.weights
+    nsq = float(np.real(w2 @ np.diag(rho)))
+    return 1.0 - float(w2 @ np.abs(rho) ** 2 @ w2) / nsq ** 2
 
 
 def ideal_headon_metrics(chi: float, v_r: float) -> GateMetrics:

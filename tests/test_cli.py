@@ -35,7 +35,7 @@ def test_config_round_trip_defaults():
 def test_config_round_trip_overrides():
     cfg = RunConfig(task="fig4", k0_values=(0.5, 2.5), phi_min=0.1, phi_max=2.0,
                     phi_n=11, headon_phis=(0.7853981633974483, math.pi),
-                    profile_shape="square", profile_width=1.5, threads=2,
+                    profile_shape="square", profile_width=1.5,
                     output_path="out.csv", output_format="json", tol_scale=3.0)
     assert parse_config(emit_config(cfg)) == cfg
 
@@ -153,7 +153,7 @@ def test_rendering_is_deterministic():
 # -------------------------------------------------------------- sweeps
 
 def test_coeffs_provenance_and_values():
-    cfg = RunConfig(task="coeffs", k0_values=(2.5,), threads=1)
+    cfg = RunConfig(task="coeffs", k0_values=(2.5,))
     result = run_task(cfg)
     from xpmsim import make_profile
     g = make_profile("gaussian")
@@ -174,7 +174,7 @@ def test_fig1_boundary_row_is_the_line():
 
 def test_fig3_point_equals_fig2_point():
     # shared lattice points agree exactly: same coefficients, same closed form
-    common = dict(phi_min=0.0, phi_max=math.pi, threads=2)
+    common = dict(phi_min=0.0, phi_max=math.pi)
     cfg2 = RunConfig(task="fig2", k0_values=(2.5, 5.0), phi_n=5, **common)
     cfg3 = RunConfig(task="fig3", lattice_k0_min=2.5, lattice_k0_max=5.0,
                      lattice_k0_n=2, lattice_phi_n=5, **common)
@@ -186,7 +186,7 @@ def test_fig3_point_equals_fig2_point():
 
 def test_fig4_curves_and_gauge(tmp_path):
     cfg = RunConfig(task="fig4", headon_phis=(math.pi / 4.0, math.pi),
-                    headon_time_n=5, threads=1)
+                    headon_time_n=5)
     result = run_task(cfg)
     assert result.axis("phi").values == (math.pi / 4.0, math.pi)
     assert len(result.axis("t").values) == 5
@@ -217,7 +217,7 @@ def test_main_flags_override_config(tmp_path):
     cfg_file.write_text("task = fig2\nk0.list = 1.0\nphi.n = 3\n", encoding="utf-8")
     out = tmp_path / "custom.json"
     code = run_main(["fig2", "--config", str(cfg_file), "--k0", "2.5",
-                     "--format", "json", "--out", str(out), "--threads", "1"])
+                     "--format", "json", "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["axes"][0]["values"] == [2.5]  # flag beat the config file
@@ -226,8 +226,7 @@ def test_main_flags_override_config(tmp_path):
 
 def test_main_phi_comma_list_selects_collision_curves(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("task = fig4\nheadon.time_n = 3\nthreads = 1\n",
-                        encoding="utf-8")
+    cfg_file.write_text("task = fig4\nheadon.time_n = 3\n", encoding="utf-8")
     out = tmp_path / "f4.csv"
     code = run_main(["fig4", "--config", str(cfg_file),
                      "--phi", "0.785398,3.141593", "--out", str(out)])
@@ -243,6 +242,13 @@ def test_main_config_errors_exit_2(tmp_path):
     assert run_main(["fig1", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert run_main(["fig2", "--phi", "1:2"]) == 2
     assert run_main(["fig2", "--k0", "one,two"]) == 2
+    # there is no `threads` key and no `--threads` flag
+    old = tmp_path / "threads.cfg"
+    old.write_text("task = fig1\nthreads = 1\n", encoding="utf-8")
+    assert run_main(["fig1", "--config", str(old)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_main(["fig1", "--threads", "1"])
+    assert exc.value.code == 2
 
 
 def test_main_convergence_failure_exits_3(tmp_path):

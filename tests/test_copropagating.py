@@ -340,20 +340,91 @@ def test_metrics_boundary_band_only_below_pi():
 
 
 def test_metrics_with_entropy_pinned():
+    # Z1 traced exactly; fourier_entropy below gives the same value
     m = metrics_copropagating(GAUSS, GAUSS, 2.5, math.pi, with_entropy=True)
-    assert m.linear_entropy == pytest.approx(0.558993694, abs=1e-4)
+    assert m.linear_entropy == pytest.approx(0.5589970741772, abs=1e-10)
     assert m.fidelity < 1e-4  # k0 = 2.5 sits essentially on the transition
     plain = metrics_copropagating(GAUSS, GAUSS, 2.5, math.pi)
     assert plain.linear_entropy is None
 
 
-def test_entropy_sweep_matches_direct_state():
-    k0, phi = 1.0, 2.0
-    grids = interaction_grids(GAUSS, GAUSS, k0)
-    swept = entropy_phase_sweep(GAUSS, GAUSS, k0, np.array([phi]), grids=grids)
-    direct = metrics_copropagating(GAUSS, GAUSS, k0, phi,
-                                   with_entropy=True, grids=grids)
-    assert swept[0] == pytest.approx(direct.linear_entropy, abs=1e-10)
+def _ft_power(shape: str, n: int, k):
+    """int f(x)^n exp(-ikx) dx for the unit Gaussian or the width-2 square pulse."""
+    if shape == "gaussian":
+        return math.pi ** (-n / 4.0) * math.sqrt(2.0 * math.pi / n) * np.exp(-k * k / (2.0 * n))
+    return 2.0 ** (1.0 - n / 2.0) * np.sinc(k / math.pi)
+
+
+def fourier_entropy(shape: str, k0: float, phi: float) -> float:
+    """Linear entropy with Z2 traced out, in the Fourier variable k of Z1.
+
+    For f(Z1) f(Z2) + alpha f(Z2)^2 sinc(k0 (Z1 - Z2)) the Z1 transform is
+    fhat(k) f(Z2) + alpha (pi/k0) box(k) f(Z2)^2 exp(-ik Z2), so the kernel
+    sigma(k, k') = int dZ2 psi_hat(k, Z2) conj(psi_hat(k', Z2)) is
+        fhat fhat^T + conj(alpha) fhat v^T + alpha v fhat^T + |alpha|^2 K,
+    v = (pi/k0) box FT[f^3], K(k, k') = (pi/k0)^2 box(k) box(k') FT[f^4](k - k').
+    Only <fhat, fhat> = 2 pi reaches outside the box (Parseval); every other
+    product is an integral over [-k0, k0], here on Gauss-Legendre panels of
+    unit width. No Z-space grid and no sinc kernel matrix is involved.
+    """
+    panels = max(1, math.ceil(2.0 * k0))
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(-k0, k0, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    k = (half * x[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    wk = np.tile(half * w, panels)
+    vecs = np.stack([_ft_power(shape, 1, k), (math.pi / k0) * _ft_power(shape, 3, k)])
+    kern = (math.pi / k0) ** 2 * _ft_power(shape, 4, k[:, None] - k[None, :])
+    dots = (vecs * wk) @ vecs.T
+    dots[0, 0] = 2.0 * math.pi
+    forms = (vecs * wk) @ kern @ (vecs * wk).T
+    pairs = ((0, 0), (0, 1), (1, 0))  # the rank-one blocks x y^T
+    gram = np.empty((4, 4))
+    for i, (xi, yi) in enumerate(pairs):
+        for j, (xj, yj) in enumerate(pairs):
+            gram[i, j] = dots[xi, xj] * dots[yi, yj]
+        gram[i, 3] = gram[3, i] = forms[xi, yi]
+    gram[3, 3] = float(wk @ kern ** 2 @ wk)
+    trace = np.array([dots[0, 0], dots[0, 1], dots[0, 1], wk @ np.diag(kern)])
+    alpha = complex(np.exp(1j * phi) - 1.0)
+    coef = np.array([1.0, alpha.conjugate(), alpha, abs(alpha) ** 2])
+    purity = float(np.real(coef @ gram @ np.conj(coef)))
+    return 1.0 - purity / float(np.real(coef @ trace)) ** 2
+
+
+@pytest.mark.parametrize("shape, k0s", [("square", (0.5, 2.5, 10.0)),
+                                        ("gaussian", (100.0,))])
+def test_fig2_entropy_matches_fourier_reference(shape, k0s):
+    # the cases a sampled Z1 grid gets wrong: the square pulse's edges, and
+    # a k0 = 100 kernel that a 401-node core cannot resolve
+    from xpmsim.cli.config import RunConfig
+    from xpmsim.cli.sweeps import run_fig2
+
+    result = run_fig2(RunConfig(task="fig2", profile_shape=shape, k0_values=k0s,
+                                phi_min=0.0, phi_max=math.pi, phi_n=5))
+    phis = result.axis("Phi").values
+    ent = np.asarray(result.columns["S_L"]).reshape(len(k0s), len(phis))
+    for a, k0 in enumerate(k0s):
+        for b, phi in enumerate(phis):
+            assert ent[a, b] == pytest.approx(fourier_entropy(shape, k0, phi), abs=1e-10)
+
+
+def test_entropy_sweep_approaches_sampled_oracle():
+    # the sampled route converges to the exact-Z1 entropy: in the sinc tail
+    # radius for the Gaussian, in the (first-order) core spacing for the
+    # square pulse, whose edges the uniform core straddles
+    def gap(prof, k0, phi, **grid):
+        grids = interaction_grids(prof, prof, k0, **grid)
+        sampled = grid_metrics_copropagating(prof, prof, SystemParams.copropagating(k0, phi),
+                                             grids=grids, with_entropy=True)
+        return abs(sampled.linear_entropy - entropy_phase_sweep(prof, prof, k0, [phi])[0])
+
+    tails = [gap(GAUSS, 2.5, 2.0, tail_scale=s, core_n=161) for s in (150.0, 600.0, 2400.0)]
+    square = make_profile("square")
+    cores = [gap(square, 5.0, math.pi, core_n=n) for n in (101, 201, 401)]
+    for gaps in (tails, cores):
+        assert all(b < 0.6 * a for a, b in zip(gaps, gaps[1:])), gaps
+    assert tails[-1] < 1e-4
 
 
 def test_entropy_sweep_validation():

@@ -264,14 +264,55 @@ def test_windowed_fidelity_approaches_window_free():
     assert windowed[0] > windowed[1] > windowed[2] > line
 
 
+def line_traced_entropy(setup, t, nodes=8):
+    """Collision S_L with z1 traced over the whole line in position space.
+
+    No k-box: the correction-correction block sums
+    w_s w_s' g(a, s) conj(g(b, s')) C(a - b - v_r (s - s')) over both time
+    nodes (by the box-kernel identity, checked above against quad), and the
+    cross term takes h = f1 * C on the z1 window, where f1 bounds it.
+    """
+    p = setup.params
+    z1, w1 = setup.grid1.nodes, setup.grid1.weights
+    z2, w2 = setup.grid2.nodes, setup.grid2.weights
+    panels = max(1, math.ceil(abs(p.v_r) * t / p.sigma))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(0.0, t, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    s = (half * x[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    ws = np.tile(half * w, panels)
+    xt = p.chi * p.kappa * t
+    beta = (np.exp(1j * xt) - 1.0 - 1j * xt) / (p.kappa * t * t)
+    y = z2[:, None] - p.v_r * s[None, :]
+    front = setup.f1(y)
+    g = (1j * p.chi * front + beta * (front @ ws)[:, None]) * ws[None, :]
+    h = commutator_kernel(y[..., None] - z1, p.k0, p.sigma) @ (w1 * setup.f1(z1))
+    big_h = np.sum(g * h, axis=1)
+    n2, step = z2.size, z2[1] - z2[0]
+    lags = step * np.arange(-(n2 - 1), n2)[:, None, None] - p.v_r * (s[:, None] - s[None, :])
+    kern = commutator_kernel(lags, p.k0, p.sigma)
+    cc = np.array([np.einsum("s,bst,bt->b", g[i], kern[i - np.arange(n2) + n2 - 1], np.conj(g))
+                   for i in range(n2)])
+    f2 = setup.f2(z2)
+    rho = np.outer(f2, f2) * (float(w1 @ setup.f1(z1) ** 2) + big_h[:, None]
+                              + np.conj(big_h)[None, :] + cc)
+    nsq = float(np.real(w2 @ np.diag(rho)))
+    return 1.0 - float(w2 @ np.abs(rho) ** 2 @ w2) / nsq ** 2
+
+
 def test_collision_entanglement_transient():
-    # entanglement peaks mid-pass and dies out once the pulses separate:
-    # the late-time correction is flat along z1, so the state re-factorizes
+    # z1 is traced over the whole line: the kernel's tail beyond the window
+    # carries most of the correction (a window-only trace gives 0.109 and
+    # 9e-12 here). Entanglement peaks mid-pass and nearly dies out once the
+    # pulses separate.
     setup = collision(phi=math.pi, times=(1e-3, 2e-3))
     tables = InteractionTables(setup)
-    assert collision_entropy(setup, 0.0, tables=tables) < 1e-12
-    assert 0.05 < collision_entropy(setup, 1e-3, tables=tables) < 0.2
-    assert collision_entropy(setup, 2e-3, tables=tables) < 1e-6
+    coarse = collision(phi=math.pi, times=(1e-3, 2e-3), grid_n=41)
+    assert collision_entropy(setup, 0.0, tables=tables) == 0.0
+    for t, pinned in ((1e-3, 5.148e-3), (2e-3, 1.153e-6)):
+        s_l = collision_entropy(setup, t, tables=tables)
+        assert s_l == pytest.approx(pinned, rel=1e-3)
+        assert s_l == pytest.approx(line_traced_entropy(coarse, t), rel=1e-6)
 
 
 def test_gauge_monitor_and_warning():
