@@ -16,11 +16,15 @@ x = chi kappa t. Everything here works on fixed co-moving grids, where
 the free reference is time-independent.
 
 The correction terms depend on z1 only through C, whose range pi/k_s can
-dwarf any co-moving window, so the fidelity takes the correction's squared
-norm over the whole z1 line: the box kernel obeys
-int C(x - a) C(x - b) dx = C(a - b), which turns the z1 integral into a
-time-kernel matrix C(v_r (s - s')). The linear entropy traces z1 over the
-whole line as well, through C's box in k.
+dwarf any co-moving window, so the collision fidelity and entropy trace z1
+over the whole line through C's box in k: C(x) = (1/2 pi) int exp(ikx) dk
+over |k| <= k_s. With y = z2 - v_r s every time integral then becomes an
+oriented y-integral over [z2 - v_r t, z2] of f1(y) exp(iky) (or of
+exp(iky) alone, in closed form), and the fidelity needs only five
+chi-independent moments of those per time (see _trajectory_moments): each
+(phi, t) sample costs O(1) and no two-photon state is built. The A, B, D
+tables and the amplitude on the co-moving grids serve the series and its
+closed form, which stay the independent oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .numerics import (
     make_grid,
 )
 from .results import Axis, SweepResult
-from .state import TwoParticleState, free_state, normalize, overlap
+from .state import TwoParticleState
 from .copropagating import GateMetrics
 
 __all__ = [
@@ -67,6 +71,7 @@ _STOP_TOL = 1e-12
 _FAIL_TOL = 1e-6
 _SMALL_X = 1e-3
 _LINE_RTOL = 1e-8
+_BLOCK = 1 << 20  # complex elements per temporary in the trajectory sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,34 +162,15 @@ def _time_quadrature(t: float, v_r: float, sigma: float, refine: int):
     return _segment_quadrature(0.0, t, v_r, sigma, refine)
 
 
-def _tables_dense(setup: CollisionSetup, t0: float, t1: float, refine: int):
-    """A, B, D over [t0, t1] by direct evaluation, one time node at a time."""
-    tq, wq = _segment_quadrature(t0, t1, setup.params.v_r,
-                                 setup.params.sigma, refine)
-    z1 = setup.grid1.nodes[:, None]
-    z2 = setup.grid2.nodes[None, :]
-    dtype = complex if not setup.f1.is_real else float
-    a_tab = np.zeros((setup.grid1.n, setup.grid2.n))
-    b_tab = np.zeros(setup.grid2.n, dtype=dtype)
-    d_tab = np.zeros((setup.grid1.n, setup.grid2.n), dtype=dtype)
-    for q in range(tq.size):
-        kern_q = commutator_kernel(z2 - z1 - setup.params.v_r * tq[q],
-                                   setup.params.k0, setup.params.sigma)
-        front_q = setup.f1(setup.grid2.nodes - setup.params.v_r * tq[q])
-        a_tab += wq[q] * kern_q
-        b_tab += wq[q] * front_q
-        d_tab += wq[q] * kern_q * front_q[None, :]
-    return a_tab, b_tab, d_tab
-
-
 def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
     """A, B, D over [t0, t1] exploiting the uniform-grid difference structure.
 
     The kernel argument depends on (z1', z2') only through their difference,
-    which on equal-spacing grids takes 2n - 1 distinct values; per time node
-    the kernel is evaluated on that vector and gathered by a fixed index
-    map instead of a full matrix evaluation. A stays in difference form
-    (2n - 1 values); only D needs the full matrix.
+    which on the equal-spacing co-moving grids takes 2n - 1 distinct values;
+    per time node the kernel is evaluated on that vector and gathered by a
+    fixed index map instead of a full matrix evaluation. A stays in
+    difference form (2n - 1 values); only D needs the full matrix. B and D
+    take f1's dtype, so a real f1 keeps real tables.
     """
     tq, wq = _segment_quadrature(t0, t1, setup.params.v_r,
                                  setup.params.sigma, refine)
@@ -193,109 +179,213 @@ def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
     u0 = setup.grid2.nodes[0] - setup.grid1.nodes[0]
     diffs = u0 + h * np.arange(-(n1 - 1), n2)
     idx = np.arange(n2)[None, :] - np.arange(n1)[:, None] + (n1 - 1)
+    dtype = float if setup.f1.is_real else complex
     a_vec = np.zeros(diffs.size)
-    b_tab = np.zeros(n2)
-    d_tab = np.zeros((n1, n2))
+    b_tab = np.zeros(n2, dtype=dtype)
+    d_tab = np.zeros((n1, n2), dtype=dtype)
     for q in range(tq.size):
         kern_q = commutator_kernel(diffs - setup.params.v_r * tq[q],
                                    setup.params.k0, setup.params.sigma)
         front_q = setup.f1(setup.grid2.nodes - setup.params.v_r * tq[q])
         a_vec += wq[q] * kern_q
-        b_tab += wq[q] * np.real(front_q)
-        d_tab += wq[q] * kern_q[idx] * np.real(front_q)[None, :]
+        b_tab += wq[q] * front_q
+        d_tab += wq[q] * kern_q[idx] * front_q[None, :]
     return a_vec, b_tab, d_tab
 
 
-def _line_moments(setup: CollisionSetup, t: float, refine: int):
-    """Chi-independent moments of the correction's whole-line squared norm.
+def _k_rule(setup: CollisionSetup, t: float, refine: int):
+    """Gauss rule on C's box [-k_s, k_s], weights divided by 2 pi.
+
+    k times any z1 - z2 or trajectory distance up to time t stays within
+    pi per panel.
+    """
+    p = setup.params
+    g1, g2 = setup.grid1, setup.grid2
+    ks = p.k0 / p.sigma
+    reach = max(g1.hi, g2.hi) - min(g1.lo, g2.lo) + abs(p.v_r) * t
+    kgrid = composite_gauss_grid(-ks, ks, refine * max(1, math.ceil(ks * reach / math.pi)))
+    return kgrid.nodes, kgrid.weights / (2.0 * math.pi)
+
+
+def _f1_spectrum(setup: CollisionSetup, k: np.ndarray) -> np.ndarray:
+    """F(k) = int conj(f1(z)) exp(-ikz) dz on the z1 window."""
+    g1 = setup.grid1
+    return (g1.weights * np.conj(setup.f1(g1.nodes))) @ np.exp(-1j * np.outer(g1.nodes, k))
+
+
+def _window_nsq(grid: Grid1D, profile: PulseProfile) -> float:
+    """|profile|^2 summed on a co-moving window."""
+    return float(grid.weights @ np.abs(profile(grid.nodes)) ** 2)
+
+
+def _box_transform(setup: CollisionSetup, times: np.ndarray, k: np.ndarray):
+    """int_0^t exp(ik (z2 - v_r s)) ds in closed form, shape (times, z2, k)."""
+    v_r = setup.params.v_r
+    t = times[:, None, None]
+    mid = setup.grid2.nodes[None, :, None] - 0.5 * v_r * t
+    return t * np.sinc(k * v_r * t / (2.0 * math.pi)) * np.exp(1j * k * mid)
+
+
+class _Trajectory:
+    """int_0^t f1(z2 - v_r s) exp(ik (z2 - v_r s)) ds for every (t, z2) at once.
+
+    With y = z2 - v_r s each integral is the oriented y-integral of
+    f1(y) exp(iky) over [z2 - v_r t, z2], divided by v_r. Panels run between
+    consecutive query points (every z2 and z2 - v_r t), a lattice of at most
+    one sigma and pi/k_s spacing, and f1's breakpoints, so a square pulse's
+    edges fall on panel boundaries; each panel carries refine 8-node Gauss
+    rules. Panel sums accumulate inwards from both ends towards f1's
+    centre. An interval with both ends on one side of the centre is the
+    difference of that side's sums, so an interval deep in one of f1's
+    tails is a difference of two tail-sized numbers, never of two order-one
+    ones; an interval across the centre adds the two signed pieces.
+    """
+
+    def __init__(self, setup: CollisionSetup, times: np.ndarray, refine: int):
+        p = setup.params
+        z2 = setup.grid2.nodes
+        ends = z2[None, :] - p.v_r * times[:, None]
+        lo = min(float(ends.min()), float(z2[0]))
+        hi = max(float(ends.max()), float(z2[-1]))
+        centre = min(max(setup.f1.center, lo), hi)
+        step = min(p.sigma, math.pi * p.sigma / p.k0)
+        lattice = centre + step * np.arange(math.ceil((lo - centre) / step),
+                                            math.floor((hi - centre) / step) + 1)
+        breaks = [b for b in setup.f1.breakpoints if lo < b < hi]
+        edges = np.unique(np.concatenate((z2, ends.ravel(), lattice, breaks, [centre])))
+        self._upper = np.searchsorted(edges, z2)[None, :]
+        self._lower = np.searchsorted(edges, ends)
+        centre_at = int(np.searchsorted(edges, centre))
+        self._centre_at = centre_at
+        # which running sum serves each interval as upper minus lower: 0 the
+        # sums from the left end, 1 those from the right end negated, 2 the
+        # signed integrals from the centre (for intervals across it)
+        left = (self._lower <= centre_at) & (self._upper <= centre_at)
+        right = (self._lower >= centre_at) & (self._upper >= centre_at)
+        self._side = np.where(left, 0, np.where(right, 1, 2))
+        x, w = np.polynomial.legendre.leggauss(8)
+        width = np.diff(edges)[:, None, None] / refine
+        offset = np.arange(refine)[:, None] + 0.5 * (1.0 + x)
+        self._nodes = (edges[:-1, None, None] + width * offset).reshape(edges.size - 1, -1)
+        weights = (0.5 * width * w).repeat(refine, axis=1).reshape(edges.size - 1, -1)
+        self._front = weights * setup.f1(self._nodes)
+        self._v_r = p.v_r
+
+    @property
+    def size(self) -> int:
+        """Query intervals plus panels: what one wave number costs in memory."""
+        return self._side.size + self._nodes.shape[0]
+
+    def integrals(self, k: np.ndarray) -> np.ndarray:
+        """The trajectory integrals at wave numbers k, shape (times, z2, k)."""
+        n_pan, n_node = self._nodes.shape
+        panels = np.empty((n_pan, k.size), dtype=complex)
+        block = max(1, _BLOCK // (n_node * k.size))
+        for i in range(0, n_pan, block):
+            arg = self._nodes[i:i + block, :, None] * k
+            front = self._front[i:i + block, :, None]
+            panels[i:i + block] = ((front * np.cos(arg)).sum(axis=1)
+                                   + 1j * (front * np.sin(arg)).sum(axis=1))
+        sums = np.zeros((3, n_pan + 1, k.size), dtype=complex)
+        np.cumsum(panels, axis=0, out=sums[0, 1:])
+        np.cumsum(panels[::-1], axis=0, out=sums[1, -2::-1])
+        c = self._centre_at
+        past = (np.arange(n_pan + 1) >= c)[:, None]
+        sums[2] = np.where(past, sums[1, c] - sums[1], sums[0] - sums[0, c])
+        sums[1] *= -1.0
+        return (sums[self._side, self._upper] - sums[self._side, self._lower]) / self._v_r
+
+
+def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
+    """Chi-independent moments of the collision fidelity, one row per time.
 
     The correction is f2(z2) int_0^t C(z2 - z1 - v_r s) g(z2, s) ds with
     g = i chi f1(z2 - v_r s) + beta B(z2), beta = (exp(ix) - 1 - ix)/(kappa t^2).
-    Integrating z1 over the whole line with the box-kernel identity leaves
-    sum_z2 w |f2|^2 sum_{s,s'} w_s w_s' g(z2, s) C(v_r (s - s')) conj g(z2, s'),
-    which expands to chi^2 p - 2 chi Im(conj(beta) r) + |beta|^2 c; this
-    returns (p, r, c).
+    Through C's box in k it reads f2(z2) (1/2 pi) int G(z2, k) exp(-ik z1) dk,
+    G = i chi G_f + beta B G_b, with G_f the trajectory integral (B is G_f
+    at k = 0) and G_b = int_0^t exp(ik (z2 - v_r s)) ds. Writing
+    dens = w2 |f2|^2, int dk for the k rule over 2 pi, and F(k) for f1's
+    conjugate spectrum, the moments
+        p = sum dens int dk |G_f|^2,    r = sum dens conj(B) int dk G_f conj(G_b),
+        c = sum dens |B|^2 int dk |G_b|^2,
+        o_f = sum dens int dk F G_f,    o_b = sum dens B int dk F G_b
+    give <free|raw> = |free|^2 + i chi o_f + beta o_b and the squared norm
+    over the whole z1 line, |free|^2 + 2 Re(i chi o_f + beta o_b)
+    + chi^2 p - 2 chi Im(conj(beta) r) + |beta|^2 c. Returns (p, r, c, o_f, o_b).
     """
-    p = setup.params
-    tq, wq = _segment_quadrature(0.0, t, p.v_r, p.sigma, refine)
-    z2 = setup.grid2.nodes
-    front = setup.f1(z2[:, None] - p.v_r * tq[None, :]) * wq[None, :]
-    kern = commutator_kernel(p.v_r * (tq[:, None] - tq[None, :]), p.k0, p.sigma)
-    front_kern = front @ kern
-    b_row = front.sum(axis=1)
-    dens = setup.grid2.weights * np.abs(setup.f2(z2)) ** 2
-    p_mom = float(dens @ np.real(np.sum(front_kern * np.conj(front), axis=1)))
-    r_mom = complex(dens @ (np.conj(b_row) * (front_kern @ wq)))
-    c_mom = float(wq @ kern @ wq) * float(dens @ np.abs(b_row) ** 2)
-    return p_mom, r_mom, c_mom
+    k, wk = _k_rule(setup, float(times[-1]), refine)
+    spec = _f1_spectrum(setup, k)
+    dens = setup.grid2.weights * np.abs(setup.f2(setup.grid2.nodes)) ** 2
+    traj = _Trajectory(setup, times, refine)
+    b_row = traj.integrals(np.zeros(1))[..., 0]
+    p_row = np.zeros(b_row.shape)
+    r_row = np.zeros(b_row.shape, dtype=complex)
+    box_nsq = np.zeros(times.size)
+    o_f_row = np.zeros(b_row.shape, dtype=complex)
+    o_b_row = np.zeros(b_row.shape, dtype=complex)
+    chunk = max(1, _BLOCK // traj.size)
+    # einsum, not matmul: these contractions are small, and a threaded BLAS
+    # gemv on them stalled for up to 0.8 s at a time on a 2-core machine
+    for i in range(0, k.size, chunk):
+        kc, wc = k[i:i + chunk], wk[i:i + chunk]
+        sc = wc * spec[i:i + chunk]
+        g_f = traj.integrals(kc)
+        g_b = _box_transform(setup, times, kc)
+        p_row += np.einsum("tjk,k->tj", np.abs(g_f) ** 2, wc)
+        o_f_row += np.einsum("tjk,k->tj", g_f, sc)
+        r_row += np.einsum("tjk,tjk,k->tj", g_f, np.conj(g_b), wc)
+        # |G_b| does not depend on z2
+        box_nsq += np.einsum("tk,k->t", np.abs(g_b[:, 0, :]) ** 2, wc)
+        o_b_row += np.einsum("tjk,k->tj", g_b, sc)
+    p_mom = np.sum(p_row * dens, axis=1)
+    r_mom = np.sum(np.conj(b_row) * r_row * dens, axis=1)
+    c_mom = box_nsq * np.sum(np.abs(b_row) ** 2 * dens, axis=1)
+    o_f = np.sum(o_f_row * dens, axis=1)
+    o_b = np.sum(b_row * o_b_row * dens, axis=1)
+    return p_mom, r_mom, c_mom, o_f, o_b
 
 
 def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
     """Chi-independent blocks of the z2 reduced kernel, z1 traced over the line.
 
-    With C(x) = (1/2 pi) int_{-k_s}^{k_s} exp(ikx) dk, the correction is
-    f2(z2) (1/2 pi) int G(z2, k) exp(-ik z1) dk with
-    G(z2, k) = sum_s w_s g(z2, s) exp(ik (z2 - v_r s)) and g as in
-    _line_moments, so G = i chi G_f + beta G_b. Parseval over z1 then gives
+    With G = i chi G_f + beta B G_b as in _trajectory_moments, the correction
+    is f2(z2) (1/2 pi) int G(z2, k) exp(-ik z1) dk. Parseval over z1 gives
         rho(a, b) = f2(a) conj(f2(b)) (|f1|^2 + H(a) + conj(H(b))
                     + (1/2 pi) int G(a, k) conj(G(b, k)) dk),
     H(a) = (1/2 pi) int G(a, k) F(k) dk, F(k) = int conj(f1(z)) exp(-ikz) dz.
-    This returns |f1|^2, the G_f and G_b parts of H, and the three k-Gram
-    matrices of G_f and G_b; the cost is O(n2 ns nk + n2^2 nk).
+    This returns |f1|^2, the G_f and B G_b parts of H, and the three k-Gram
+    matrices of G_f and B G_b; the cost is O(n2^2 nk) past the trajectory.
     """
-    p = setup.params
-    tq, wq = _segment_quadrature(0.0, t, p.v_r, p.sigma, refine)
-    g1, g2 = setup.grid1, setup.grid2
-    # k (z2 - v_r s - z1) and k (a - b - v_r (s - s')) stay within ks * reach
-    ks = p.k0 / p.sigma
-    reach = max(g1.hi, g2.hi) - min(g1.lo, g2.lo) + abs(p.v_r) * t
-    kgrid = composite_gauss_grid(-ks, ks, refine * max(1, math.ceil(ks * reach / math.pi)))
-    k, wk = kgrid.nodes, kgrid.weights / (2.0 * math.pi)
-    front = setup.f1(g2.nodes[:, None] - p.v_r * tq[None, :]) * wq[None, :]
-    shift = np.exp(-1j * p.v_r * np.outer(tq, k))
-    phase = np.exp(1j * np.outer(g2.nodes, k))
-    g_f = phase * (front @ shift)
-    g_b = phase * np.outer(front.sum(axis=1), wq @ shift)
-    f1_row = setup.f1(g1.nodes)
-    spec = (g1.weights * np.conj(f1_row)) @ np.exp(-1j * np.outer(g1.nodes, k))
-    norm1 = float(g1.weights @ np.abs(f1_row) ** 2)
-    return (norm1, g_f @ (wk * spec), g_b @ (wk * spec),
+    k, wk = _k_rule(setup, t, refine)
+    times = np.array([float(t)])
+    traj = _Trajectory(setup, times, refine)
+    g_f = traj.integrals(k)[0]
+    g_b = traj.integrals(np.zeros(1))[0] * _box_transform(setup, times, k)[0]
+    spec = _f1_spectrum(setup, k)
+    return (_window_nsq(setup.grid1, setup.f1), g_f @ (wk * spec), g_b @ (wk * spec),
             (g_f * wk) @ np.conj(g_f.T), (g_f * wk) @ np.conj(g_b.T),
             (g_b * wk) @ np.conj(g_b.T))
 
 
-def _grids_share_spacing(setup: CollisionSetup) -> bool:
-    h1 = np.diff(setup.grid1.nodes)
-    h2 = np.diff(setup.grid2.nodes)
-    return (setup.grid1.n == setup.grid2.n
-            and np.allclose(h1, h1[0], rtol=1e-12, atol=0.0)
-            and np.allclose(h2, h1[0], rtol=1e-12, atol=0.0))
-
-
 class InteractionTables:
-    """Cache of the time-integral tables A, B, D per time sample.
+    """Chi-independent caches for one collision geometry.
 
-    The tables are independent of the interaction rate chi, so one cache
-    serves every accumulated-phase curve over the same geometry. Each entry
-    is verified against a doubled time resolution; disagreement beyond atol
-    raises an accuracy error. ensure() fills the cache along a whole time
-    ladder in one incremental sweep, integrating segment by segment instead
-    of restarting from zero at every sample. line_moments() and
-    entropy_blocks() cache the whole-line correction moments and reduced-
-    kernel blocks the same way, verified to a relative 1e-8.
+    The time-integral tables A, B, D per time sample serve the series and
+    its closed form; each entry is verified against a doubled time
+    resolution, and disagreement beyond atol raises an accuracy error.
+    ensure() fills them along a whole time ladder in one incremental sweep.
+    line_moments() caches the fidelity's trajectory moments per time and
+    entropy_blocks() the reduced-kernel blocks, both verified at doubled
+    resolution to a relative 1e-8. Nothing here depends on the interaction
+    rate chi, so one cache serves every accumulated-phase curve.
     """
 
     def __init__(self, setup: CollisionSetup, *, atol: float = 1e-10):
         self.signature = setup.geometry_signature()
         self.atol = atol
         self._setup = setup
-        self._fast = _grids_share_spacing(setup) and setup.f1.is_real
-        if self._fast:
-            n1, n2 = setup.grid1.n, setup.grid2.n
-            self._idx = (np.arange(n2)[None, :] - np.arange(n1)[:, None]
-                         + (n1 - 1))
-        else:
-            self._idx = None
+        n1, n2 = setup.grid1.n, setup.grid2.n
+        self._idx = np.arange(n2)[None, :] - np.arange(n1)[:, None] + (n1 - 1)
         self._cache: dict[float, tuple] = {}
         self._line: dict[float, tuple] = {}
         self._entropy: dict[float, tuple] = {}
@@ -311,13 +401,8 @@ class InteractionTables:
     def _zero_entry(self) -> tuple:
         n1, n2 = self._setup.grid1.n, self._setup.grid2.n
         dtype = float if self._setup.f1.is_real else complex
-        a = np.zeros(n1 + n2 - 1) if self._fast else np.zeros((n1, n2))
-        return a, np.zeros(n2, dtype=dtype), np.zeros((n1, n2), dtype=dtype)
-
-    def _expand(self, entry: tuple) -> tuple:
-        a_small, b_tab, d_tab = entry
-        a_tab = a_small[self._idx] if self._fast else a_small
-        return a_tab, b_tab, d_tab
+        return (np.zeros(n1 + n2 - 1), np.zeros(n2, dtype=dtype),
+                np.zeros((n1, n2), dtype=dtype))
 
     def _verify(self, t: float, coarse: tuple, fine: tuple) -> None:
         worst = max(float(np.max(np.abs(c - f))) for c, f in zip(coarse, fine))
@@ -335,44 +420,62 @@ class InteractionTables:
             if key == 0.0:
                 self._cache[key] = self._zero_entry()
             else:
-                build = _tables_toeplitz if self._fast else _tables_dense
-                coarse = build(self._setup, 0.0, key, refine=1)
-                fine = build(self._setup, 0.0, key, refine=2)
+                coarse = _tables_toeplitz(self._setup, 0.0, key, refine=1)
+                fine = _tables_toeplitz(self._setup, 0.0, key, refine=2)
                 self._verify(key, coarse, fine)
                 self._cache[key] = fine
-        return self._expand(self._cache[key])
+        a_vec, b_tab, d_tab = self._cache[key]
+        return a_vec[self._idx], b_tab, d_tab
 
-    def _whole_line(self, store: dict, build, what: str,
-                    setup: CollisionSetup, t: float) -> tuple:
-        """build() at one time, cached and verified at doubled resolution."""
+    def line_moments(self, setup: CollisionSetup, times) -> tuple:
+        """Trajectory moments (p, r, c, o_f, o_b) per time; see _trajectory_moments.
+
+        The times missing from the cache are computed together, at two
+        resolutions, and each moment is checked at each time on its own, so
+        a moment deep in f1's tail must converge as tightly as a large one.
+        Returns one array per moment, in the order of times.
+        """
+        self._require_compatible(setup)
+        wanted = np.asarray(times, dtype=float).ravel()
+        if np.any(wanted < 0.0):
+            raise ParameterError("time samples must be non-negative")
+        missing = np.array(sorted({float(t) for t in wanted} - set(self._line)))
+        if missing.size:
+            coarse = _trajectory_moments(self._setup, missing, refine=1)
+            fine = _trajectory_moments(self._setup, missing, refine=2)
+            for c, f in zip(coarse, fine):
+                dev = np.abs(c - f)
+                bad = np.flatnonzero(dev > _LINE_RTOL * np.maximum(np.abs(c), np.abs(f)))
+                if bad.size:
+                    raise AccuracyError(
+                        f"whole-line correction moments not converged at "
+                        f"t={missing[bad[0]]}: deviation {dev[bad[0]]:.3e}",
+                        coarse=float(dev[bad[0]]), fine=0.0)
+            for i, t in enumerate(missing):
+                self._line[float(t)] = tuple(m[i] for m in fine)
+        rows = [self._line[float(t)] for t in wanted]
+        return tuple(np.array(col) for col in zip(*rows))
+
+    def entropy_blocks(self, setup: CollisionSetup, t: float) -> tuple:
+        """Whole-line reduced-kernel blocks at one time; see _entropy_blocks."""
         self._require_compatible(setup)
         if t <= 0.0:
-            raise ParameterError(f"{what} need a positive time, got {t}")
+            raise ParameterError(f"whole-line entropy blocks need a positive time, got {t}")
         key = float(t)
-        if key not in store:
-            coarse = build(self._setup, key, refine=1)
-            fine = build(self._setup, key, refine=2)
+        if key not in self._entropy:
+            coarse = _entropy_blocks(self._setup, key, refine=1)
+            fine = _entropy_blocks(self._setup, key, refine=2)
             for c, f in zip(coarse, fine):
                 dev = float(np.max(np.abs(c - f)))
                 if dev > _LINE_RTOL * max(np.max(np.abs(c)), np.max(np.abs(f))):
                     raise AccuracyError(
-                        f"{what} not converged at t={key}: max deviation "
-                        f"{dev:.3e}", coarse=dev, fine=0.0)
-            store[key] = fine
-        return store[key]
-
-    def line_moments(self, setup: CollisionSetup, t: float) -> tuple:
-        """Whole-line correction moments (p, r, c) at one time; see _line_moments."""
-        return self._whole_line(self._line, _line_moments,
-                                "whole-line correction moments", setup, t)
-
-    def entropy_blocks(self, setup: CollisionSetup, t: float) -> tuple:
-        """Whole-line reduced-kernel blocks at one time; see _entropy_blocks."""
-        return self._whole_line(self._entropy, _entropy_blocks,
-                                "whole-line entropy blocks", setup, t)
+                        f"whole-line entropy blocks not converged at t={key}: "
+                        f"max deviation {dev:.3e}", coarse=dev, fine=0.0)
+            self._entropy[key] = fine
+        return self._entropy[key]
 
     def ensure(self, setup: CollisionSetup, times) -> None:
-        """Fill the cache for every listed time in one incremental sweep."""
+        """Fill the A, B, D cache for every listed time in one incremental sweep."""
         self._require_compatible(setup)
         wanted = np.asarray(times, dtype=float).ravel()
         if wanted.size == 0:
@@ -385,13 +488,12 @@ class InteractionTables:
             missing = missing[1:]
         if not missing:
             return
-        build = _tables_toeplitz if self._fast else _tables_dense
         acc1 = self._zero_entry()
         acc2 = self._zero_entry()
         prev = 0.0
         for t in missing:
-            seg1 = build(self._setup, prev, t, refine=1)
-            seg2 = build(self._setup, prev, t, refine=2)
+            seg1 = _tables_toeplitz(self._setup, prev, t, refine=1)
+            seg2 = _tables_toeplitz(self._setup, prev, t, refine=2)
             acc1 = tuple(a + s for a, s in zip(acc1, seg1))
             acc2 = tuple(a + s for a, s in zip(acc2, seg2))
             self._verify(t, acc1, acc2)
@@ -533,54 +635,46 @@ def two_particle_headon_closed(setup: CollisionSetup, t: float, *,
     return TwoParticleState(setup.grid1, setup.grid2, psi)
 
 
-def _correction_line_norm(setup: CollisionSetup, t: float,
-                          tables: InteractionTables) -> float:
-    """Squared norm of the closed-form correction over the whole z1 line."""
-    if t == 0.0:
-        return 0.0
-    p_mom, r_mom, c_mom = tables.line_moments(setup, t)
-    p = setup.params
-    beta = _exp_remainder(p.chi * p.kappa * t) / (p.kappa * t * t)
-    return (p.chi ** 2 * p_mom - 2.0 * p.chi * (beta.conjugate() * r_mom).imag
-            + abs(beta) ** 2 * c_mom)
+def _beta(params: SystemParams, t: float) -> complex:
+    """Weight (exp(ix) - 1 - ix) / (kappa t^2) of the summed n >= 2 orders."""
+    return _exp_remainder(params.chi * params.kappa * t) / (params.kappa * t * t)
 
 
 def fidelity_evolution(setup: CollisionSetup, times=None, *,
                        tables: InteractionTables | None = None) -> SweepResult:
     """Fidelity and conditional phase against the free reference over time.
 
-    Uses the closed-form amplitude per sample; the free reference on the
-    co-moving grids is time-independent. The overlap and the free and
-    cross parts of the norm are taken on the window, where f1 bounds z1;
-    the correction's own squared norm is taken over the whole z1 line, so
-    F does not depend on grid_halfwidth. The conditional phase is the
-    argument of the overlap and needs no norm. Minimum and final fidelity
-    are recorded in the provenance, the gauge monitor as a column.
+    Builds no two-photon state: with the chi-independent trajectory moments
+    (p, r, c, o_f, o_b) of InteractionTables.line_moments,
+        <free|raw> = |free|^2 + i chi o_f + beta o_b,
+        |raw|^2    = |free|^2 + 2 Re(i chi o_f + beta o_b)
+                     + chi^2 p - 2 chi Im(conj(beta) r) + |beta|^2 c,
+    both with z1 over the whole line, so F = |<free|raw>|^2 / (|free|^2
+    |raw|^2) does not depend on grid_halfwidth and each sample costs O(1).
+    The conditional phase is the argument of <free|raw>. Minimum and final
+    fidelity are recorded in the provenance, the gauge monitor as a column;
+    like two_particle_headon_closed, this warns when the slow-pulse gauge
+    exceeds 0.1.
     """
     samples = np.asarray(setup.times if times is None else times, dtype=float)
     if samples.ndim != 1 or samples.size < 1:
         raise ParameterError("time samples must form a non-empty 1-D array")
     if samples[0] < 0.0 or (samples.size > 1 and not np.all(np.diff(samples) > 0)):
         raise ParameterError("time samples must be non-negative and increasing")
+    _warn_gauge(setup, float(samples[-1]))
     if tables is None:
         tables = InteractionTables(setup)
-    tables.ensure(setup, samples)
-    free = free_state(setup.f1, setup.f2, setup.grid1, setup.grid2)
-    reference = normalize(free)
-    w1, w2 = setup.grid1.weights, setup.grid2.weights
-    fid = np.empty(samples.size)
-    phase = np.empty(samples.size)
-    gauge = np.empty(samples.size)
-    for i, t in enumerate(samples):
-        raw = two_particle_headon_closed(setup, float(t), tables=tables)
-        amp = overlap(reference, normalize(raw))
-        window_nsq = raw.norm_squared()
-        window_corr = float(w1 @ np.abs(raw.psi - free.psi) ** 2 @ w2)
-        line_nsq = (window_nsq - window_corr
-                    + _correction_line_norm(setup, float(t), tables))
-        fid[i] = min(abs(amp) ** 2 * window_nsq / line_nsq, 1.0)
-        phase[i] = math.atan2(amp.imag, amp.real)
-        gauge[i] = setup.gauge(float(t))
+    p_mom, r_mom, c_mom, o_f, o_b = tables.line_moments(setup, samples)
+    p = setup.params
+    free_nsq = _window_nsq(setup.grid1, setup.f1) * _window_nsq(setup.grid2, setup.f2)
+    beta = np.array([_beta(p, float(t)) if t > 0.0 else 0.0 for t in samples])
+    corr = 1j * p.chi * o_f + beta * o_b
+    amp = free_nsq + corr
+    line_nsq = (free_nsq + 2.0 * corr.real + p.chi ** 2 * p_mom
+                - 2.0 * p.chi * (np.conj(beta) * r_mom).imag + np.abs(beta) ** 2 * c_mom)
+    fid = np.minimum(np.abs(amp) ** 2 / (free_nsq * line_nsq), 1.0)
+    phase = np.arctan2(amp.imag, amp.real)
+    gauge = np.array([setup.gauge(float(t)) for t in samples])
     notes = []
     if float(np.max(gauge)) > _GAUGE_LIMIT:
         notes.append("slow-pulse gauge exceeds 0.1 inside the time window")
@@ -621,7 +715,7 @@ def collision_entropy(setup: CollisionSetup, t: float, *,
     norm1, h_f, h_b, p_ff, p_fb, p_bb = tables.entropy_blocks(setup, t)
     p = setup.params
     ichi = 1j * p.chi
-    beta = _exp_remainder(p.chi * p.kappa * t) / (p.kappa * t * t)
+    beta = _beta(p, t)
     h = ichi * h_f + beta * h_b
     cross = ichi * beta.conjugate() * p_fb
     kern = (norm1 + h[:, None] + np.conj(h)[None, :] + p.chi ** 2 * p_ff

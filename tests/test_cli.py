@@ -19,7 +19,7 @@ from xpmsim.cli.config import (
 )
 from xpmsim.cli.main import main
 from xpmsim.cli.output import emit, render_csv, render_json, render_svg
-from xpmsim.cli.sweeps import run_fig1, run_fig2, run_fig3, run_task
+from xpmsim.cli.sweeps import collision_setup, run_fig1, run_fig2, run_fig3, run_fig4, run_task
 from xpmsim.cli.validate import CriterionResult, OracleStore, ValidationReport
 from xpmsim.errors import ConfigError
 from xpmsim.results import Axis, SweepResult
@@ -198,6 +198,21 @@ def test_fig4_curves_and_gauge(tmp_path):
     assert f"f_final[phi={math.pi:.6g}]" in result.provenance
 
 
+def test_fig4_builds_no_tables_or_states(monkeypatch):
+    # the fidelity comes from trajectory moments: the n x n A, B, D tables
+    # and the closed-form amplitude stay the oracle's
+    from xpmsim import headon
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fig4 built a closed-form two-photon state")
+
+    monkeypatch.setattr(headon, "two_particle_headon_closed", forbidden)
+    cfg = RunConfig(task="fig4")
+    tables = headon.InteractionTables(collision_setup(cfg, cfg.headon_phis[0]))
+    run_fig4(cfg, tables=tables)
+    assert tables._cache == {}
+
+
 # ---------------------------------------------------------- entry point
 
 def run_main(argv):
@@ -249,6 +264,18 @@ def test_main_config_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_main(["fig1", "--threads", "1"])
     assert exc.value.code == 2
+
+
+def test_main_fig4_square_profile(tmp_path):
+    out = tmp_path / "square.json"
+    assert run_main(["fig4", "--profile", "square", "--format", "json",
+                     "--out", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    n_t = len(data["axes"][1]["values"])
+    fid = np.asarray(data["columns"]["F"]).reshape(-1, n_t)
+    assert np.all((fid >= 0.0) & (fid <= 1.0))
+    assert np.all(fid[:, 0] == 1.0)
+    assert np.all(fid[:, -1] < 0.1)  # the gate acts: F falls during the pass
 
 
 def test_main_convergence_failure_exits_3(tmp_path):

@@ -264,6 +264,160 @@ def test_windowed_fidelity_approaches_window_free():
     assert windowed[0] > windowed[1] > windowed[2] > line
 
 
+def time_rule(t, v_r, nodes=8):
+    """Gauss nodes on [0, t], one panel per unit width crossed at speed v_r."""
+    panels = max(1, math.ceil(abs(v_r) * t))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(0.0, t, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    s = (half * x[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    return s, np.tile(half * w, panels)
+
+
+def per_time_moments(setup, t):
+    """Trajectory moments (p, r, c, o_f, o_b) at one time, by time quadrature.
+
+    No k rule: p, r and c take the correction's whole-line norm through the
+    box-kernel identity as a time-kernel matrix C(v_r (s - s')), and o_f and
+    o_b take h = conj(f1) * C on the z1 window, where f1 bounds it.
+    """
+    p = setup.params
+    s, ws = time_rule(t, p.v_r)
+    z1, w1 = setup.grid1.nodes, setup.grid1.weights
+    z2 = setup.grid2.nodes
+    y = z2[:, None] - p.v_r * s[None, :]
+    front = setup.f1(y) * ws
+    kern = commutator_kernel(p.v_r * (s[:, None] - s[None, :]), p.k0, p.sigma)
+    b_row = front.sum(axis=1)
+    dens = setup.grid2.weights * np.abs(setup.f2(z2)) ** 2
+    p_mom = dens @ np.real(np.sum((front @ kern) * np.conj(front), axis=1))
+    r_mom = dens @ (np.conj(b_row) * (front @ kern @ ws))
+    c_mom = (ws @ kern @ ws) * (dens @ np.abs(b_row) ** 2)
+    h = commutator_kernel(y[..., None] - z1, p.k0, p.sigma) @ (w1 * np.conj(setup.f1(z1)))
+    return p_mom, r_mom, c_mom, dens @ np.sum(front * h, axis=1), dens @ (b_row * (h @ ws))
+
+
+def closed_state_metrics(setup, t, tables):
+    """F and theta from the closed-form state on the co-moving window.
+
+    The overlap and the free and cross parts of the norm are window sums of
+    the full amplitude; the correction's own squared norm comes from the
+    time-quadrature moments.
+    """
+    p = setup.params
+    free = free_state(setup.f1, setup.f2, setup.grid1, setup.grid2)
+    raw = two_particle_headon_closed(setup, t, tables=tables)
+    amp = overlap(normalize(free), normalize(raw))
+    window_nsq = raw.norm_squared()
+    corr = raw.psi - free.psi
+    window_corr = setup.grid1.weights @ np.abs(corr) ** 2 @ setup.grid2.weights
+    p_mom, r_mom, c_mom, _, _ = per_time_moments(setup, t)
+    xt = p.chi * p.kappa * t
+    beta = (np.exp(1j * xt) - 1.0 - 1j * xt) / (p.kappa * t * t)
+    line = (p.chi ** 2 * p_mom - 2.0 * p.chi * (np.conj(beta) * r_mom).imag
+            + abs(beta) ** 2 * c_mom)
+    return abs(amp) ** 2 * window_nsq / (window_nsq - window_corr + line), np.angle(amp)
+
+
+def centred(times=(2.5e-4, 5e-4, 1e-3)):
+    """Both pulses on one center, with the default geometry's coupling."""
+    f = make_profile("gaussian")
+    chi = collision().params.chi
+    params = SystemParams.headon(1e-3, 0.0, V, -V, chi=chi)
+    return CollisionSetup(f, f, params, times=times, grid_n=161)
+
+
+def mirrored(phi=math.pi, times=(5e-4, 1e-3)):
+    """The default geometry reflected: f1 on the right, v_r < 0."""
+    f1 = make_profile("gaussian", center=SEP / 2.0)
+    f2 = make_profile("gaussian", center=-SEP / 2.0)
+    params = SystemParams.headon(1e-3, SEP, -V, V, phi=phi)
+    return CollisionSetup(f1, f2, params, times=tuple(times), grid_n=161)
+
+
+# the first sample of a default pass, where both ends of every trajectory
+# lie deep in f1's tail and o_f is about 4e-23
+@pytest.mark.parametrize("t", (T_PASS / 120.0, 4e-4, 1e-3, 2e-3))
+def test_trajectory_moments_match_time_quadrature(t):
+    setup = collision(times=(t,))
+    got = InteractionTables(setup).line_moments(setup, [t])
+    for name, g, ref in zip(("p", "r", "c", "o_f", "o_b"), got, per_time_moments(setup, t)):
+        assert abs(g[0] - ref) <= 1e-12 * abs(ref), name
+
+
+@pytest.mark.parametrize("make", (collision, centred, mirrored),
+                         ids=("default", "co-centred", "mirrored"))
+def test_fidelity_matches_closed_form_state(make):
+    setup = make()
+    tables = InteractionTables(setup)
+    curve = fidelity_evolution(setup, tables=tables)
+    for t, f, theta in zip(setup.times, curve.columns["F"], curve.columns["theta"]):
+        f_ref, theta_ref = closed_state_metrics(setup, t, tables)
+        assert f == pytest.approx(f_ref, abs=1e-12)
+        assert theta == pytest.approx(theta_ref, abs=1e-12)
+
+
+def test_mirrored_collision_matches_default():
+    times = np.linspace(0.0, T_PASS, 31)
+    for phi in (math.pi / 4.0, math.pi):
+        ref = fidelity_evolution(collision(phi=phi, times=times))
+        got = fidelity_evolution(mirrored(phi=phi, times=times))
+        for col in ("F", "theta"):
+            assert np.max(np.abs(np.subtract(got.columns[col], ref.columns[col]))) < 1e-13
+
+
+def test_co_centred_collision_starts_inside_the_interaction():
+    setup = centred(times=(0.0, 1e-4, 5e-4))
+    f = np.asarray(fidelity_evolution(setup).columns["F"])
+    assert f[0] == 1.0
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    assert f[1] < 1.0 - 1e-3  # no approach: the phase builds from t = 0
+
+
+def test_square_collision_entropy_converges():
+    # the pulses' edges fall on trajectory panel boundaries, so the
+    # resolution check passes; the z2 trace still converges in grid_n
+    values = []
+    for grid_n in (101, 201, 401):
+        f1 = make_profile("square", center=-SEP / 2.0)
+        f2 = make_profile("square", center=SEP / 2.0)
+        params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi)
+        setup = CollisionSetup(f1, f2, params, times=(1e-3,), grid_n=grid_n)
+        values.append(collision_entropy(setup, 1e-3))
+    assert all(0.0 < s < 1.0 for s in values)
+    gaps = np.abs(np.diff(values))
+    assert gaps[1] < 0.6 * gaps[0]
+
+
+def complex_front(grid_n=121):
+    """A chirped gaussian f1 tabulated as complex values."""
+    nodes = np.linspace(-SEP / 2.0 - 8.0, -SEP / 2.0 + 8.0, 4001)
+    values = np.exp(-(nodes + SEP / 2.0) ** 2 / 2.0 + 0.7j * nodes)
+    f1 = make_profile("tabulated", center=-SEP / 2.0, table_nodes=nodes,
+                      table_values=values)
+    f2 = make_profile("gaussian", center=SEP / 2.0)
+    params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi / 2.0)
+    return CollisionSetup(f1, f2, params, times=(1e-3,), grid_n=grid_n)
+
+
+def test_complex_front_closed_form_against_series_terms():
+    setup = complex_front()
+    t = 1e-3
+    tables = InteractionTables(setup)
+    _, b_tab, d_tab = tables.at(setup, t)
+    assert b_tab.dtype == complex and d_tab.dtype == complex
+    closed = two_particle_headon_closed(setup, t, tables=tables)
+    rng = np.random.default_rng(7)
+    i = rng.integers(0, setup.grid1.n, 12)
+    j = rng.integers(0, setup.grid2.n, 12)
+    z1, z2 = setup.grid1.nodes[i], setup.grid2.nodes[j]
+    summed = setup.f1(z1) * setup.f2(z2)
+    for n in range(1, 31):  # on the tables' time rule, the doubled one
+        summed = summed + series_term(setup, n, z1, z2, t, refine=2)
+    scale = np.max(np.abs(closed.psi))
+    assert np.max(np.abs(closed.psi[i, j] - summed)) < 1e-12 * scale
+
+
 def line_traced_entropy(setup, t, nodes=8):
     """Collision S_L with z1 traced over the whole line in position space.
 
@@ -275,12 +429,7 @@ def line_traced_entropy(setup, t, nodes=8):
     p = setup.params
     z1, w1 = setup.grid1.nodes, setup.grid1.weights
     z2, w2 = setup.grid2.nodes, setup.grid2.weights
-    panels = max(1, math.ceil(abs(p.v_r) * t / p.sigma))
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(0.0, t, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    s = (half * x[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
-    ws = np.tile(half * w, panels)
+    s, ws = time_rule(t, p.v_r, nodes)
     xt = p.chi * p.kappa * t
     beta = (np.exp(1j * xt) - 1.0 - 1j * xt) / (p.kappa * t * t)
     y = z2[:, None] - p.v_r * s[None, :]
@@ -325,6 +474,12 @@ def test_gauge_monitor_and_warning():
     fast = collision(k0=0.06, phi=0.5, grid_n=101)
     with pytest.warns(ApproximationWarning, match="gauge"):
         two_particle_headon_closed(fast, 2e-3)
+    # fig4's route builds no state, yet warns the same way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fidelity_evolution(setup)
+    with pytest.warns(ApproximationWarning, match="gauge"):
+        fidelity_evolution(fast)
 
 
 def test_ideal_limit_metrics():
