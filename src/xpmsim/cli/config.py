@@ -3,7 +3,8 @@
 A config file is plain text, one `key = value` per line, `#` comments.
 Values are typed per key (scalars, or comma-separated float lists).
 Optional keys left at None are omitted on emit, so parse(emit(c)) == c
-holds exactly; the sha of the emitted text identifies a run.
+holds exactly; the sha of the emitted text, less the output keys,
+identifies a computation.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ KEYMAP = {
 }
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in KEYMAP.items()}
+_SEMANTIC_KEYS = tuple(key for key in KEYMAP if not key.startswith("output."))
 
 
 @dataclass(frozen=True)
@@ -153,16 +155,20 @@ def _parse_value(text: str, kind: str, key: str):
         raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from None
 
 
-def emit_config(config: RunConfig) -> str:
-    """Canonical text form: sorted keys, one per line, None keys omitted."""
+def _config_text(config: RunConfig, keys) -> str:
     lines = []
-    for key in sorted(KEYMAP):
+    for key in sorted(keys):
         attr, kind = KEYMAP[key]
         value = getattr(config, attr)
         if value is None:
             continue
         lines.append(f"{key} = {_format_value(value, kind)}")
     return "\n".join(lines) + "\n"
+
+
+def emit_config(config: RunConfig) -> str:
+    """Canonical text form: sorted keys, one per line, None keys omitted."""
+    return _config_text(config, KEYMAP)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -189,8 +195,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def config_hash(config: RunConfig) -> str:
-    """Short digest of the canonical config text, for provenance."""
-    return hashlib.sha256(emit_config(config).encode()).hexdigest()[:12]
+    """Short digest of the canonical config text, for provenance.
+
+    Only the keys that shape the computed numbers are hashed: where and in
+    which format the result is written (output.path, output.format) leaves
+    the digest unchanged.
+    """
+    text = _config_text(config, _SEMANTIC_KEYS)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def field_names() -> tuple[str, ...]:

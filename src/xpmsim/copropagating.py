@@ -27,6 +27,7 @@ from .errors import (
     AccuracyError,
     CoefficientError,
     DegeneratePhaseError,
+    DegenerateStateError,
     ModeError,
     ParameterError,
     ProfileError,
@@ -41,13 +42,7 @@ from .numerics import (
     make_profile,
     sinc_kernel,
 )
-from .state import (
-    TwoParticleState,
-    free_state,
-    linear_entropy,
-    normalize,
-    overlap,
-)
+from .state import TwoParticleState, linear_entropy, normalize
 
 __all__ = [
     "GateMetrics",
@@ -400,17 +395,64 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
                                with_entropy: bool = False) -> GateMetrics:
     """Gate metrics from the sampled amplitude and the overlap integral.
 
-    Independent route: no closed forms, only normalization and the weighted
-    inner product against the free product state. Supports complex profiles.
+    The sampled amplitude of two_particle_copropagating is linear in
+    alpha = exp(i Phi) - 1: psi = F + alpha K p, with the free product
+    F = f1(Z1) f2(Z2), the kernel samples K = sinc(k0 (Z1 - Z2)) and
+    p = f1(Z2) f2(Z2). Its weighted overlap with F and its squared norm
+    therefore need only three Phi-independent sums on the same grids,
+        <F, F>   = (w1 |f1|^2) (w2 |f2|^2),
+        <F, Kp>  = (w1 conj(f1))^T K (w2 conj(f2) p),
+        <Kp, Kp> = (w1^T K^2) (w2 |p|^2),
+    as <F, psi> = <F, F> + alpha <F, Kp> and
+    |psi|^2 = <F, F> + 2 Re(alpha <F, Kp>) + |alpha|^2 <Kp, Kp>; then
+    F = |<F, psi>|^2 / (<F, F> |psi|^2) and theta = arg <F, psi>. These are
+    the quadrature sums of normalize and overlap on the sampled state,
+    regrouped: K is sampled at the nodes of two_particle_copropagating (in
+    row blocks near 32 MB, as in _c1_on_axis), no n1 x n2 state is kept, and
+    no closed form or overlap coefficient enters, so the route stays
+    independent of C1 and C2. with_entropy builds the sampled state for
+    linear_entropy. Supports complex profiles.
     """
+    if params.mode != "copropagating":
+        raise ModeError(
+            f"equal velocities required, got v1={params.v1}, v2={params.v2}")
     if grids is None:
         grids = interaction_grids(f1, f2, params.k0)
     grid1, grid2 = grids
-    reference = normalize(free_state(f1, f2, grid1, grid2))
-    out = normalize(two_particle_copropagating(f1, f2, params, grid1, grid2))
-    amp = overlap(reference, out)
-    entropy = linear_entropy(out) if with_entropy else None
-    return GateMetrics(fidelity=min(abs(amp) ** 2, 1.0),
+    z1, w1 = grid1.nodes, grid1.weights
+    z2, w2 = grid2.nodes, grid2.weights
+    a1, b2 = f1(z1), f2(z2)
+    pair = f1(z2) * b2
+    alpha = np.exp(1j * params.phi) - 1.0
+    if not (np.isfinite(alpha) and all(np.all(np.isfinite(v)) for v in (a1, b2, pair))):
+        raise ParameterError("psi contains non-finite entries")
+    left = w1 * np.conj(a1)
+    right = w2 * np.conj(b2) * pair
+    # K is real: apply it to the real and imaginary parts of w2 conj(f2) p,
+    # then square it in place and apply it to w2 |p|^2
+    cols = np.stack([right.real, right.imag], axis=1)
+    dens = w2 * np.abs(pair) ** 2
+    free_corr = 0j
+    corr_nsq = 0.0
+    step = max(1, int(4e6) // z2.size)
+    for i in range(0, z1.size, step):
+        block = sinc_kernel(z1[i:i + step, None] - z2[None, :], params.k0)
+        applied = block @ cols
+        free_corr += left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
+        np.square(block, out=block)
+        corr_nsq += float(w1[i:i + step] @ (block @ dens))
+    free_nsq = float(w1 @ np.abs(a1) ** 2) * float(w2 @ np.abs(b2) ** 2)
+    amp = free_nsq + alpha * free_corr
+    out_nsq = free_nsq + 2.0 * (alpha * free_corr).real + abs(alpha) ** 2 * corr_nsq
+    for nsq in (free_nsq, out_nsq):
+        if nsq < 1e-28:
+            raise DegenerateStateError(
+                f"state norm {math.sqrt(max(nsq, 0.0)):.3e} too small to normalize")
+    entropy = None
+    if with_entropy:
+        entropy = linear_entropy(normalize(
+            two_particle_copropagating(f1, f2, params, grid1, grid2)))
+    return GateMetrics(fidelity=min(abs(amp) ** 2 / (free_nsq * out_nsq), 1.0),
                        phase=math.atan2(amp.imag, amp.real),
                        linear_entropy=entropy)
 

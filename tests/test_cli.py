@@ -79,6 +79,14 @@ def test_config_hash_is_stable_and_sensitive():
     int(config_hash(a), 16)  # hex digest prefix
 
 
+def test_config_hash_names_the_computation_not_the_output():
+    base = RunConfig(task="fig4", output_format="json", output_path="p.json")
+    assert config_hash(base) == config_hash(base.with_overrides(output_path="n.json"))
+    assert config_hash(base) == config_hash(base.with_overrides(output_format="csv"))
+    assert config_hash(base) != config_hash(base.with_overrides(k0_values=(2.5, 5.0)))
+    assert config_hash(base) != config_hash(base.with_overrides(headon_k0=2e-3))
+
+
 # -------------------------------------------------------------- output
 
 def small_fig1_result():

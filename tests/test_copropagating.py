@@ -11,6 +11,10 @@ integral, C1(k0) = 2 (k0 w Si(k0 w) + cos(k0 w) - 1) / (k0 w)^2.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import numpy as np
@@ -22,7 +26,9 @@ from xpmsim import (
     AccuracyError,
     CoefficientError,
     DegeneratePhaseError,
+    DegenerateStateError,
     GateMetrics,
+    ModeError,
     OverlapCoeffs,
     ParameterError,
     ProfileError,
@@ -34,14 +40,18 @@ from xpmsim import (
     conditional_phase_sweep,
     entropy_phase_sweep,
     fidelity_closed_form,
+    free_state,
     grid_metrics_copropagating,
     interaction_grids,
     make_profile,
     metrics_copropagating,
+    normalize,
+    overlap,
     overlap_coefficients,
     transition_k0,
     two_particle_copropagating,
 )
+import xpmsim
 from xpmsim import copropagating, numerics
 
 GAUSS = make_profile("gaussian")
@@ -290,6 +300,91 @@ def test_closed_form_agrees_with_grid_route():
     got = grid_metrics_copropagating(GAUSS, GAUSS, SystemParams.copropagating(k0, phi))
     assert got.fidelity == pytest.approx(f_closed, abs=1e-3)
     assert got.phase == pytest.approx(th_closed, abs=1e-3)
+
+
+_CHIRP_NODES = np.linspace(-8.0, 8.0, 1601)
+ROUTE_PROFILES = {
+    "gaussian": GAUSS,
+    "square": make_profile("square"),
+    "chirped": make_profile("tabulated", table_nodes=_CHIRP_NODES,
+                            table_values=np.exp(-_CHIRP_NODES**2 / 2.0 + 0.7j * _CHIRP_NODES)),
+}
+
+
+def state_route(f1, f2, params, grids):
+    """F and theta from the sampled state overlapped with the free product."""
+    reference = normalize(free_state(f1, f2, *grids))
+    out = normalize(two_particle_copropagating(f1, f2, params, *grids))
+    amp = overlap(reference, out)
+    return abs(amp) ** 2, math.atan2(amp.imag, amp.real)
+
+
+@pytest.mark.parametrize("k0", [0.5, 2.5, 10.0])
+@pytest.mark.parametrize("shape", sorted(ROUTE_PROFILES))
+def test_grid_route_sums_match_state_route(shape, k0):
+    # the three-sum route regroups the state's quadrature sums, on any grids;
+    # a shorter sinc tail keeps the state small
+    prof = ROUTE_PROFILES[shape]
+    grids = interaction_grids(prof, prof, k0, tail_scale=150.0)
+    for phi in (0.5, math.pi):
+        params = SystemParams.copropagating(k0, phi)
+        got = grid_metrics_copropagating(prof, prof, params, grids=grids)
+        fid, theta = state_route(prof, prof, params, grids)
+        assert abs(got.fidelity - fid) <= 1e-12
+        assert abs(got.phase - theta) <= 1e-12
+
+
+@pytest.mark.parametrize("k0", [0.05, 0.1])
+def test_grid_route_at_small_k0(k0):
+    # a nearly flat kernel: C1 close to 1 and a sinc tail capped at the grid's
+    # outer radius
+    co = overlap_coefficients(GAUSS, GAUSS, k0)
+    grids = interaction_grids(GAUSS, GAUSS, k0)
+    for phi in (1.0, math.pi):
+        got = grid_metrics_copropagating(GAUSS, GAUSS, SystemParams.copropagating(k0, phi),
+                                         grids=grids)
+        assert got.fidelity == pytest.approx(fidelity_closed_form(co.c1, co.c2, phi), abs=1e-3)
+        assert got.phase == pytest.approx(conditional_phase(co.c1, phi), abs=1e-3)
+
+
+def test_grid_route_guards():
+    grids = interaction_grids(GAUSS, GAUSS, 1.0, tail_scale=150.0)
+    with pytest.raises(ModeError):
+        grid_metrics_copropagating(GAUSS, GAUSS,
+                                   SystemParams.headon(1.0, 10.0, 5e3, -5e3, phi=1.0),
+                                   grids=grids)
+    far = make_profile("gaussian", center=1e3)
+    with pytest.raises(DegenerateStateError):
+        grid_metrics_copropagating(far, far, SystemParams.copropagating(1.0, 1.0), grids=grids)
+    blown = PulseProfile(shape="gaussian", scale=math.inf)  # inf, and inf * 0 = nan
+    with np.errstate(invalid="ignore"), pytest.raises(ParameterError, match="non-finite"):
+        grid_metrics_copropagating(blown, GAUSS, SystemParams.copropagating(1.0, 1.0),
+                                   grids=grids)
+
+
+def test_grid_route_memory_stays_bounded():
+    # the kernel is sampled in row blocks near 32 MB; on the default
+    # k0 = 0.5 grids (15 665 x 401) the complex state alone takes 100 MB,
+    # and building it with its normalized and free copies grew the peak by
+    # about 440 MB. ru_maxrss is in kB on Linux.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = textwrap.dedent("""
+        import resource
+        from xpmsim import (SystemParams, grid_metrics_copropagating,
+                            interaction_grids, make_profile)
+        prof = make_profile("gaussian")
+        grids = interaction_grids(prof, prof, 0.5)
+        assert (grids[0].n, grids[1].n) == (15665, 401), (grids[0].n, grids[1].n)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        grid_metrics_copropagating(prof, prof, SystemParams.copropagating(0.5, 1.0),
+                                   grids=grids)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert float(out.stdout) < 200.0
 
 
 def test_norm_identity_on_grid():

@@ -184,6 +184,36 @@ def test_incremental_tables_match_single_shot():
             assert np.max(np.abs(np.asarray(inc) - np.asarray(ref))) < 1e-12
 
 
+def node_by_node_tables(setup, t0, t1, refine=2):
+    """A, B, D on [t0, t1], one full (z1, z2) kernel matrix per time node.
+
+    The time rule is the tables' own: 8 Gauss nodes per panel, one panel
+    per pulse width crossed, times refine.
+    """
+    p = setup.params
+    panels = max(1, math.ceil(abs(p.v_r) * (t1 - t0) / p.sigma)) * refine
+    x, w = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(t0, t1, panels + 1)
+    z1, z2 = setup.grid1.nodes, setup.grid2.nodes
+    a_tab = np.zeros((z1.size, z2.size))
+    b_tab = np.zeros(z2.size, dtype=complex)
+    d_tab = np.zeros((z1.size, z2.size), dtype=complex)
+    for lo, hi in zip(edges, edges[1:]):
+        for xq, wq in zip(x, w):
+            s, ws = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xq, 0.5 * (hi - lo) * wq
+            kern = commutator_kernel(z2[None, :] - z1[:, None] - p.v_r * s, p.k0, p.sigma)
+            front = setup.f1(z2 - p.v_r * s)
+            a_tab += ws * kern
+            b_tab += ws * front
+            d_tab += ws * kern * front[None, :]
+    return a_tab, b_tab, d_tab
+
+
+def assert_tables_close(got, ref):
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(np.asarray(g) - r)) <= 1e-12 * np.max(np.abs(r))
+
+
 def test_tables_shared_across_coupling_strengths():
     # the time integrals depend on geometry only, not on chi
     strong = collision(phi=math.pi)
@@ -398,6 +428,25 @@ def complex_front(grid_n=121):
     f2 = make_profile("gaussian", center=SEP / 2.0)
     params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi / 2.0)
     return CollisionSetup(f1, f2, params, times=(1e-3,), grid_n=grid_n)
+
+
+@pytest.mark.parametrize("make", [lambda: collision(grid_n=121), complex_front],
+                         ids=["real", "complex"])
+def test_tables_match_node_by_node_loop(make):
+    setup = make()
+    times = (4e-4, 9e-4, 1.6e-3)
+    oneshot = InteractionTables(setup)
+    for t in times:
+        got = oneshot.at(setup, t)
+        assert got[2].dtype == (float if setup.f1.is_real else complex)
+        assert_tables_close(got, node_by_node_tables(setup, 0.0, t))
+    ladder = InteractionTables(setup)
+    ladder.ensure(setup, times)
+    total = None
+    for prev, t in zip((0.0, *times), times):
+        seg = node_by_node_tables(setup, prev, t)
+        total = seg if total is None else tuple(a + s for a, s in zip(total, seg))
+        assert_tables_close(ladder.at(setup, t), total)
 
 
 def test_complex_front_closed_form_against_series_terms():
