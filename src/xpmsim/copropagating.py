@@ -389,6 +389,45 @@ def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
     return GateMetrics(fidelity=fid, phase=theta, linear_entropy=entropy)
 
 
+# "last": (k0, copies of the samples, sums) of the last _kernel_sums call, one
+# tuple replaced whole, so a reader never pairs one call's key with another's sums
+_KERNEL_SUMS_MEMO: dict = {}
+
+
+def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
+    """<F, Kp> and <Kp, Kp> of grid_metrics_copropagating, memoized for one key.
+
+    samples is (z1, w1, z2, w2, f1(z1), f2(z2), p): with k0, everything the
+    two sums depend on. A call whose k0 and samples equal the last call's,
+    value for value and dtype for dtype, returns the last sums without
+    sampling K; any other call samples K and becomes the memo. The key holds
+    copies, so a grid edited in place afterwards misses.
+    """
+    last = _KERNEL_SUMS_MEMO.get("last")
+    if last is not None and last[0] == k0 and all(
+            h.dtype == x.dtype and np.array_equal(h, x) for h, x in zip(last[1], samples)):
+        return last[2]
+    z1, w1, z2, w2, a1, b2, pair = samples
+    left = w1 * np.conj(a1)
+    right = w2 * np.conj(b2) * pair
+    # K is real: apply it to the real and imaginary parts of w2 conj(f2) p,
+    # then square it in place and apply it to w2 |p|^2
+    cols = np.stack([right.real, right.imag], axis=1)
+    dens = w2 * np.abs(pair) ** 2
+    free_corr = 0j
+    corr_nsq = 0.0
+    step = max(1, int(4e6) // z2.size)
+    for i in range(0, z1.size, step):
+        block = sinc_kernel(z1[i:i + step, None] - z2[None, :], k0)
+        applied = block @ cols
+        free_corr += left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
+        np.square(block, out=block)
+        corr_nsq += float(w1[i:i + step] @ (block @ dens))
+    _KERNEL_SUMS_MEMO["last"] = (k0, tuple(np.array(x, copy=True) for x in samples),
+                                 (free_corr, corr_nsq))
+    return free_corr, corr_nsq
+
+
 def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
                                params: SystemParams, *,
                                grids: tuple[Grid1D, Grid1D] | None = None,
@@ -410,8 +449,13 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     regrouped: K is sampled at the nodes of two_particle_copropagating (in
     row blocks near 32 MB, as in _c1_on_axis), no n1 x n2 state is kept, and
     no closed form or overlap coefficient enters, so the route stays
-    independent of C1 and C2. with_entropy builds the sampled state for
-    linear_entropy. Supports complex profiles.
+    independent of C1 and C2. The two K sums do not depend on Phi, and the
+    last pair is memoized (_kernel_sums): a call that repeats the last
+    call's k0, both grids' nodes and weights, and the samples f1(Z1),
+    f2(Z2) and p does O(n1 + n2) work. A grid edited in place, another
+    profile or another k0 samples K again. The input and norm checks and
+    the clamp F <= 1 run on every call. with_entropy builds the sampled
+    state for linear_entropy. Supports complex profiles.
     """
     if params.mode != "copropagating":
         raise ModeError(
@@ -426,21 +470,7 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     alpha = np.exp(1j * params.phi) - 1.0
     if not (np.isfinite(alpha) and all(np.all(np.isfinite(v)) for v in (a1, b2, pair))):
         raise ParameterError("psi contains non-finite entries")
-    left = w1 * np.conj(a1)
-    right = w2 * np.conj(b2) * pair
-    # K is real: apply it to the real and imaginary parts of w2 conj(f2) p,
-    # then square it in place and apply it to w2 |p|^2
-    cols = np.stack([right.real, right.imag], axis=1)
-    dens = w2 * np.abs(pair) ** 2
-    free_corr = 0j
-    corr_nsq = 0.0
-    step = max(1, int(4e6) // z2.size)
-    for i in range(0, z1.size, step):
-        block = sinc_kernel(z1[i:i + step, None] - z2[None, :], params.k0)
-        applied = block @ cols
-        free_corr += left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
-        np.square(block, out=block)
-        corr_nsq += float(w1[i:i + step] @ (block @ dens))
+    free_corr, corr_nsq = _kernel_sums(params.k0, (z1, w1, z2, w2, a1, b2, pair))
     free_nsq = float(w1 @ np.abs(a1) ** 2) * float(w2 @ np.abs(b2) ** 2)
     amp = free_nsq + alpha * free_corr
     out_nsq = free_nsq + 2.0 * (alpha * free_corr).real + abs(alpha) ** 2 * corr_nsq

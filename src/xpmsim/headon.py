@@ -162,7 +162,8 @@ def _time_quadrature(t: float, v_r: float, sigma: float, refine: int):
     return _segment_quadrature(0.0, t, v_r, sigma, refine)
 
 
-def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
+def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int,
+                     diag: np.ndarray):
     """A, B, D over [t0, t1] exploiting the uniform-grid difference structure.
 
     The kernel argument depends on (z1', z2') only through their difference,
@@ -172,9 +173,11 @@ def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
     second, A and B are their column sums and one product
     (difference x node) (node x z2) gives, for every difference u and z2,
     the time integral of C(u - v_r s) f1(z2 - v_r s). D is that product read
-    along its diagonals through the fixed index map (u = z2 - z1), once per
-    segment. A stays in difference form (2n - 1 values); only D needs the
-    full matrix. B and D take f1's dtype, so a real f1 keeps real tables.
+    along its diagonals: diag holds, for every (z1, z2), the flat position
+    of (u = z2 - z1, z2) in the C-ordered product (InteractionTables builds
+    it once per grid pair). A stays in difference form (2n - 1 values);
+    only D needs the full matrix. B and D take f1's dtype, so a real f1
+    keeps real tables.
     """
     tq, wq = _segment_quadrature(t0, t1, setup.params.v_r,
                                  setup.params.sigma, refine)
@@ -182,7 +185,6 @@ def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
     h = setup.grid1.nodes[1] - setup.grid1.nodes[0]
     u0 = setup.grid2.nodes[0] - setup.grid1.nodes[0]
     diffs = u0 + h * np.arange(-(n1 - 1), n2)
-    idx = np.arange(n2)[None, :] - np.arange(n1)[:, None] + (n1 - 1)
     shift = setup.params.v_r * tq[:, None]
     kern = commutator_kernel(diffs[None, :] - shift, setup.params.k0, setup.params.sigma)
     front = wq[:, None] * setup.f1(setup.grid2.nodes[None, :] - shift)
@@ -190,8 +192,7 @@ def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
     # ladder instead of 0.6 s on its first run after idle on a 2-core machine;
     # einsum takes 0.8-1.0 s every time (see also _trajectory_moments)
     by_diff = np.einsum("qu,qj->uj", kern, front)
-    # D[i, j] = by_diff[idx[i, j], j], taken at flat positions of the C-ordered product
-    return wq @ kern, front.sum(axis=0), np.take(by_diff, idx * n2 + np.arange(n2))
+    return wq @ kern, front.sum(axis=0), np.take(by_diff, diag)
 
 
 def _k_rule(setup: CollisionSetup, t: float, refine: int):
@@ -387,6 +388,8 @@ class InteractionTables:
         self._setup = setup
         n1, n2 = setup.grid1.n, setup.grid2.n
         self._idx = np.arange(n2)[None, :] - np.arange(n1)[:, None] + (n1 - 1)
+        # D[i, j] = by_diff[idx[i, j], j], at flat positions of _tables_toeplitz's product
+        self._diag = self._idx * n2 + np.arange(n2)
         self._cache: dict[float, tuple] = {}
         self._line: dict[float, tuple] = {}
         self._entropy: dict[float, tuple] = {}
@@ -421,8 +424,8 @@ class InteractionTables:
             if key == 0.0:
                 self._cache[key] = self._zero_entry()
             else:
-                coarse = _tables_toeplitz(self._setup, 0.0, key, refine=1)
-                fine = _tables_toeplitz(self._setup, 0.0, key, refine=2)
+                coarse = _tables_toeplitz(self._setup, 0.0, key, 1, self._diag)
+                fine = _tables_toeplitz(self._setup, 0.0, key, 2, self._diag)
                 self._verify(key, coarse, fine)
                 self._cache[key] = fine
         a_vec, b_tab, d_tab = self._cache[key]
@@ -493,8 +496,8 @@ class InteractionTables:
         acc2 = self._zero_entry()
         prev = 0.0
         for t in missing:
-            seg1 = _tables_toeplitz(self._setup, prev, t, refine=1)
-            seg2 = _tables_toeplitz(self._setup, prev, t, refine=2)
+            seg1 = _tables_toeplitz(self._setup, prev, t, 1, self._diag)
+            seg2 = _tables_toeplitz(self._setup, prev, t, 2, self._diag)
             acc1 = tuple(a + s for a, s in zip(acc1, seg1))
             acc2 = tuple(a + s for a, s in zip(acc2, seg2))
             self._verify(t, acc1, acc2)
@@ -503,8 +506,27 @@ class InteractionTables:
 
 
 def _free_psi(setup: CollisionSetup) -> np.ndarray:
-    return np.outer(setup.f1(setup.grid1.nodes),
-                    setup.f2(setup.grid2.nodes)).astype(complex)
+    psi = np.empty((setup.grid1.n, setup.grid2.n), dtype=complex)
+    return np.outer(setup.f1(setup.grid1.nodes), setup.f2(setup.grid2.nodes), out=psi)
+
+
+def _first_order_state(setup: CollisionSetup, t: float,
+                       tables: InteractionTables | None):
+    """psi_free + i chi D f2, the i chi D f2 term, and the A B f2 row of every n >= 2.
+
+    Built in place with the operations, and so the bits, of
+    psi_free + i chi D f2 computed out of place. The term's buffer is
+    returned for the callers to reuse as scratch.
+    """
+    if tables is None:
+        tables = InteractionTables(setup)
+    a_tab, b_tab, d_tab = tables.at(setup, t)
+    f2_row = setup.f2(setup.grid2.nodes)
+    psi = _free_psi(setup)
+    term = np.multiply(1j * setup.params.chi, d_tab)
+    term *= f2_row
+    psi += term
+    return psi, term, a_tab * (b_tab * f2_row)[None, :]
 
 
 def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
@@ -550,7 +572,11 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
 
     Terms are added until one falls below 1e-12 in sup-norm or n_max is
     reached; if the last term is still above 1e-6 the truncation is
-    reported as an error. The result is not normalized.
+    reported as an error. Every order n >= 2 is the scalar weight
+    w_n = (i x)^n / (n! kappa t^2) times the one row A B f2, so the weights
+    are summed as scalars, the sup-norm of order n is taken as
+    |w_n| max|A B f2|, and the summed row is added to the state once: no
+    n x n array is built per order. The result is not normalized.
     """
     if n_max is None:
         n_max = setup.n_max
@@ -558,27 +584,22 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
         raise ParameterError(f"n_max must be at least 1, got {n_max}")
     if t < 0.0:
         raise ParameterError(f"time must be non-negative, got {t}")
-    psi = _free_psi(setup)
     if t == 0.0:
-        return TwoParticleState(setup.grid1, setup.grid2, psi)
-    if tables is None:
-        tables = InteractionTables(setup)
-    a_tab, b_tab, d_tab = tables.at(setup, t)
+        return TwoParticleState(setup.grid1, setup.grid2, _free_psi(setup))
+    psi, term, ab_row = _first_order_state(setup, t, tables)
     p = setup.params
-    f2_row = setup.f2(setup.grid2.nodes)
     x = p.chi * p.kappa * t
-    term = 1j * p.chi * d_tab * f2_row[None, :]
-    psi = psi + term
     sup = float(np.max(np.abs(term)))
     if sup >= _STOP_TOL:
-        ab_row = a_tab * (b_tab * f2_row)[None, :]
+        ab_max = float(np.max(np.abs(ab_row)))
         scale = 1.0 / (p.kappa * t * t)
         coef = 1j * x
+        total = 0j
         for n in range(2, n_max + 1):
             coef = coef * (1j * x) / n
-            term = (coef * scale) * ab_row
-            psi = psi + term
-            sup = float(np.max(np.abs(term)))
+            weight = coef * scale
+            total += weight
+            sup = abs(weight) * ab_max
             if sup < _STOP_TOL:
                 break
         else:
@@ -586,6 +607,8 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
                 raise TruncationError(
                     f"series not converged by order {n_max}: last term "
                     f"sup-norm {sup:.3e} (accumulated phase x={x:.3g})")
+        if n_max >= 2:
+            psi += np.multiply(total, ab_row, out=term)
     return TwoParticleState(setup.grid1, setup.grid2, psi)
 
 
@@ -621,18 +644,11 @@ def two_particle_headon_closed(setup: CollisionSetup, t: float, *,
     """
     if t < 0.0:
         raise ParameterError(f"time must be non-negative, got {t}")
-    psi = _free_psi(setup)
     if t == 0.0:
-        return TwoParticleState(setup.grid1, setup.grid2, psi)
+        return TwoParticleState(setup.grid1, setup.grid2, _free_psi(setup))
     _warn_gauge(setup, t)
-    if tables is None:
-        tables = InteractionTables(setup)
-    a_tab, b_tab, d_tab = tables.at(setup, t)
-    p = setup.params
-    f2_row = setup.f2(setup.grid2.nodes)
-    x = p.chi * p.kappa * t
-    psi = psi + 1j * p.chi * d_tab * f2_row[None, :]
-    psi = psi + (_exp_remainder(x) / (p.kappa * t * t)) * (a_tab * (b_tab * f2_row)[None, :])
+    psi, term, ab_row = _first_order_state(setup, t, tables)
+    psi += np.multiply(_beta(setup.params, t), ab_row, out=term)
     return TwoParticleState(setup.grid1, setup.grid2, psi)
 
 

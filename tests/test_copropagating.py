@@ -362,6 +362,113 @@ def test_grid_route_guards():
                                    grids=grids)
 
 
+@pytest.fixture
+def kernel_blocks(monkeypatch):
+    """Count the kernel row blocks the grid route samples, from an empty memo."""
+    calls = []
+    sample = copropagating.sinc_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(copropagating, "sinc_kernel", counted)
+    copropagating._KERNEL_SUMS_MEMO.clear()
+    yield calls
+    copropagating._KERNEL_SUMS_MEMO.clear()
+
+
+def missing_memo(f1, f2, params, grids):
+    """The grid route with its kernel sums computed afresh."""
+    copropagating._KERNEL_SUMS_MEMO.clear()
+    return grid_metrics_copropagating(f1, f2, params, grids=grids)
+
+
+# F and theta on the default k0 = 2.5 grids before the kernel sums were memoized,
+# at criterion 05's Phi values
+C05_PHIS = (0.5, 1.5, 2.5, math.pi)
+UNMEMOIZED = ((0.9383812047040974, 0.24968045816640147),
+              (0.533598824355944, 0.7488341753096112),
+              (0.09879423729895398, 1.2462337602339728),
+              (1.5549658411718844e-06, 4.8868770399727986e-14))
+
+
+def test_grid_route_memo_over_phi(kernel_blocks):
+    # one kernel pass serves every Phi on a grid pair, with unchanged results
+    grids = interaction_grids(GAUSS, GAUSS, 2.5)
+    memo = [grid_metrics_copropagating(GAUSS, GAUSS, SystemParams.copropagating(2.5, phi),
+                                       grids=grids) for phi in C05_PHIS]
+    one_pass = len(kernel_blocks)
+    assert one_pass > 0
+    fresh = [missing_memo(GAUSS, GAUSS, SystemParams.copropagating(2.5, phi), grids)
+             for phi in C05_PHIS]
+    assert len(kernel_blocks) == 5 * one_pass
+    for m, f, (fid, theta) in zip(memo, fresh, UNMEMOIZED):
+        assert (m.fidelity, m.phase) == (f.fidelity, f.phase)
+        # bit-identical on the machine that recorded them; the slack allows
+        # another BLAS's summation order
+        assert m.fidelity == pytest.approx(fid, rel=0.0, abs=1e-15)
+        assert m.phase == pytest.approx(theta, rel=0.0, abs=1e-15)
+
+
+def test_grid_route_memo_misses_on_changed_inputs(kernel_blocks):
+    grids = interaction_grids(GAUSS, GAUSS, 2.5, tail_scale=150.0)
+    params = SystemParams.copropagating(2.5, 1.5)
+    first = grid_metrics_copropagating(GAUSS, GAUSS, params, grids=grids)
+    one_pass = len(kernel_blocks)
+    assert grid_metrics_copropagating(GAUSS, GAUSS, params, grids=grids) == first
+    assert len(kernel_blocks) == one_pass
+    square = make_profile("square")
+    cases = [
+        (GAUSS, GAUSS, SystemParams.copropagating(2.6, 1.5)),  # another k0
+        (square, GAUSS, params),                               # another profile
+        (GAUSS, square, params),
+    ]
+    for f1, f2, other in cases:
+        before = len(kernel_blocks)
+        got = grid_metrics_copropagating(f1, f2, other, grids=grids)
+        assert len(kernel_blocks) > before
+        assert got.fidelity != first.fidelity
+        assert got == missing_memo(f1, f2, other, grids)
+    # the key is content, not identity: an equal grid pair rebuilt hits
+    grid_metrics_copropagating(GAUSS, GAUSS, params, grids=grids)
+    twin = interaction_grids(GAUSS, GAUSS, 2.5, tail_scale=150.0)
+    before = len(kernel_blocks)
+    assert grid_metrics_copropagating(GAUSS, GAUSS, params, grids=twin) == first
+    assert len(kernel_blocks) == before
+    # a grid edited in place after the call misses (Grid1D arrays are
+    # read-only, so this takes a deliberate setflags)
+    weights = grids[0].weights
+    weights.setflags(write=True)
+    weights[: weights.size // 2] *= 1.5
+    before = len(kernel_blocks)
+    got = grid_metrics_copropagating(GAUSS, GAUSS, params, grids=grids)
+    assert len(kernel_blocks) > before
+    assert got.fidelity != first.fidelity
+    assert got == missing_memo(GAUSS, GAUSS, params, grids)
+
+
+def test_grid_route_guards_on_a_memo_hit(kernel_blocks):
+    grids = interaction_grids(GAUSS, GAUSS, 1.0, tail_scale=150.0)
+    for _ in range(2):
+        assert grid_metrics_copropagating(
+            GAUSS, GAUSS, SystemParams.copropagating(1.0, 0.0), grids=grids).fidelity <= 1.0
+    one_pass = len(kernel_blocks)
+    with pytest.raises(ParameterError, match="non-finite"):
+        grid_metrics_copropagating(GAUSS, GAUSS, SystemParams.copropagating(1.0, math.nan),
+                                   grids=grids)
+    with pytest.raises(ModeError):
+        grid_metrics_copropagating(GAUSS, GAUSS,
+                                   SystemParams.headon(1.0, 10.0, 5e3, -5e3, phi=1.0),
+                                   grids=grids)
+    far = make_profile("gaussian", center=1e3)
+    for _ in range(2):
+        with pytest.raises(DegenerateStateError):
+            grid_metrics_copropagating(far, far, SystemParams.copropagating(1.0, 1.0),
+                                       grids=grids)
+    assert len(kernel_blocks) == 2 * one_pass
+
+
 def test_grid_route_memory_stays_bounded():
     # the kernel is sampled in row blocks near 32 MB; on the default
     # k0 = 0.5 grids (15 665 x 401) the complex state alone takes 100 MB,

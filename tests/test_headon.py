@@ -7,7 +7,9 @@ against the packaged Gauss-Legendre assembly at scattered points.
 """
 
 import math
+import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from xpmsim import (
     two_particle_headon_closed,
     two_particle_headon_series,
 )
+from xpmsim.headon import _exp_remainder
 
 SEP = 10.0
 V = 5e3
@@ -465,6 +468,91 @@ def test_complex_front_closed_form_against_series_terms():
         summed = summed + series_term(setup, n, z1, z2, t, refine=2)
     scale = np.max(np.abs(closed.psi))
     assert np.max(np.abs(closed.psi[i, j] - summed)) < 1e-12 * scale
+
+
+# ------------------------------- series and closed form against full arrays
+
+def series_by_full_arrays(setup, t, n_max, tables):
+    """The series partial sum built order by order on full n x n arrays.
+
+    Each order's term is formed, added and measured in sup-norm as an
+    array, with the same 1e-12 stop; truncation is not checked here.
+    """
+    a_tab, b_tab, d_tab = tables.at(setup, t)
+    p = setup.params
+    f2_row = setup.f2(setup.grid2.nodes)
+    psi = np.outer(setup.f1(setup.grid1.nodes), f2_row).astype(complex)
+    x = p.chi * p.kappa * t
+    term = 1j * p.chi * d_tab * f2_row[None, :]
+    psi = psi + term
+    sup = float(np.max(np.abs(term)))
+    if sup >= 1e-12:
+        ab_row = a_tab * (b_tab * f2_row)[None, :]
+        scale = 1.0 / (p.kappa * t * t)
+        coef = 1j * x
+        for n in range(2, n_max + 1):
+            coef = coef * (1j * x) / n
+            term = (coef * scale) * ab_row
+            psi = psi + term
+            sup = float(np.max(np.abs(term)))
+            if sup < 1e-12:
+                break
+    return psi
+
+
+SERIES_CASES = [(f"phi={phi:.3f}, t={t:.3g}", partial(collision, phi=phi), t, 40)
+                for phi in (math.pi / 4.0, math.pi / 2.0, math.pi)
+                for t in (T_PASS / 120.0, 5e-4, 1e-3, 2e-3)]
+SERIES_CASES += [("n_max=2", partial(collision, phi=1e-3), 2e-3, 2),
+                 ("complex f1", complex_front, 1e-3, 40)]
+
+
+@pytest.mark.parametrize("make, t, n_max", [c[1:] for c in SERIES_CASES],
+                         ids=[c[0] for c in SERIES_CASES])
+def test_series_matches_per_order_arrays(make, t, n_max):
+    # T_PASS / 120 is the first nonzero time of the default ladder; summing the
+    # orders as scalars moves psi by rounding only, while stopping one order
+    # early or late would move it by up to 1e-12
+    setup = make()
+    tables = InteractionTables(setup)
+    got = two_particle_headon_series(setup, t, n_max, tables=tables)
+    ref = series_by_full_arrays(setup, t, n_max, tables)
+    assert np.max(np.abs(got.psi - ref)) <= 2e-15
+
+
+@pytest.mark.parametrize("phi", [math.pi / 4.0, math.pi])
+def test_series_peak_memory_is_independent_of_order(phi):
+    # at Phi = pi the series runs past order 12 (see the truncation test); the
+    # call holds the state, the first-order term and the A B f2 row, whatever
+    # the order. Building a fresh term, sum and modulus per order peaked at
+    # 4.3 n x n complex arrays on these 161-node grids.
+    setup = collision(phi=phi, times=(2e-3,))
+    tables = InteractionTables(setup)
+    tables.at(setup, 2e-3)
+    tracemalloc.start()
+    try:
+        two_particle_headon_series(setup, 2e-3, tables=tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 16 * setup.grid1.n * setup.grid2.n
+
+
+@pytest.mark.parametrize("make", [lambda: collision(phi=math.pi / 2.0), complex_front],
+                         ids=["real", "complex"])
+def test_closed_form_is_bit_identical_to_full_array_expression(make):
+    setup = make()
+    t = 1e-3
+    tables = InteractionTables(setup)
+    a_tab, b_tab, d_tab = tables.at(setup, t)
+    p = setup.params
+    f2_row = setup.f2(setup.grid2.nodes)
+    x = p.chi * p.kappa * t
+    ref = np.outer(setup.f1(setup.grid1.nodes), f2_row).astype(complex)
+    ref = ref + 1j * p.chi * d_tab * f2_row[None, :]
+    ref = ref + (_exp_remainder(x) / (p.kappa * t * t)) * (a_tab * (b_tab * f2_row)[None, :])
+    got = two_particle_headon_closed(setup, t, tables=tables)
+    assert got.psi.tobytes() == ref.tobytes()
 
 
 def line_traced_entropy(setup, t, nodes=8):
