@@ -98,18 +98,25 @@ class OracleStore:
         return data[name]
 
 
-# SciPy is imported inside the references only, so that the CLI's other
-# tasks start without it.
 def _c1_gaussian_reference(k0: float) -> float:
     """Unit-Gaussian first overlap coefficient in closed form (erf route)."""
-    from scipy.special import erf
-    return float(math.sqrt(math.pi / 2.0) * erf(math.sqrt(2.0 / 3.0) * k0) / k0)
+    return math.sqrt(math.pi / 2.0) * math.erf(math.sqrt(2.0 / 3.0) * k0) / k0
 
 
 def _transition_reference() -> float:
-    from scipy.optimize import brentq
-    return float(brentq(lambda k: _c1_gaussian_reference(k) - 0.5,
-                        1.0, 5.0, xtol=1e-10))
+    """Root of the erf closed form at C1 = 1/2, bisected on [1, 5] to 1e-10.
+
+    An independent route: it never calls the production C1 quadrature.
+    """
+    lo, hi = 1.0, 5.0
+    # the closed form decreases in k0, so the root keeps gap(lo) > 0 > gap(hi)
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if _c1_gaussian_reference(mid) > 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

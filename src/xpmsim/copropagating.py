@@ -14,11 +14,20 @@ closed forms in two overlap coefficients:
 All lengths are in pulse-width units. C1 = 1/2 separates two regimes of
 the conditional phase: below it theta(Phi) stays under pi/2 for every
 Phi, above it the curve climbs through pi/2 and reaches pi at Phi = pi.
+
+C1 is computed on the k side. The sinc kernel is a box in k,
+sinc(k0 x) = (1/2k0) int_{-k0}^{k0} exp(i k x) dk, so on a quadrature axis
+C1 = (1/k0) int_0^k0 Re(conj F(k) G(k)) dk with F and G the spectra of
+w f1 and w f1 |f2|^2. The k integral is cumulative in k0: its whole
+panels are memoized per axis and sample pair, so a k0 lattice and the
+transition bisection share one spectrum pass. The panels are built in
+fixed chunks in a fixed order, so a value never depends on call history.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +45,7 @@ from .numerics import (
     Grid1D,
     PulseProfile,
     SystemParams,
+    _gauss_legendre,
     composite_gauss_grid,
     join_grids,
     make_grid,
@@ -138,29 +148,110 @@ def _coefficient_axis(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
     return join_grids(*pieces)
 
 
-def _c1_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float, axis: Grid1D) -> float:
-    # row blocks keep the kernel matrix near 32 MB however large the axis gets
+# k-side C1: 8-node Gauss panels over [0, k0], built _C1_CHUNK panels at a time;
+# _C1_MEMO maps (panel width, copies of the axis and the weighted samples) to the
+# panels' prefix sums, least recently used first, at most _C1_MEMO_SIZE entries
+_C1_PANEL_NODES = 8
+_C1_CHUNK = 32
+_C1_MEMO_SIZE = 4
+_C1_MEMO: OrderedDict = OrderedDict()
+
+
+class _BoxIntegral:
+    """Running integral of Re(conj F(k) G(k)) over k >= 0 for one axis and sample pair.
+
+    F and G are the spectra sum_z left(z) exp(-i k z) and the same of right.
+    The k half-line is cut into panels of width h, each integrated by an
+    8-node Gauss rule. Panel j's nodes are j h + t_q, so
+    exp(-i (j h + t_q) z) = exp(-i j h z) exp(-i t_q z): the N x 16 basis of
+    left and right times exp(-i t_q z) is built once, and a chunk of
+    _C1_CHUNK panels costs one (chunk x N) exponential and one product.
+    Chunks start at multiples of _C1_CHUNK and are appended in order, so the
+    prefix sums do not depend on which k0 asked for them first.
+    """
+
+    def __init__(self, z: np.ndarray, left: np.ndarray, right: np.ndarray, h: float):
+        x, g = _gauss_legendre(_C1_PANEL_NODES)
+        self._z, self._left, self._right, self._h = z, left, right, h
+        self._gw = 0.5 * h * g
+        phase = np.exp(-1j * np.outer(z, 0.5 * h * (1.0 + x)))
+        self._basis = np.concatenate([left[:, None] * phase, right[:, None] * phase], axis=1)
+        # prefix[m]: the integral over [0, m h]
+        self._prefix = np.zeros(1)
+
+    def _extend(self, panels: int) -> None:
+        while self._prefix.size <= panels:
+            start = self._prefix.size - 1
+            k = self._h * np.arange(start, start + _C1_CHUNK)
+            spec = np.exp(-1j * np.outer(k, self._z)) @ self._basis
+            f, g = spec[:, :_C1_PANEL_NODES], spec[:, _C1_PANEL_NODES:]
+            panel = (f.real * g.real + f.imag * g.imag) @ self._gw
+            self._prefix = np.concatenate([self._prefix, self._prefix[-1] + np.cumsum(panel)])
+
+    def up_to(self, k0: float) -> float:
+        """The integral over [0, k0]: whole panels from the prefix, the rest fresh."""
+        m = math.floor(k0 / self._h)
+        self._extend(m)
+        x, g = _gauss_legendre(_C1_PANEL_NODES)
+        lo = m * self._h
+        half = 0.5 * (k0 - lo)
+        phase = np.exp(-1j * np.outer(lo + half * (1.0 + x), self._z))
+        f, r = phase @ self._left, phase @ self._right
+        return float(self._prefix[m]) + half * float(g @ (f.real * r.real + f.imag * r.imag))
+
+
+def _box_integral(axis: Grid1D, left: np.ndarray, right: np.ndarray,
+                  h: float) -> _BoxIntegral:
+    """The memoized _BoxIntegral for (h, axis, left, right), built on a miss.
+
+    The key holds copies of every array, so an equal axis and equal samples
+    hit however they were built, and anything edited in place misses.
+    """
+    key = (h, *(v.tobytes() for v in (axis.nodes, axis.weights, left, right)))
+    box = _C1_MEMO.get(key)
+    if box is None:
+        box = _BoxIntegral(axis.nodes.copy(), left, right, h)
+        _C1_MEMO[key] = box
+        if len(_C1_MEMO) > _C1_MEMO_SIZE:
+            _C1_MEMO.popitem(last=False)
+    else:
+        _C1_MEMO.move_to_end(key)
+    return box
+
+
+def _c1_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float, axis: Grid1D,
+                refine: int) -> float:
+    # sinc(k0 u) = (1/2k0) int_{-k0}^{k0} exp(i k u) dk turns the double sum
+    # sum a(z) b(z') sinc(k0 (z - z')) into (1/k0) int_0^k0 Re(conj F G) dk;
+    # z - z' stays inside (-span, span), so a panel of pi/span holds at most
+    # half a period of the integrand
     z, w = axis.nodes, axis.weights
     left = w * np.real(f1(z))
-    right = w * np.real(f1(z)) * np.abs(f2(z)) ** 2
-    step = max(1, int(4e6) // z.size)
-    total = 0.0
-    for i in range(0, z.size, step):
-        block = sinc_kernel(z[i:i + step, None] - z[None, :], k0)
-        total += float(left[i:i + step] @ block @ right)
-    return total
+    right = left * np.abs(f2(z)) ** 2
+    h = math.pi / (refine * (axis.hi - axis.lo))
+    return _box_integral(axis, left, right, h).up_to(k0) / k0
 
 
 def compute_C1(f1: PulseProfile, f2: PulseProfile, k0: float, *,
                n: int = 160, rtol: float = 1e-6) -> float:
-    """First overlap coefficient by 2-D quadrature with a resolution check.
+    """First overlap coefficient as a k-box integral, with a resolution check.
 
-    Evaluated at two axis resolutions (n and 2n target nodes); disagreement
-    beyond rtol raises an accuracy error carrying both estimates.
+    On a coefficient axis with weights w, the sinc identity
+    sinc(k0 x) = (1/2k0) int_{-k0}^{k0} exp(i k x) dk turns C1's double sum
+    into C1 = (1/k0) int_0^k0 Re(conj F(k) G(k)) dk, where F and G are the
+    spectra of w f1 and w f1 |f2|^2 on the axis. The k integral runs over
+    8-node Gauss panels of width pi/span (pi/(2 span) on the refined
+    axis). Whole panels come from prefix sums memoized per axis and sample
+    pair, so every k0 of a lattice or a bisection on the same axis reuses
+    one spectrum pass; only the partial panel up to k0 is new. The panels
+    are built in fixed chunks in a fixed order, so a value never depends
+    on which calls came before. Evaluated at two axis resolutions (n and
+    2n target nodes); disagreement beyond rtol raises an accuracy error
+    carrying both estimates.
     """
     _check_coeff_inputs(f1, f2, k0)
-    coarse = _c1_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n))
-    fine = _c1_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n, refine=2))
+    coarse = _c1_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n), 1)
+    fine = _c1_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n, refine=2), 2)
     if abs(coarse - fine) > rtol * max(1.0, abs(fine)):
         raise AccuracyError(
             f"C1 quadrature not converged at k0={k0}: {coarse} vs {fine}",
@@ -447,7 +538,7 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     F = |<F, psi>|^2 / (<F, F> |psi|^2) and theta = arg <F, psi>. These are
     the quadrature sums of normalize and overlap on the sampled state,
     regrouped: K is sampled at the nodes of two_particle_copropagating (in
-    row blocks near 32 MB, as in _c1_on_axis), no n1 x n2 state is kept, and
+    row blocks near 32 MB), no n1 x n2 state is kept, and
     no closed form or overlap coefficient enters, so the route stays
     independent of C1 and C2. The two K sums do not depend on Phi, and the
     last pair is memoized (_kernel_sums): a call that repeats the last
@@ -494,7 +585,7 @@ def _entropy_sweep_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float,
     pair = a1 * a2
     dens = w * np.abs(pair) ** 2
     # sinc applied to w f1 (giving g, as sinc is symmetric) and to w p conj(f2),
-    # in row blocks that keep the kernel near 32 MB, as in _c1_on_axis
+    # in row blocks that keep the kernel near 32 MB
     vecs = np.stack([w * a1, w * pair * np.conj(a2)], axis=1)
     applied = np.empty_like(vecs)
     sinc_sq = 0.0

@@ -34,6 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AccuracyError,
@@ -416,6 +417,16 @@ class InteractionTables:
                 f"max deviation {worst:.3e}", coarse=worst, fine=0.0)
 
     def at(self, setup: CollisionSetup, t: float):
+        """A, B and D at time t, with A expanded to its n1 x n2 table."""
+        a_vec, b_tab, d_tab = self._difference_form(setup, t)
+        return a_vec[self._idx], b_tab, d_tab
+
+    def _difference_form(self, setup: CollisionSetup, t: float):
+        """The cached (A, B, D) at time t, A as its n1 + n2 - 1 values by difference.
+
+        A[i, j] = A_vec[j - i + n1 - 1], so row i of A is the slice of A_vec
+        that starts at n1 - 1 - i.
+        """
         self._require_compatible(setup)
         if t < 0.0:
             raise ParameterError(f"time must be non-negative, got {t}")
@@ -428,8 +439,7 @@ class InteractionTables:
                 fine = _tables_toeplitz(self._setup, 0.0, key, 2, self._diag)
                 self._verify(key, coarse, fine)
                 self._cache[key] = fine
-        a_vec, b_tab, d_tab = self._cache[key]
-        return a_vec[self._idx], b_tab, d_tab
+        return self._cache[key]
 
     def line_moments(self, setup: CollisionSetup, times) -> tuple:
         """Trajectory moments (p, r, c, o_f, o_b) per time; see _trajectory_moments.
@@ -516,17 +526,24 @@ def _first_order_state(setup: CollisionSetup, t: float,
 
     Built in place with the operations, and so the bits, of
     psi_free + i chi D f2 computed out of place. The term's buffer is
-    returned for the callers to reuse as scratch.
+    returned for the callers to reuse as scratch. A is read in difference
+    form, its rows as overlapping windows of one vector, so the A B f2
+    product is the only n1 x n2 array it takes. The product is formed
+    first: formed after psi and the term, it raised the page faults of a
+    fresh process's closed-and-series pass over the fig4 ladder by 70%,
+    and its time by 10%.
     """
     if tables is None:
         tables = InteractionTables(setup)
-    a_tab, b_tab, d_tab = tables.at(setup, t)
+    a_vec, b_tab, d_tab = tables._difference_form(setup, t)
     f2_row = setup.f2(setup.grid2.nodes)
+    a_rows = sliding_window_view(a_vec, setup.grid2.n)[::-1]
+    ab_row = a_rows * (b_tab * f2_row)[None, :]
     psi = _free_psi(setup)
     term = np.multiply(1j * setup.params.chi, d_tab)
     term *= f2_row
     psi += term
-    return psi, term, a_tab * (b_tab * f2_row)[None, :]
+    return psi, term, ab_row
 
 
 def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,

@@ -84,8 +84,9 @@ class Grid1D:
     domain: tuple[float, float] | None = None
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        # copies: the grid freezes its arrays, and must not freeze the caller's
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:

@@ -308,6 +308,35 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_validate_references_leave_scipy_unloaded():
+    # validate's closed-form C1 and transition root are math.erf and an
+    # in-house bisection; check them against SciPy here, in the test
+    from scipy.optimize import brentq
+    from scipy.special import erf
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from xpmsim.cli import validate as v; "
+            "c1 = v._c1_gaussian_reference(2.5); root = v._transition_reference(); "
+            "print(repr(c1), repr(root)); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    values, loaded = out.stdout.strip().splitlines()
+    assert loaded == "[]"
+    c1, root = (float(v) for v in values.split())
+
+    def closed(k):
+        return math.sqrt(math.pi / 2.0) * erf(math.sqrt(2.0 / 3.0) * k) / k
+
+    assert c1 == pytest.approx(closed(2.5), abs=1e-15)
+    ref = brentq(lambda k: closed(k) - 0.5, 1.0, 5.0, xtol=1e-10)
+    assert abs(root - ref) < 2e-10
+    # criterion 01 prints the root to seven decimals
+    assert f"{root:.7f}" == f"{ref:.7f}" == "2.4967546"
+
+
 def test_main_validate_exit_reflects_report(tmp_path, monkeypatch):
     import xpmsim.cli.main as entry
 

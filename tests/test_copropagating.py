@@ -128,6 +128,124 @@ def test_quadrature_disagreement_is_reported():
     assert err.value.fine == pytest.approx(c1_gaussian(3.7), abs=1e-8)
 
 
+# ------------------------------------------------- C1 as a k-box integral
+
+def sinc_double_sum(f1, f2, k0, axis):
+    """C1 on one coefficient axis as the direct sinc double sum.
+
+    sum_z sum_z' w f1(z) sinc(k0 (z - z')) w f1(z') |f2(z')|^2, in row blocks
+    of about 32 MB: the sum the k route integrates exactly in k.
+    """
+    z, w = axis.nodes, axis.weights
+    left = w * np.real(f1(z))
+    right = w * np.real(f1(z)) * np.abs(f2(z)) ** 2
+    step = max(1, int(4e6) // z.size)
+    total = 0.0
+    for i in range(0, z.size, step):
+        block = numerics.sinc_kernel(z[i:i + step, None] - z[None, :], k0)
+        total += float(left[i:i + step] @ block @ right)
+    return total
+
+
+_TAB_NODES = np.linspace(-4.0, 5.0, 91)
+K_ROUTE_PAIRS = {
+    "gaussian": (GAUSS, GAUSS),
+    "square": (make_profile("square"), make_profile("square")),
+    "off-centre": (make_profile("gaussian", center=0.7, sigma=1.3),
+                   make_profile("gaussian", center=-0.4, sigma=0.8)),
+    "tabulated": (make_profile("tabulated", table_nodes=_TAB_NODES,
+                               table_values=np.exp(-_TAB_NODES**2 / 2.0)
+                               * (1.0 + 0.3 * np.tanh(_TAB_NODES))),
+                  make_profile("tabulated", table_nodes=_TAB_NODES,
+                               table_values=1.0 / np.cosh(_TAB_NODES - 0.5))),
+}
+FIG3_K0 = [float(k) for k in np.linspace(0.1, 8.0, 80)]
+
+
+@pytest.mark.parametrize("pair", sorted(K_ROUTE_PAIRS))
+def test_k_route_matches_sinc_double_sum(pair):
+    f1, f2 = K_ROUTE_PAIRS[pair]
+    for k0 in (0.1, 0.5, 1.0, 2.5, 3.7, 8.0, 10.0, 30.0):
+        for refine in (1, 2):
+            axis = copropagating._coefficient_axis(f1, f2, k0, 160, refine)
+            got = copropagating._c1_on_axis(f1, f2, k0, axis, refine)
+            assert abs(got - sinc_double_sum(f1, f2, k0, axis)) <= 1e-14, (k0, refine)
+        # compute_C1 returns the refined axis's value; rtol=1 because the
+        # tables end in jumps that the axis does not put on panel edges
+        assert compute_C1(f1, f2, k0, rtol=1.0) == got
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "square"])
+def test_c1_lattice_is_history_independent(shape):
+    # chunks have fixed boundaries and are summed in a fixed order, so the
+    # order of the calls and a cleared memo change no bit
+    prof = make_profile(shape)
+    copropagating._C1_MEMO.clear()
+    forward = {k0: compute_C1(prof, prof, k0) for k0 in FIG3_K0}
+    reverse = {k0: compute_C1(prof, prof, k0) for k0 in reversed(FIG3_K0)}
+    order = list(FIG3_K0)
+    np.random.default_rng(11).shuffle(order)
+    shuffled = {k0: compute_C1(prof, prof, k0) for k0 in order}
+    assert reverse == forward and shuffled == forward
+    for k0 in (8.0, 0.1, 4.5):
+        copropagating._C1_MEMO.clear()
+        assert compute_C1(prof, prof, k0) == forward[k0]
+    # a lattice point that is also a coeffs point agrees exactly
+    assert compute_C1(prof, prof, 2.5) == overlap_coefficients(prof, prof, 2.5).c1
+
+
+@pytest.fixture
+def box_builds(monkeypatch):
+    built = []
+    real = copropagating._BoxIntegral
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    copropagating._C1_MEMO.clear()
+    monkeypatch.setattr(copropagating, "_BoxIntegral", counting)
+    return built
+
+
+def test_c1_memo_shares_one_spectrum_pass_per_resolution(box_builds):
+    sq = make_profile("square")
+    for k0 in FIG3_K0:
+        compute_C1(GAUSS, GAUSS, k0)
+    assert len(box_builds) == 2  # one axis per resolution over the whole lattice
+    found = transition_k0()
+    assert len(box_builds) == 2 and 2.4 < found < 2.6
+    compute_C1(sq, sq, 1.0)
+    assert len(box_builds) == 4
+    assert len(copropagating._C1_MEMO) <= copropagating._C1_MEMO_SIZE
+
+
+def test_c1_memo_misses_on_changed_inputs(box_builds):
+    base = compute_C1(GAUSS, GAUSS, 2.5)
+    assert len(box_builds) == 2
+    narrow = make_profile("gaussian", sigma=0.5)
+    shifted = make_profile("gaussian", center=0.25)
+    axis = copropagating._coefficient_axis(GAUSS, GAUSS, 2.5, 160)
+    assert copropagating._coefficient_axis(GAUSS, narrow, 2.5, 160).same_as(axis)
+    # a narrower f2 changes only the right-hand samples, a narrower f1 both
+    # samples on the same axis, and a shifted f1 moves the axis
+    for f1, f2 in ((GAUSS, narrow), (narrow, GAUSS), (shifted, GAUSS)):
+        count = len(box_builds)
+        value = compute_C1(f1, f2, 2.5)
+        assert len(box_builds) == count + 2
+        copropagating._C1_MEMO.clear()
+        assert compute_C1(f1, f2, 2.5) == value != base
+    # another axis resolution
+    count = len(box_builds)
+    assert compute_C1(GAUSS, GAUSS, 2.5, n=200) == pytest.approx(base, abs=1e-12)
+    assert len(box_builds) == count + 2
+    # an equal axis rebuilt from scratch hits
+    compute_C1(GAUSS, GAUSS, 2.5)
+    count = len(box_builds)
+    assert compute_C1(GAUSS, GAUSS, 2.5) == base
+    assert len(box_builds) == count
+
+
 # ----------------------------------------------------------- transition
 
 def test_transition_point_gaussian():

@@ -106,6 +106,18 @@ def test_grid_validation():
         make_grid(0.0, 1.0, 5, rule="simpson")
 
 
+def test_grid_leaves_the_callers_arrays_writable():
+    nodes = np.linspace(0.0, 1.0, 5)
+    weights = np.full(5, 0.25)
+    weights[0] = weights[-1] = 0.125
+    grid = Grid1D(nodes, weights)
+    nodes[0] = -1.0
+    weights[0] = 9.0
+    # the grid keeps its own frozen copies
+    assert grid.nodes[0] == 0.0 and grid.weights[0] == 0.125
+    assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+
+
 def test_grid_same_as():
     a = make_grid(0.0, 1.0, 7)
     b = make_grid(0.0, 1.0, 7)
