@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
 
@@ -203,7 +203,3 @@ def config_hash(config: RunConfig) -> str:
     """
     text = _config_text(config, _SEMANTIC_KEYS)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def field_names() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(RunConfig))

@@ -2,19 +2,15 @@
 
 Each criterion measures a quantitative property of the solvers against an
 independent reference (closed forms, a dual computation route, or a pinned
-geometry) and reports one pass/fail line with the measured values. Costly
-intermediates (the transition point, wing grids, collision tables) are
-shared between criteria through a context object. Reference values are
-kept in a small JSON store so reruns skip recomputing them; its directory
-comes from the XPMSIM_ORACLE_DIR environment variable when set.
+geometry) and reports one pass/fail line with the measured values. The
+criteria run in one pass that writes nothing; the only value they share is
+the transition point, bisected once on first use.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -39,7 +35,6 @@ from ..headon import (
     two_particle_headon_series,
 )
 from ..numerics import SystemParams, make_grid, make_profile, sinc_kernel
-from ..results import SweepResult
 from ..state import (
     TwoParticleState,
     free_state,
@@ -51,51 +46,12 @@ from .config import RunConfig
 from .output import render_csv, render_json, render_svg
 from .sweeps import collision_setup, run_fig4, run_task
 
-__all__ = ["CriterionResult", "OracleStore", "ValidationReport", "run_validate"]
-
-_ORACLE_ENV = "XPMSIM_ORACLE_DIR"
-_ORACLE_FILE = "oracles.json"
+__all__ = ["CriterionResult", "ValidationReport", "run_validate"]
 
 _LATTICE_K0 = (0.5, 1.0, 2.5, 5.0, 10.0)
 _LATTICE_PHI = (0.5, 1.5, 2.5, math.pi)
 _LOW_C1 = (0.20, 0.36, 0.45)
 _HIGH_C1 = (0.55, 0.63, 0.78, 0.98)
-
-
-class OracleStore:
-    """Tiny JSON-backed store of reference values keyed by name.
-
-    Values missing from the file are computed inline and written back; a
-    read-only or absent directory degrades to in-memory behavior.
-    """
-
-    def __init__(self, directory: str | None = None):
-        if directory is None:
-            directory = os.environ.get(_ORACLE_ENV, ".xpmsim_oracles")
-        self.path = os.path.join(directory, _ORACLE_FILE)
-        self._data: dict | None = None
-
-    def _load(self) -> dict:
-        if self._data is None:
-            try:
-                with open(self.path, encoding="utf-8") as fh:
-                    self._data = dict(json.load(fh))
-            except (OSError, ValueError):
-                self._data = {}
-        return self._data
-
-    def get(self, name: str, compute):
-        data = self._load()
-        if name not in data:
-            data[name] = compute()
-            try:
-                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-                with open(self.path, "w", encoding="utf-8") as fh:
-                    json.dump(data, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            except OSError:
-                pass
-        return data[name]
 
 
 def _c1_gaussian_reference(k0: float) -> float:
@@ -144,74 +100,37 @@ class ValidationReport:
 
 
 class _Context:
-    """Shared state across criteria: profiles, caches, tolerance scaling."""
+    """What the criteria share: the config, profiles and the transition point."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.scale = config.tol_scale
         self.f1 = make_profile("gaussian")
         self.f2 = make_profile("gaussian")
-        self.oracles = OracleStore()
         self._kstar: float | None = None
-        self._grids: dict[float, tuple] = {}
-        self._coeffs: dict[float, object] = {}
-        self._setups: dict[float, object] = {}
-        self._tables: InteractionTables | None = None
-        self._fig4: SweepResult | None = None
 
     def transition(self) -> float:
         if self._kstar is None:
             self._kstar = transition_k0(self.f1, self.f2)
         return self._kstar
 
-    def grids(self, k0: float):
-        key = float(k0)
-        if key not in self._grids:
-            self._grids[key] = interaction_grids(
-                self.f1, self.f2, key,
-                core_halfwidth=self.config.grid_halfwidth,
-                core_n=self.config.grid_core_n)
-        return self._grids[key]
-
-    def coeffs(self, k0: float):
-        key = float(k0)
-        if key not in self._coeffs:
-            self._coeffs[key] = overlap_coefficients(self.f1, self.f2, key)
-        return self._coeffs[key]
-
-    def collision(self, phi: float):
-        key = float(phi)
-        if key not in self._setups:
-            self._setups[key] = collision_setup(self.config, key)
-        return self._setups[key]
-
-    def tables(self) -> InteractionTables:
-        if self._tables is None:
-            exemplar = self.collision(self.config.headon_phis[0])
-            self._tables = InteractionTables(exemplar)
-        return self._tables
-
-    def fig4(self) -> SweepResult:
-        if self._fig4 is None:
-            cfg = self.config.with_overrides(task="fig4")
-            self._fig4 = run_fig4(cfg, tables=self.tables())
-        return self._fig4
-
 
 def _c01_transition(ctx: _Context):
     kstar = ctx.transition()
-    ref = ctx.oracles.get("transition_k0.gaussian", _transition_reference)
+    ref = _transition_reference()
     ok = 2.4 <= kstar <= 2.6
     return ok, f"k0*={kstar:.7f} in [2.4, 2.6], closed-form root {ref:.7f}"
 
 
 def _c02_fidelity_zero(ctx: _Context):
     kstar = ctx.transition()
-    co = ctx.coeffs(kstar)
+    co = overlap_coefficients(ctx.f1, ctx.f2, kstar)
     f_closed = fidelity_closed_form(co.c1, co.c2, math.pi)
     params = SystemParams.copropagating(kstar, math.pi)
-    f_grid = grid_metrics_copropagating(ctx.f1, ctx.f2, params,
-                                        grids=ctx.grids(kstar)).fidelity
+    grids = interaction_grids(ctx.f1, ctx.f2, kstar,
+                              core_halfwidth=ctx.config.grid_halfwidth,
+                              core_n=ctx.config.grid_core_n)
+    f_grid = grid_metrics_copropagating(ctx.f1, ctx.f2, params, grids=grids).fidelity
     tol = 1e-3 * ctx.scale
     ok = f_closed <= tol and f_grid <= tol
     return ok, (f"F(k0*, pi): closed {f_closed:.3e}, grid {f_grid:.3e}, "
@@ -250,8 +169,10 @@ def _c04_regimes(ctx: _Context):
 def _c05_dual_route(ctx: _Context):
     worst_f = worst_t = 0.0
     for k0 in _LATTICE_K0:
-        co = ctx.coeffs(k0)
-        grids = ctx.grids(k0)
+        co = overlap_coefficients(ctx.f1, ctx.f2, k0)
+        grids = interaction_grids(ctx.f1, ctx.f2, k0,
+                                  core_halfwidth=ctx.config.grid_halfwidth,
+                                  core_n=ctx.config.grid_core_n)
         for phi in _LATTICE_PHI:
             f_closed = fidelity_closed_form(co.c1, co.c2, phi)
             t_closed = conditional_phase(co.c1, phi)
@@ -391,10 +312,12 @@ def _c08_series_structure(ctx: _Context):
 
 
 def _c09_closed_vs_series(ctx: _Context):
-    tables = ctx.tables()
+    setups = [collision_setup(ctx.config, phi)
+              for phi in (math.pi / 4, math.pi / 2, math.pi)]
+    # the tables do not depend on chi, so the three curves share one cache
+    tables = InteractionTables(setups[0])
     worst = 0.0
-    for phi in (math.pi / 4, math.pi / 2, math.pi):
-        setup = ctx.collision(phi)
+    for setup in setups:
         tables.ensure(setup, setup.times)
         for t in setup.times:
             if t == 0.0:
@@ -408,7 +331,7 @@ def _c09_closed_vs_series(ctx: _Context):
 
 
 def _c10_collision_quality(ctx: _Context):
-    result = ctx.fig4()
+    result = run_fig4(ctx.config.with_overrides(task="fig4"))
     phis = result.axis("phi").values
     times = np.asarray(result.axis("t").values)
     n_t = times.size
@@ -502,34 +425,28 @@ _CRITERIA = (
 )
 
 
-def run_criterion(number: int, config: RunConfig | None = None,
-                  ctx: _Context | None = None) -> CriterionResult:
-    """Run one numbered criterion; exceptions count as failures."""
-    entry = next((e for e in _CRITERIA if e[0] == number), None)
-    if entry is None:
-        raise ValueError(f"no criterion numbered {number}")
-    _, name, fn, budget = entry
-    if ctx is None:
-        ctx = _Context(config if config is not None else RunConfig(task="validate"))
-    start = time.perf_counter()
-    try:
-        passed, measured = fn(ctx)
-    except Exception as exc:
-        passed, measured = False, f"raised {type(exc).__name__}: {exc}"
-    runtime = time.perf_counter() - start
-    if budget is not None and runtime > budget:
-        passed = False
-        measured += f"; runtime exceeded the {budget:.0f} s budget"
-    return CriterionResult(number, name, passed, measured, runtime)
-
-
 def run_validate(config: RunConfig | None = None) -> ValidationReport:
-    """Run all criteria in order and assemble the one-line-each report."""
+    """Run all criteria in order and assemble the one-line-each report.
+
+    An exception inside a criterion counts as its failure, and a criterion
+    with a runtime budget fails when it overruns it.
+    """
     if config is None:
         config = RunConfig(task="validate")
     ctx = _Context(config)
-    results = tuple(run_criterion(num, ctx=ctx) for num, _, _, _ in _CRITERIA)
+    results = []
+    for number, name, fn, budget in _CRITERIA:
+        start = time.perf_counter()
+        try:
+            passed, measured = fn(ctx)
+        except Exception as exc:
+            passed, measured = False, f"raised {type(exc).__name__}: {exc}"
+        runtime = time.perf_counter() - start
+        if budget is not None and runtime > budget:
+            passed = False
+            measured += f"; runtime exceeded the {budget:.0f} s budget"
+        results.append(CriterionResult(number, name, passed, measured, runtime))
     n_pass = sum(r.passed for r in results)
     lines = [r.line() for r in results]
     lines.append(f"{n_pass}/{len(results)} criteria passed")
-    return ValidationReport(results=results, text="\n".join(lines) + "\n")
+    return ValidationReport(results=tuple(results), text="\n".join(lines) + "\n")

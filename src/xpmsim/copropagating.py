@@ -74,6 +74,7 @@ __all__ = [
 _COEFF_TOL = 1e-9
 _DEGENERATE_EPS = 1e-12
 _ENTROPY_TOL = 1e-8
+_MAX_PHASE_STEP = math.pi / 2  # largest theta step a Phi sweep may take
 
 
 @dataclass(frozen=True)
@@ -309,12 +310,11 @@ def conditional_phase(c1: float, phi: float) -> float:
     return math.atan2(y, x)
 
 
-def conditional_phase_sweep(c1: float, phis: np.ndarray, *,
-                            max_step: float = math.pi / 2) -> np.ndarray:
+def conditional_phase_sweep(c1: float, phis: np.ndarray) -> np.ndarray:
     """Continuity-unwrapped theta(Phi) along an increasing Phi sweep.
 
     The raw arctangent is unwrapped to the nearest branch; any remaining
-    jump of max_step or more means the sweep is too coarse to track the
+    jump of pi/2 or more means the sweep is too coarse to track the
     branch (or crosses the C1 = 1/2, Phi = pi degeneracy) and raises.
     """
     if c1 <= 0.0:
@@ -335,9 +335,9 @@ def conditional_phase_sweep(c1: float, phis: np.ndarray, *,
     theta = np.unwrap(np.arctan2(y, x))
     if theta.size > 1:
         step = np.max(np.abs(np.diff(theta)))
-        if step >= max_step:
+        if step >= _MAX_PHASE_STEP:
             raise AccuracyError(
-                f"phase step {step:.3g} >= {max_step:.3g} after unwrapping; "
+                f"phase step {step:.3g} >= {_MAX_PHASE_STEP:.3g} after unwrapping; "
                 f"refine the phi sweep (C1={c1})")
     return theta
 
@@ -362,9 +362,8 @@ def fidelity_closed_form(c1: float, c2: float, phi: float) -> float:
 
 
 def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None, *,
-                  lo: float = 0.5, hi: float = 6.0, xtol: float = 1e-4,
-                  c_target: float = 0.5) -> float:
-    """Bandwidth parameter where C1 crosses c_target, located by bisection.
+                  lo: float = 0.5, hi: float = 6.0, xtol: float = 1e-4) -> float:
+    """Bandwidth parameter where C1 crosses 1/2, located by bisection.
 
     C1(k0) decreases monotonically for the supported profiles, so the root
     marks the boundary between the two conditional-phase regimes.
@@ -377,12 +376,12 @@ def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None
         raise ParameterError(f"xtol must be in (0, 1), got {xtol}")
 
     def gap(k0: float) -> float:
-        return compute_C1(f1, f2, k0, rtol=1e-8) - c_target
+        return compute_C1(f1, f2, k0, rtol=1e-8) - 0.5
 
     g_lo, g_hi = gap(lo), gap(hi)
     if not g_lo > 0.0 > g_hi:
         raise ParameterError(
-            f"bracket [{lo}, {hi}] does not straddle C1 = {c_target}: "
+            f"bracket [{lo}, {hi}] does not straddle C1 = 0.5: "
             f"gap({lo})={g_lo:.4g}, gap({hi})={g_hi:.4g}")
     # the steps and the stopping rule of scipy.optimize.bisect (rtol = 4 eps),
     # reusing the two bracket evaluations; dm halves every step and xtol > 0,
@@ -401,17 +400,16 @@ def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None
 
 def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float, *,
                       core_halfwidth: float = 10.0, core_n: int = 401,
-                      panel_nodes: int = 8, tail_scale: float = 2400.0,
-                      tail_cap: float = 6000.0) -> tuple[Grid1D, Grid1D]:
+                      tail_scale: float = 2400.0) -> tuple[Grid1D, Grid1D]:
     """Grid pair for the sampled interacting amplitude (the oracle route).
 
     The second axis only ever sees profile-damped integrands and stays on a
     uniform core window. The first axis also carries the kernel's slowly
     decaying sinc tail (the correction term has no profile factor in Z1),
-    so the core is extended by Gauss panels of length pi/k0 out to a radius
-    that scales as 1/k0^2. The truncated |sinc|^2 mass still moves
-    fidelities and entropies by up to 2.6e-4 at the defaults, less as
-    tail_scale grows; entropy_phase_sweep traces Z1 out exactly instead.
+    so the core is extended by 8-node Gauss panels of length pi/k0 out to
+    a radius tail_scale/k0^2, capped at 6000. The truncated |sinc|^2 mass
+    still moves fidelities and entropies by up to 2.6e-4 at the defaults,
+    less as tail_scale grows; entropy_phase_sweep traces Z1 out exactly instead.
     """
     if core_n < 3:
         raise ParameterError(f"core_n must be at least 3, got {core_n}")
@@ -420,12 +418,12 @@ def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float, *,
     lo = min(f1.center, f2.center) - core_halfwidth
     hi = max(f1.center, f2.center) + core_halfwidth
     core = make_grid(lo, hi, core_n, rule="uniform")
-    radius = min(max(core_halfwidth + 40.0, tail_scale / k0**2), tail_cap)
+    radius = min(max(core_halfwidth + 40.0, tail_scale / k0**2), 6000.0)
     mid = 0.5 * (lo + hi)
     plen = math.pi / k0
     n_panels = max(1, int(math.ceil(((mid + radius) - hi) / plen)))
-    right = composite_gauss_grid(hi, hi + n_panels * plen, n_panels, panel_nodes)
-    left = composite_gauss_grid(lo - n_panels * plen, lo, n_panels, panel_nodes)
+    right = composite_gauss_grid(hi, hi + n_panels * plen, n_panels)
+    left = composite_gauss_grid(lo - n_panels * plen, lo, n_panels)
     return join_grids(left, core, right), core
 
 

@@ -72,6 +72,7 @@ _STOP_TOL = 1e-12
 _FAIL_TOL = 1e-6
 _SMALL_X = 1e-3
 _LINE_RTOL = 1e-8
+_TABLE_ATOL = 1e-10  # A, B, D against their doubled time resolution
 _BLOCK = 1 << 20  # complex elements per temporary in the trajectory sums
 
 
@@ -95,6 +96,7 @@ class CollisionSetup:
     grid_n: int = 401
     grid1: Grid1D = field(init=False, repr=False)
     grid2: Grid1D = field(init=False, repr=False)
+    _signature: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.params.mode != "headon":
@@ -132,6 +134,10 @@ class CollisionSetup:
         object.__setattr__(self, "grid2", make_grid(
             self.f2.center - self.grid_halfwidth,
             self.f2.center + self.grid_halfwidth, self.grid_n, rule="uniform"))
+        p = self.params
+        object.__setattr__(self, "_signature", (
+            _profile_key(self.f1), _profile_key(self.f2), p.k0, p.sigma, p.v1, p.v2,
+            self.grid_halfwidth, self.grid_n))
 
     @property
     def kappa(self) -> float:
@@ -146,9 +152,22 @@ class CollisionSetup:
         return self.params.k0 * abs(self.params.v_r) * t / self.params.sigma
 
     def geometry_signature(self) -> tuple:
-        """Everything the interaction tables depend on (chi excluded)."""
-        return (self.f1.label, self.f2.label, self.params.k0, self.params.sigma,
-                self.params.v1, self.params.v2, self.grid_halfwidth, self.grid_n)
+        """Everything the interaction tables depend on (chi excluded).
+
+        Built once per setup: the tables compare it on every call.
+        """
+        return self._signature
+
+
+def _profile_key(f: PulseProfile) -> tuple:
+    """Every field that defines a profile, its table arrays as raw bytes.
+
+    The label is not enough: it prints center and sigma with %g and gives
+    a tabulated profile only its node count.
+    """
+    tables = tuple(None if a is None else a.tobytes()
+                   for a in (f.table_nodes, f.table_values))
+    return (f.shape, f.center, f.sigma, f.width, f.scale) + tables
 
 
 def _segment_quadrature(t0: float, t1: float, v_r: float, sigma: float,
@@ -375,17 +394,17 @@ class InteractionTables:
 
     The time-integral tables A, B, D per time sample serve the series and
     its closed form; each entry is verified against a doubled time
-    resolution, and disagreement beyond atol raises an accuracy error.
-    ensure() fills them along a whole time ladder in one incremental sweep.
+    resolution, and disagreement beyond 1e-10 raises an accuracy error.
+    ensure() fills them along a whole time ladder in one incremental sweep;
+    at() fills a missing time as a ladder of one.
     line_moments() caches the fidelity's trajectory moments per time and
     entropy_blocks() the reduced-kernel blocks, both verified at doubled
     resolution to a relative 1e-8. Nothing here depends on the interaction
     rate chi, so one cache serves every accumulated-phase curve.
     """
 
-    def __init__(self, setup: CollisionSetup, *, atol: float = 1e-10):
+    def __init__(self, setup: CollisionSetup):
         self.signature = setup.geometry_signature()
-        self.atol = atol
         self._setup = setup
         n1, n2 = setup.grid1.n, setup.grid2.n
         self._idx = np.arange(n2)[None, :] - np.arange(n1)[:, None] + (n1 - 1)
@@ -411,7 +430,7 @@ class InteractionTables:
 
     def _verify(self, t: float, coarse: tuple, fine: tuple) -> None:
         worst = max(float(np.max(np.abs(c - f))) for c, f in zip(coarse, fine))
-        if worst > self.atol:
+        if worst > _TABLE_ATOL:
             raise AccuracyError(
                 f"interaction time integrals not converged at t={t}: "
                 f"max deviation {worst:.3e}", coarse=worst, fine=0.0)
@@ -432,13 +451,7 @@ class InteractionTables:
             raise ParameterError(f"time must be non-negative, got {t}")
         key = float(t)
         if key not in self._cache:
-            if key == 0.0:
-                self._cache[key] = self._zero_entry()
-            else:
-                coarse = _tables_toeplitz(self._setup, 0.0, key, 1, self._diag)
-                fine = _tables_toeplitz(self._setup, 0.0, key, 2, self._diag)
-                self._verify(key, coarse, fine)
-                self._cache[key] = fine
+            self.ensure(setup, [key])
         return self._cache[key]
 
     def line_moments(self, setup: CollisionSetup, times) -> tuple:

@@ -1,9 +1,10 @@
 """Acceptance gate: the twelve validation criteria, one test each.
 
-Runs the same validation pass as `xpmsim validate` (shared caches, pinned
-tolerances) and asserts each criterion individually, so the test report
-carries one pass/fail line per criterion with the measured values. Known
-quantitative shortfalls are left to fail rather than being masked here.
+Runs the same validation pass as `xpmsim validate` (pinned tolerances) in
+a fresh working directory and asserts each criterion individually, so the
+test report carries one pass/fail line per criterion with the measured
+values. Known quantitative shortfalls are left to fail rather than being
+masked here.
 """
 
 import os
@@ -16,20 +17,21 @@ CRITERIA = list(range(1, 13))
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    oracle_dir = tmp_path_factory.mktemp("oracles")
-    previous = os.environ.get("XPMSIM_ORACLE_DIR")
-    os.environ["XPMSIM_ORACLE_DIR"] = str(oracle_dir)
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("validate_cwd")
+
+
+@pytest.fixture(scope="module")
+def report(workdir):
+    previous = os.getcwd()
+    os.chdir(workdir)
     try:
         result = run_validate()
-        print()
-        print(result.text, end="")
-        yield result
     finally:
-        if previous is None:
-            os.environ.pop("XPMSIM_ORACLE_DIR", None)
-        else:
-            os.environ["XPMSIM_ORACLE_DIR"] = previous
+        os.chdir(previous)
+    print()
+    print(result.text, end="")
+    return result
 
 
 @pytest.mark.parametrize("number", CRITERIA, ids=[f"{n:02d}" for n in CRITERIA])
@@ -46,3 +48,8 @@ def test_report_structure(report):
     for r in report.results:
         assert r.line() in report.text
         assert r.runtime >= 0.0
+
+
+def test_validate_writes_nothing(report, workdir):
+    # the pass keeps no on-disk cache in the directory it runs from
+    assert list(workdir.iterdir()) == []

@@ -20,7 +20,7 @@ from xpmsim.cli.config import (
 from xpmsim.cli.main import main
 from xpmsim.cli.output import emit, render_csv, render_json, render_svg
 from xpmsim.cli.sweeps import collision_setup, run_fig1, run_fig2, run_fig3, run_fig4, run_task
-from xpmsim.cli.validate import CriterionResult, OracleStore, ValidationReport
+from xpmsim.cli.validate import CriterionResult, ValidationReport
 from xpmsim.errors import ConfigError
 from xpmsim.results import Axis, SweepResult
 
@@ -356,31 +356,3 @@ def test_main_validate_exit_reflects_report(tmp_path, monkeypatch):
     monkeypatch.setattr(entry, "run_validate", ok_validate)
     assert run_main(["validate"]) == 0
 
-
-# --------------------------------------------------------- oracle store
-
-def test_oracle_store_caches_to_disk(tmp_path, monkeypatch):
-    monkeypatch.setenv("XPMSIM_ORACLE_DIR", str(tmp_path / "oracles"))
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return 41.5
-
-    store = OracleStore()
-    assert store.get("answer", compute) == 41.5
-    path = tmp_path / "oracles" / "oracles.json"
-    assert json.loads(path.read_text(encoding="utf-8")) == {"answer": 41.5}
-    # a fresh store reads the file instead of recomputing
-    fresh = OracleStore()
-    assert fresh.get("answer", lambda: 1 / 0) == 41.5
-    assert calls == [1]
-
-
-def test_oracle_store_degrades_without_writable_dir(tmp_path, monkeypatch):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("file, not a directory", encoding="utf-8")
-    monkeypatch.setenv("XPMSIM_ORACLE_DIR", str(blocker / "nested"))
-    store = OracleStore()
-    assert store.get("x", lambda: 7.0) == 7.0  # memory-only fallback
-    assert store.get("x", lambda: 1 / 0) == 7.0

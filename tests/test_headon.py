@@ -238,6 +238,38 @@ def test_tables_reject_different_geometry():
         tables.at(collision(), -1.0)
 
 
+def test_tables_reject_profiles_that_share_a_label():
+    # labels print centres with %g and a table by its node count only, so
+    # each pair below shares both labels and must still not share tables
+    nodes = np.linspace(-SEP / 2.0 - 8.0, -SEP / 2.0 + 8.0, 4001)
+
+    def tabulated(width):
+        values = np.exp(-(nodes + SEP / 2.0) ** 2 / (2.0 * width ** 2))
+        f1 = make_profile("tabulated", center=-SEP / 2.0, table_nodes=nodes,
+                          table_values=values)
+        return f1, make_profile("gaussian", center=SEP / 2.0)
+
+    def shifted(offset):
+        return (make_profile("gaussian", center=-SEP / 2.0 + offset),
+                make_profile("gaussian", center=SEP / 2.0 + offset))
+
+    params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi)
+    for pair in ((tabulated(1.0), tabulated(1.3)), (shifted(0.0), shifted(1e-7))):
+        first, second = (CollisionSetup(*fs, params, times=(1e-3,), grid_n=61)
+                         for fs in pair)
+        assert first.f1.label == second.f1.label
+        assert first.f2.label == second.f2.label
+        tables = InteractionTables(first)
+        assert tables.compatible(first)
+        assert not tables.compatible(second)
+        with pytest.raises(GridMismatchError):
+            tables.at(second, 1e-3)
+        with pytest.raises(GridMismatchError):
+            tables.ensure(second, second.times)
+        with pytest.raises(GridMismatchError):
+            tables.line_moments(second, second.times)
+
+
 # ----------------------------------------------------------- evolution
 
 def test_fidelity_evolution_structure():
@@ -445,6 +477,9 @@ def test_tables_match_node_by_node_loop(make):
         assert_tables_close(got, node_by_node_tables(setup, 0.0, t))
     ladder = InteractionTables(setup)
     ladder.ensure(setup, times)
+    # a one-shot time is a ladder of one: the same segment, the same values
+    for g, l in zip(oneshot.at(setup, times[0]), ladder.at(setup, times[0])):
+        assert np.array_equal(g, l)
     total = None
     for prev, t in zip((0.0, *times), times):
         seg = node_by_node_tables(setup, prev, t)
