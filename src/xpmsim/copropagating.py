@@ -129,12 +129,16 @@ def _check_coeff_inputs(f1: PulseProfile, f2: PulseProfile, k0: float):
 
 def _coefficient_axis(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
                       refine: int = 1) -> Grid1D:
-    """Piecewise Gauss-Legendre axis resolving both profiles and the kernel.
+    """Composite 8-node Gauss-Legendre axis resolving both profiles and the kernel.
 
-    Node count grows with k0 * span so the oscillatory kernel stays resolved;
-    profile discontinuities become panel boundaries. The refine factor
-    multiplies the final count, so a refined axis never coincides with the
-    base one even when the k0 floor dominates.
+    The target node count grows with k0 * span so the oscillatory kernel
+    stays resolved; k0 = 0 leaves it at max(n, 32), for an integrand with
+    no kernel (C2). Profile discontinuities become piece boundaries, and
+    each piece gets equal 8-node Gauss panels: at least 12 nodes and its
+    share of the target, rounded up to whole panels. Every panel reuses
+    the one cached 8-node rule, so no large Legendre eigen-solve is needed
+    at any k0. The refine factor multiplies the target, so a refined axis
+    never coincides with the base one even when the k0 floor dominates.
     """
     lo = min(f1.center - f1.support_halfwidth(), f2.center - f2.support_halfwidth())
     hi = max(f1.center + f1.support_halfwidth(), f2.center + f2.support_halfwidth())
@@ -144,8 +148,8 @@ def _coefficient_axis(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
     edges = [lo, *cuts, hi]
     pieces = []
     for a, b in zip(edges, edges[1:]):
-        pieces.append(make_grid(a, b, max(12, int(math.ceil(total * (b - a) / span))),
-                                rule="gauss-legendre"))
+        nodes = max(12, int(math.ceil(total * (b - a) / span)))
+        pieces.append(composite_gauss_grid(a, b, math.ceil(nodes / 8)))
     return join_grids(*pieces)
 
 
@@ -272,11 +276,13 @@ def compute_C2(f1: PulseProfile, f2: PulseProfile, k0: float, *,
 
     The integrand depends on Z1 only through the squared kernel, whose full
     line integral is pi/k0; what remains is a 1-D quadrature of
-    |f1|^2 |f2|^2, again checked at two resolutions.
+    |f1|^2 |f2|^2, again checked at two resolutions. That integrand carries
+    no kernel, so its axis resolves the profiles only and does not grow
+    with k0.
     """
     _check_coeff_inputs(f1, f2, k0)
-    coarse = _c2_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n))
-    fine = _c2_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n, refine=2))
+    coarse = _c2_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, 0.0, n))
+    fine = _c2_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, 0.0, n, refine=2))
     if abs(coarse - fine) > rtol * max(1.0, abs(fine)):
         raise AccuracyError(
             f"C2 quadrature not converged at k0={k0}: {coarse} vs {fine}",

@@ -48,6 +48,7 @@ from .numerics import (
     Grid1D,
     PulseProfile,
     SystemParams,
+    _gauss_legendre,
     commutator_kernel,
     composite_gauss_grid,
     make_grid,
@@ -182,22 +183,19 @@ def _time_quadrature(t: float, v_r: float, sigma: float, refine: int):
     return _segment_quadrature(0.0, t, v_r, sigma, refine)
 
 
-def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int,
-                     diag: np.ndarray):
+def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
     """A, B, D over [t0, t1] exploiting the uniform-grid difference structure.
 
     The kernel argument depends on (z1', z2') only through their difference,
     which on the equal-spacing co-moving grids takes 2n - 1 distinct values.
     The kernel is evaluated on the (time node x difference) lattice and f1
     on the (time node x z2) lattice; with the time weights folded into the
-    second, A and B are their column sums and one product
-    (difference x node) (node x z2) gives, for every difference u and z2,
-    the time integral of C(u - v_r s) f1(z2 - v_r s). D is that product read
-    along its diagonals: diag holds, for every (z1, z2), the flat position
-    of (u = z2 - z1, z2) in the C-ordered product (InteractionTables builds
-    it once per grid pair). A stays in difference form (2n - 1 values);
-    only D needs the full matrix. B and D take f1's dtype, so a real f1
-    keeps real tables.
+    second, A and B are their column sums. D[i, j] is the time integral of
+    C(u - v_r s) f1(z2_j - v_r s) at u = z2_j - z1_i, difference index
+    j - i + n1 - 1: row i of the kernel lattice's length-n2 windows, read
+    backwards, so one einsum over those strided windows (no copy) gives D.
+    A stays in difference form (2n - 1 values); only D needs the full
+    matrix. B and D take f1's dtype, so a real f1 keeps real tables.
     """
     tq, wq = _segment_quadrature(t0, t1, setup.params.v_r,
                                  setup.params.sigma, refine)
@@ -209,10 +207,10 @@ def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int,
     kern = commutator_kernel(diffs[None, :] - shift, setup.params.k0, setup.params.sigma)
     front = wq[:, None] * setup.f1(setup.grid2.nodes[None, :] - shift)
     # einsum, not matmul: a threaded BLAS product here took 1.3 s per ensure
-    # ladder instead of 0.6 s on its first run after idle on a 2-core machine;
-    # einsum takes 0.8-1.0 s every time (see also _trajectory_moments)
-    by_diff = np.einsum("qu,qj->uj", kern, front)
-    return wq @ kern, front.sum(axis=0), np.take(by_diff, diag)
+    # ladder instead of 0.6 s on its first run after idle on a 2-core machine
+    # (see also _trajectory_moments)
+    windows = sliding_window_view(kern, n2, axis=1)[:, ::-1, :]
+    return wq @ kern, front.sum(axis=0), np.einsum("qij,qj->ij", windows, front)
 
 
 def _k_rule(setup: CollisionSetup, t: float, refine: int):
@@ -285,7 +283,7 @@ class _Trajectory:
         left = (self._lower <= centre_at) & (self._upper <= centre_at)
         right = (self._lower >= centre_at) & (self._upper >= centre_at)
         self._side = np.where(left, 0, np.where(right, 1, 2))
-        x, w = np.polynomial.legendre.leggauss(8)
+        x, w = _gauss_legendre(8)
         width = np.diff(edges)[:, None, None] / refine
         offset = np.arange(refine)[:, None] + 0.5 * (1.0 + x)
         self._nodes = (edges[:-1, None, None] + width * offset).reshape(edges.size - 1, -1)
@@ -395,8 +393,11 @@ class InteractionTables:
     The time-integral tables A, B, D per time sample serve the series and
     its closed form; each entry is verified against a doubled time
     resolution, and disagreement beyond 1e-10 raises an accuracy error.
-    ensure() fills them along a whole time ladder in one incremental sweep;
-    at() fills a missing time as a ladder of one.
+    ensure() fills them along a whole time ladder in one incremental sweep,
+    adding each segment to both resolutions' running sums in place and
+    storing a copy per time; at() fills a missing time as a ladder of one,
+    and expands A from its difference form through strided windows, so no
+    index map is kept.
     line_moments() caches the fidelity's trajectory moments per time and
     entropy_blocks() the reduced-kernel blocks, both verified at doubled
     resolution to a relative 1e-8. Nothing here depends on the interaction
@@ -406,10 +407,6 @@ class InteractionTables:
     def __init__(self, setup: CollisionSetup):
         self.signature = setup.geometry_signature()
         self._setup = setup
-        n1, n2 = setup.grid1.n, setup.grid2.n
-        self._idx = np.arange(n2)[None, :] - np.arange(n1)[:, None] + (n1 - 1)
-        # D[i, j] = by_diff[idx[i, j], j], at flat positions of _tables_toeplitz's product
-        self._diag = self._idx * n2 + np.arange(n2)
         self._cache: dict[float, tuple] = {}
         self._line: dict[float, tuple] = {}
         self._entropy: dict[float, tuple] = {}
@@ -438,7 +435,7 @@ class InteractionTables:
     def at(self, setup: CollisionSetup, t: float):
         """A, B and D at time t, with A expanded to its n1 x n2 table."""
         a_vec, b_tab, d_tab = self._difference_form(setup, t)
-        return a_vec[self._idx], b_tab, d_tab
+        return sliding_window_view(a_vec, setup.grid2.n)[::-1].copy(), b_tab, d_tab
 
     def _difference_form(self, setup: CollisionSetup, t: float):
         """The cached (A, B, D) at time t, A as its n1 + n2 - 1 values by difference.
@@ -519,12 +516,15 @@ class InteractionTables:
         acc2 = self._zero_entry()
         prev = 0.0
         for t in missing:
-            seg1 = _tables_toeplitz(self._setup, prev, t, 1, self._diag)
-            seg2 = _tables_toeplitz(self._setup, prev, t, 2, self._diag)
-            acc1 = tuple(a + s for a, s in zip(acc1, seg1))
-            acc2 = tuple(a + s for a, s in zip(acc2, seg2))
+            # both segments first, then the sums in place: adding each segment
+            # as it came raised a fresh process's page faults over the fig4
+            # ladder from 42k to 103k
+            segs = [_tables_toeplitz(self._setup, prev, t, refine) for refine in (1, 2)]
+            for acc, seg in zip((acc1, acc2), segs):
+                for total, part in zip(acc, seg):
+                    total += part
             self._verify(t, acc1, acc2)
-            self._cache[t] = acc2
+            self._cache[t] = tuple(a.copy() for a in acc2)
             prev = t
 
 

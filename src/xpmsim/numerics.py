@@ -138,8 +138,9 @@ class Grid1D:
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n.
 
-    The rule is an eigen-solve (about 20 ms at 480 nodes) and the coefficient
-    quadrature asks for the same few sizes on every call. The arrays are
+    The rule is an eigen-solve whose cost grows fast with n, so the
+    coefficient axis, the k rules and the trajectory panels are composite
+    panels of the 8-node rule, which a process builds once. The arrays are
     shared by all callers, so they are read-only.
     """
     x, w = np.polynomial.legendre.leggauss(n)
@@ -186,9 +187,14 @@ def composite_gauss_grid(lo: float, hi: float, n_panels: int,
 
 
 def join_grids(*grids: Grid1D) -> Grid1D:
-    """Concatenate contiguous grids (each starting where the previous ends)."""
+    """Concatenate contiguous grids (each starting where the previous ends).
+
+    One grid is returned as it is: a Grid1D is immutable.
+    """
     if len(grids) < 1:
         raise ParameterError("join_grids needs at least one grid")
+    if len(grids) == 1:
+        return grids[0]
     for a, b in zip(grids, grids[1:]):
         if b.lo < a.hi:
             raise ParameterError("grids to join must be ordered and non-overlapping")

@@ -92,6 +92,15 @@ def test_c2_analytic_reduction(k0):
         math.sqrt(math.pi / 2.0) / k0, abs=1e-10)
 
 
+def test_c2_axis_does_not_grow_with_k0():
+    # |f1|^2 |f2|^2 carries no kernel: at k0 = 1000 C2 still meets its closed
+    # form, on the same profile axis as at k0 = 1
+    assert compute_C2(GAUSS, GAUSS, 1000.0) == pytest.approx(
+        math.sqrt(math.pi / 2.0) / 1000.0, rel=1e-9)
+    assert compute_C2(GAUSS, GAUSS, 1000.0) * 1000.0 == pytest.approx(
+        compute_C2(GAUSS, GAUSS, 1.0), rel=1e-15)
+
+
 def test_c2_small_k0_divergence():
     assert compute_C2(GAUSS, GAUSS, 0.01) > 100.0
 
@@ -296,7 +305,9 @@ def test_transition_matches_scipy_bisect(shape, monkeypatch):
     assert calls == len(k0s) - 2
 
 
-def test_gauss_rules_built_once_per_node_count(monkeypatch):
+def test_coefficient_quadrature_builds_only_the_8_node_rule_once(monkeypatch):
+    # every coefficient and entropy axis is made of 8-node Gauss panels, so
+    # no call needs a larger Legendre rule, whatever k0 and profile
     built = Counter()
     real = np.polynomial.legendre.leggauss
 
@@ -307,11 +318,13 @@ def test_gauss_rules_built_once_per_node_count(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
     numerics._gauss_legendre.cache_clear()
     sq = make_profile("square")
-    for k0 in (1.0, 2.5, 1.0, 9.0, 2.5):
+    for k0 in (1.0, 2.5, 1.0, 9.0, 2.5, 40.0):
         overlap_coefficients(GAUSS, GAUSS, k0)
         overlap_coefficients(sq, sq, k0)
-    assert {160, 320, 240, 480} <= set(built)
-    assert max(built.values()) == 1
+    for k0 in (0.5, 5.0):
+        entropy_phase_sweep(GAUSS, GAUSS, k0, np.linspace(0.0, math.pi, 5))
+        entropy_phase_sweep(sq, sq, k0, np.linspace(0.0, math.pi, 5))
+    assert built == {8: 1}
 
 
 # ------------------------------------------------------ conditional phase
