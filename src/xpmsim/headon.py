@@ -22,7 +22,12 @@ over |k| <= k_s. With y = z2 - v_r s every time integral then becomes an
 oriented y-integral over [z2 - v_r t, z2] of f1(y) exp(iky) (or of
 exp(iky) alone, in closed form), and the fidelity needs only five
 chi-independent moments of those per time (see _trajectory_moments): each
-(phi, t) sample costs O(1) and no two-photon state is built. The A, B, D
+(phi, t) sample costs O(1) and no two-photon state is built. The
+y-integrals run over panels between the distinct query points; query
+points that coincide up to rounding share one edge, because on a ladder
+where v_r times the time step is a whole number of z2 steps (the default
+one) most ends land on the z2 lattice, and keeping each rounded copy would
+add panels about 1e-16 wide that cost as much as any other. The A, B, D
 tables and the amplitude on the co-moving grids serve the series and its
 closed form, which stay the independent oracle.
 """
@@ -75,6 +80,9 @@ _SMALL_X = 1e-3
 _LINE_RTOL = 1e-8
 _TABLE_ATOL = 1e-10  # A, B, D against their doubled time resolution
 _BLOCK = 1 << 20  # complex elements per temporary in the trajectory sums
+# trajectory query points closer than this many ulps of the coordinate scale
+# are one edge: z2 - v_r t misses the z2 lattice it lands on by up to 2 ulps
+_EDGE_ULPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,11 +247,31 @@ def _window_nsq(grid: Grid1D, profile: PulseProfile) -> float:
 
 
 def _box_transform(setup: CollisionSetup, times: np.ndarray, k: np.ndarray):
-    """int_0^t exp(ik (z2 - v_r s)) ds in closed form, shape (times, z2, k)."""
+    """int_0^t exp(ik (z2 - v_r s)) ds in closed form, as two factors.
+
+    The integral is t sinc(k v_r t / 2) exp(-ik v_r t / 2) exp(ik z2): a
+    time factor of shape (times, k) and a phase of shape (z2, k), whose
+    product over (times, z2, k) is the transform. Apart they take
+    (times + z2) x k exponentials instead of times x z2 x k, and a
+    contraction over k can take them one at a time.
+    """
     v_r = setup.params.v_r
-    t = times[:, None, None]
-    mid = setup.grid2.nodes[None, :, None] - 0.5 * v_r * t
-    return t * np.sinc(k * v_r * t / (2.0 * math.pi)) * np.exp(1j * k * mid)
+    t = times[:, None]
+    half = 0.5 * v_r * t * k
+    return (t * np.sinc(half / math.pi) * np.exp(-1j * half),
+            np.exp(1j * np.outer(setup.grid2.nodes, k)))
+
+
+def _merge_edges(points: np.ndarray, tol: float):
+    """Sorted edges with points closer than tol merged, and each point's edge.
+
+    A run of sorted points whose neighbours lie within tol becomes one edge,
+    its smallest point. Each point is mapped to the edge of its own run, so
+    no query point is moved to a neighbouring edge.
+    """
+    values, inverse = np.unique(points, return_inverse=True)
+    starts = np.concatenate(([True], np.diff(values) > tol))
+    return values[starts], (np.cumsum(starts) - 1)[inverse]
 
 
 class _Trajectory:
@@ -254,7 +282,12 @@ class _Trajectory:
     consecutive query points (every z2 and z2 - v_r t), a lattice of at most
     one sigma and pi/k_s spacing, and f1's breakpoints, so a square pulse's
     edges fall on panel boundaries; each panel carries refine 8-node Gauss
-    rules. Panel sums accumulate inwards from both ends towards f1's
+    rules. Points within _EDGE_ULPS ulps of the coordinate scale share one
+    edge: on the default fig4 ladder each end z2 - v_r t lands on the z2
+    lattice up to rounding, so 7160 raw points hold 2383 distinct ones, and
+    every rounded copy kept apart would add a panel about 1e-16 wide at the
+    full cost of a panel (edges and tol keep the merged edges and that
+    tolerance). Panel sums accumulate inwards from both ends towards f1's
     centre. An interval with both ends on one side of the centre is the
     difference of that side's sums, so an interval deep in one of f1's
     tails is a difference of two tail-sized numbers, never of two order-one
@@ -272,11 +305,13 @@ class _Trajectory:
         lattice = centre + step * np.arange(math.ceil((lo - centre) / step),
                                             math.floor((hi - centre) / step) + 1)
         breaks = [b for b in setup.f1.breakpoints if lo < b < hi]
-        edges = np.unique(np.concatenate((z2, ends.ravel(), lattice, breaks, [centre])))
-        self._upper = np.searchsorted(edges, z2)[None, :]
-        self._lower = np.searchsorted(edges, ends)
-        centre_at = int(np.searchsorted(edges, centre))
-        self._centre_at = centre_at
+        self.tol = _EDGE_ULPS * math.ulp(max(abs(lo), abs(hi)))
+        edges, at = _merge_edges(
+            np.concatenate(([centre], z2, ends.ravel(), lattice, breaks)), self.tol)
+        self.edges = edges
+        centre_at = self._centre_at = int(at[0])
+        self._upper = at[1:1 + z2.size][None, :]
+        self._lower = at[1 + z2.size:1 + z2.size + ends.size].reshape(ends.shape)
         # which running sum serves each interval as upper minus lower: 0 the
         # sums from the left end, 1 those from the right end negated, 2 the
         # signed integrals from the centre (for intervals across it)
@@ -332,6 +367,9 @@ def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
     give <free|raw> = |free|^2 + i chi o_f + beta o_b and the squared norm
     over the whole z1 line, |free|^2 + 2 Re(i chi o_f + beta o_b)
     + chi^2 p - 2 chi Im(conj(beta) r) + |beta|^2 c. Returns (p, r, c, o_f, o_b).
+    G_b is kept as _box_transform's time factor and z2 phase, never as a
+    (times, z2, k) array: |G_b| is the time factor's modulus, and the r and
+    o_b sums take the two factors one at a time.
     """
     k, wk = _k_rule(setup, float(times[-1]), refine)
     spec = _f1_spectrum(setup, k)
@@ -350,13 +388,12 @@ def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
         kc, wc = k[i:i + chunk], wk[i:i + chunk]
         sc = wc * spec[i:i + chunk]
         g_f = traj.integrals(kc)
-        g_b = _box_transform(setup, times, kc)
+        box_t, phase = _box_transform(setup, times, kc)
         p_row += np.einsum("tjk,k->tj", np.abs(g_f) ** 2, wc)
         o_f_row += np.einsum("tjk,k->tj", g_f, sc)
-        r_row += np.einsum("tjk,tjk,k->tj", g_f, np.conj(g_b), wc)
-        # |G_b| does not depend on z2
-        box_nsq += np.einsum("tk,k->t", np.abs(g_b[:, 0, :]) ** 2, wc)
-        o_b_row += np.einsum("tjk,k->tj", g_b, sc)
+        r_row += np.einsum("tjk,tk,jk->tj", g_f, np.conj(box_t) * wc, np.conj(phase))
+        box_nsq += np.einsum("tk,k->t", np.abs(box_t) ** 2, wc)
+        o_b_row += np.einsum("tk,jk->tj", box_t * sc, phase)
     p_mom = np.sum(p_row * dens, axis=1)
     r_mom = np.sum(np.conj(b_row) * r_row * dens, axis=1)
     c_mom = box_nsq * np.sum(np.abs(b_row) ** 2 * dens, axis=1)
@@ -380,7 +417,8 @@ def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
     times = np.array([float(t)])
     traj = _Trajectory(setup, times, refine)
     g_f = traj.integrals(k)[0]
-    g_b = traj.integrals(np.zeros(1))[0] * _box_transform(setup, times, k)[0]
+    box_t, phase = _box_transform(setup, times, k)
+    g_b = traj.integrals(np.zeros(1))[0] * box_t * phase
     spec = _f1_spectrum(setup, k)
     return (_window_nsq(setup.grid1, setup.f1), g_f @ (wk * spec), g_b @ (wk * spec),
             (g_f * wk) @ np.conj(g_f.T), (g_f * wk) @ np.conj(g_b.T),

@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import quad
 
 from xpmsim import (
+    AccuracyError,
     ApproximationWarning,
     CollisionSetup,
     GridMismatchError,
@@ -36,7 +37,16 @@ from xpmsim import (
     two_particle_headon_closed,
     two_particle_headon_series,
 )
-from xpmsim.headon import _exp_remainder
+from xpmsim import headon
+from xpmsim.cli.config import RunConfig
+from xpmsim.cli.sweeps import collision_setup, run_fig4
+from xpmsim.headon import (
+    _box_transform,
+    _entropy_blocks,
+    _exp_remainder,
+    _k_rule,
+    _Trajectory,
+)
 
 SEP = 10.0
 V = 5e3
@@ -439,15 +449,20 @@ def test_co_centred_collision_starts_inside_the_interaction():
     assert f[1] < 1.0 - 1e-3  # no approach: the phase builds from t = 0
 
 
+def square(times=(1e-3,), grid_n=401):
+    """The default geometry with square pulses of width 2."""
+    f1 = make_profile("square", center=-SEP / 2.0)
+    f2 = make_profile("square", center=SEP / 2.0)
+    params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi)
+    return CollisionSetup(f1, f2, params, times=tuple(times), grid_n=grid_n)
+
+
 def test_square_collision_entropy_converges():
     # the pulses' edges fall on trajectory panel boundaries, so the
     # resolution check passes; the z2 trace still converges in grid_n
     values = []
     for grid_n in (101, 201, 401):
-        f1 = make_profile("square", center=-SEP / 2.0)
-        f2 = make_profile("square", center=SEP / 2.0)
-        params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi)
-        setup = CollisionSetup(f1, f2, params, times=(1e-3,), grid_n=grid_n)
+        setup = square(grid_n=grid_n)
         values.append(collision_entropy(setup, 1e-3))
     assert all(0.0 < s < 1.0 for s in values)
     gaps = np.abs(np.diff(values))
@@ -634,6 +649,108 @@ def test_collision_entanglement_transient():
         s_l = collision_entropy(setup, t, tables=tables)
         assert s_l == pytest.approx(pinned, rel=1e-3)
         assert s_l == pytest.approx(line_traced_entropy(coarse, t), rel=1e-6)
+
+
+# --------------------------------------------------- trajectory panels
+
+def fig4_setup(phi=math.pi, profile="gaussian"):
+    """One curve of the default fig4 run: 401-node grids, 121 times per pass."""
+    return collision_setup(RunConfig().with_overrides(task="fig4", profile_shape=profile), phi)
+
+
+def keep_every_edge(points, tol):
+    """Edges without merging: every distinct float is an edge, found by search."""
+    edges = np.unique(points)
+    return edges, np.searchsorted(edges, points)
+
+
+# On the default ladder v_r times the time step is 10/3 z2 steps, so every
+# third end z2 - v_r t lands on the z2 lattice, up to rounding: 7160 raw
+# points, 2383 distinct. 37 times give 100/9 steps, and fewer landings.
+@pytest.mark.parametrize("n_times, raw, panels", ((121, 7160, 2382), (37, 9830, 6408)))
+def test_trajectory_merges_only_rounding_duplicates(n_times, raw, panels):
+    setup = fig4_setup()
+    times = np.linspace(0.0, setup.pass_time, n_times)
+    traj = _Trajectory(setup, times, refine=1)
+    assert traj.edges.size - 1 == traj._nodes.shape[0] == panels
+    assert np.min(np.diff(traj.edges)) > traj.tol
+    z2 = setup.grid2.nodes
+    ends = z2[None, :] - setup.params.v_r * times[:, None]
+    assert np.max(np.abs(traj.edges[traj._upper] - z2)) <= traj.tol
+    assert np.max(np.abs(traj.edges[traj._lower] - ends)) <= traj.tol
+    # two query points share an edge exactly when they agree to rounding
+    points = np.concatenate((z2, ends.ravel()))
+    assert np.unique(points).size == raw
+    used = np.unique(np.concatenate((traj._upper.ravel(), traj._lower.ravel())))
+    assert used.size == np.unique(np.round(points, 9)).size
+
+
+MERGE_CASES = {
+    "default": fig4_setup,
+    "mirrored": lambda: mirrored(times=np.linspace(0.0, T_PASS, 31)),
+    "co-centred": centred,
+    "square": square,
+    "complex": complex_front,
+}
+
+
+@pytest.mark.parametrize("make", MERGE_CASES.values(), ids=MERGE_CASES.keys())
+def test_merged_edges_match_every_edge_construction(make, monkeypatch):
+    setup = make()
+    times = np.asarray(setup.times)
+    k, _ = _k_rule(setup, float(times[-1]), 1)
+
+    def results():
+        traj = _Trajectory(setup, times, 1)
+        moments = InteractionTables(setup).line_moments(setup, times)
+        # the chirped tabulated f1 misses the blocks' 1e-8 resolution check
+        # with and without merging (2.5e-8), so both resolutions are compared
+        blocks = [b for r in (1, 2) for b in _entropy_blocks(setup, float(times[-1]), r)]
+        return traj.edges.size, traj.integrals(k), (*moments, *blocks)
+
+    n_merged, g_merged, merged = results()
+    monkeypatch.setattr(headon, "_merge_edges", keep_every_edge)
+    n_all, g_all, every = results()
+    assert n_merged <= n_all
+    # a bound moved by a rounding error moves an integral 1e-63 deep in f1's
+    # tail by 9e-14 of itself, so the integrals are compared per time
+    scale = np.max(np.abs(g_all), axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(g_merged - g_all) <= 1e-13 * scale)
+    for got, ref in zip(merged, every):
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("make", (fig4_setup, partial(collision, k0=0.06, phi=0.5, grid_n=101,
+                                                      times=np.linspace(0.0, 2e-3, 25))),
+                         ids=("default", "k0=0.06"))
+def test_box_transform_factors_match_direct_transform(make):
+    setup = make()
+    times = np.asarray(setup.times)
+    k, _ = _k_rule(setup, float(times[-1]), 2)
+    box_t, phase = _box_transform(setup, times, k)
+    v_r, t = setup.params.v_r, times[:, None, None]
+    direct = (t * np.sinc(k * v_r * t / (2.0 * math.pi))
+              * np.exp(1j * k * (setup.grid2.nodes[None, :, None] - 0.5 * v_r * t)))
+    assert np.all(np.abs(box_t[:, None, :] * phase - direct) <= 1e-15 * np.abs(direct))
+
+
+def test_fig4_final_fidelities_pinned():
+    # digits of the construction that kept every rounded copy of an edge
+    pinned = {"0.785398": 0.053156273280740275, "1.5708": 0.012575181115779557,
+              "2.35619": 0.0052603606277139975, "3.14159": 0.003731849285663056}
+    prov = run_fig4(RunConfig().with_overrides(task="fig4")).provenance
+    for phi, value in pinned.items():
+        assert prov[f"f_final[phi={phi}]"] == pytest.approx(value, abs=1e-13)
+
+
+def test_line_checks_compare_separate_resolutions(monkeypatch):
+    # no two separately built resolutions agree to 1e-20 of the moments
+    monkeypatch.setattr(headon, "_LINE_RTOL", 1e-20)
+    setup = collision()
+    with pytest.raises(AccuracyError, match="moments not converged"):
+        InteractionTables(setup).line_moments(setup, setup.times)
+    with pytest.raises(AccuracyError, match="blocks not converged"):
+        InteractionTables(setup).entropy_blocks(setup, 1e-3)
 
 
 def test_gauge_monitor_and_warning():
