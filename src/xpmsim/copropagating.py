@@ -489,6 +489,36 @@ def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
 _KERNEL_SUMS_MEMO: dict = {}
 
 
+def _far_sinc(z1: np.ndarray, z2: np.ndarray, k0: float,
+              s2: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """sinc(k0 (z1 - z2)) as (sin(k0 z1) cos(k0 z2) - cos(k0 z1) sin(k0 z2)) / (k0 (z1 - z2)).
+
+    s2 and c2 are sin(k0 z2) and cos(k0 z2). Takes O(n1 + n2) sines for
+    the n1 x n2 block; see _kernel_sums for the rows it may serve.
+    """
+    u = k0 * z1
+    block = np.multiply.outer(np.sin(u), c2)
+    scratch = np.multiply.outer(np.cos(u), s2)
+    block -= scratch
+    np.subtract.outer(z1, z2, out=scratch)
+    scratch *= k0
+    block /= scratch
+    return block
+
+
+def _sinc_rows(z1: np.ndarray, z2: np.ndarray, k0: float, far: np.ndarray,
+               s2: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """sinc(k0 (z1 - z2)) for a block of rows: sinc_kernel, or _far_sinc where far."""
+    if not far.any():
+        return sinc_kernel(z1[:, None] - z2[None, :], k0)
+    if far.all():
+        return _far_sinc(z1, z2, k0, s2, c2)
+    block = np.empty((z1.size, z2.size))
+    block[~far] = sinc_kernel(z1[~far, None] - z2[None, :], k0)
+    block[far] = _far_sinc(z1[far], z2, k0, s2, c2)
+    return block
+
+
 def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
     """<F, Kp> and <Kp, Kp> of grid_metrics_copropagating, memoized for one key.
 
@@ -497,6 +527,15 @@ def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
     value for value and dtype for dtype, returns the last sums without
     sampling K; any other call samples K and becomes the memo. The key holds
     copies, so a grid edited in place afterwards misses.
+
+    K's rows at least 1/k0 outside z2's range (the sinc tail of
+    interaction_grids, nearly all of K) are built by angle addition
+    (_far_sinc), with one sine and one cosine per node instead of one sine
+    per sample. There |k0 (z1 - z2)| >= 1, so the angle-addition sine's
+    absolute error, of the order of the rounding of k0 z1, is that of the
+    direct argument k0 (z1 - z2), and the division cannot amplify it. The
+    other rows take sinc_kernel, whose small-argument series they may
+    need; a grid pair with no far row gives sinc_kernel's bits.
     """
     last = _KERNEL_SUMS_MEMO.get("last")
     if last is not None and last[0] == k0 and all(
@@ -511,9 +550,12 @@ def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
     dens = w2 * np.abs(pair) ** 2
     free_corr = 0j
     corr_nsq = 0.0
+    reach = 1.0 / k0
+    far = (z1 <= z2.min() - reach) | (z1 >= z2.max() + reach)
+    s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
     step = max(1, int(4e6) // z2.size)
     for i in range(0, z1.size, step):
-        block = sinc_kernel(z1[i:i + step, None] - z2[None, :], k0)
+        block = _sinc_rows(z1[i:i + step], z2, k0, far[i:i + step], s2, c2)
         applied = block @ cols
         free_corr += left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
         np.square(block, out=block)
@@ -544,7 +586,11 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     regrouped: K is sampled at the nodes of two_particle_copropagating (in
     row blocks near 32 MB), no n1 x n2 state is kept, and
     no closed form or overlap coefficient enters, so the route stays
-    independent of C1 and C2. The two K sums do not depend on Phi, and the
+    independent of C1 and C2. K's rows at least 1/k0 outside Z2's range,
+    where |k0 (Z1 - Z2)| >= 1 bounds the error of sin(a - b) taken by
+    angle addition, cost one sine per node instead of one per sample (on
+    the default grids these rows hold nearly all of K's samples, and the
+    sines were most of the route's time). The two K sums do not depend on Phi, and the
     last pair is memoized (_kernel_sums): a call that repeats the last
     call's k0, both grids' nodes and weights, and the samples f1(Z1),
     f2(Z2) and p does O(n1 + n2) work. A grid edited in place, another

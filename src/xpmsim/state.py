@@ -48,7 +48,10 @@ class TwoParticleState:
         if psi.shape != (self.grid1.n, self.grid2.n):
             raise ParameterError(f"psi shape {psi.shape} does not match grids "
                                  f"({self.grid1.n}, {self.grid2.n})")
-        if not np.all(np.isfinite(psi)):
+        # a complex entry is finite iff both parts are, so the check runs on
+        # the float64 view (of a contiguous copy when psi is strided)
+        parts = np.ascontiguousarray(psi).view(np.float64)
+        if not np.all(np.isfinite(parts)):
             raise ParameterError("psi contains non-finite entries")
 
     def norm_squared(self) -> float:

@@ -625,6 +625,96 @@ def test_grid_route_memory_stays_bounded():
     assert float(out.stdout) < 200.0
 
 
+def route_samples(f1, f2, z1, w1, z2, w2):
+    """The samples tuple _kernel_sums takes."""
+    return (z1, w1, z2, w2, f1(z1), f2(z2), f1(z2) * f2(z2))
+
+
+def sinc_kernel_sums(k0, samples):
+    """<F, Kp> and <Kp, Kp> with every kernel row from sinc_kernel.
+
+    The grid route's row blocks and sum algebra, with no far-row shortcut.
+    """
+    z1, w1, z2, w2, a1, b2, pair = samples
+    left = w1 * np.conj(a1)
+    right = w2 * np.conj(b2) * pair
+    cols = np.stack([right.real, right.imag], axis=1)
+    dens = w2 * np.abs(pair) ** 2
+    free_corr, corr_nsq = 0j, 0.0
+    step = max(1, int(4e6) // z2.size)
+    for i in range(0, z1.size, step):
+        block = numerics.sinc_kernel(z1[i:i + step, None] - z2[None, :], k0)
+        applied = block @ cols
+        free_corr += left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
+        np.square(block, out=block)
+        corr_nsq += float(w1[i:i + step] @ (block @ dens))
+    return free_corr, corr_nsq
+
+
+@pytest.fixture
+def far_rows(monkeypatch):
+    """Record the z1 rows the grid route builds by angle addition."""
+    rows = []
+    build = copropagating._far_sinc
+
+    def recorded(z1, *args):
+        rows.append(np.array(z1))
+        return build(z1, *args)
+
+    monkeypatch.setattr(copropagating, "_far_sinc", recorded)
+    copropagating._KERNEL_SUMS_MEMO.clear()
+    yield rows
+    copropagating._KERNEL_SUMS_MEMO.clear()
+
+
+@pytest.mark.parametrize("k0", [0.5, 1.0, 2.5, 5.0, 10.0])
+def test_far_rows_match_sinc_kernel_sums(far_rows, k0):
+    # criterion 05's k0 on the default grids, where the sinc tail is nearly all of K
+    grid1, grid2 = interaction_grids(GAUSS, GAUSS, k0)
+    samples = route_samples(GAUSS, GAUSS, grid1.nodes, grid1.weights,
+                            grid2.nodes, grid2.weights)
+    got = copropagating._kernel_sums(k0, samples)
+    # 1/k0 is under one pi/k0 tail panel, so at most 8 tail nodes a side are near
+    assert sum(r.size for r in far_rows) >= grid1.n - grid2.n - 16
+    for g, r in zip(got, sinc_kernel_sums(k0, samples)):
+        assert abs(g - r) <= 1e-13 * abs(r)
+
+
+def test_kernel_sums_without_far_rows_keep_sinc_kernel_bits(far_rows):
+    # every z1 within 1/k0 of z2's range; 4001 z2 nodes make three row blocks
+    k0 = 2.5
+    chirped = ROUTE_PROFILES["chirped"]
+    z1 = np.linspace(-10.0 - 0.9 / k0, 10.0 + 0.9 / k0, 2500)
+    z2 = np.linspace(-10.0, 10.0, 4001)
+    samples = route_samples(chirped, GAUSS, z1, np.full(z1.size, z1[1] - z1[0]),
+                            z2, np.full(z2.size, z2[1] - z2[0]))
+    assert copropagating._kernel_sums(k0, samples) == sinc_kernel_sums(k0, samples)
+    assert far_rows == []
+
+
+def test_far_rule_takes_rows_from_one_over_k0_out(far_rows):
+    k0 = 2.5
+    z2 = np.linspace(-10.0, 10.0, 401)
+    lo, hi = z2.min() - 1.0 / k0, z2.max() + 1.0 / k0
+    edges = [lo, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0), hi]
+    z1 = np.sort(np.concatenate([np.linspace(-400.0, -11.0, 3000), edges, z2,
+                                 np.linspace(11.0, 400.0, 3000)]))
+    samples = route_samples(GAUSS, GAUSS, z1, np.full(z1.size, 0.05),
+                            z2, np.full(z2.size, z2[1] - z2[0]))
+    got = copropagating._kernel_sums(k0, samples)
+    far = np.concatenate(far_rows)
+    assert lo in far and hi in far
+    assert edges[1] not in far and edges[2] not in far
+    assert far.size == 6002
+    for g, r in zip(got, sinc_kernel_sums(k0, samples)):
+        assert abs(g - r) <= 1e-13 * abs(r)
+    # at |k0 (z1 - z2)| = 1 the angle addition still meets sinc_kernel
+    s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
+    rows = copropagating._far_sinc(np.array([lo, hi]), z2, k0, s2, c2)
+    ref = numerics.sinc_kernel(np.array([lo, hi])[:, None] - z2[None, :], k0)
+    assert np.max(np.abs(rows - ref)) <= 1e-14
+
+
 def test_norm_identity_on_grid():
     # || psi ||^2 = 1 - 4 (C1 - C2) sin^2(phi/2) ties the sampled amplitude
     # to both coefficients at once

@@ -96,6 +96,22 @@ def test_state_validation():
     bad[2, 2] = np.nan
     with pytest.raises(ParameterError, match="non-finite"):
         TwoParticleState(g, g, bad)
+    # a complex entry is finite only if both of its parts are
+    for part in (1j * np.nan, np.inf):
+        bad = np.ones((5, 5), dtype=complex)
+        bad[1, 3] += part
+        with pytest.raises(ParameterError, match="non-finite"):
+            TwoParticleState(g, g, bad)
+    # a strided psi is checked on a copy and stored as given
+    arr = np.arange(50.0).reshape(5, 10).view(complex)
+    flipped = arr[:, ::-1]
+    state = TwoParticleState(g, g, flipped)
+    assert np.shares_memory(state.psi, arr)
+    assert np.array_equal(state.psi, np.arange(50.0).reshape(5, 10).view(complex)[:, ::-1])
+    bad = np.ones((5, 10), dtype=complex)
+    bad[2, 6] = complex(1.0, np.inf)
+    with pytest.raises(ParameterError, match="non-finite"):
+        TwoParticleState(g, g, bad[:, ::2])
     with pytest.raises(DegenerateStateError):
         normalize(TwoParticleState(g, g, np.zeros((5, 5))))
 
