@@ -22,6 +22,21 @@ w f1 and w f1 |f2|^2. The k integral is cumulative in k0: its whole
 panels are memoized per axis and sample pair, so a k0 lattice and the
 transition bisection share one spectrum pass. The panels are built in
 fixed chunks in a fixed order, so a value never depends on call history.
+
+Hot products are real-valued, here and in headon: a real BLAS product or
+an einsum, never a small complex BLAS product. NumPy's bundled OpenBLAS
+(scipy-openblas 0.3.31, two threads on a 2-core machine) hands complex
+products as small as 32 x 184 x 16 (ZGEMM) or 401 x 16 (ZGEMV) to a
+helper thread, which then spins, and a handoff sometimes stalls for
+4-8 ms. In one `coeffs --profile gaussian` run the 11 C1 chunk products
+took 73 ms that way and 0.6 ms on one thread; threaded products stalled
+the trajectory moments for up to 0.8 s at a time, and took the head-on D
+table ladder 1.3 s where the einsum takes 0.6 s. A real DGEMM of the same
+flop count stays on the calling thread at these sizes, while large ones
+still thread, where threading pays. So the C1 spectra multiply the float64
+view of exp(-ikz) by a real basis (_real_operator), and headon's f1
+spectrum, D table and trajectory moments are einsums. No thread setting
+is needed; tests/test_threads.py checks that no CLI task wakes a helper.
 """
 
 from __future__ import annotations
@@ -162,6 +177,21 @@ _C1_MEMO_SIZE = 4
 _C1_MEMO: OrderedDict = OrderedDict()
 
 
+def _real_operator(b: np.ndarray) -> np.ndarray:
+    """The real (2N, 2M) form of a complex (N, M) operator b.
+
+    Row 2n is [Re b_n | Im b_n] and row 2n+1 is [-Im b_n | Re b_n], so for a
+    C-contiguous complex e of N columns, e.view(float) @ result is
+    [Re(e @ b) | Im(e @ b)]: a real product on the float64 view, no copy.
+    """
+    n, m = b.shape
+    out = np.empty((2 * n, 2 * m))
+    out[0::2, :m] = out[1::2, m:] = b.real
+    out[0::2, m:] = b.imag
+    out[1::2, :m] = -b.imag
+    return out
+
+
 class _BoxIntegral:
     """Running integral of Re(conj F(k) G(k)) over k >= 0 for one axis and sample pair.
 
@@ -169,18 +199,24 @@ class _BoxIntegral:
     The k half-line is cut into panels of width h, each integrated by an
     8-node Gauss rule. Panel j's nodes are j h + t_q, so
     exp(-i (j h + t_q) z) = exp(-i j h z) exp(-i t_q z): the N x 16 basis of
-    left and right times exp(-i t_q z) is built once, and a chunk of
-    _C1_CHUNK panels costs one (chunk x N) exponential and one product.
-    Chunks start at multiples of _C1_CHUNK and are appended in order, so the
-    prefix sums do not depend on which k0 asked for them first.
+    left and right times exp(-i t_q z) is built once, in its real (2N, 32)
+    form, and a chunk of _C1_CHUNK panels costs one (chunk x N) exponential
+    and one real product of its float64 view with that basis, which gives
+    the columns [Re F | Re G | Im F | Im G] (the module docstring says why
+    the product is real). The partial panel of up_to takes the same view
+    against the real form of [left | right]. Chunks start at multiples of
+    _C1_CHUNK and are appended in order, so the prefix sums do not depend on
+    which k0 asked for them first.
     """
 
     def __init__(self, z: np.ndarray, left: np.ndarray, right: np.ndarray, h: float):
         x, g = _gauss_legendre(_C1_PANEL_NODES)
-        self._z, self._left, self._right, self._h = z, left, right, h
+        self._z, self._h = z, h
         self._gw = 0.5 * h * g
         phase = np.exp(-1j * np.outer(z, 0.5 * h * (1.0 + x)))
-        self._basis = np.concatenate([left[:, None] * phase, right[:, None] * phase], axis=1)
+        self._basis = _real_operator(
+            np.concatenate([left[:, None] * phase, right[:, None] * phase], axis=1))
+        self._pair = _real_operator(np.stack([left, right], axis=1))
         # prefix[m]: the integral over [0, m h]
         self._prefix = np.zeros(1)
 
@@ -188,9 +224,9 @@ class _BoxIntegral:
         while self._prefix.size <= panels:
             start = self._prefix.size - 1
             k = self._h * np.arange(start, start + _C1_CHUNK)
-            spec = np.exp(-1j * np.outer(k, self._z)) @ self._basis
-            f, g = spec[:, :_C1_PANEL_NODES], spec[:, _C1_PANEL_NODES:]
-            panel = (f.real * g.real + f.imag * g.imag) @ self._gw
+            spec = np.exp(-1j * np.outer(k, self._z)).view(float) @ self._basis
+            re_f, re_g, im_f, im_g = np.split(spec, 4, axis=1)
+            panel = (re_f * re_g + im_f * im_g) @ self._gw
             self._prefix = np.concatenate([self._prefix, self._prefix[-1] + np.cumsum(panel)])
 
     def up_to(self, k0: float) -> float:
@@ -201,8 +237,8 @@ class _BoxIntegral:
         lo = m * self._h
         half = 0.5 * (k0 - lo)
         phase = np.exp(-1j * np.outer(lo + half * (1.0 + x), self._z))
-        f, r = phase @ self._left, phase @ self._right
-        return float(self._prefix[m]) + half * float(g @ (f.real * r.real + f.imag * r.imag))
+        re_f, re_r, im_f, im_r = (phase.view(float) @ self._pair).T
+        return float(self._prefix[m]) + half * float(g @ (re_f * re_r + im_f * im_r))
 
 
 def _box_integral(axis: Grid1D, left: np.ndarray, right: np.ndarray,

@@ -214,9 +214,7 @@ def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
     shift = setup.params.v_r * tq[:, None]
     kern = commutator_kernel(diffs[None, :] - shift, setup.params.k0, setup.params.sigma)
     front = wq[:, None] * setup.f1(setup.grid2.nodes[None, :] - shift)
-    # einsum, not matmul: a threaded BLAS product here took 1.3 s per ensure
-    # ladder instead of 0.6 s on its first run after idle on a 2-core machine
-    # (see also _trajectory_moments)
+    # einsum, not matmul (see the copropagating module docstring)
     windows = sliding_window_view(kern, n2, axis=1)[:, ::-1, :]
     return wq @ kern, front.sum(axis=0), np.einsum("qij,qj->ij", windows, front)
 
@@ -236,9 +234,14 @@ def _k_rule(setup: CollisionSetup, t: float, refine: int):
 
 
 def _f1_spectrum(setup: CollisionSetup, k: np.ndarray) -> np.ndarray:
-    """F(k) = int conj(f1(z)) exp(-ikz) dz on the z1 window."""
+    """F(k) = int conj(f1(z)) exp(-ikz) dz on the z1 window.
+
+    An einsum, not a complex BLAS product (see the copropagating module
+    docstring); f1 may be complex.
+    """
     g1 = setup.grid1
-    return (g1.weights * np.conj(setup.f1(g1.nodes))) @ np.exp(-1j * np.outer(g1.nodes, k))
+    return np.einsum("z,zk->k", g1.weights * np.conj(setup.f1(g1.nodes)),
+                     np.exp(-1j * np.outer(g1.nodes, k)))
 
 
 def _window_nsq(grid: Grid1D, profile: PulseProfile) -> float:
@@ -382,8 +385,7 @@ def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
     o_f_row = np.zeros(b_row.shape, dtype=complex)
     o_b_row = np.zeros(b_row.shape, dtype=complex)
     chunk = max(1, _BLOCK // traj.size)
-    # einsum, not matmul: these contractions are small, and a threaded BLAS
-    # gemv on them stalled for up to 0.8 s at a time on a 2-core machine
+    # einsums, not matmul (see the copropagating module docstring)
     for i in range(0, k.size, chunk):
         kc, wc = k[i:i + chunk], wk[i:i + chunk]
         sc = wc * spec[i:i + chunk]

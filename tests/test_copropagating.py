@@ -74,6 +74,14 @@ def test_c1_matches_erf_closed_form(k0):
     assert compute_C1(GAUSS, GAUSS, k0) == pytest.approx(c1_gaussian(k0), abs=1e-8)
 
 
+@pytest.mark.parametrize("k0", [0.3, 0.5, 1.0, 2.5, 5.0, 10.0, 100.0])
+def test_c1_square_matches_sici_closed_form(k0):
+    # the square pulse's edges are axis breakpoints, so the real spectrum
+    # basis runs on pieces of unequal panels
+    sq = make_profile("square")
+    assert compute_C1(sq, sq, k0) == pytest.approx(c1_square(k0), abs=1e-12)
+
+
 def test_c1_pinned_values():
     # frozen references, independently computed from the erf closed form
     assert compute_C1(GAUSS, GAUSS, 2.5) == pytest.approx(0.499374286362854, abs=1e-8)
