@@ -19,7 +19,7 @@ from ..errors import (
     TruncationError,
     XpmsimError,
 )
-from .config import FORMATS, TASKS, RunConfig, parse_config
+from .config import FORMATS, TASKS, RunConfig, _parse_value, parse_config
 from .output import emit
 from .sweeps import run_task
 from .validate import run_validate
@@ -51,16 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise ConfigError(f"{flag} received an empty list")
-    return values
-
-
 def _apply_phi(overrides: dict, spec: str) -> None:
     if ":" in spec:
         parts = spec.split(":")
@@ -73,7 +63,7 @@ def _apply_phi(overrides: dict, spec: str) -> None:
         except ValueError:
             raise ConfigError(f"--phi range must be min:max:n, got {spec!r}")
     else:
-        overrides["headon_phis"] = _parse_float_list(spec, "--phi")
+        overrides["headon_phis"] = _parse_value(spec, "floats", "--phi")
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -89,7 +79,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if args.out is not None:
         overrides["output_path"] = args.out
     if args.k0 is not None:
-        overrides["k0_values"] = _parse_float_list(args.k0, "--k0")
+        overrides["k0_values"] = _parse_value(args.k0, "floats", "--k0")
     if args.phi is not None:
         _apply_phi(overrides, args.phi)
     if args.profile is not None:

@@ -228,11 +228,13 @@ def render_svg(result: SweepResult) -> str:
     return _line_chart(result)
 
 
+RENDERERS = {"csv": render_csv, "json": render_json, "svg": render_svg}
+
+
 def emit(result: SweepResult, format: str, path: str) -> None:
     """Write the result to path in the requested format."""
-    renderers = {"csv": render_csv, "json": render_json, "svg": render_svg}
-    if format not in renderers:
+    if format not in RENDERERS:
         raise ParameterError(f"unknown output format {format!r}")
-    text = renderers[format](result)
+    text = RENDERERS[format](result)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -37,13 +37,10 @@ def _version() -> str:
     return __version__
 
 
-def _profile_pair(config: RunConfig):
+def _profile(config: RunConfig, center: float = 0.0):
     if config.profile_shape == "square":
-        width = config.profile_width if config.profile_width is not None else 2.0
-        prof = make_profile("square", width=width)
-    else:
-        prof = make_profile("gaussian")
-    return prof, prof
+        return make_profile("square", center=center, width=config.profile_width)
+    return make_profile("gaussian", center=center)
 
 
 def _phi_axis(config: RunConfig, default_max: float, default_n: int) -> np.ndarray:
@@ -68,7 +65,7 @@ def _base_provenance(config: RunConfig, label: str) -> dict:
 
 def run_coeffs(config: RunConfig) -> SweepResult:
     """Overlap coefficients over k0, plus the bisected transition point."""
-    f1, f2 = _profile_pair(config)
+    f1 = f2 = _profile(config)
     k0s = config.k0_values if config.k0_values is not None else DEFAULT_K0_SET
     coeffs = [overlap_coefficients(f1, f2, k) for k in k0s]
     transition = transition_k0(f1, f2)
@@ -121,7 +118,7 @@ def run_fig1(config: RunConfig) -> SweepResult:
 
 def run_fig2(config: RunConfig) -> SweepResult:
     """Linear entropy and fidelity versus Phi, one curve per k0."""
-    f1, f2 = _profile_pair(config)
+    f1 = f2 = _profile(config)
     k0s = config.k0_values if config.k0_values is not None else DEFAULT_K0_SET
     phis = _phi_axis(config, default_max=math.pi, default_n=65)
 
@@ -147,7 +144,7 @@ def run_fig3(config: RunConfig) -> SweepResult:
     Shares the coefficient and fidelity code path with run_fig2, so any
     lattice point that also lies on a fig2 curve agrees exactly.
     """
-    f1, f2 = _profile_pair(config)
+    f1 = f2 = _profile(config)
     k0s = np.linspace(config.lattice_k0_min, config.lattice_k0_max,
                       config.lattice_k0_n)
     lo = 0.0 if config.phi_min is None else config.phi_min
@@ -172,12 +169,7 @@ def run_fig3(config: RunConfig) -> SweepResult:
 def collision_profiles(config: RunConfig):
     """Pulse pair at -separation/2 and +separation/2 per the config."""
     half = config.headon_separation / 2.0
-    if config.profile_shape == "square":
-        width = config.profile_width if config.profile_width is not None else 2.0
-        return (make_profile("square", center=-half, width=width),
-                make_profile("square", center=half, width=width))
-    return (make_profile("gaussian", center=-half),
-            make_profile("gaussian", center=half))
+    return _profile(config, -half), _profile(config, half)
 
 
 def collision_setup(config: RunConfig, phi: float) -> CollisionSetup:

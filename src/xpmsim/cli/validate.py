@@ -43,7 +43,7 @@ from ..state import (
     reduced_kernel,
 )
 from .config import RunConfig
-from .output import render_csv, render_json, render_svg
+from .output import RENDERERS
 from .sweeps import collision_setup, run_fig4, run_task
 
 __all__ = ["CriterionResult", "ValidationReport", "run_validate"]
@@ -375,7 +375,6 @@ def _c12_sanity(ctx: _Context):
         base.with_overrides(task="fig3", lattice_k0_n=20, lattice_phi_n=16),
         base.with_overrides(task="fig4", headon_time_n=31),
     )
-    renderers = {"csv": render_csv, "json": render_json, "svg": render_svg}
     for cfg in battery:
         first = run_task(cfg)
         second = run_task(cfg)
@@ -385,7 +384,7 @@ def _c12_sanity(ctx: _Context):
                 problems.append(f"{cfg.task}: F out of [0, 1+1e-9]")
             if col.startswith("S_L") and (arr.min() < -1e-9 or arr.max() >= 1.0):
                 problems.append(f"{cfg.task}: S_L out of [-1e-9, 1)")
-        for fmt, render in renderers.items():
+        for fmt, render in RENDERERS.items():
             if render(first) != render(second):
                 problems.append(f"{cfg.task}/{fmt}: rerun not byte-identical")
 

@@ -60,6 +60,7 @@ from .numerics import (
     Grid1D,
     PulseProfile,
     SystemParams,
+    _converged,
     _gauss_legendre,
     composite_gauss_grid,
     join_grids,
@@ -293,11 +294,8 @@ def compute_C1(f1: PulseProfile, f2: PulseProfile, k0: float, *,
     _check_coeff_inputs(f1, f2, k0)
     coarse = _c1_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n), 1)
     fine = _c1_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n, refine=2), 2)
-    if abs(coarse - fine) > rtol * max(1.0, abs(fine)):
-        raise AccuracyError(
-            f"C1 quadrature not converged at k0={k0}: {coarse} vs {fine}",
-            coarse=coarse, fine=fine)
-    return fine
+    return _converged("C1 quadrature", coarse, fine, rtol, max(1.0, abs(fine)),
+                      at=f" at k0={k0}")
 
 
 def _c2_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float, axis: Grid1D) -> float:
@@ -319,11 +317,8 @@ def compute_C2(f1: PulseProfile, f2: PulseProfile, k0: float, *,
     _check_coeff_inputs(f1, f2, k0)
     coarse = _c2_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, 0.0, n))
     fine = _c2_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, 0.0, n, refine=2))
-    if abs(coarse - fine) > rtol * max(1.0, abs(fine)):
-        raise AccuracyError(
-            f"C2 quadrature not converged at k0={k0}: {coarse} vs {fine}",
-            coarse=coarse, fine=fine)
-    return fine
+    return _converged("C2 quadrature", coarse, fine, rtol, max(1.0, abs(fine)),
+                      at=f" at k0={k0}")
 
 
 def overlap_coefficients(f1: PulseProfile, f2: PulseProfile, k0: float, *,
@@ -724,9 +719,5 @@ def entropy_phase_sweep(f1: PulseProfile, f2: PulseProfile, k0: float,
     coarse, fine = (_entropy_sweep_on_axis(f1, f2, k0, phis,
                                            _coefficient_axis(f1, f2, k0, 160, refine=r))
                     for r in (1, 2))
-    worst = int(np.argmax(np.abs(coarse - fine)))
-    if abs(coarse[worst] - fine[worst]) > _ENTROPY_TOL:
-        raise AccuracyError(
-            f"linear entropy not converged at k0={k0}, phi={phis[worst]}: "
-            f"{coarse[worst]} vs {fine[worst]}", coarse=coarse[worst], fine=fine[worst])
-    return fine
+    return _converged("linear entropy", coarse, fine, _ENTROPY_TOL,
+                      at=lambda i: f" at k0={k0}, phi={phis[i]}")

@@ -12,8 +12,8 @@ and the order-n amplitude reduces to elementary time integrals:
 with z_i' = z_i - v_i t the co-moving offsets and C the commutator
 kernel. The n = 1 term is i chi D f2(z2'); each n >= 2 term carries
 t^(n-2) A B f2(z2'), so the whole series sums to a closed form in
-x = chi kappa t. Everything here works on fixed co-moving grids, where
-the free reference is time-independent.
+x = chi kappa t. The series and its closed form work on fixed co-moving
+grids, where the free reference is time-independent.
 
 The correction terms depend on z1 only through C, whose range pi/k_s can
 dwarf any co-moving window, so the collision fidelity and entropy trace z1
@@ -42,7 +42,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    AccuracyError,
     ApproximationWarning,
     GridMismatchError,
     ModeError,
@@ -53,6 +52,7 @@ from .numerics import (
     Grid1D,
     PulseProfile,
     SystemParams,
+    _converged,
     _gauss_legendre,
     commutator_kernel,
     composite_gauss_grid,
@@ -125,17 +125,10 @@ class CollisionSetup:
             raise ParameterError(f"n_max must be at least 1, got {self.n_max}")
         if self.grid_halfwidth <= 0.0:
             raise ParameterError("grid_halfwidth must be positive")
-        if self.times is None:
-            if sep == 0.0:
-                raise ParameterError(
-                    "co-centered setups need explicit time samples")
-            times = np.linspace(0.0, 2.0 * sep / abs(self.params.v_r), 121)
-        else:
-            times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 1:
-            raise ParameterError("time samples must form a non-empty 1-D array")
-        if times[0] < 0.0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
-            raise ParameterError("time samples must be non-negative and increasing")
+        if self.times is None and sep == 0.0:
+            raise ParameterError("co-centered setups need explicit time samples")
+        times = _time_ladder(np.linspace(0.0, 2.0 * sep / abs(self.params.v_r), 121)
+                             if self.times is None else self.times)
         object.__setattr__(self, "times", tuple(float(t) for t in times))
         object.__setattr__(self, "grid1", make_grid(
             self.f1.center - self.grid_halfwidth,
@@ -168,6 +161,16 @@ class CollisionSetup:
         return self._signature
 
 
+def _time_ladder(times) -> np.ndarray:
+    """times as a float array, checked to be a non-empty increasing ladder from t >= 0."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ParameterError("time samples must form a non-empty 1-D array")
+    if times[0] < 0.0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
+        raise ParameterError("time samples must be non-negative and increasing")
+    return times
+
+
 def _profile_key(f: PulseProfile) -> tuple:
     """Every field that defines a profile, its table arrays as raw bytes.
 
@@ -185,10 +188,6 @@ def _segment_quadrature(t0: float, t1: float, v_r: float, sigma: float,
     panels = max(1, int(math.ceil(abs(v_r) * (t1 - t0) / sigma))) * refine
     grid = composite_gauss_grid(t0, t1, panels, nodes_per_panel=8)
     return grid.nodes, grid.weights
-
-
-def _time_quadrature(t: float, v_r: float, sigma: float, refine: int):
-    return _segment_quadrature(0.0, t, v_r, sigma, refine)
 
 
 def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
@@ -438,10 +437,12 @@ class InteractionTables:
     storing a copy per time; at() fills a missing time as a ladder of one,
     and expands A from its difference form through strided windows, so no
     index map is kept.
-    line_moments() caches the fidelity's trajectory moments per time and
-    entropy_blocks() the reduced-kernel blocks, both verified at doubled
-    resolution to a relative 1e-8. Nothing here depends on the interaction
-    rate chi, so one cache serves every accumulated-phase curve.
+    line_moments() caches the fidelity's trajectory moments per time.
+    entropy_blocks() builds the reduced-kernel blocks of one time on every
+    call and caches nothing: each entropy is asked for once. Both are
+    verified at doubled resolution to a relative 1e-8. Nothing here depends
+    on the interaction rate chi, so one cache serves every
+    accumulated-phase curve.
     """
 
     def __init__(self, setup: CollisionSetup):
@@ -449,7 +450,6 @@ class InteractionTables:
         self._setup = setup
         self._cache: dict[float, tuple] = {}
         self._line: dict[float, tuple] = {}
-        self._entropy: dict[float, tuple] = {}
 
     def compatible(self, setup: CollisionSetup) -> bool:
         return setup.geometry_signature() == self.signature
@@ -464,13 +464,6 @@ class InteractionTables:
         dtype = float if self._setup.f1.is_real else complex
         return (np.zeros(n1 + n2 - 1), np.zeros(n2, dtype=dtype),
                 np.zeros((n1, n2), dtype=dtype))
-
-    def _verify(self, t: float, coarse: tuple, fine: tuple) -> None:
-        worst = max(float(np.max(np.abs(c - f))) for c, f in zip(coarse, fine))
-        if worst > _TABLE_ATOL:
-            raise AccuracyError(
-                f"interaction time integrals not converged at t={t}: "
-                f"max deviation {worst:.3e}", coarse=worst, fine=0.0)
 
     def at(self, setup: CollisionSetup, t: float):
         """A, B and D at time t, with A expanded to its n1 x n2 table."""
@@ -508,13 +501,9 @@ class InteractionTables:
             coarse = _trajectory_moments(self._setup, missing, refine=1)
             fine = _trajectory_moments(self._setup, missing, refine=2)
             for c, f in zip(coarse, fine):
-                dev = np.abs(c - f)
-                bad = np.flatnonzero(dev > _LINE_RTOL * np.maximum(np.abs(c), np.abs(f)))
-                if bad.size:
-                    raise AccuracyError(
-                        f"whole-line correction moments not converged at "
-                        f"t={missing[bad[0]]}: deviation {dev[bad[0]]:.3e}",
-                        coarse=float(dev[bad[0]]), fine=0.0)
+                _converged("whole-line correction moments", c, f, _LINE_RTOL,
+                           np.maximum(np.abs(c), np.abs(f)),
+                           at=lambda i: f" at t={missing[i]}")
             for i, t in enumerate(missing):
                 self._line[float(t)] = tuple(m[i] for m in fine)
         rows = [self._line[float(t)] for t in wanted]
@@ -525,18 +514,13 @@ class InteractionTables:
         self._require_compatible(setup)
         if t <= 0.0:
             raise ParameterError(f"whole-line entropy blocks need a positive time, got {t}")
-        key = float(t)
-        if key not in self._entropy:
-            coarse = _entropy_blocks(self._setup, key, refine=1)
-            fine = _entropy_blocks(self._setup, key, refine=2)
-            for c, f in zip(coarse, fine):
-                dev = float(np.max(np.abs(c - f)))
-                if dev > _LINE_RTOL * max(np.max(np.abs(c)), np.max(np.abs(f))):
-                    raise AccuracyError(
-                        f"whole-line entropy blocks not converged at t={key}: "
-                        f"max deviation {dev:.3e}", coarse=dev, fine=0.0)
-            self._entropy[key] = fine
-        return self._entropy[key]
+        t = float(t)
+        coarse = _entropy_blocks(self._setup, t, refine=1)
+        fine = _entropy_blocks(self._setup, t, refine=2)
+        for c, f in zip(coarse, fine):
+            _converged("whole-line entropy blocks", c, f, _LINE_RTOL,
+                       max(np.max(np.abs(c)), np.max(np.abs(f))), at=f" at t={t}")
+        return fine
 
     def ensure(self, setup: CollisionSetup, times) -> None:
         """Fill the A, B, D cache for every listed time in one incremental sweep."""
@@ -563,7 +547,9 @@ class InteractionTables:
             for acc, seg in zip((acc1, acc2), segs):
                 for total, part in zip(acc, seg):
                     total += part
-            self._verify(t, acc1, acc2)
+            for coarse, fine in zip(acc1, acc2):
+                _converged("interaction time integrals", coarse, fine, _TABLE_ATOL,
+                           at=f" at t={t}")
             self._cache[t] = tuple(a.copy() for a in acc2)
             prev = t
 
@@ -652,7 +638,7 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
         out = np.zeros(shape, dtype=complex)
         return complex(out) if out.ndim == 0 else out
     p = setup.params
-    tq, wq = _time_quadrature(t, p.v_r, p.sigma, refine)
+    tq, wq = _segment_quadrature(0.0, t, p.v_r, p.sigma, refine)
     kern = commutator_kernel(z2[..., None] - z1[..., None] - p.v_r * tq,
                              p.k0, p.sigma)
     x = p.chi * p.kappa * t
@@ -777,11 +763,7 @@ def fidelity_evolution(setup: CollisionSetup, times=None, *,
     like two_particle_headon_closed, this warns when the slow-pulse gauge
     exceeds 0.1.
     """
-    samples = np.asarray(setup.times if times is None else times, dtype=float)
-    if samples.ndim != 1 or samples.size < 1:
-        raise ParameterError("time samples must form a non-empty 1-D array")
-    if samples[0] < 0.0 or (samples.size > 1 and not np.all(np.diff(samples) > 0)):
-        raise ParameterError("time samples must be non-negative and increasing")
+    samples = _time_ladder(setup.times if times is None else times)
     _warn_gauge(setup, float(samples[-1]))
     if tables is None:
         tables = InteractionTables(setup)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ModeError, ParameterError, ProfileError
+from .errors import AccuracyError, ModeError, ParameterError, ProfileError
 
 __all__ = [
     "Grid1D",
@@ -203,6 +203,27 @@ def join_grids(*grids: Grid1D) -> Grid1D:
     if not np.all(np.diff(nodes) > 0):
         raise ParameterError("joined grids share a node")
     return Grid1D(nodes, weights, domain=(grids[0].lo, grids[-1].hi))
+
+
+def _converged(what: str, coarse, fine, tol: float, scale=1.0, at=""):
+    """fine, once a quadrature's two resolutions agree entry by entry.
+
+    coarse, fine and scale broadcast together; an entry agrees when its
+    gap |coarse - fine| is at most tol * scale (a NaN gap passes). Otherwise
+    the entry whose gap exceeds its bound by most raises an AccuracyError
+    carrying that entry's two estimates, with the message
+    "<what> not converged<at>: <coarse> vs <fine>"; a callable at is given
+    that entry's index.
+    """
+    excess = np.abs(np.subtract(coarse, fine))
+    excess -= tol * scale
+    if not (excess > 0.0).any():
+        return fine
+    worst = np.unravel_index(np.nanargmax(excess), np.shape(excess))
+    c = np.broadcast_to(coarse, np.shape(excess))[worst]
+    f = np.broadcast_to(fine, np.shape(excess))[worst]
+    where = at(worst) if callable(at) else at
+    raise AccuracyError(f"{what} not converged{where}: {c} vs {f}", coarse=c, fine=f)
 
 
 @dataclass(frozen=True)

@@ -761,6 +761,25 @@ def test_line_checks_compare_separate_resolutions(monkeypatch):
         InteractionTables(setup).entropy_blocks(setup, 1e-3)
 
 
+def test_line_and_table_errors_carry_both_estimates(monkeypatch):
+    # each check raises for its worst entry with that entry's two estimates,
+    # so the gap in the message is the difference of the two it carries
+    monkeypatch.setattr(headon, "_LINE_RTOL", 1e-20)
+    monkeypatch.setattr(headon, "_TABLE_ATOL", 0.0)
+    setup = collision()
+    checks = {
+        "moments": lambda tables: tables.line_moments(setup, setup.times),
+        "blocks": lambda tables: tables.entropy_blocks(setup, 1e-3),
+        "time integrals": lambda tables: tables.ensure(setup, setup.times),
+    }
+    for what, check in checks.items():
+        with pytest.raises(AccuracyError, match=f"{what} not converged at t=") as err:
+            check(InteractionTables(setup))
+        coarse, fine = err.value.coarse, err.value.fine
+        assert coarse != 0.0 and fine != 0.0 and coarse != fine
+        assert str(err.value).endswith(f": {coarse} vs {fine}")
+
+
 def test_gauge_monitor_and_warning():
     setup = collision()
     assert setup.gauge(2e-3) == pytest.approx(0.02)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xpmsim import (
+    AccuracyError,
     Grid1D,
     ModeError,
     ParameterError,
@@ -124,6 +125,26 @@ def test_grid_same_as():
     c = make_grid(0.0, 1.0, 9)
     assert a.same_as(b)
     assert not a.same_as(c)
+
+
+# ------------------------------------------------- two-resolution check
+
+def test_converged_returns_fine_when_every_entry_agrees():
+    fine = np.array([1.0, 2.0 + 1e-12, np.nan])
+    assert numerics._converged("x", np.array([1.0, 2.0, 0.0]), fine, 1e-9) is fine
+
+
+def test_converged_reports_the_entry_that_misses_by_most():
+    coarse = np.array([[1.0, 2.0], [3.0, 4.0]])
+    fine = coarse + np.array([[2e-3, 0.0], [0.0, 5e-2]])
+    scale = np.array([[1.0, 1.0], [1.0, 10.0]])
+    # bounds 1e-3 and 1e-2: entry (0, 0) misses by 1e-3, entry (1, 1) by 4e-2
+    with pytest.raises(AccuracyError, match=r"^m not converged at \(1, 1\): 4\.0 vs 4\.05$") as err:
+        numerics._converged("m", coarse, fine, 1e-3, scale,
+                            at=lambda i: f" at ({i[0]}, {i[1]})")
+    assert (err.value.coarse, err.value.fine) == (4.0, 4.05)
+    with pytest.raises(AccuracyError, match=r"^C1 not converged at k0=2: 0\.5 vs 0\.25$"):
+        numerics._converged("C1", 0.5, 0.25, 1e-6, at=" at k0=2")
 
 
 # -------------------------------------------------------------- kernels
