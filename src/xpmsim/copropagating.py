@@ -30,13 +30,17 @@ products as small as 32 x 184 x 16 (ZGEMM) or 401 x 16 (ZGEMV) to a
 helper thread, which then spins, and a handoff sometimes stalls for
 4-8 ms. In one `coeffs --profile gaussian` run the 11 C1 chunk products
 took 73 ms that way and 0.6 ms on one thread; threaded products stalled
-the trajectory moments for up to 0.8 s at a time, and took the head-on D
-table ladder 1.3 s where the einsum takes 0.6 s. A real DGEMM of the same
+the trajectory moments for up to 0.8 s at a time. A real DGEMM of the same
 flop count stays on the calling thread at these sizes, while large ones
-still thread, where threading pays. So the C1 spectra multiply the float64
-view of exp(-ikz) by a real basis (_real_operator), and headon's f1
-spectrum, D table and trajectory moments are einsums. No thread setting
-is needed; tests/test_threads.py checks that no CLI task wakes a helper.
+still thread, where threading pays: on the 2-core machine, products of up
+to 641600 multiply-adds (m n k) stayed on the calling thread and one of
+1.03M did not, and a single 401 x 401 x 16 product took 4.5 ms where five
+row blocks of it took 0.15 ms. So the C1 spectra multiply the float64
+view of exp(-ikz) by a real basis (_real_operator); headon's D tables and
+amplitudes are real products split into row blocks of fewer than 2**19
+multiply-adds (_real_products); and its f1 spectrum and trajectory
+moments are einsums. No thread setting is needed; tests/test_threads.py
+checks that no CLI task and no pass of the head-on oracle wakes a helper.
 """
 
 from __future__ import annotations

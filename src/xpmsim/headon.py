@@ -27,9 +27,17 @@ y-integrals run over panels between the distinct query points; query
 points that coincide up to rounding share one edge, because on a ladder
 where v_r times the time step is a whole number of z2 steps (the default
 one) most ends land on the z2 lattice, and keeping each rounded copy would
-add panels about 1e-16 wide that cost as much as any other. The A, B, D
-tables and the amplitude on the co-moving grids serve the series and its
-closed form, which stay the independent oracle.
+add panels about 1e-16 wide that cost as much as any other.
+
+The series and its closed form, which stay the independent oracle, work on
+the co-moving grids from per-time tables on the same k side. A is kept by
+difference (n1 + n2 - 1 values) and B per z2. D is kept as its spectrum
+G_f(z2, k): D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk has rank
+n_k, 16 at the default geometry, against n1 = n2 = 401. D is formed on
+demand as one real product of [cos kz1 | sin kz1] with rows of G_f, and
+each amplitude as one of [f1 | cos kz1 | sin kz1] with rows of f2 and of
+the correction's spectrum, in row blocks that stay on the calling thread
+(_real_products). No n1 x n2 table is stored.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,7 +87,11 @@ _STOP_TOL = 1e-12
 _FAIL_TOL = 1e-6
 _SMALL_X = 1e-3
 _LINE_RTOL = 1e-8
-_TABLE_ATOL = 1e-10  # A, B, D against their doubled time resolution
+# A, B, D against their doubled resolution: within _TABLE_RTOL of each table's
+# largest entry at that time, and never by more than _TABLE_ATOL
+_TABLE_RTOL = 1e-6
+_TABLE_ATOL = 1e-10
+_GEMM_MNK = 1 << 19  # multiply-adds of one real product that OpenBLAS keeps on the caller
 _BLOCK = 1 << 20  # complex elements per temporary in the trajectory sums
 # trajectory query points closer than this many ulps of the coordinate scale
 # are one edge: z2 - v_r t misses the z2 lattice it lands on by up to 2 ulps
@@ -190,32 +203,87 @@ def _segment_quadrature(t0: float, t1: float, v_r: float, sigma: float,
     return grid.nodes, grid.weights
 
 
-def _tables_toeplitz(setup: CollisionSetup, t0: float, t1: float, refine: int):
-    """A, B, D over [t0, t1] exploiting the uniform-grid difference structure.
+def _real_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = left @ right as real BLAS products of fewer than 2**19 multiply-adds.
+
+    right is complex and left real or complex; a complex left is split into
+    [Re left | Im left] against [right; i right]. A complex out is written
+    through its float64 view, whose rows interleave real and imaginary parts
+    as right's float64 view does; a real out takes the real part. Products
+    that small stay on the calling thread (see the copropagating module
+    docstring), so out is filled a block of rows at a time.
+    """
+    if np.iscomplexobj(left):
+        left = np.hstack([left.real, left.imag])
+        right = np.concatenate([right, 1j * right])
+    if np.iscomplexobj(out):
+        rhs, dst = np.ascontiguousarray(right).view(float), out.view(float)
+    else:
+        rhs, dst = np.ascontiguousarray(right.real), out
+    rows = max(1, (_GEMM_MNK - 1) // rhs.size)
+    for i in range(0, left.shape[0], rows):
+        np.matmul(left[i:i + rows], rhs, out=dst[i:i + rows])
+    return out
+
+
+def _segment_tables(setup: CollisionSetup, t0: float, t1: float, refine: int,
+                    k: np.ndarray):
+    """A, B and the time sums of D's and A's spectra at wave numbers k over [t0, t1].
 
     The kernel argument depends on (z1', z2') only through their difference,
-    which on the equal-spacing co-moving grids takes 2n - 1 distinct values.
-    The kernel is evaluated on the (time node x difference) lattice and f1
-    on the (time node x z2) lattice; with the time weights folded into the
-    second, A and B are their column sums. D[i, j] is the time integral of
-    C(u - v_r s) f1(z2_j - v_r s) at u = z2_j - z1_i, difference index
-    j - i + n1 - 1: row i of the kernel lattice's length-n2 windows, read
-    backwards, so one einsum over those strided windows (no copy) gives D.
-    A stays in difference form (2n - 1 values); only D needs the full
-    matrix. B and D take f1's dtype, so a real f1 keeps real tables.
+    which on the equal-spacing co-moving grids takes n1 + n2 - 1 distinct
+    values: A is the time-weighted column sum of the kernel on the
+    (time node x difference) lattice, and B that of f1 on the
+    (time node x z2) lattice; B keeps f1's dtype. Through C's box in k,
+    D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk and A likewise with
+    G_b, where G_f = exp(ik z2) S_f, G_b = exp(ik z2) h and
+        S_f(z2, k) = sum_q w_q f1(z2 - v_r s_q) exp(-ik v_r s_q),
+        h(k)       = sum_q w_q exp(-ik v_r s_q)
+    on the same time nodes. Returns A by difference, B, S_f and h.
     """
     tq, wq = _segment_quadrature(t0, t1, setup.params.v_r,
                                  setup.params.sigma, refine)
     n1, n2 = setup.grid1.n, setup.grid2.n
-    h = setup.grid1.nodes[1] - setup.grid1.nodes[0]
+    step = setup.grid1.nodes[1] - setup.grid1.nodes[0]
     u0 = setup.grid2.nodes[0] - setup.grid1.nodes[0]
-    diffs = u0 + h * np.arange(-(n1 - 1), n2)
+    diffs = u0 + step * np.arange(-(n1 - 1), n2)
     shift = setup.params.v_r * tq[:, None]
     kern = commutator_kernel(diffs[None, :] - shift, setup.params.k0, setup.params.sigma)
     front = wq[:, None] * setup.f1(setup.grid2.nodes[None, :] - shift)
-    # einsum, not matmul (see the copropagating module docstring)
-    windows = sliding_window_view(kern, n2, axis=1)[:, ::-1, :]
-    return wq @ kern, front.sum(axis=0), np.einsum("qij,qj->ij", windows, front)
+    turn = np.exp(-1j * shift * k)
+    spec = _real_products(front.T, turn, np.empty((n2, k.size), dtype=complex))
+    return wq @ kern, front.sum(axis=0), spec, np.einsum("q,qk->k", wq, turn)
+
+
+class _KBasis:
+    """_k_rule made exactly symmetric, with the z1 and z2 factors of its transforms.
+
+    k holds _k_rule's positive nodes k+ and then -k+ (no 8-node panel puts a
+    node at 0), each pair with its weight w over 2 pi. Over a pair the
+    transform (1/2 pi) int exp(-ik z1) G(z2, k) dk is
+    w cos(k z1) (G(k) + G(-k)) + w sin(k z1) (-i) (G(k) - G(-k)), so z1 holds
+    the real [w cos(k+ z1) | w sin(k+ z1)] and fold() the matching rows of
+    G: a transform is a real left factor of n_k columns (_real_products).
+    z2 holds exp(ik z2), which turns a time sum S(z2, k) into G = z2 * S.
+    """
+
+    def __init__(self, setup: CollisionSetup, t: float, refine: int):
+        k, wk = _k_rule(setup, t, refine)
+        k, wk = k[k > 0.0], wk[k > 0.0]
+        arg = np.outer(setup.grid1.nodes, k)
+        self.k = np.concatenate([k, -k])
+        self.z1 = np.hstack([wk * np.cos(arg), wk * np.sin(arg)])
+        self.z2 = np.exp(1j * np.outer(setup.grid2.nodes, self.k))
+
+    @staticmethod
+    def fold(spec: np.ndarray) -> np.ndarray:
+        """The rows of spec(z2, k) against z1's columns, shape (k, z2)."""
+        plus, minus = np.split(spec, 2, axis=1)
+        return np.concatenate([(plus + minus).T, (-1j * (plus - minus)).T])
+
+    def table(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = (1/2 pi) int exp(-ik z1) spec(z2, k) dk, an n1 x n2 table."""
+        return _real_products(self.z1, self.fold(spec), out)
 
 
 def _k_rule(setup: CollisionSetup, t: float, refine: int):
@@ -426,17 +494,28 @@ def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
             (g_b * wk) @ np.conj(g_b.T))
 
 
+class _TimeTables(NamedTuple):
+    """What InteractionTables keeps per time: no n1 x n2 array."""
+
+    a: np.ndarray  # A by difference: A[i, j] = a[j - i + n1 - 1]
+    b: np.ndarray  # B per z2
+    g_f: np.ndarray  # D's spectrum G_f, shape (z2, k)
+    h: np.ndarray  # A's time sum: its spectrum G_b is exp(ik z2) h, shape (k,)
+    basis: _KBasis
+
+
 class InteractionTables:
     """Chi-independent caches for one collision geometry.
 
-    The time-integral tables A, B, D per time sample serve the series and
-    its closed form; each entry is verified against a doubled time
-    resolution, and disagreement beyond 1e-10 raises an accuracy error.
-    ensure() fills them along a whole time ladder in one incremental sweep,
-    adding each segment to both resolutions' running sums in place and
-    storing a copy per time; at() fills a missing time as a ladder of one,
-    and expands A from its difference form through strided windows, so no
-    index map is kept.
+    The time-integral tables serve the series and its closed form. Per time
+    sample they keep A by difference, B, D's spectrum G_f (n2 x n_k) and
+    A's spectrum, never an n1 x n2 table. Each table is verified against a
+    doubled time and k resolution; a gap beyond 1e-6 of the table's largest
+    entry, or beyond 1e-10, raises an accuracy error. ensure() fills them
+    along a whole time ladder in one incremental sweep, adding each segment
+    to both resolutions' running sums. at() fills a missing time as a ladder
+    of one, expands A from its difference form through strided windows and
+    forms D from G_f.
     line_moments() caches the fidelity's trajectory moments per time.
     entropy_blocks() builds the reduced-kernel blocks of one time on every
     call and caches nothing: each entropy is asked for once. Both are
@@ -448,7 +527,7 @@ class InteractionTables:
     def __init__(self, setup: CollisionSetup):
         self.signature = setup.geometry_signature()
         self._setup = setup
-        self._cache: dict[float, tuple] = {}
+        self._cache: dict[float, _TimeTables] = {}
         self._line: dict[float, tuple] = {}
 
     def compatible(self, setup: CollisionSetup) -> bool:
@@ -459,23 +538,23 @@ class InteractionTables:
             raise GridMismatchError("interaction tables built for a different "
                                     "collision geometry")
 
-    def _zero_entry(self) -> tuple:
+    def _zero_entry(self) -> _TimeTables:
         n1, n2 = self._setup.grid1.n, self._setup.grid2.n
-        dtype = float if self._setup.f1.is_real else complex
-        return (np.zeros(n1 + n2 - 1), np.zeros(n2, dtype=dtype),
-                np.zeros((n1, n2), dtype=dtype))
+        basis = _KBasis(self._setup, 0.0, 2)
+        return _TimeTables(np.zeros(n1 + n2 - 1),
+                           np.zeros(n2, dtype=float if self._setup.f1.is_real else complex),
+                           np.zeros((n2, basis.k.size), dtype=complex),
+                           np.zeros(basis.k.size, dtype=complex), basis)
 
     def at(self, setup: CollisionSetup, t: float):
-        """A, B and D at time t, with A expanded to its n1 x n2 table."""
-        a_vec, b_tab, d_tab = self._difference_form(setup, t)
-        return sliding_window_view(a_vec, setup.grid2.n)[::-1].copy(), b_tab, d_tab
+        """A, B and D at time t, A and D as n1 x n2 tables (D formed from its spectrum)."""
+        entry = self._entry(setup, t)
+        n1, n2 = setup.grid1.n, setup.grid2.n
+        d_tab = entry.basis.table(entry.g_f, np.empty((n1, n2), dtype=entry.b.dtype))
+        return sliding_window_view(entry.a, n2)[::-1].copy(), entry.b, d_tab
 
-    def _difference_form(self, setup: CollisionSetup, t: float):
-        """The cached (A, B, D) at time t, A as its n1 + n2 - 1 values by difference.
-
-        A[i, j] = A_vec[j - i + n1 - 1], so row i of A is the slice of A_vec
-        that starts at n1 - 1 - i.
-        """
+    def _entry(self, setup: CollisionSetup, t: float) -> _TimeTables:
+        """The cached tables at time t, computed as a ladder of one if missing."""
         self._require_compatible(setup)
         if t < 0.0:
             raise ParameterError(f"time must be non-negative, got {t}")
@@ -523,7 +602,14 @@ class InteractionTables:
         return fine
 
     def ensure(self, setup: CollisionSetup, times) -> None:
-        """Fill the A, B, D cache for every listed time in one incremental sweep."""
+        """Fill the cache for every listed time in one incremental sweep.
+
+        Each resolution keeps one k rule for the whole call, the one _k_rule
+        gives the latest time, and running sums of its segments. At every
+        time both resolutions' D are formed from their spectra and checked
+        with A and B; only the fine resolution's A, B, G_f and A's time sum
+        are kept.
+        """
         self._require_compatible(setup)
         wanted = np.asarray(times, dtype=float).ravel()
         if wanted.size == 0:
@@ -536,87 +622,52 @@ class InteractionTables:
             missing = missing[1:]
         if not missing:
             return
-        acc1 = self._zero_entry()
-        acc2 = self._zero_entry()
+        setup = self._setup
+        bases = [_KBasis(setup, missing[-1], refine) for refine in (1, 2)]
+        sums = [None, None]
+        # the two resolutions' D, formed at each time for the check only
+        d_tabs = [np.empty((setup.grid1.n, setup.grid2.n),
+                           dtype=float if setup.f1.is_real else complex) for _ in bases]
         prev = 0.0
         for t in missing:
-            # both segments first, then the sums in place: adding each segment
-            # as it came raised a fresh process's page faults over the fig4
-            # ladder from 42k to 103k
-            segs = [_tables_toeplitz(self._setup, prev, t, refine) for refine in (1, 2)]
-            for acc, seg in zip((acc1, acc2), segs):
-                for total, part in zip(acc, seg):
-                    total += part
-            for coarse, fine in zip(acc1, acc2):
-                _converged("interaction time integrals", coarse, fine, _TABLE_ATOL,
-                           at=f" at t={t}")
-            self._cache[t] = tuple(a.copy() for a in acc2)
+            for r, basis in enumerate(bases):
+                seg = _segment_tables(setup, prev, t, r + 1, basis.k)
+                sums[r] = seg if sums[r] is None else tuple(map(np.add, sums[r], seg))
+            g_f = [basis.z2 * tabs[2] for basis, tabs in zip(bases, sums)]
+            for basis, spec, d_tab in zip(bases, g_f, d_tabs):
+                basis.table(spec, d_tab)
+            for coarse, fine in zip((*sums[0][:2], d_tabs[0]), (*sums[1][:2], d_tabs[1])):
+                peak = max(np.max(np.abs(coarse)), np.max(np.abs(fine)))
+                _converged("interaction time integrals", coarse, fine,
+                           min(_TABLE_ATOL, _TABLE_RTOL * peak), at=f" at t={t}")
+            a_vec, b_tab, _, h = sums[1]
+            self._cache[t] = _TimeTables(a_vec, b_tab, g_f[1], h, bases[1])
             prev = t
 
 
 def _free_psi(setup: CollisionSetup) -> np.ndarray:
-    """f1(z1) f2(z2) on the co-moving grids; real profiles fill the real view."""
-    a, b = setup.f1(setup.grid1.nodes), setup.f2(setup.grid2.nodes)
-    psi = np.empty((setup.grid1.n, setup.grid2.n), dtype=complex)
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return np.outer(a, b, out=psi)
-    np.multiply.outer(a, b, out=psi.real)
-    psi.imag = 0.0
-    return psi
+    """f1(z1) f2(z2) on the co-moving grids."""
+    return np.outer(setup.f1(setup.grid1.nodes), setup.f2(setup.grid2.nodes)).astype(complex)
 
 
-def _add_scaled(psi: np.ndarray, weight: complex, row: np.ndarray,
-                scratch: np.ndarray) -> None:
-    """psi += weight * row in place, with the product formed in scratch.
+def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np.ndarray:
+    """psi_free + i chi D f2 + weight A B f2 as one row-blocked real product.
 
-    A real scratch (real row, see _first_order_state) takes the product's
-    real and imaginary parts as two real scaled adds into psi's views.
+    D and A are the box transforms of G_f and of G_b = exp(ik z2) h, so
+    psi = f1(z1) f2(z2) + (1/2 pi) int exp(-ik z1) X(z2, k) dk with
+    X = (i chi G_f + weight B G_b) f2: the product of
+    [f1 | w cos(k z1) | w sin(k z1)] with [f2 row; X folded (_KBasis)],
+    written into psi's float64 view (_real_products). No n1 x n2 table is
+    formed.
     """
-    if np.iscomplexobj(scratch):
-        psi += np.multiply(weight, row, out=scratch)
-        return
-    for part, w in ((psi.real, weight.real), (psi.imag, weight.imag)):
-        part += np.multiply(w, row, out=scratch)
-
-
-def _first_order_state(setup: CollisionSetup, t: float,
-                       tables: InteractionTables | None):
-    """psi_free + i chi D f2, the i chi D f2 term, and the A B f2 row of every n >= 2.
-
-    Built in place with the values, up to signed zeros, of
-    psi_free + i chi D f2 computed out of place. The term's buffer is
-    returned for the callers to reuse as scratch. A is read in difference
-    form, its rows as overlapping windows of one vector, so the A B f2
-    product is the only n1 x n2 array it takes. The product and the term
-    are formed before psi: the product formed after psi and the term
-    raised the page faults of a fresh process's closed-and-series pass
-    over the fig4 ladder by 70%, and its time by 10%.
-
-    When the tables and f2 are real (every built-in profile), the term is
-    kept as the real chi D f2 and added into psi's imaginary part, and
-    psi is written through its real and imaginary views (_free_psi,
-    _add_scaled). Casting the n1 x n2 real tables and products to complex
-    made a complex copy of each: a fresh process that builds both
-    amplitudes at the 121 times of the fig4 ladder took 180k page faults
-    in all, and 0.3 s of system time, where this takes 100k. Each real
-    product is the same double as the complex product's nonzero part.
-    Complex tables or f2 keep the complex operations.
-    """
-    if tables is None:
-        tables = InteractionTables(setup)
-    a_vec, b_tab, d_tab = tables._difference_form(setup, t)
+    basis = entry.basis
     f2_row = setup.f2(setup.grid2.nodes)
-    a_rows = sliding_window_view(a_vec, setup.grid2.n)[::-1]
-    ab_row = a_rows * (b_tab * f2_row)[None, :]
-    real = not (np.iscomplexobj(d_tab) or np.iscomplexobj(f2_row))
-    term = np.multiply(setup.params.chi if real else 1j * setup.params.chi, d_tab)
-    term *= f2_row
-    psi = _free_psi(setup)
-    if real:
-        np.add(psi.imag, term, out=psi.imag)
-    else:
-        psi += term
-    return psi, term, ab_row
+    g_b = basis.z2 * entry.h
+    spec = 1j * setup.params.chi * entry.g_f + (weight * entry.b)[:, None] * g_b
+    spec *= f2_row[:, None]
+    psi = np.empty((setup.grid1.n, setup.grid2.n), dtype=complex)
+    return _real_products(np.hstack([setup.f1(setup.grid1.nodes)[:, None], basis.z1]),
+                          np.vstack([f2_row[None, :], basis.fold(spec)]), psi)
 
 
 def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
@@ -665,8 +716,9 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
     reported as an error. Every order n >= 2 is the scalar weight
     w_n = (i x)^n / (n! kappa t^2) times the one row A B f2, so the weights
     are summed as scalars, the sup-norm of order n is taken as
-    |w_n| max|A B f2|, and the summed row is added to the state once: no
-    n x n array is built per order. The result is not normalized.
+    |w_n| max|A B f2|, and the state is formed once, with the summed weight
+    (_amplitude): no n x n array is built per order. The first-order term
+    is formed for its sup-norm only. The result is not normalized.
     """
     if n_max is None:
         n_max = setup.n_max
@@ -676,15 +728,26 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
         raise ParameterError(f"time must be non-negative, got {t}")
     if t == 0.0:
         return TwoParticleState(setup.grid1, setup.grid2, _free_psi(setup))
-    psi, term, ab_row = _first_order_state(setup, t, tables)
+    if tables is None:
+        tables = InteractionTables(setup)
+    entry = tables._entry(setup, t)
     p = setup.params
     x = p.chi * p.kappa * t
-    sup = float(np.max(np.abs(term)))
+    n1, n2 = setup.grid1.n, setup.grid2.n
+    f2_row = setup.f2(setup.grid2.nodes)
+    # the first-order term chi D f2 (up to the factor i), for its sup-norm only;
+    # a real one takes its modulus in place
+    term = entry.basis.table(p.chi * entry.g_f * f2_row[:, None],
+                             np.empty((n1, n2), dtype=np.result_type(entry.b, f2_row)))
+    sup = float(np.max(np.abs(term, out=term) if np.isrealobj(term) else np.abs(term)))
+    del term
+    total = 0j
     if sup >= _STOP_TOL:
-        ab_max = float(np.max(np.abs(ab_row)))
+        # column j of A is entry.a[j:j + n1] reversed
+        a_max = sliding_window_view(np.abs(entry.a), n1).max(axis=1)
+        ab_max = float(np.max(a_max * np.abs(entry.b * f2_row)))
         scale = 1.0 / (p.kappa * t * t)
         coef = 1j * x
-        total = 0j
         for n in range(2, n_max + 1):
             coef = coef * (1j * x) / n
             weight = coef * scale
@@ -697,9 +760,7 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
                 raise TruncationError(
                     f"series not converged by order {n_max}: last term "
                     f"sup-norm {sup:.3e} (accumulated phase x={x:.3g})")
-        if n_max >= 2:
-            _add_scaled(psi, total, ab_row, term)
-    return TwoParticleState(setup.grid1, setup.grid2, psi)
+    return TwoParticleState(setup.grid1, setup.grid2, _amplitude(setup, entry, total))
 
 
 def _exp_remainder(x: float) -> complex:
@@ -737,8 +798,9 @@ def two_particle_headon_closed(setup: CollisionSetup, t: float, *,
     if t == 0.0:
         return TwoParticleState(setup.grid1, setup.grid2, _free_psi(setup))
     _warn_gauge(setup, t)
-    psi, term, ab_row = _first_order_state(setup, t, tables)
-    _add_scaled(psi, _beta(setup.params, t), ab_row, term)
+    if tables is None:
+        tables = InteractionTables(setup)
+    psi = _amplitude(setup, tables._entry(setup, t), _beta(setup.params, t))
     return TwoParticleState(setup.grid1, setup.grid2, psi)
 
 

@@ -215,7 +215,10 @@ def _converged(what: str, coarse, fine, tol: float, scale=1.0, at=""):
     "<what> not converged<at>: <coarse> vs <fine>"; a callable at is given
     that entry's index.
     """
-    excess = np.abs(np.subtract(coarse, fine))
+    # Python's abs, unlike np.abs, lets NumPy reuse a real difference's own
+    # buffer: a second table-sized temporary made the heap hand its pages
+    # back and fault them in again on every check of the head-on tables
+    excess = abs(np.subtract(coarse, fine))
     excess -= tol * scale
     if not (excess > 0.0).any():
         return fine

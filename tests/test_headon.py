@@ -7,6 +7,10 @@ against the packaged Gauss-Legendre assembly at scattered points.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import xpmsim
 from xpmsim import (
     AccuracyError,
     ApproximationWarning,
@@ -470,14 +475,14 @@ def test_square_collision_entropy_converges():
     assert gaps[1] < 0.6 * gaps[0]
 
 
-def complex_front(grid_n=121):
+def complex_front(grid_n=121, k0=1e-3):
     """A chirped gaussian f1 tabulated as complex values."""
     nodes = np.linspace(-SEP / 2.0 - 8.0, -SEP / 2.0 + 8.0, 4001)
     values = np.exp(-(nodes + SEP / 2.0) ** 2 / 2.0 + 0.7j * nodes)
     f1 = make_profile("tabulated", center=-SEP / 2.0, table_nodes=nodes,
                       table_values=values)
     f2 = make_profile("gaussian", center=SEP / 2.0)
-    params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi / 2.0)
+    params = SystemParams.headon(k0, SEP, V, -V, phi=math.pi / 2.0)
     return CollisionSetup(f1, f2, params, times=(1e-3,), grid_n=grid_n)
 
 
@@ -501,6 +506,51 @@ def test_tables_match_node_by_node_loop(make):
         seg = node_by_node_tables(setup, prev, t)
         total = seg if total is None else tuple(a + s for a, s in zip(total, seg))
         assert_tables_close(ladder.at(setup, t), total)
+
+
+@pytest.mark.parametrize("make", [lambda: collision(k0=0.3, grid_n=61),
+                                  lambda: complex_front(grid_n=61, k0=0.3)],
+                         ids=["real", "complex"])
+def test_tables_match_node_by_node_loop_over_several_k_panels(make):
+    # k_s times the reach of z1 - z2 - v_r s is about 14 here, so D's k rule
+    # takes five panels, ten at the doubled resolution, where k0 = 1e-3 takes one
+    setup = make()
+    times = (4e-4, 9e-4, 1.6e-3)
+    assert _k_rule(setup, times[-1], 1)[0].size == 5 * 8
+    tables = InteractionTables(setup)
+    tables.ensure(setup, times)
+    total = None
+    for prev, t in zip((0.0, *times), times):
+        seg = node_by_node_tables(setup, prev, t)
+        total = seg if total is None else tuple(a + s for a, s in zip(total, seg))
+        got = tables.at(setup, t)
+        assert got[2].dtype == (float if setup.f1.is_real else complex)
+        assert_tables_close(got, total)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_table_ladder_memory():
+    # the tables keep A by difference, B and D's n2 x n_k spectrum per time:
+    # over the 121 times of the fig4 ladder, n1 x n2 tables per time grew a
+    # fresh process by about 155 MB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    script = textwrap.dedent("""
+        import math, resource
+        from xpmsim import InteractionTables
+        from xpmsim.cli.config import RunConfig
+        from xpmsim.cli.sweeps import collision_setup
+
+        setup = collision_setup(RunConfig(task="fig4"), math.pi)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        InteractionTables(setup).ensure(setup, setup.times)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert int(out.stdout.split()[-1]) < 40 * 1024
 
 
 def test_complex_front_closed_form_against_series_terms():
@@ -593,7 +643,13 @@ def test_series_peak_memory_is_independent_of_order(phi):
 
 @pytest.mark.parametrize("make", [lambda: collision(phi=math.pi / 2.0), complex_front],
                          ids=["real", "complex"])
-def test_closed_form_is_bit_identical_to_full_array_expression(make):
+def test_amplitudes_match_full_array_expression(make):
+    # both amplitudes are one real product over [f1 | cos kz1 | sin kz1], of
+    # at most 2 (1 + n_k) = 34 columns at k0 = 1e-3: each entry is the full
+    # array expression up to 64 roundings of the largest
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+
     setup = make()
     t = 1e-3
     tables = InteractionTables(setup)
@@ -606,11 +662,10 @@ def test_closed_form_is_bit_identical_to_full_array_expression(make):
     # depend on it
     weak = replace(setup, params=SystemParams.headon(p.k0, SEP, V, -V, phi=1e-7))
     first = two_particle_headon_series(weak, t, n_max=1, tables=tables)
-    assert first.psi.tobytes() == (free + 1j * weak.params.chi * d_tab * f2_row[None, :]).tobytes()
+    assert_close(first.psi, free + 1j * weak.params.chi * d_tab * f2_row[None, :])
     ref = free + 1j * p.chi * d_tab * f2_row[None, :]
     ref = ref + (_exp_remainder(x) / (p.kappa * t * t)) * (a_tab * (b_tab * f2_row)[None, :])
-    got = two_particle_headon_closed(setup, t, tables=tables)
-    assert got.psi.tobytes() == ref.tobytes()
+    assert_close(two_particle_headon_closed(setup, t, tables=tables).psi, ref)
 
 
 def line_traced_entropy(setup, t, nodes=8):

@@ -1,13 +1,13 @@
-"""The CLI tasks run on the calling thread alone.
+"""The CLI tasks and the head-on oracle run on the calling thread alone.
 
 NumPy's bundled OpenBLAS starts helper threads when it loads. It hands a
 product to them by its own size rule, and on a small machine a handoff can
 stall for milliseconds while the helpers spin. The spectrum products of the
-CLI tasks are sized to stay on the calling thread (see the copropagating
-module docstring). Each task runs in a fresh interpreter, which counts the
-context switches of every thread but the main one, from
-/proc/self/task/*/status, before and after the task: a helper that was
-never scheduled has the same count afterwards. The test sets no BLAS or
+CLI tasks and the head-on tables and amplitudes are sized to stay on the
+calling thread (see the copropagating module docstring). Each task runs in
+a fresh interpreter, which counts the context switches of every thread but
+the main one, from /proc/self/task/*/status, before and after the task: a
+helper that was never scheduled has the same count afterwards. The test sets no BLAS or
 thread environment variable, so it runs the library as a user's
 invocation does.
 """
@@ -24,9 +24,8 @@ import pytest
 
 import xpmsim
 
-PROBE = textwrap.dedent("""
+COUNTER = textwrap.dedent("""
     import glob, json, os, sys, time
-    from xpmsim.cli.main import main
 
     def switches():
         counts = {}
@@ -42,11 +41,53 @@ PROBE = textwrap.dedent("""
 
     time.sleep(0.5)
     before = switches()
-    code = main(sys.argv[1:])
+    code = run()
     after = switches()
     print(json.dumps({"code": code, "threads": len(os.listdir("/proc/self/task")),
                       "before": before, "after": after}))
 """)
+
+PROBE = textwrap.dedent("""
+    import sys
+    from xpmsim.cli.main import main
+
+    def run():
+        return main(sys.argv[1:])
+""") + COUNTER
+
+# the head-on oracle of criterion 09 and the benchmark: the tables over the
+# fig4 ladder, then both amplitudes at every time, each one real product
+# sized to stay on the calling thread (_real_products)
+ORACLE_PROBE = textwrap.dedent("""
+    import math
+    from xpmsim import (InteractionTables, two_particle_headon_closed,
+                        two_particle_headon_series)
+    from xpmsim.cli.config import RunConfig
+    from xpmsim.cli.sweeps import collision_setup
+
+    setup = collision_setup(RunConfig(task="fig4"), math.pi)
+
+    def run():
+        tables = InteractionTables(setup)
+        tables.ensure(setup, setup.times)
+        for t in setup.times:
+            two_particle_headon_closed(setup, t, tables=tables)
+            two_particle_headon_series(setup, t, tables=tables)
+        return 0
+""") + COUNTER
+
+
+def run_probe(probe, *args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe, *args],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    if report["threads"] == 1:
+        pytest.skip("the process runs a single thread")
+    return report
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -54,15 +95,13 @@ PROBE = textwrap.dedent("""
 @pytest.mark.parametrize("profile", ["gaussian", "square"])
 @pytest.mark.parametrize("task", ["coeffs", "fig1", "fig2", "fig3", "fig4"])
 def test_task_leaves_helper_threads_unscheduled(task, profile, tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE, task, "--profile", profile,
-         "--out", str(tmp_path / f"{task}.csv")],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    report = json.loads(out.stdout.splitlines()[-1])
-    assert report["code"] == 0
-    if report["threads"] == 1:
-        pytest.skip("the process runs a single thread")
+    report = run_probe(PROBE, task, "--profile", profile,
+                       "--out", str(tmp_path / f"{task}.csv"))
+    assert report["after"] == report["before"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread /proc/self/task/*/status")
+def test_headon_oracle_leaves_helper_threads_unscheduled():
+    report = run_probe(ORACLE_PROBE)
     assert report["after"] == report["before"]
