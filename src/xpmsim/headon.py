@@ -29,15 +29,18 @@ where v_r times the time step is a whole number of z2 steps (the default
 one) most ends land on the z2 lattice, and keeping each rounded copy would
 add panels about 1e-16 wide that cost as much as any other.
 
-The series and its closed form, which stay the independent oracle, work on
-the co-moving grids from per-time tables on the same k side. A is kept by
-difference (n1 + n2 - 1 values) and B per z2. D is kept as its spectrum
-G_f(z2, k): D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk has rank
-n_k, 16 at the default geometry, against n1 = n2 = 401. D is formed on
-demand as one real product of [cos kz1 | sin kz1] with rows of G_f, and
-each amplitude as one of [f1 | cos kz1 | sin kz1] with rows of f2 and of
-the correction's spectrum, in row blocks that stay on the calling thread
-(_real_products). No n1 x n2 table is stored.
+The series and its closed form, the oracle amplitude on the co-moving
+grids, take their per-time tables from the same two primitives. D's
+spectrum G_f(z2, k) is the trajectory integral, B is G_f at k = 0, and
+A's spectrum is _box_transform's time factor h(k) times exp(ik z2), so
+D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk, and A likewise, kept
+by difference (n1 + n2 - 1 values). G_f has rank n_k, 16 at the default
+geometry, against n1 = n2 = 401. D is formed on demand as one real product
+of [cos kz1 | sin kz1] with rows of G_f, and each amplitude as one of
+[f1 | cos kz1 | sin kz1] with rows of f2 and of the correction's spectrum,
+in row blocks that stay on the calling thread (_real_products). No n1 x n2
+table is stored. series_term, a time quadrature at arbitrary points, is
+the position-side check of all of this.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ _TABLE_RTOL = 1e-6
 _TABLE_ATOL = 1e-10
 _GEMM_MNK = 1 << 19  # multiply-adds of one real product that OpenBLAS keeps on the caller
 _BLOCK = 1 << 20  # complex elements per temporary in the trajectory sums
+_ROWS = 1 << 16  # complex elements of G_f that _time_tables builds at a time
 # trajectory query points closer than this many ulps of the coordinate scale
 # are one edge: z2 - v_r t misses the z2 lattice it lands on by up to 2 ulps
 _EDGE_ULPS = 8
@@ -195,14 +199,6 @@ def _profile_key(f: PulseProfile) -> tuple:
     return (f.shape, f.center, f.sigma, f.width, f.scale) + tables
 
 
-def _segment_quadrature(t0: float, t1: float, v_r: float, sigma: float,
-                        refine: int):
-    """Composite Gauss nodes on [t0, t1], one panel per pulse width crossed."""
-    panels = max(1, int(math.ceil(abs(v_r) * (t1 - t0) / sigma))) * refine
-    grid = composite_gauss_grid(t0, t1, panels, nodes_per_panel=8)
-    return grid.nodes, grid.weights
-
-
 def _real_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = left @ right as real BLAS products of fewer than 2**19 multiply-adds.
 
@@ -226,35 +222,6 @@ def _real_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.n
     return out
 
 
-def _segment_tables(setup: CollisionSetup, t0: float, t1: float, refine: int,
-                    k: np.ndarray):
-    """A, B and the time sums of D's and A's spectra at wave numbers k over [t0, t1].
-
-    The kernel argument depends on (z1', z2') only through their difference,
-    which on the equal-spacing co-moving grids takes n1 + n2 - 1 distinct
-    values: A is the time-weighted column sum of the kernel on the
-    (time node x difference) lattice, and B that of f1 on the
-    (time node x z2) lattice; B keeps f1's dtype. Through C's box in k,
-    D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk and A likewise with
-    G_b, where G_f = exp(ik z2) S_f, G_b = exp(ik z2) h and
-        S_f(z2, k) = sum_q w_q f1(z2 - v_r s_q) exp(-ik v_r s_q),
-        h(k)       = sum_q w_q exp(-ik v_r s_q)
-    on the same time nodes. Returns A by difference, B, S_f and h.
-    """
-    tq, wq = _segment_quadrature(t0, t1, setup.params.v_r,
-                                 setup.params.sigma, refine)
-    n1, n2 = setup.grid1.n, setup.grid2.n
-    step = setup.grid1.nodes[1] - setup.grid1.nodes[0]
-    u0 = setup.grid2.nodes[0] - setup.grid1.nodes[0]
-    diffs = u0 + step * np.arange(-(n1 - 1), n2)
-    shift = setup.params.v_r * tq[:, None]
-    kern = commutator_kernel(diffs[None, :] - shift, setup.params.k0, setup.params.sigma)
-    front = wq[:, None] * setup.f1(setup.grid2.nodes[None, :] - shift)
-    turn = np.exp(-1j * shift * k)
-    spec = _real_products(front.T, turn, np.empty((n2, k.size), dtype=complex))
-    return wq @ kern, front.sum(axis=0), spec, np.einsum("q,qk->k", wq, turn)
-
-
 class _KBasis:
     """_k_rule made exactly symmetric, with the z1 and z2 factors of its transforms.
 
@@ -264,7 +231,7 @@ class _KBasis:
     w cos(k z1) (G(k) + G(-k)) + w sin(k z1) (-i) (G(k) - G(-k)), so z1 holds
     the real [w cos(k+ z1) | w sin(k+ z1)] and fold() the matching rows of
     G: a transform is a real left factor of n_k columns (_real_products).
-    z2 holds exp(ik z2), which turns a time sum S(z2, k) into G = z2 * S.
+    z2 holds exp(ik z2), which turns A's time factor h(k) into G_b = z2 * h.
     """
 
     def __init__(self, setup: CollisionSetup, t: float, refine: int):
@@ -350,18 +317,19 @@ class _Trajectory:
     With y = z2 - v_r s each integral is the oriented y-integral of
     f1(y) exp(iky) over [z2 - v_r t, z2], divided by v_r. Panels run between
     consecutive query points (every z2 and z2 - v_r t), a lattice of at most
-    one sigma and pi/k_s spacing, and f1's breakpoints, so a square pulse's
-    edges fall on panel boundaries; each panel carries refine 8-node Gauss
-    rules. Points within _EDGE_ULPS ulps of the coordinate scale share one
-    edge: on the default fig4 ladder each end z2 - v_r t lands on the z2
-    lattice up to rounding, so 7160 raw points hold 2383 distinct ones, and
-    every rounded copy kept apart would add a panel about 1e-16 wide at the
-    full cost of a panel (edges and tol keep the merged edges and that
-    tolerance). Panel sums accumulate inwards from both ends towards f1's
-    centre. An interval with both ends on one side of the centre is the
-    difference of that side's sums, so an interval deep in one of f1's
-    tails is a difference of two tail-sized numbers, never of two order-one
-    ones; an interval across the centre adds the two signed pieces.
+    one sigma and pi/k_s spacing, and f1's breakpoints or table nodes, so a
+    square pulse's edges and a tabulated pulse's kinks fall on panel
+    boundaries; each panel carries refine 8-node Gauss rules. Points within
+    _EDGE_ULPS ulps of the coordinate scale share one edge: on the default
+    fig4 ladder each end z2 - v_r t lands on the z2 lattice up to rounding,
+    so 7160 raw points hold 2383 distinct ones, and every rounded copy kept
+    apart would add a panel about 1e-16 wide at the full cost of a panel
+    (edges and tol keep the merged edges and that tolerance). Panel sums
+    accumulate inwards from both ends towards f1's centre. An interval with
+    both ends on one side of the centre is the difference of that side's
+    sums, so an interval deep in one of f1's tails is a difference of two
+    tail-sized numbers, never of two order-one ones; an interval across the
+    centre adds the two signed pieces.
     """
 
     def __init__(self, setup: CollisionSetup, times: np.ndarray, refine: int):
@@ -374,7 +342,9 @@ class _Trajectory:
         step = min(p.sigma, math.pi * p.sigma / p.k0)
         lattice = centre + step * np.arange(math.ceil((lo - centre) / step),
                                             math.floor((hi - centre) / step) + 1)
-        breaks = [b for b in setup.f1.breakpoints if lo < b < hi]
+        breaks = np.asarray(setup.f1.table_nodes if setup.f1.shape == "tabulated"
+                            else setup.f1.breakpoints, dtype=float)
+        breaks = breaks[(lo < breaks) & (breaks < hi)]
         self.tol = _EDGE_ULPS * math.ulp(max(abs(lo), abs(hi)))
         edges, at = _merge_edges(
             np.concatenate(([centre], z2, ends.ravel(), lattice, breaks)), self.tol)
@@ -403,6 +373,20 @@ class _Trajectory:
 
     def integrals(self, k: np.ndarray) -> np.ndarray:
         """The trajectory integrals at wave numbers k, shape (times, z2, k)."""
+        return next(self.blocks(k, self._side.shape[0]))
+
+    def blocks(self, k: np.ndarray, rows: int):
+        """integrals(k) in blocks of at most rows times, the panels summed once."""
+        sums = self._sums(k)
+        for i in range(0, self._side.shape[0], rows):
+            side = self._side[i:i + rows]
+            block = sums[side, self._upper]
+            block -= sums[side, self._lower[i:i + rows]]
+            block /= self._v_r
+            yield block
+
+    def _sums(self, k: np.ndarray) -> np.ndarray:
+        """Panel sums at k from the left end, from the right end negated, and from the centre."""
         n_pan, n_node = self._nodes.shape
         panels = np.empty((n_pan, k.size), dtype=complex)
         block = max(1, _BLOCK // (n_node * k.size))
@@ -418,7 +402,7 @@ class _Trajectory:
         past = (np.arange(n_pan + 1) >= c)[:, None]
         sums[2] = np.where(past, sums[1, c] - sums[1], sums[0] - sums[0, c])
         sums[1] *= -1.0
-        return (sums[self._side, self._upper] - sums[self._side, self._lower]) / self._v_r
+        return sums
 
 
 def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
@@ -500,8 +484,33 @@ class _TimeTables(NamedTuple):
     a: np.ndarray  # A by difference: A[i, j] = a[j - i + n1 - 1]
     b: np.ndarray  # B per z2
     g_f: np.ndarray  # D's spectrum G_f, shape (z2, k)
-    h: np.ndarray  # A's time sum: its spectrum G_b is exp(ik z2) h, shape (k,)
+    h: np.ndarray  # A's time factor: its spectrum G_b is exp(ik z2) h, shape (k,)
     basis: _KBasis
+
+
+def _time_tables(setup: CollisionSetup, times: np.ndarray, refine: int):
+    """The _TimeTables of each time in turn, on one resolution.
+
+    All times share one basis, the k rule of the latest time. B and G_f are
+    _Trajectory's integrals, B at k = 0 (with f1's dtype); G_f is built for
+    as many times at once as hold _ROWS entries. A's spectrum is
+    G_b = exp(ik z2) h with h = _box_transform's time factor, and
+    A(u) = (1/2 pi) int exp(iku) h(k) dk is taken on the n1 + n2 - 1
+    differences u = z2 - z1 of the equal-spacing co-moving grids.
+    """
+    basis = _KBasis(setup, float(times[-1]), refine)
+    traj = _Trajectory(setup, times, refine)
+    b = traj.integrals(np.zeros(1))[..., 0]
+    b = b.real if setup.f1.is_real else b
+    z1, z2 = setup.grid1.nodes, setup.grid2.nodes
+    diffs = np.concatenate([z2[0] - z1[::-1], z2[1:] - z1[0]])
+    k, wk = _k_rule(setup, float(times[-1]), refine)
+    a = _real_products(_box_transform(setup, times, k)[0] * wk,
+                       np.exp(1j * np.outer(k, diffs)), np.empty((times.size, diffs.size)))
+    h = _box_transform(setup, times, basis.k)[0]
+    g_f = (g for block in traj.blocks(basis.k, max(1, _ROWS // basis.z2.size)) for g in block)
+    for row in zip(a, b, g_f, h):
+        yield _TimeTables(*row, basis)
 
 
 class InteractionTables:
@@ -509,13 +518,12 @@ class InteractionTables:
 
     The time-integral tables serve the series and its closed form. Per time
     sample they keep A by difference, B, D's spectrum G_f (n2 x n_k) and
-    A's spectrum, never an n1 x n2 table. Each table is verified against a
-    doubled time and k resolution; a gap beyond 1e-6 of the table's largest
-    entry, or beyond 1e-10, raises an accuracy error. ensure() fills them
-    along a whole time ladder in one incremental sweep, adding each segment
-    to both resolutions' running sums. at() fills a missing time as a ladder
-    of one, expands A from its difference form through strided windows and
-    forms D from G_f.
+    A's time factor, never an n1 x n2 table (see _time_tables). Each table
+    is verified against a doubled trajectory and k resolution; a gap beyond
+    1e-6 of the table's largest entry, or beyond 1e-10, raises an accuracy
+    error. ensure() builds every listed time at once. at() fills a missing
+    time as a ladder of one, expands A from its difference form through
+    strided windows and forms D from G_f.
     line_moments() caches the fidelity's trajectory moments per time.
     entropy_blocks() builds the reduced-kernel blocks of one time on every
     call and caches nothing: each entropy is asked for once. Both are
@@ -537,14 +545,6 @@ class InteractionTables:
         if not self.compatible(setup):
             raise GridMismatchError("interaction tables built for a different "
                                     "collision geometry")
-
-    def _zero_entry(self) -> _TimeTables:
-        n1, n2 = self._setup.grid1.n, self._setup.grid2.n
-        basis = _KBasis(self._setup, 0.0, 2)
-        return _TimeTables(np.zeros(n1 + n2 - 1),
-                           np.zeros(n2, dtype=float if self._setup.f1.is_real else complex),
-                           np.zeros((n2, basis.k.size), dtype=complex),
-                           np.zeros(basis.k.size, dtype=complex), basis)
 
     def at(self, setup: CollisionSetup, t: float):
         """A, B and D at time t, A and D as n1 x n2 tables (D formed from its spectrum)."""
@@ -602,47 +602,35 @@ class InteractionTables:
         return fine
 
     def ensure(self, setup: CollisionSetup, times) -> None:
-        """Fill the cache for every listed time in one incremental sweep.
+        """Fill the cache for every listed time.
 
-        Each resolution keeps one k rule for the whole call, the one _k_rule
-        gives the latest time, and running sums of its segments. At every
-        time both resolutions' D are formed from their spectra and checked
-        with A and B; only the fine resolution's A, B, G_f and A's time sum
-        are kept.
+        Each resolution builds the tables of all the missing times from one
+        trajectory, on the k rule _k_rule gives the latest time
+        (_time_tables). At every time both resolutions' D are formed from
+        their spectra and checked with A and B; only the fine resolution's
+        tables are kept. t = 0 needs no case of its own: its trajectory and
+        box integrals vanish.
         """
         self._require_compatible(setup)
         wanted = np.asarray(times, dtype=float).ravel()
-        if wanted.size == 0:
-            return
         if np.any(wanted < 0.0):
             raise ParameterError("time samples must be non-negative")
-        missing = sorted({float(t) for t in wanted} - set(self._cache))
-        if missing and missing[0] == 0.0:
-            self._cache[0.0] = self._zero_entry()
-            missing = missing[1:]
-        if not missing:
+        missing = np.array(sorted({float(t) for t in wanted} - set(self._cache)))
+        if not missing.size:
             return
         setup = self._setup
-        bases = [_KBasis(setup, missing[-1], refine) for refine in (1, 2)]
-        sums = [None, None]
         # the two resolutions' D, formed at each time for the check only
         d_tabs = [np.empty((setup.grid1.n, setup.grid2.n),
-                           dtype=float if setup.f1.is_real else complex) for _ in bases]
-        prev = 0.0
-        for t in missing:
-            for r, basis in enumerate(bases):
-                seg = _segment_tables(setup, prev, t, r + 1, basis.k)
-                sums[r] = seg if sums[r] is None else tuple(map(np.add, sums[r], seg))
-            g_f = [basis.z2 * tabs[2] for basis, tabs in zip(bases, sums)]
-            for basis, spec, d_tab in zip(bases, g_f, d_tabs):
-                basis.table(spec, d_tab)
-            for coarse, fine in zip((*sums[0][:2], d_tabs[0]), (*sums[1][:2], d_tabs[1])):
-                peak = max(np.max(np.abs(coarse)), np.max(np.abs(fine)))
-                _converged("interaction time integrals", coarse, fine,
+                           dtype=float if setup.f1.is_real else complex) for _ in range(2)]
+        both = (_time_tables(setup, missing, refine) for refine in (1, 2))
+        for t, coarse, fine in zip(missing, *both):
+            for tabs, d_tab in zip((coarse, fine), d_tabs):
+                tabs.basis.table(tabs.g_f, d_tab)
+            for c, f in zip((coarse.a, coarse.b, d_tabs[0]), (fine.a, fine.b, d_tabs[1])):
+                peak = max(np.max(np.abs(c)), np.max(np.abs(f)))
+                _converged("interaction time integrals", c, f,
                            min(_TABLE_ATOL, _TABLE_RTOL * peak), at=f" at t={t}")
-            a_vec, b_tab, _, h = sums[1]
-            self._cache[t] = _TimeTables(a_vec, b_tab, g_f[1], h, bases[1])
-            prev = t
+            self._cache[float(t)] = fine
 
 
 def _free_psi(setup: CollisionSetup) -> np.ndarray:
@@ -676,7 +664,9 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
 
     n = 1 carries the full kernel-times-profile time integral D; higher
     orders factorize into A, B and the t^(n-2) weight. The order-0 free
-    term is not a series member (build it with free_state).
+    term is not a series member (build it with free_state). The time
+    integrals run on composite 8-node Gauss panels, refine per pulse width
+    crossed, with no k rule: the position-side check of the tables.
     """
     if n < 1:
         raise ParameterError(f"series order must be >= 1, got {n}")
@@ -689,7 +679,9 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
         out = np.zeros(shape, dtype=complex)
         return complex(out) if out.ndim == 0 else out
     p = setup.params
-    tq, wq = _segment_quadrature(0.0, t, p.v_r, p.sigma, refine)
+    rule = composite_gauss_grid(0.0, t, max(1, math.ceil(abs(p.v_r) * t / p.sigma)) * refine,
+                                nodes_per_panel=8)
+    tq, wq = rule.nodes, rule.weights
     kern = commutator_kernel(z2[..., None] - z1[..., None] - p.v_r * tq,
                              p.k0, p.sigma)
     x = p.chi * p.kappa * t

@@ -203,16 +203,16 @@ def test_incremental_tables_match_single_shot():
             assert np.max(np.abs(np.asarray(inc) - np.asarray(ref))) < 1e-12
 
 
-def node_by_node_tables(setup, t0, t1, refine=2):
-    """A, B, D on [t0, t1], one full (z1, z2) kernel matrix per time node.
+def node_by_node_tables(setup, t, refine=2):
+    """A, B, D at time t, one full (z1, z2) kernel matrix per time node.
 
-    The time rule is the tables' own: 8 Gauss nodes per panel, one panel
-    per pulse width crossed, times refine.
+    The time rule has 8 Gauss nodes per panel, one panel per pulse width
+    crossed, times refine.
     """
     p = setup.params
-    panels = max(1, math.ceil(abs(p.v_r) * (t1 - t0) / p.sigma)) * refine
+    panels = max(1, math.ceil(abs(p.v_r) * t / p.sigma)) * refine
     x, w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(t0, t1, panels + 1)
+    edges = np.linspace(0.0, t, panels + 1)
     z1, z2 = setup.grid1.nodes, setup.grid2.nodes
     a_tab = np.zeros((z1.size, z2.size))
     b_tab = np.zeros(z2.size, dtype=complex)
@@ -228,9 +228,60 @@ def node_by_node_tables(setup, t0, t1, refine=2):
     return a_tab, b_tab, d_tab
 
 
-def assert_tables_close(got, ref):
-    for g, r in zip(got, ref):
-        assert np.max(np.abs(np.asarray(g) - r)) <= 1e-12 * np.max(np.abs(r))
+def interpolant_integrals(setup, t, nodes=4):
+    """B and D at time t for a tabulated f1, its linear interpolant integrated exactly.
+
+    With y = z2 - v_r s, B = (P(z2) - P(z2 - v_r t)) / v_r for P an
+    antiderivative of f1: the trapezoid rule over whole table cells, and
+    over the part of a cell up to y, is exact for the interpolant. D takes
+    the antiderivative of C(y - z1) f1(y) the same way, with a Gauss rule on
+    each cell and part cell, where f1 is linear and C smooth. No time rule
+    and no k rule.
+    """
+    p, f1 = setup.params, setup.f1
+    x = f1.table_nodes
+    z1, z2 = setup.grid1.nodes, setup.grid2.nodes
+    g, w = np.polynomial.legendre.leggauss(nodes)
+
+    def gauss(lo, hi):
+        half = 0.5 * (hi - lo)[:, None]
+        return 0.5 * (lo + hi)[:, None] + half * g, half * w
+
+    def kernel_sums(y, wy):
+        kern = commutator_kernel(y[..., None] - z1, p.k0, p.sigma)
+        return np.einsum("mq,mqz->mz", wy * f1(y), kern)
+
+    vals = f1(x)
+    cum_b = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(x) * (vals[1:] + vals[:-1]))))
+    cum_d = np.concatenate((np.zeros((1, z1.size)),
+                            np.cumsum(kernel_sums(*gauss(x[:-1], x[1:])), axis=0)))
+
+    def antiderivatives(y):
+        y = np.clip(y, x[0], x[-1])
+        i = np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
+        return (cum_b[i] + 0.5 * (y - x[i]) * (vals[i] + f1(y)),
+                cum_d[i] + kernel_sums(*gauss(x[i], y)))
+
+    (b_hi, d_hi), (b_lo, d_lo) = antiderivatives(z2), antiderivatives(z2 - p.v_r * t)
+    return (b_hi - b_lo) / p.v_r, ((d_hi - d_lo) / p.v_r).T
+
+
+def reference_tables(setup, t):
+    """A, B, D at time t, and the bound on each gap relative to the table's peak.
+
+    A gaussian f1 takes the node-by-node loop, to 1e-12. A time rule does
+    not follow a tabulated f1's kinks (it reaches about 5e-8), so there B and
+    D integrate the interpolant exactly, to 1e-8; A does not involve f1.
+    """
+    ref = node_by_node_tables(setup, t)
+    if setup.f1.shape != "tabulated":
+        return ref, (1e-12,) * 3
+    return (ref[0], *interpolant_integrals(setup, t)), (1e-12, 1e-8, 1e-8)
+
+
+def assert_tables_close(got, ref, rtols=(1e-12,) * 3):
+    for g, r, rtol in zip(got, ref, rtols):
+        assert np.max(np.abs(np.asarray(g) - r)) <= rtol * np.max(np.abs(r))
 
 
 def test_tables_shared_across_coupling_strengths():
@@ -486,26 +537,41 @@ def complex_front(grid_n=121, k0=1e-3):
     return CollisionSetup(f1, f2, params, times=(1e-3,), grid_n=grid_n)
 
 
+def test_tabulated_front_passes_the_whole_line_checks():
+    # the trajectory's panels end at f1's table nodes; panels across them
+    # left the two resolutions of the line moments (at t = 5e-4) and of the
+    # chirped pulse's entropy blocks further apart than their 1e-8 checks
+    nodes = np.linspace(-SEP / 2.0 - 8.0, -SEP / 2.0 + 8.0, 4001)
+    f1 = make_profile("tabulated", center=-SEP / 2.0, table_nodes=nodes,
+                      table_values=np.exp(-(nodes + SEP / 2.0) ** 2 / 2.0))
+    f2 = make_profile("gaussian", center=SEP / 2.0)
+    params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi)
+    got = fidelity_evolution(CollisionSetup(f1, f2, params))
+    ref = fidelity_evolution(collision(times=got.axis("t").values, grid_n=401))
+    # the interpolant is the gaussian to about 2e-6
+    assert np.max(np.abs(np.subtract(got.columns["F"], ref.columns["F"]))) < 1e-5
+    assert 0.0 < collision_entropy(complex_front(), 1e-3) < 1.0
+
+
 @pytest.mark.parametrize("make", [lambda: collision(grid_n=121), complex_front],
                          ids=["real", "complex"])
 def test_tables_match_node_by_node_loop(make):
     setup = make()
     times = (4e-4, 9e-4, 1.6e-3)
+    refs = [reference_tables(setup, t) for t in times]
     oneshot = InteractionTables(setup)
-    for t in times:
+    for t, ref in zip(times, refs):
         got = oneshot.at(setup, t)
         assert got[2].dtype == (float if setup.f1.is_real else complex)
-        assert_tables_close(got, node_by_node_tables(setup, 0.0, t))
+        assert_tables_close(got, *ref)
     ladder = InteractionTables(setup)
     ladder.ensure(setup, times)
-    # a one-shot time is a ladder of one: the same segment, the same values
+    # a one-shot time is a ladder of one on its own k rule and trajectory
+    # edges: the same tables up to rounding
     for g, l in zip(oneshot.at(setup, times[0]), ladder.at(setup, times[0])):
-        assert np.array_equal(g, l)
-    total = None
-    for prev, t in zip((0.0, *times), times):
-        seg = node_by_node_tables(setup, prev, t)
-        total = seg if total is None else tuple(a + s for a, s in zip(total, seg))
-        assert_tables_close(ladder.at(setup, t), total)
+        assert np.max(np.abs(g - l)) <= 1e-13 * np.max(np.abs(l))
+    for t, ref in zip(times, refs):
+        assert_tables_close(ladder.at(setup, t), *ref)
 
 
 @pytest.mark.parametrize("make", [lambda: collision(k0=0.3, grid_n=61),
@@ -519,13 +585,30 @@ def test_tables_match_node_by_node_loop_over_several_k_panels(make):
     assert _k_rule(setup, times[-1], 1)[0].size == 5 * 8
     tables = InteractionTables(setup)
     tables.ensure(setup, times)
-    total = None
-    for prev, t in zip((0.0, *times), times):
-        seg = node_by_node_tables(setup, prev, t)
-        total = seg if total is None else tuple(a + s for a, s in zip(total, seg))
+    for t in times:
         got = tables.at(setup, t)
         assert got[2].dtype == (float if setup.f1.is_real else complex)
-        assert_tables_close(got, total)
+        assert_tables_close(got, *reference_tables(setup, t))
+
+
+def test_square_pulse_tables_and_amplitudes():
+    # the trajectory takes f1's edges as panel edges, so B is the plateau
+    # height times the overlap of [z2 - v_r t, z2] with f1's support, over
+    # |v_r|; a time rule blind to the edges failed its resolution check here
+    setup = fig4_setup(profile="square")
+    f1, v_r = setup.f1, setup.params.v_r
+    z2 = setup.grid2.nodes
+    tables = InteractionTables(setup)
+    for q in (1, 30, 59, 60, 90, 120):
+        t = setup.times[q]
+        two_particle_headon_closed(setup, t, tables=tables)
+        two_particle_headon_series(setup, t, tables=tables)
+        _, b_tab, _ = tables.at(setup, t)
+        lo, hi = np.minimum(z2, z2 - v_r * t), np.maximum(z2, z2 - v_r * t)
+        overlap = np.clip(np.minimum(hi, f1.center + f1.width / 2.0)
+                          - np.maximum(lo, f1.center - f1.width / 2.0), 0.0, None)
+        exact = f1.width ** -0.5 * overlap / abs(v_r)
+        assert np.max(np.abs(b_tab - exact)) <= 1e-12 * np.max(exact)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -554,6 +637,9 @@ def test_table_ladder_memory():
 
 
 def test_complex_front_closed_form_against_series_terms():
+    # the series order by order, i chi D f2 and then
+    # (i x)^n / (n! kappa t^2) A B f2, on integrals that follow f1's table
+    # kinks, as no time rule does (see reference_tables)
     setup = complex_front()
     t = 1e-3
     tables = InteractionTables(setup)
@@ -563,10 +649,14 @@ def test_complex_front_closed_form_against_series_terms():
     rng = np.random.default_rng(7)
     i = rng.integers(0, setup.grid1.n, 12)
     j = rng.integers(0, setup.grid2.n, 12)
-    z1, z2 = setup.grid1.nodes[i], setup.grid2.nodes[j]
-    summed = setup.f1(z1) * setup.f2(z2)
-    for n in range(1, 31):  # on the tables' time rule, the doubled one
-        summed = summed + series_term(setup, n, z1, z2, t, refine=2)
+    (a_ref, b_ref, d_ref), _ = reference_tables(setup, t)
+    p = setup.params
+    x = p.chi * p.kappa * t
+    f2 = setup.f2(setup.grid2.nodes[j])
+    summed = setup.f1(setup.grid1.nodes[i]) * f2 + 1j * p.chi * d_ref[i, j] * f2
+    for n in range(2, 31):
+        weight = (1j * x) ** n / math.factorial(n) / (p.kappa * t * t)
+        summed = summed + weight * a_ref[i, j] * b_ref[j] * f2
     scale = np.max(np.abs(closed.psi))
     assert np.max(np.abs(closed.psi[i, j] - summed)) < 1e-12 * scale
 
@@ -766,8 +856,7 @@ def test_merged_edges_match_every_edge_construction(make, monkeypatch):
     def results():
         traj = _Trajectory(setup, times, 1)
         moments = InteractionTables(setup).line_moments(setup, times)
-        # the chirped tabulated f1 misses the blocks' 1e-8 resolution check
-        # with and without merging (2.5e-8), so both resolutions are compared
+        # both resolutions' blocks, not only the checked fine ones
         blocks = [b for r in (1, 2) for b in _entropy_blocks(setup, float(times[-1]), r)]
         return traj.edges.size, traj.integrals(k), (*moments, *blocks)
 
