@@ -231,7 +231,8 @@ class _KBasis:
     w cos(k z1) (G(k) + G(-k)) + w sin(k z1) (-i) (G(k) - G(-k)), so z1 holds
     the real [w cos(k+ z1) | w sin(k+ z1)] and fold() the matching rows of
     G: a transform is a real left factor of n_k columns (_real_products).
-    z2 holds exp(ik z2), which turns A's time factor h(k) into G_b = z2 * h.
+    w holds each node's weight, z2 exp(ik z2), which turns A's time factor
+    h(k) into G_b = z2 * h.
     """
 
     def __init__(self, setup: CollisionSetup, t: float, refine: int):
@@ -239,6 +240,7 @@ class _KBasis:
         k, wk = k[k > 0.0], wk[k > 0.0]
         arg = np.outer(setup.grid1.nodes, k)
         self.k = np.concatenate([k, -k])
+        self.w = np.concatenate([wk, wk])
         self.z1 = np.hstack([wk * np.cos(arg), wk * np.sin(arg)])
         self.z2 = np.exp(1j * np.outer(setup.grid2.nodes, self.k))
 
@@ -504,10 +506,9 @@ def _time_tables(setup: CollisionSetup, times: np.ndarray, refine: int):
     b = b.real if setup.f1.is_real else b
     z1, z2 = setup.grid1.nodes, setup.grid2.nodes
     diffs = np.concatenate([z2[0] - z1[::-1], z2[1:] - z1[0]])
-    k, wk = _k_rule(setup, float(times[-1]), refine)
-    a = _real_products(_box_transform(setup, times, k)[0] * wk,
-                       np.exp(1j * np.outer(k, diffs)), np.empty((times.size, diffs.size)))
     h = _box_transform(setup, times, basis.k)[0]
+    a = _real_products(h * basis.w, np.exp(1j * np.outer(basis.k, diffs)),
+                       np.empty((times.size, diffs.size)))
     g_f = (g for block in traj.blocks(basis.k, max(1, _ROWS // basis.z2.size)) for g in block)
     for row in zip(a, b, g_f, h):
         yield _TimeTables(*row, basis)
