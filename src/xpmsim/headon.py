@@ -29,24 +29,27 @@ where v_r times the time step is a whole number of z2 steps (the default
 one) most ends land on the z2 lattice, and keeping each rounded copy would
 add panels about 1e-16 wide that cost as much as any other.
 
-The series and its closed form, the oracle amplitude on the co-moving
-grids, take their per-time tables from the same two primitives. D's
-spectrum G_f(z2, k) is the trajectory integral, B is G_f at k = 0, and
-A's spectrum is _box_transform's time factor h(k) times exp(ik z2), so
-D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk, and A likewise, kept
-by difference (n1 + n2 - 1 values). G_f has rank n_k, 16 at the default
-geometry, against n1 = n2 = 401. D is formed on demand as one real product
-of [cos kz1 | sin kz1] with rows of G_f, and each amplitude as one of
-[f1 | cos kz1 | sin kz1] with rows of f2 and of the correction's spectrum,
-in row blocks that stay on the calling thread (_real_products). No n1 x n2
-table is stored. series_term, a time quadrature at arbitrary points, is
-the position-side check of all of this.
+One k side serves the fidelity moments, the entropy blocks and the oracle
+tables alike: _spectra builds, per resolution, one symmetric k basis
+(_KBasis), one trajectory, D's spectrum G_f(z2, k) as the trajectory
+integral, B as G_f at k = 0, and A's time factor h(k), whose spectrum is
+G_b = exp(ik z2) h. The moments and the entropy blocks contract these over
+k. For the series and its closed form, the oracle amplitude on the
+co-moving grids, D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk, and A
+likewise, kept by difference (n1 + n2 - 1 values). G_f has rank n_k, 16 at
+the default geometry, against n1 = n2 = 401. D is formed on demand as one
+real product of [cos kz1 | sin kz1] with rows of G_f, and each amplitude
+as one of [f1 | cos kz1 | sin kz1] with rows of f2 and of the correction's
+spectrum, in row blocks that stay on the calling thread (_real_products).
+No n1 x n2 table is stored. series_term, a time quadrature at arbitrary
+points, is the position-side check of all of this.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -71,7 +74,7 @@ from .numerics import (
     make_grid,
 )
 from .results import Axis, SweepResult
-from .state import TwoParticleState
+from .state import TwoParticleState, free_state
 from .copropagating import GateMetrics
 
 __all__ = [
@@ -95,8 +98,8 @@ _LINE_RTOL = 1e-8
 _TABLE_RTOL = 1e-6
 _TABLE_ATOL = 1e-10
 _GEMM_MNK = 1 << 19  # multiply-adds of one real product that OpenBLAS keeps on the caller
-_BLOCK = 1 << 20  # complex elements per temporary in the trajectory sums
-_ROWS = 1 << 16  # complex elements of G_f that _time_tables builds at a time
+_BLOCK = 1 << 20  # complex elements per temporary in the trajectory's panel sums
+_ROWS = 1 << 16  # complex elements of G_f that _spectra builds at a time
 # trajectory query points closer than this many ulps of the coordinate scale
 # are one edge: z2 - v_r t misses the z2 lattice it lands on by up to 2 ulps
 _EDGE_ULPS = 8
@@ -285,20 +288,17 @@ def _window_nsq(grid: Grid1D, profile: PulseProfile) -> float:
     return float(grid.weights @ np.abs(profile(grid.nodes)) ** 2)
 
 
-def _box_transform(setup: CollisionSetup, times: np.ndarray, k: np.ndarray):
-    """int_0^t exp(ik (z2 - v_r s)) ds in closed form, as two factors.
+def _box_transform(setup: CollisionSetup, times: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The time factor of int_0^t exp(ik (z2 - v_r s)) ds, shape (times, k).
 
-    The integral is t sinc(k v_r t / 2) exp(-ik v_r t / 2) exp(ik z2): a
-    time factor of shape (times, k) and a phase of shape (z2, k), whose
-    product over (times, z2, k) is the transform. Apart they take
+    The integral is t sinc(k v_r t / 2) exp(-ik v_r t / 2) exp(ik z2); its
+    phase exp(ik z2) is _KBasis.z2. Apart the two factors take
     (times + z2) x k exponentials instead of times x z2 x k, and a
     contraction over k can take them one at a time.
     """
-    v_r = setup.params.v_r
     t = times[:, None]
-    half = 0.5 * v_r * t * k
-    return (t * np.sinc(half / math.pi) * np.exp(-1j * half),
-            np.exp(1j * np.outer(setup.grid2.nodes, k)))
+    half = 0.5 * setup.params.v_r * t * k
+    return t * np.sinc(half / math.pi) * np.exp(-1j * half)
 
 
 def _merge_edges(points: np.ndarray, tol: float):
@@ -368,11 +368,6 @@ class _Trajectory:
         self._front = weights * setup.f1(self._nodes)
         self._v_r = p.v_r
 
-    @property
-    def size(self) -> int:
-        """Query intervals plus panels: what one wave number costs in memory."""
-        return self._side.size + self._nodes.shape[0]
-
     def integrals(self, k: np.ndarray) -> np.ndarray:
         """The trajectory integrals at wave numbers k, shape (times, z2, k)."""
         return next(self.blocks(k, self._side.shape[0]))
@@ -407,6 +402,24 @@ class _Trajectory:
         return sums
 
 
+def _spectra(setup: CollisionSetup, times: np.ndarray, refine: int):
+    """The k side of every head-on quantity at one resolution: (basis, B, h, G_f).
+
+    All times share one _KBasis, the k rule of the latest time. B (times x
+    z2, with f1's dtype) and G_f are _Trajectory's integrals, B at k = 0,
+    and h (times x k) is A's time factor from _box_transform, so A's
+    spectrum is G_b = basis.z2 * h. G_f comes as a generator of
+    (times, z2, k) blocks of consecutive times, each of at most _ROWS
+    entries, so no (times, z2, k) array is held.
+    """
+    basis = _KBasis(setup, float(times[-1]), refine)
+    traj = _Trajectory(setup, times, refine)
+    b = traj.integrals(np.zeros(1))[..., 0]
+    b = b.real if setup.f1.is_real else b
+    h = _box_transform(setup, times, basis.k)
+    return basis, b, h, traj.blocks(basis.k, max(1, _ROWS // basis.z2.size))
+
+
 def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
     """Chi-independent moments of the collision fidelity, one row per time.
 
@@ -423,32 +436,29 @@ def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
     give <free|raw> = |free|^2 + i chi o_f + beta o_b and the squared norm
     over the whole z1 line, |free|^2 + 2 Re(i chi o_f + beta o_b)
     + chi^2 p - 2 chi Im(conj(beta) r) + |beta|^2 c. Returns (p, r, c, o_f, o_b).
-    G_b is kept as _box_transform's time factor and z2 phase, never as a
-    (times, z2, k) array: |G_b| is the time factor's modulus, and the r and
-    o_b sums take the two factors one at a time.
+    All of it is contracted from _spectra's basis and blocks of G_f, one
+    block at a time. G_b = basis.z2 * h is never formed as a (times, z2, k)
+    array: |G_b| is |h|, and the r and o_b sums take h and the z2 phase one
+    at a time.
     """
-    k, wk = _k_rule(setup, float(times[-1]), refine)
-    spec = _f1_spectrum(setup, k)
+    basis, b_row, h, g_f_blocks = _spectra(setup, times, refine)
+    w, phase = basis.w, basis.z2
+    sc = w * _f1_spectrum(setup, basis.k)
     dens = setup.grid2.weights * np.abs(setup.f2(setup.grid2.nodes)) ** 2
-    traj = _Trajectory(setup, times, refine)
-    b_row = traj.integrals(np.zeros(1))[..., 0]
-    p_row = np.zeros(b_row.shape)
-    r_row = np.zeros(b_row.shape, dtype=complex)
-    box_nsq = np.zeros(times.size)
-    o_f_row = np.zeros(b_row.shape, dtype=complex)
-    o_b_row = np.zeros(b_row.shape, dtype=complex)
-    chunk = max(1, _BLOCK // traj.size)
+    p_row = np.empty(b_row.shape)
+    r_row = np.empty(b_row.shape, dtype=complex)
+    o_f_row = np.empty(b_row.shape, dtype=complex)
+    box_w, phase_c = np.conj(h) * w, np.conj(phase)
     # einsums, not matmul (see the copropagating module docstring)
-    for i in range(0, k.size, chunk):
-        kc, wc = k[i:i + chunk], wk[i:i + chunk]
-        sc = wc * spec[i:i + chunk]
-        g_f = traj.integrals(kc)
-        box_t, phase = _box_transform(setup, times, kc)
-        p_row += np.einsum("tjk,k->tj", np.abs(g_f) ** 2, wc)
-        o_f_row += np.einsum("tjk,k->tj", g_f, sc)
-        r_row += np.einsum("tjk,tk,jk->tj", g_f, np.conj(box_t) * wc, np.conj(phase))
-        box_nsq += np.einsum("tk,k->t", np.abs(box_t) ** 2, wc)
-        o_b_row += np.einsum("tk,jk->tj", box_t * sc, phase)
+    start = 0
+    for g_f in g_f_blocks:
+        rows = slice(start, start + g_f.shape[0])
+        start = rows.stop
+        np.einsum("tjk,k->tj", np.abs(g_f) ** 2, w, out=p_row[rows])
+        np.einsum("tjk,k->tj", g_f, sc, out=o_f_row[rows])
+        np.einsum("tjk,tk,jk->tj", g_f, box_w[rows], phase_c, out=r_row[rows])
+    box_nsq = np.einsum("tk,k->t", np.abs(h) ** 2, w)
+    o_b_row = np.einsum("tk,jk->tj", h * sc, phase)
     p_mom = np.sum(p_row * dens, axis=1)
     r_mom = np.sum(np.conj(b_row) * r_row * dens, axis=1)
     c_mom = box_nsq * np.sum(np.abs(b_row) ** 2 * dens, axis=1)
@@ -466,18 +476,17 @@ def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
                     + (1/2 pi) int G(a, k) conj(G(b, k)) dk),
     H(a) = (1/2 pi) int G(a, k) F(k) dk, F(k) = int conj(f1(z)) exp(-ikz) dz.
     This returns |f1|^2, the G_f and B G_b parts of H, and the three k-Gram
-    matrices of G_f and B G_b; the cost is O(n2^2 nk) past the trajectory.
+    matrices of G_f and B G_b, all from _spectra at the single time t; the
+    cost is O(n2^2 nk) past the trajectory.
     """
-    k, wk = _k_rule(setup, t, refine)
-    times = np.array([float(t)])
-    traj = _Trajectory(setup, times, refine)
-    g_f = traj.integrals(k)[0]
-    box_t, phase = _box_transform(setup, times, k)
-    g_b = traj.integrals(np.zeros(1))[0] * box_t * phase
-    spec = _f1_spectrum(setup, k)
-    return (_window_nsq(setup.grid1, setup.f1), g_f @ (wk * spec), g_b @ (wk * spec),
-            (g_f * wk) @ np.conj(g_f.T), (g_f * wk) @ np.conj(g_b.T),
-            (g_b * wk) @ np.conj(g_b.T))
+    basis, b, h, blocks = _spectra(setup, np.array([float(t)]), refine)
+    g_f = next(blocks)[0]
+    g_b = b[0][:, None] * h * basis.z2
+    w = basis.w
+    sc = w * _f1_spectrum(setup, basis.k)
+    return (_window_nsq(setup.grid1, setup.f1), g_f @ sc, g_b @ sc,
+            (g_f * w) @ np.conj(g_f.T), (g_f * w) @ np.conj(g_b.T),
+            (g_b * w) @ np.conj(g_b.T))
 
 
 class _TimeTables(NamedTuple):
@@ -486,40 +495,18 @@ class _TimeTables(NamedTuple):
     a: np.ndarray  # A by difference: A[i, j] = a[j - i + n1 - 1]
     b: np.ndarray  # B per z2
     g_f: np.ndarray  # D's spectrum G_f, shape (z2, k)
-    h: np.ndarray  # A's time factor: its spectrum G_b is exp(ik z2) h, shape (k,)
+    h: np.ndarray  # A's time factor: its spectrum G_b is basis.z2 * h, shape (k,)
     basis: _KBasis
-
-
-def _time_tables(setup: CollisionSetup, times: np.ndarray, refine: int):
-    """The _TimeTables of each time in turn, on one resolution.
-
-    All times share one basis, the k rule of the latest time. B and G_f are
-    _Trajectory's integrals, B at k = 0 (with f1's dtype); G_f is built for
-    as many times at once as hold _ROWS entries. A's spectrum is
-    G_b = exp(ik z2) h with h = _box_transform's time factor, and
-    A(u) = (1/2 pi) int exp(iku) h(k) dk is taken on the n1 + n2 - 1
-    differences u = z2 - z1 of the equal-spacing co-moving grids.
-    """
-    basis = _KBasis(setup, float(times[-1]), refine)
-    traj = _Trajectory(setup, times, refine)
-    b = traj.integrals(np.zeros(1))[..., 0]
-    b = b.real if setup.f1.is_real else b
-    z1, z2 = setup.grid1.nodes, setup.grid2.nodes
-    diffs = np.concatenate([z2[0] - z1[::-1], z2[1:] - z1[0]])
-    h = _box_transform(setup, times, basis.k)[0]
-    a = _real_products(h * basis.w, np.exp(1j * np.outer(basis.k, diffs)),
-                       np.empty((times.size, diffs.size)))
-    g_f = (g for block in traj.blocks(basis.k, max(1, _ROWS // basis.z2.size)) for g in block)
-    for row in zip(a, b, g_f, h):
-        yield _TimeTables(*row, basis)
 
 
 class InteractionTables:
     """Chi-independent caches for one collision geometry.
 
-    The time-integral tables serve the series and its closed form. Per time
+    The time-integral tables, the fidelity moments and the entropy blocks
+    all come from one k side, _spectra's basis, B, h and G_f, at refine 1
+    and 2. The tables serve the series and its closed form. Per time
     sample they keep A by difference, B, D's spectrum G_f (n2 x n_k) and
-    A's time factor, never an n1 x n2 table (see _time_tables). Each table
+    A's time factor, never an n1 x n2 table (see ensure). Each table
     is verified against a doubled trajectory and k resolution; a gap beyond
     1e-6 of the table's largest entry, or beyond 1e-10, raises an accuracy
     error. ensure() builds every listed time at once. at() fills a missing
@@ -605,12 +592,13 @@ class InteractionTables:
     def ensure(self, setup: CollisionSetup, times) -> None:
         """Fill the cache for every listed time.
 
-        Each resolution builds the tables of all the missing times from one
-        trajectory, on the k rule _k_rule gives the latest time
-        (_time_tables). At every time both resolutions' D are formed from
-        their spectra and checked with A and B; only the fine resolution's
-        tables are kept. t = 0 needs no case of its own: its trajectory and
-        box integrals vanish.
+        Each resolution takes the spectra of all the missing times from
+        _spectra and forms A from h by difference: A(u) = (1/2 pi) int
+        exp(iku) h(k) dk on the n1 + n2 - 1 differences u = z2 - z1 of the
+        equal-spacing co-moving grids. At every time both resolutions' D are
+        formed from their spectra and checked with A and B; only the fine
+        resolution's tables are kept. t = 0 needs no case of its own: its
+        trajectory and box integrals vanish.
         """
         self._require_compatible(setup)
         wanted = np.asarray(times, dtype=float).ravel()
@@ -620,10 +608,18 @@ class InteractionTables:
         if not missing.size:
             return
         setup = self._setup
+        z1, z2 = setup.grid1.nodes, setup.grid2.nodes
+        diffs = np.concatenate([z2[0] - z1[::-1], z2[1:] - z1[0]])
+        both = []
+        for refine in (1, 2):
+            basis, b, h, blocks = _spectra(setup, missing, refine)
+            a = _real_products(h * basis.w, np.exp(1j * np.outer(basis.k, diffs)),
+                               np.empty((missing.size, diffs.size)))
+            g_f = (g for block in blocks for g in block)
+            both.append(map(_TimeTables, a, b, g_f, h, repeat(basis)))
         # the two resolutions' D, formed at each time for the check only
         d_tabs = [np.empty((setup.grid1.n, setup.grid2.n),
                            dtype=float if setup.f1.is_real else complex) for _ in range(2)]
-        both = (_time_tables(setup, missing, refine) for refine in (1, 2))
         for t, coarse, fine in zip(missing, *both):
             for tabs, d_tab in zip((coarse, fine), d_tabs):
                 tabs.basis.table(tabs.g_f, d_tab)
@@ -632,11 +628,6 @@ class InteractionTables:
                 _converged("interaction time integrals", c, f,
                            min(_TABLE_ATOL, _TABLE_RTOL * peak), at=f" at t={t}")
             self._cache[float(t)] = fine
-
-
-def _free_psi(setup: CollisionSetup) -> np.ndarray:
-    """f1(z1) f2(z2) on the co-moving grids."""
-    return np.outer(setup.f1(setup.grid1.nodes), setup.f2(setup.grid2.nodes)).astype(complex)
 
 
 def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np.ndarray:
@@ -720,7 +711,7 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
     if t < 0.0:
         raise ParameterError(f"time must be non-negative, got {t}")
     if t == 0.0:
-        return TwoParticleState(setup.grid1, setup.grid2, _free_psi(setup))
+        return free_state(setup.f1, setup.f2, setup.grid1, setup.grid2)
     if tables is None:
         tables = InteractionTables(setup)
     entry = tables._entry(setup, t)
@@ -789,7 +780,7 @@ def two_particle_headon_closed(setup: CollisionSetup, t: float, *,
     if t < 0.0:
         raise ParameterError(f"time must be non-negative, got {t}")
     if t == 0.0:
-        return TwoParticleState(setup.grid1, setup.grid2, _free_psi(setup))
+        return free_state(setup.f1, setup.f2, setup.grid1, setup.grid2)
     _warn_gauge(setup, t)
     if tables is None:
         tables = InteractionTables(setup)

@@ -51,6 +51,7 @@ from xpmsim.headon import (
     _entropy_blocks,
     _exp_remainder,
     _k_rule,
+    _KBasis,
     _Trajectory,
 )
 
@@ -611,14 +612,17 @@ def test_square_pulse_tables_and_amplitudes():
         assert np.max(np.abs(b_tab - exact)) <= 1e-12 * np.max(exact)
 
 
+# the tables keep A by difference, B and D's n2 x n_k spectrum per time:
+# over the 121 times of the fig4 ladder, n1 x n2 tables per time grew a fresh
+# process by about 155 MB. The moments contract G_f a block of times at a
+# time; over the whole ladder at once they grew it by about 45 MB.
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads ru_maxrss in KiB, as Linux reports it")
-def test_table_ladder_memory():
-    # the tables keep A by difference, B and D's n2 x n_k spectrum per time:
-    # over the 121 times of the fig4 ladder, n1 x n2 tables per time grew a
-    # fresh process by about 155 MB
+@pytest.mark.parametrize("call, bound_mb", (("ensure", 40), ("line_moments", 30)),
+                         ids=("ensure", "line_moments"))
+def test_table_ladder_memory(call, bound_mb):
     src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
-    script = textwrap.dedent("""
+    script = textwrap.dedent(f"""
         import math, resource
         from xpmsim import InteractionTables
         from xpmsim.cli.config import RunConfig
@@ -626,14 +630,14 @@ def test_table_ladder_memory():
 
         setup = collision_setup(RunConfig(task="fig4"), math.pi)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        InteractionTables(setup).ensure(setup, setup.times)
+        InteractionTables(setup).{call}(setup, setup.times)
         print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert int(out.stdout.split()[-1]) < 40 * 1024
+    assert int(out.stdout.split()[-1]) < bound_mb * 1024
 
 
 def test_complex_front_closed_form_against_series_terms():
@@ -885,14 +889,16 @@ def test_merged_edges_match_every_edge_construction(make, monkeypatch):
                                                       times=np.linspace(0.0, 2e-3, 25))),
                          ids=("default", "k0=0.06"))
 def test_box_transform_factors_match_direct_transform(make):
+    # the time factor times the basis' z2 phase is the whole box transform
     setup = make()
     times = np.asarray(setup.times)
-    k, _ = _k_rule(setup, float(times[-1]), 2)
-    box_t, phase = _box_transform(setup, times, k)
+    basis = _KBasis(setup, float(times[-1]), 2)
+    k = basis.k
+    box_t = _box_transform(setup, times, k)
     v_r, t = setup.params.v_r, times[:, None, None]
     direct = (t * np.sinc(k * v_r * t / (2.0 * math.pi))
               * np.exp(1j * k * (setup.grid2.nodes[None, :, None] - 0.5 * v_r * t)))
-    assert np.all(np.abs(box_t[:, None, :] * phase - direct) <= 1e-15 * np.abs(direct))
+    assert np.all(np.abs(box_t[:, None, :] * basis.z2 - direct) <= 1e-15 * np.abs(direct))
 
 
 def test_fig4_final_fidelities_pinned():
