@@ -38,9 +38,16 @@ to 641600 multiply-adds (m n k) stayed on the calling thread and one of
 row blocks of it took 0.15 ms. So the C1 spectra multiply the float64
 view of exp(-ikz) by a real basis (_real_operator); headon's D tables and
 amplitudes are real products split into row blocks of fewer than 2**19
-multiply-adds (_real_products); and its f1 spectrum and trajectory
-moments are einsums. No thread setting is needed; tests/test_threads.py
-checks that no CLI task and no pass of the head-on oracle wakes a helper.
+multiply-adds (numerics._GEMM_MNK, _real_products); its f1 spectrum and
+trajectory moments are einsums. The grid route's far rows are two thin
+real products per row block under the same limit (_far_sums), and its
+dot products over the 15.7k-node tail axis are einsums. Over criterion
+05's lattice that route took 0.08-0.10 s of wall and 0.09-0.12 s of CPU,
+its process peaking at 38 MB; the same products in row blocks of 4e6
+elements, which thread, took 0.13-0.32 s of wall, 0.24-0.32 s of CPU and
+96 MB, so the second core does not pay there either. No thread setting
+is needed; tests/test_threads.py checks that no CLI task, no pass of the
+head-on oracle and no pass of the grid route wakes a helper.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from .numerics import (
     Grid1D,
     PulseProfile,
     SystemParams,
+    _GEMM_MNK,
     _converged,
     _gauss_legendre,
     composite_gauss_grid,
@@ -524,34 +532,40 @@ def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
 _KERNEL_SUMS_MEMO: dict = {}
 
 
-def _far_sinc(z1: np.ndarray, z2: np.ndarray, k0: float,
-              s2: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """sinc(k0 (z1 - z2)) as (sin(k0 z1) cos(k0 z2) - cos(k0 z1) sin(k0 z2)) / (k0 (z1 - z2)).
+def _far_sums(z1: np.ndarray, left: np.ndarray, w1: np.ndarray, z2: np.ndarray,
+              right: np.ndarray, dens: np.ndarray, k0: float) -> tuple[complex, float]:
+    """The two sums of _kernel_sums over rows z1 at least 1/k0 outside z2's range.
 
-    s2 and c2 are sin(k0 z2) and cos(k0 z2). Takes O(n1 + n2) sines for
-    the n1 x n2 block; see _kernel_sums for the rows it may serve.
+    There K = (s1 c2 - c1 s2) R / k0, with s, c = sin, cos(k0 z) and the
+    Cauchy matrix R = 1/(z1 - z2), so the sums regroup exactly as
+        <F, Kp>  = (1/k0) sum_i left_i [s1 (R (c2 right)) - c1 (R (s2 right))]_i,
+        <Kp, Kp> = (1/k0^2) sum_i w1_i [s1^2 (R^2 (c2^2 dens))
+                   - 2 s1 c1 (R^2 (s2 c2 dens)) + c1^2 (R^2 (s2^2 dens))]_i.
+    R and R^2 take real products with 4 and 3 columns, in row blocks of
+    fewer than _GEMM_MNK multiply-adds, so no kernel sample is built and
+    OpenBLAS keeps every product on the calling thread. Since
+    |k0 (z1 - z2)| >= 1 on these rows, the absolute error of sin(k0 z1), of
+    the order of the rounding of k0 z1, is that of the direct argument
+    k0 (z1 - z2), and the division by it cannot amplify that error.
     """
-    u = k0 * z1
-    block = np.multiply.outer(np.sin(u), c2)
-    scratch = np.multiply.outer(np.cos(u), s2)
-    block -= scratch
-    np.subtract.outer(z1, z2, out=scratch)
-    scratch *= k0
-    block /= scratch
-    return block
-
-
-def _sinc_rows(z1: np.ndarray, z2: np.ndarray, k0: float, far: np.ndarray,
-               s2: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """sinc(k0 (z1 - z2)) for a block of rows: sinc_kernel, or _far_sinc where far."""
-    if not far.any():
-        return sinc_kernel(z1[:, None] - z2[None, :], k0)
-    if far.all():
-        return _far_sinc(z1, z2, k0, s2, c2)
-    block = np.empty((z1.size, z2.size))
-    block[~far] = sinc_kernel(z1[~far, None] - z2[None, :], k0)
-    block[far] = _far_sinc(z1[far], z2, k0, s2, c2)
-    return block
+    s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
+    cols = np.stack([c2 * right.real, c2 * right.imag,
+                     s2 * right.real, s2 * right.imag], axis=1)
+    dens_cols = np.stack([c2 * c2, s2 * c2, s2 * s2], axis=1) * dens[:, None]
+    applied = np.empty((z1.size, 4))
+    squared = np.empty((z1.size, 3))
+    rows = max(1, (_GEMM_MNK - 1) // cols.size)
+    for i in range(0, z1.size, rows):
+        inv = np.subtract.outer(z1[i:i + rows], z2)
+        np.reciprocal(inv, out=inv)
+        np.matmul(inv, cols, out=applied[i:i + rows])
+        np.square(inv, out=inv)
+        np.matmul(inv, dens_cols, out=squared[i:i + rows])
+    s1, c1 = np.sin(k0 * z1), np.cos(k0 * z1)
+    k_right = s1[:, None] * applied[:, :2] - c1[:, None] * applied[:, 2:]
+    free_corr = complex(np.einsum("i,i->", left, k_right[:, 0] + 1j * k_right[:, 1])) / k0
+    trig = np.stack([s1 * s1, -2.0 * s1 * c1, c1 * c1], axis=1)
+    return free_corr, float(np.einsum("i,ij,ij->", w1, trig, squared)) / k0**2
 
 
 def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
@@ -563,14 +577,11 @@ def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
     sampling K; any other call samples K and becomes the memo. The key holds
     copies, so a grid edited in place afterwards misses.
 
-    K's rows at least 1/k0 outside z2's range (the sinc tail of
-    interaction_grids, nearly all of K) are built by angle addition
-    (_far_sinc), with one sine and one cosine per node instead of one sine
-    per sample. There |k0 (z1 - z2)| >= 1, so the angle-addition sine's
-    absolute error, of the order of the rounding of k0 z1, is that of the
-    direct argument k0 (z1 - z2), and the division cannot amplify it. The
-    other rows take sinc_kernel, whose small-argument series they may
-    need; a grid pair with no far row gives sinc_kernel's bits.
+    Rows of K at least 1/k0 outside z2's range (the sinc tail of
+    interaction_grids, nearly all of K) take no kernel samples: their sums
+    are two thin Cauchy-matrix products (_far_sums). The other rows take
+    sinc_kernel, whose small-argument series they may need, in row blocks
+    of 4e6 samples; a grid pair with no far row gives sinc_kernel's bits.
     """
     last = _KERNEL_SUMS_MEMO.get("last")
     if last is not None and last[0] == k0 and all(
@@ -579,22 +590,26 @@ def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
     z1, w1, z2, w2, a1, b2, pair = samples
     left = w1 * np.conj(a1)
     right = w2 * np.conj(b2) * pair
+    dens = w2 * np.abs(pair) ** 2
+    reach = 1.0 / k0
+    far = (z1 <= z2.min() - reach) | (z1 >= z2.max() + reach)
     # K is real: apply it to the real and imaginary parts of w2 conj(f2) p,
     # then square it in place and apply it to w2 |p|^2
     cols = np.stack([right.real, right.imag], axis=1)
-    dens = w2 * np.abs(pair) ** 2
+    near_z1, near_left, near_w1 = z1[~far], left[~far], w1[~far]
     free_corr = 0j
     corr_nsq = 0.0
-    reach = 1.0 / k0
-    far = (z1 <= z2.min() - reach) | (z1 >= z2.max() + reach)
-    s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
     step = max(1, int(4e6) // z2.size)
-    for i in range(0, z1.size, step):
-        block = _sinc_rows(z1[i:i + step], z2, k0, far[i:i + step], s2, c2)
+    for i in range(0, near_z1.size, step):
+        block = sinc_kernel(near_z1[i:i + step, None] - z2[None, :], k0)
         applied = block @ cols
-        free_corr += left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
+        free_corr += near_left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
         np.square(block, out=block)
-        corr_nsq += float(w1[i:i + step] @ (block @ dens))
+        corr_nsq += float(near_w1[i:i + step] @ (block @ dens))
+    if far.any():
+        far_corr, far_nsq = _far_sums(z1[far], left[far], w1[far], z2, right, dens, k0)
+        free_corr += far_corr
+        corr_nsq += far_nsq
     _KERNEL_SUMS_MEMO["last"] = (k0, tuple(np.array(x, copy=True) for x in samples),
                                  (free_corr, corr_nsq))
     return free_corr, corr_nsq
@@ -618,14 +633,15 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     |psi|^2 = <F, F> + 2 Re(alpha <F, Kp>) + |alpha|^2 <Kp, Kp>; then
     F = |<F, psi>|^2 / (<F, F> |psi|^2) and theta = arg <F, psi>. These are
     the quadrature sums of normalize and overlap on the sampled state,
-    regrouped: K is sampled at the nodes of two_particle_copropagating (in
-    row blocks near 32 MB), no n1 x n2 state is kept, and
-    no closed form or overlap coefficient enters, so the route stays
-    independent of C1 and C2. K's rows at least 1/k0 outside Z2's range,
-    where |k0 (Z1 - Z2)| >= 1 bounds the error of sin(a - b) taken by
-    angle addition, cost one sine per node instead of one per sample (on
-    the default grids these rows hold nearly all of K's samples, and the
-    sines were most of the route's time). The two K sums do not depend on Phi, and the
+    regrouped: no n1 x n2 state is kept, and no closed form or overlap
+    coefficient enters, so the route stays independent of C1 and C2. K's
+    rows at least 1/k0 outside Z2's range, nearly all of K on the default
+    grids, take no kernel samples: there K = sin(k0 (Z1 - Z2)) / (k0 (Z1 - Z2))
+    splits by angle addition into sines and cosines of k0 Z1 and k0 Z2 and
+    the Cauchy matrix 1/(Z1 - Z2), so both sums are two thin products with
+    that matrix, in row blocks of at most 1 MB (_far_sums). The other rows
+    sample K at the nodes of two_particle_copropagating (sinc_kernel). The
+    two K sums do not depend on Phi, and the
     last pair is memoized (_kernel_sums): a call that repeats the last
     call's k0, both grids' nodes and weights, and the samples f1(Z1),
     f2(Z2) and p does O(n1 + n2) work. A grid edited in place, another
@@ -647,7 +663,8 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     if not (np.isfinite(alpha) and all(np.all(np.isfinite(v)) for v in (a1, b2, pair))):
         raise ParameterError("psi contains non-finite entries")
     free_corr, corr_nsq = _kernel_sums(params.k0, (z1, w1, z2, w2, a1, b2, pair))
-    free_nsq = float(w1 @ np.abs(a1) ** 2) * float(w2 @ np.abs(b2) ** 2)
+    free_nsq = (float(np.einsum("i,i->", w1, np.abs(a1) ** 2))
+                * float(np.einsum("i,i->", w2, np.abs(b2) ** 2)))
     amp = free_nsq + alpha * free_corr
     out_nsq = free_nsq + 2.0 * (alpha * free_corr).real + abs(alpha) ** 2 * corr_nsq
     for nsq in (free_nsq, out_nsq):

@@ -67,6 +67,7 @@ from .numerics import (
     Grid1D,
     PulseProfile,
     SystemParams,
+    _GEMM_MNK,
     _converged,
     _gauss_legendre,
     commutator_kernel,
@@ -97,7 +98,6 @@ _LINE_RTOL = 1e-8
 # largest entry at that time, and never by more than _TABLE_ATOL
 _TABLE_RTOL = 1e-6
 _TABLE_ATOL = 1e-10
-_GEMM_MNK = 1 << 19  # multiply-adds of one real product that OpenBLAS keeps on the caller
 _BLOCK = 1 << 20  # complex elements per temporary in the trajectory's panel sums
 _ROWS = 1 << 16  # complex elements of G_f that _spectra builds at a time
 # trajectory query points closer than this many ulps of the coordinate scale

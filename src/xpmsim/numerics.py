@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 _SINC_SERIES_CUTOFF = 1e-4
+# multiply-adds of one real product that OpenBLAS keeps on the calling thread
+# (see the copropagating module docstring)
+_GEMM_MNK = 1 << 19
 
 
 def sinc_kernel(x: np.ndarray | float, k0: float = 1.0) -> np.ndarray | float:

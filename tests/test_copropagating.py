@@ -633,6 +633,38 @@ def test_grid_route_memory_stays_bounded():
     assert float(out.stdout) < 200.0
 
 
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
+                    reason="needs the process's own VmHWM from /proc/self/status")
+def test_grid_route_far_rows_take_no_kernel_block_memory():
+    # the far rows take no kernel samples, only Cauchy-matrix row blocks of
+    # at most 1 MB, so on the default k0 = 0.5 grids (15 665 x 401) the route
+    # grows the peak by about 5 MB; sampling them in 32 MB blocks grew it by
+    # 81 MB. The child reads its own high-water mark, VmHWM (kB): its
+    # ru_maxrss starts at the spawning process's, which hides growth below it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = textwrap.dedent("""
+        from xpmsim import (SystemParams, grid_metrics_copropagating,
+                            interaction_grids, make_profile)
+
+        def hwm():
+            with open("/proc/self/status", encoding="ascii") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+        prof = make_profile("gaussian")
+        grids = interaction_grids(prof, prof, 0.5)
+        assert (grids[0].n, grids[1].n) == (15665, 401), (grids[0].n, grids[1].n)
+        before = hwm()
+        grid_metrics_copropagating(prof, prof, SystemParams.copropagating(0.5, 1.0),
+                                   grids=grids)
+        print((hwm() - before) / 1024.0)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert float(out.stdout) < 30.0
+
+
 def route_samples(f1, f2, z1, w1, z2, w2):
     """The samples tuple _kernel_sums takes."""
     return (z1, w1, z2, w2, f1(z1), f2(z2), f1(z2) * f2(z2))
@@ -661,31 +693,54 @@ def sinc_kernel_sums(k0, samples):
 
 @pytest.fixture
 def far_rows(monkeypatch):
-    """Record the z1 rows the grid route builds by angle addition."""
+    """Record the z1 rows the grid route sums as Cauchy-matrix products."""
     rows = []
-    build = copropagating._far_sinc
+    build = copropagating._far_sums
 
     def recorded(z1, *args):
         rows.append(np.array(z1))
         return build(z1, *args)
 
-    monkeypatch.setattr(copropagating, "_far_sinc", recorded)
+    monkeypatch.setattr(copropagating, "_far_sums", recorded)
     copropagating._KERNEL_SUMS_MEMO.clear()
     yield rows
     copropagating._KERNEL_SUMS_MEMO.clear()
 
 
+_WIDE_NODES = np.linspace(-40.0, 40.0, 4001)
+WIDE_CHIRP = make_profile("tabulated", table_nodes=_WIDE_NODES,
+                          table_values=np.exp(-_WIDE_NODES**2 / 2.0 + 0.7j * _WIDE_NODES))
+
+
 @pytest.mark.parametrize("k0", [0.5, 1.0, 2.5, 5.0, 10.0])
 def test_far_rows_match_sinc_kernel_sums(far_rows, k0):
-    # criterion 05's k0 on the default grids, where the sinc tail is nearly all of K
-    grid1, grid2 = interaction_grids(GAUSS, GAUSS, k0)
-    samples = route_samples(GAUSS, GAUSS, grid1.nodes, grid1.weights,
-                            grid2.nodes, grid2.weights)
-    got = copropagating._kernel_sums(k0, samples)
-    # 1/k0 is under one pi/k0 tail panel, so at most 8 tail nodes a side are near
-    assert sum(r.size for r in far_rows) >= grid1.n - grid2.n - 16
-    for g, r in zip(got, sinc_kernel_sums(k0, samples)):
-        assert abs(g - r) <= 1e-13 * abs(r)
+    # criterion 05's k0 on the default grids, where the sinc tail is nearly all
+    # of K; a chirped f1 makes w2 conj(f2) p complex, and its table reaches
+    # into the far rows
+    for f1, f2 in [(GAUSS, GAUSS), (WIDE_CHIRP, GAUSS), (GAUSS, WIDE_CHIRP)]:
+        shapes = (f1.label, f2.label)
+        grid1, grid2 = interaction_grids(f1, f2, k0)
+        samples = route_samples(f1, f2, grid1.nodes, grid1.weights,
+                                grid2.nodes, grid2.weights)
+        far_rows.clear()
+        got = copropagating._kernel_sums(k0, samples)
+        # 1/k0 is under one pi/k0 tail panel, so at most 8 tail nodes a side are near
+        assert sum(r.size for r in far_rows) >= grid1.n - grid2.n - 16
+        for g, r in zip(got, sinc_kernel_sums(k0, samples)):
+            assert abs(g - r) <= 1e-13 * abs(r), shapes
+        # f1 is below 1e-22 on the far rows, so their share of <F, Kp> vanishes
+        # in the whole sum: check the far rows alone as well. There <F, Kp>
+        # cancels far below its terms, so its bound scales with their size
+        # (|sinc| <= 1); <Kp, Kp> sums positive terms.
+        far = np.isin(grid1.nodes, np.concatenate(far_rows))
+        alone = route_samples(f1, f2, grid1.nodes[far], grid1.weights[far],
+                              grid2.nodes, grid2.weights)
+        (corr, nsq), (ref_corr, ref_nsq) = (copropagating._kernel_sums(k0, alone),
+                                            sinc_kernel_sums(k0, alone))
+        _, w1, _, w2, a1, b2, pair = alone
+        terms = np.sum(np.abs(w1 * a1)) * np.sum(np.abs(w2 * b2 * pair))
+        assert abs(corr - ref_corr) <= 1e-13 * terms, shapes
+        assert abs(nsq - ref_nsq) <= 1e-13 * ref_nsq, shapes
 
 
 def test_kernel_sums_without_far_rows_keep_sinc_kernel_bits(far_rows):
@@ -716,11 +771,15 @@ def test_far_rule_takes_rows_from_one_over_k0_out(far_rows):
     assert far.size == 6002
     for g, r in zip(got, sinc_kernel_sums(k0, samples)):
         assert abs(g - r) <= 1e-13 * abs(r)
-    # at |k0 (z1 - z2)| = 1 the angle addition still meets sinc_kernel
-    s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
-    rows = copropagating._far_sinc(np.array([lo, hi]), z2, k0, s2, c2)
-    ref = numerics.sinc_kernel(np.array([lo, hi])[:, None] - z2[None, :], k0)
-    assert np.max(np.abs(rows - ref)) <= 1e-14
+    # at |k0 (z1 - z2)| = 1 the far sums of those two rows alone still meet
+    # sinc_kernel's
+    ends = route_samples(GAUSS, GAUSS, np.array([lo, hi]), np.full(2, 0.05),
+                         z2, np.full(z2.size, z2[1] - z2[0]))
+    far_rows.clear()
+    got = copropagating._kernel_sums(k0, ends)
+    assert [list(r) for r in far_rows] == [[lo, hi]]
+    for g, r in zip(got, sinc_kernel_sums(k0, ends)):
+        assert abs(g - r) <= 1e-13 * abs(r)
 
 
 def test_norm_identity_on_grid():

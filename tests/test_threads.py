@@ -1,10 +1,11 @@
-"""The CLI tasks and the head-on oracle run on the calling thread alone.
+"""The CLI tasks, the head-on oracle and the grid route run on the calling thread alone.
 
 NumPy's bundled OpenBLAS starts helper threads when it loads. It hands a
 product to them by its own size rule, and on a small machine a handoff can
 stall for milliseconds while the helpers spin. The spectrum products of the
-CLI tasks and the head-on tables and amplitudes are sized to stay on the
-calling thread (see the copropagating module docstring). Each task runs in
+CLI tasks, the head-on tables and amplitudes and the grid route's far rows
+are sized to stay on the calling thread (see the copropagating module
+docstring). Each task runs in
 a fresh interpreter, which counts the context switches of every thread but
 the main one, from /proc/self/task/*/status, before and after the task: a
 helper that was never scheduled has the same count afterwards. The test sets no BLAS or
@@ -77,6 +78,26 @@ ORACLE_PROBE = textwrap.dedent("""
 """) + COUNTER
 
 
+# the grid route of criterion 05 and the benchmark: criterion 05's lattice, one
+# interaction_grids pair per k0; its far rows are thin products sized to stay
+# on the calling thread (copropagating._far_sums)
+GRID_ROUTE_PROBE = textwrap.dedent("""
+    from xpmsim import (SystemParams, grid_metrics_copropagating, interaction_grids,
+                        make_profile)
+    from xpmsim.cli.validate import _LATTICE_K0, _LATTICE_PHI
+
+    prof = make_profile("gaussian")
+
+    def run():
+        for k0 in _LATTICE_K0:
+            grids = interaction_grids(prof, prof, k0)
+            for phi in _LATTICE_PHI:
+                grid_metrics_copropagating(prof, prof, SystemParams.copropagating(k0, phi),
+                                           grids=grids)
+        return 0
+""") + COUNTER
+
+
 def run_probe(probe, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
     env = dict(os.environ)
@@ -104,4 +125,11 @@ def test_task_leaves_helper_threads_unscheduled(task, profile, tmp_path):
                     reason="needs per-thread /proc/self/task/*/status")
 def test_headon_oracle_leaves_helper_threads_unscheduled():
     report = run_probe(ORACLE_PROBE)
+    assert report["after"] == report["before"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread /proc/self/task/*/status")
+def test_grid_route_leaves_helper_threads_unscheduled():
+    report = run_probe(GRID_ROUTE_PROBE)
     assert report["after"] == report["before"]
