@@ -36,10 +36,10 @@ still thread, where threading pays: on the 2-core machine, products of up
 to 641600 multiply-adds (m n k) stayed on the calling thread and one of
 1.03M did not, and a single 401 x 401 x 16 product took 4.5 ms where five
 row blocks of it took 0.15 ms. So the C1 spectra multiply the float64
-view of exp(-ikz) by a real basis (_real_operator); headon's D tables and
-amplitudes are real products split into row blocks of fewer than 2**19
-multiply-adds (numerics._GEMM_MNK, _real_products); its f1 spectrum and
-trajectory moments are einsums. The grid route's far rows are two thin
+view of exp(-ikz) by a real basis (_real_operator); headon's D tables,
+amplitudes and entropy k-Gram matrices are real products split into row
+blocks of fewer than 2**19 multiply-adds (numerics._GEMM_MNK,
+_real_products); its f1 spectrum and trajectory moments are einsums. The grid route's far rows are two thin
 real products per row block under the same limit (_far_sums), and its
 dot products over the 15.7k-node tail axis are einsums. Over criterion
 05's lattice that route took 0.08-0.10 s of wall and 0.09-0.12 s of CPU,
@@ -47,7 +47,8 @@ its process peaking at 38 MB; the same products in row blocks of 4e6
 elements, which thread, took 0.13-0.32 s of wall, 0.24-0.32 s of CPU and
 96 MB, so the second core does not pay there either. No thread setting
 is needed; tests/test_threads.py checks that no CLI task, no pass of the
-head-on oracle and no pass of the grid route wakes a helper.
+head-on oracle, no collision entropy and no pass of the grid route wakes
+a helper.
 """
 
 from __future__ import annotations

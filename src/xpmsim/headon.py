@@ -30,19 +30,26 @@ one) most ends land on the z2 lattice, and keeping each rounded copy would
 add panels about 1e-16 wide that cost as much as any other.
 
 One k side serves the fidelity moments, the entropy blocks and the oracle
-tables alike: _spectra builds, per resolution, one symmetric k basis
-(_KBasis), one trajectory, D's spectrum G_f(z2, k) as the trajectory
-integral, B as G_f at k = 0, and A's time factor h(k), whose spectrum is
-G_b = exp(ik z2) h. The moments and the entropy blocks contract these over
-k. For the series and its closed form, the oracle amplitude on the
-co-moving grids, D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk, and A
-likewise, kept by difference (n1 + n2 - 1 values). G_f has rank n_k, 16 at
-the default geometry, against n1 = n2 = 401. D is formed on demand as one
-real product of [cos kz1 | sin kz1] with rows of G_f, and each amplitude
-as one of [f1 | cos kz1 | sin kz1] with rows of f2 and of the correction's
-spectrum, in row blocks that stay on the calling thread (_real_products).
-No n1 x n2 table is stored. series_term, a time quadrature at arbitrary
-points, is the position-side check of all of this.
+tables alike. C's box is even, so _spectra works on its positive nodes k+
+alone: every spectrum here is a transform G(k) = int g(y) exp(iky) dy, and
+with its cosine and sine transforms Cg and Sg it reads Cg +- i Sg at +-k.
+Per resolution _spectra builds one k basis (_KBasis), one trajectory, D's
+spectrum G_f(z2, k) as the trajectory integrals [C_f | S_f], B as C_f at
+k = 0, and A's time factor h(k), which angle addition turns into A's
+spectrum [C_b | S_b] at each z2. Over a pair of nodes +-k every
+contraction is a real one at k+: p = sum 2w (|C|^2 + |S|^2), o_f =
+sum 2w (C F_c + S F_s), each k-Gram sum 2w (C_a conj(C_b) + S_a conj(S_b)),
+with F_c and F_s f1's spectrum; a real f1 keeps every spectrum real, and
+a complex one takes the same code in complex arithmetic. For the series
+and its closed form, the oracle amplitude on the co-moving grids,
+D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk = sum 2w (C_f cos kz1 +
+S_f sin kz1), and A likewise, kept by difference (n1 + n2 - 1 values). G_f
+has 2 n_k+ columns, 16 at the default geometry, against n1 = n2 = 401. D
+is formed on demand as one real product of [cos kz1 | sin kz1] with rows of
+G_f, and each amplitude as one of [f1 | cos kz1 | sin kz1] with rows of f2
+and of the correction's spectrum, in row blocks that stay on the calling
+thread (_real_products). No n1 x n2 table is stored. series_term, a time
+quadrature at arbitrary points, is the position-side check of all of this.
 """
 
 from __future__ import annotations
@@ -98,8 +105,8 @@ _LINE_RTOL = 1e-8
 # largest entry at that time, and never by more than _TABLE_ATOL
 _TABLE_RTOL = 1e-6
 _TABLE_ATOL = 1e-10
-_BLOCK = 1 << 20  # complex elements per temporary in the trajectory's panel sums
-_ROWS = 1 << 16  # complex elements of G_f that _spectra builds at a time
+_BLOCK = 1 << 20  # elements per temporary in the trajectory's panel sums
+_ROWS = 1 << 16  # elements of G_f that _spectra builds at a time
 # trajectory query points closer than this many ulps of the coordinate scale
 # are one edge: z2 - v_r t misses the z2 lattice it lands on by up to 2 ulps
 _EDGE_ULPS = 8
@@ -226,36 +233,47 @@ def _real_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.n
 
 
 class _KBasis:
-    """_k_rule made exactly symmetric, with the z1 and z2 factors of its transforms.
+    """_k_rule's positive nodes k+, with the z1 and z2 factors of the box transforms.
 
-    k holds _k_rule's positive nodes k+ and then -k+ (no 8-node panel puts a
-    node at 0), each pair with its weight w over 2 pi. Over a pair the
-    transform (1/2 pi) int exp(-ik z1) G(z2, k) dk is
-    w cos(k z1) (G(k) + G(-k)) + w sin(k z1) (-i) (G(k) - G(-k)), so z1 holds
-    the real [w cos(k+ z1) | w sin(k+ z1)] and fold() the matching rows of
-    G: a transform is a real left factor of n_k columns (_real_products).
-    w holds each node's weight, z2 exp(ik z2), which turns A's time factor
-    h(k) into G_b = z2 * h.
+    No 8-node panel puts a node at 0, and _k_rule's box is even, so its nodes
+    pair as +-k+ with one weight w over 2 pi. A spectrum G(k) = Cg + i Sg at
+    k+ is Cg - i Sg at -k+ (see the module docstring), so over a pair
+        (1/2 pi) int exp(-ik z1) G dk -> 2w (Cg cos(k z1) + Sg sin(k z1)),
+        (1/2 pi) int G F dk            -> 2w (Cg F_c + Sg F_s),
+        (1/2 pi) int G conj(G') dk     -> 2w (Cg conj(Cg') + Sg conj(Sg')),
+    with F = F_c - i F_s f1's conjugate spectrum. A spectrum is therefore
+    kept as [Cg | Sg] over 2 n_k+ columns, and w holds the pair weight 2w for
+    each column. z1 holds [2w cos(k z1) | 2w sin(k z1)], so a transform is a
+    real left factor (_real_products), and z2 [cos(k z2) | sin(k z2)], from
+    which box() forms A's spectrum by angle addition.
     """
 
     def __init__(self, setup: CollisionSetup, t: float, refine: int):
         k, wk = _k_rule(setup, t, refine)
-        k, wk = k[k > 0.0], wk[k > 0.0]
-        arg = np.outer(setup.grid1.nodes, k)
-        self.k = np.concatenate([k, -k])
-        self.w = np.concatenate([wk, wk])
-        self.z1 = np.hstack([wk * np.cos(arg), wk * np.sin(arg)])
-        self.z2 = np.exp(1j * np.outer(setup.grid2.nodes, self.k))
+        self.k = k[k > 0.0]
+        self.w = np.tile(2.0 * wk[k > 0.0], 2)
+        self.z1 = self.w * _cos_sin(setup.grid1.nodes, self.k)
+        self.z2 = _cos_sin(setup.grid2.nodes, self.k)
 
-    @staticmethod
-    def fold(spec: np.ndarray) -> np.ndarray:
-        """The rows of spec(z2, k) against z1's columns, shape (k, z2)."""
-        plus, minus = np.split(spec, 2, axis=1)
-        return np.concatenate([(plus + minus).T, (-1j * (plus - minus)).T])
+    def box(self, h: np.ndarray) -> np.ndarray:
+        """A's spectrum [C_b | S_b] from its time factor h, shape (..., z2, 2 n_k+).
+
+        With h = s [cos phi | sin phi] (_box_transform), C_b = s cos(k z2 - phi)
+        and S_b = s sin(k z2 - phi).
+        """
+        hc, hs = np.split(h[..., None, :], 2, axis=-1)
+        cz, sz = np.split(self.z2, 2, axis=1)
+        return np.concatenate([cz * hc + sz * hs, sz * hc - cz * hs], axis=-1)
 
     def table(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = (1/2 pi) int exp(-ik z1) spec(z2, k) dk, an n1 x n2 table."""
-        return _real_products(self.z1, self.fold(spec), out)
+        return _real_products(self.z1, spec.T, out)
+
+
+def _cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """[cos(k x) | sin(k x)], shape (x, 2 k)."""
+    arg = np.outer(x, k)
+    return np.hstack([np.cos(arg), np.sin(arg)])
 
 
 def _k_rule(setup: CollisionSetup, t: float, refine: int):
@@ -272,15 +290,14 @@ def _k_rule(setup: CollisionSetup, t: float, refine: int):
     return kgrid.nodes, kgrid.weights / (2.0 * math.pi)
 
 
-def _f1_spectrum(setup: CollisionSetup, k: np.ndarray) -> np.ndarray:
-    """F(k) = int conj(f1(z)) exp(-ikz) dz on the z1 window.
+def _f1_spectrum(setup: CollisionSetup, basis: _KBasis) -> np.ndarray:
+    """[2w F_c | 2w F_s]: F(k) = F_c - i F_s = int conj(f1(z)) exp(-ikz) dz on the z1 window.
 
-    An einsum, not a complex BLAS product (see the copropagating module
-    docstring); f1 may be complex.
+    An einsum, not a BLAS product (see the copropagating module docstring);
+    f1 may be complex.
     """
     g1 = setup.grid1
-    return np.einsum("z,zk->k", g1.weights * np.conj(setup.f1(g1.nodes)),
-                     np.exp(-1j * np.outer(g1.nodes, k)))
+    return np.einsum("z,zm->m", g1.weights * np.conj(setup.f1(g1.nodes)), basis.z1)
 
 
 def _window_nsq(grid: Grid1D, profile: PulseProfile) -> float:
@@ -289,16 +306,18 @@ def _window_nsq(grid: Grid1D, profile: PulseProfile) -> float:
 
 
 def _box_transform(setup: CollisionSetup, times: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The time factor of int_0^t exp(ik (z2 - v_r s)) ds, shape (times, k).
+    """The time factor of int_0^t exp(ik (z2 - v_r s)) ds, shape (times, 2 k).
 
-    The integral is t sinc(k v_r t / 2) exp(-ik v_r t / 2) exp(ik z2); its
-    phase exp(ik z2) is _KBasis.z2. Apart the two factors take
-    (times + z2) x k exponentials instead of times x z2 x k, and a
-    contraction over k can take them one at a time.
+    The integral is s(k) exp(i (k z2 - phi)) with s = t sinc(k v_r t / 2) and
+    phi = k v_r t / 2; this returns h = s [cos phi | sin phi], which
+    _KBasis.box turns into the cosine and sine transforms at each z2. Apart
+    the two factors take (times + z2) x k cosines and sines instead of
+    times x z2 x k, and a contraction over k can take them one at a time.
     """
     t = times[:, None]
     half = 0.5 * setup.params.v_r * t * k
-    return t * np.sinc(half / math.pi) * np.exp(-1j * half)
+    s = t * np.sinc(half / math.pi)
+    return np.hstack([s * np.cos(half), s * np.sin(half)])
 
 
 def _merge_edges(points: np.ndarray, tol: float):
@@ -314,10 +333,12 @@ def _merge_edges(points: np.ndarray, tol: float):
 
 
 class _Trajectory:
-    """int_0^t f1(z2 - v_r s) exp(ik (z2 - v_r s)) ds for every (t, z2) at once.
+    """int_0^t f1(z2 - v_r s) [cos | sin](k (z2 - v_r s)) ds for every (t, z2) at once.
 
     With y = z2 - v_r s each integral is the oriented y-integral of
-    f1(y) exp(iky) over [z2 - v_r t, z2], divided by v_r. Panels run between
+    f1(y) cos(ky), and of f1(y) sin(ky), over [z2 - v_r t, z2], divided by
+    v_r: the cosine and sine transforms C_f and S_f of the trajectory
+    integral G_f = C_f + i S_f, in f1's dtype. Panels run between
     consecutive query points (every z2 and z2 - v_r t), a lattice of at most
     one sigma and pi/k_s spacing, and f1's breakpoints or table nodes, so a
     square pulse's edges and a tabulated pulse's kinks fall on panel
@@ -369,30 +390,33 @@ class _Trajectory:
         self._v_r = p.v_r
 
     def integrals(self, k: np.ndarray) -> np.ndarray:
-        """The trajectory integrals at wave numbers k, shape (times, z2, k)."""
+        """The trajectory integrals [C_f | S_f] at wave numbers k, shape (times, z2, 2 k)."""
         return next(self.blocks(k, self._side.shape[0]))
 
     def blocks(self, k: np.ndarray, rows: int):
         """integrals(k) in blocks of at most rows times, the panels summed once."""
         sums = self._sums(k)
-        for i in range(0, self._side.shape[0], rows):
-            side = self._side[i:i + rows]
-            block = sums[side, self._upper]
-            block -= sums[side, self._lower[i:i + rows]]
+        # rows of the three running sums laid end to end
+        upper = self._side * sums.shape[1] + self._upper
+        lower = self._side * sums.shape[1] + self._lower
+        sums = sums.reshape(-1, sums.shape[2])
+        for i in range(0, upper.shape[0], rows):
+            block = np.take(sums, upper[i:i + rows], axis=0)
+            block -= np.take(sums, lower[i:i + rows], axis=0)
             block /= self._v_r
             yield block
 
     def _sums(self, k: np.ndarray) -> np.ndarray:
         """Panel sums at k from the left end, from the right end negated, and from the centre."""
         n_pan, n_node = self._nodes.shape
-        panels = np.empty((n_pan, k.size), dtype=complex)
+        panels = np.empty((n_pan, 2 * k.size), dtype=self._front.dtype)
         block = max(1, _BLOCK // (n_node * k.size))
         for i in range(0, n_pan, block):
             arg = self._nodes[i:i + block, :, None] * k
-            front = self._front[i:i + block, :, None]
-            panels[i:i + block] = ((front * np.cos(arg)).sum(axis=1)
-                                   + 1j * (front * np.sin(arg)).sum(axis=1))
-        sums = np.zeros((3, n_pan + 1, k.size), dtype=complex)
+            front = self._front[i:i + block]
+            np.einsum("pq,pqk->pk", front, np.cos(arg), out=panels[i:i + block, :k.size])
+            np.einsum("pq,pqk->pk", front, np.sin(arg), out=panels[i:i + block, k.size:])
+        sums = np.zeros((3, n_pan + 1, 2 * k.size), dtype=panels.dtype)
         np.cumsum(panels, axis=0, out=sums[0, 1:])
         np.cumsum(panels[::-1], axis=0, out=sums[1, -2::-1])
         c = self._centre_at
@@ -406,16 +430,15 @@ def _spectra(setup: CollisionSetup, times: np.ndarray, refine: int):
     """The k side of every head-on quantity at one resolution: (basis, B, h, G_f).
 
     All times share one _KBasis, the k rule of the latest time. B (times x
-    z2, with f1's dtype) and G_f are _Trajectory's integrals, B at k = 0,
-    and h (times x k) is A's time factor from _box_transform, so A's
-    spectrum is G_b = basis.z2 * h. G_f comes as a generator of
-    (times, z2, k) blocks of consecutive times, each of at most _ROWS
+    z2) and G_f = [C_f | S_f] are _Trajectory's integrals, in f1's dtype, B
+    at k = 0, and h (times x 2 k+) is A's time factor from _box_transform, so
+    A's spectrum is basis.box(h). G_f comes as a generator of
+    (times, z2, 2 k+) blocks of consecutive times, each of at most _ROWS
     entries, so no (times, z2, k) array is held.
     """
     basis = _KBasis(setup, float(times[-1]), refine)
     traj = _Trajectory(setup, times, refine)
     b = traj.integrals(np.zeros(1))[..., 0]
-    b = b.real if setup.f1.is_real else b
     h = _box_transform(setup, times, basis.k)
     return basis, b, h, traj.blocks(basis.k, max(1, _ROWS // basis.z2.size))
 
@@ -436,29 +459,42 @@ def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
     give <free|raw> = |free|^2 + i chi o_f + beta o_b and the squared norm
     over the whole z1 line, |free|^2 + 2 Re(i chi o_f + beta o_b)
     + chi^2 p - 2 chi Im(conj(beta) r) + |beta|^2 c. Returns (p, r, c, o_f, o_b).
-    All of it is contracted from _spectra's basis and blocks of G_f, one
-    block at a time. G_b = basis.z2 * h is never formed as a (times, z2, k)
-    array: |G_b| is |h|, and the r and o_b sums take h and the z2 phase one
-    at a time.
+    Each int dk is a real sum over k+ (_KBasis): p = sum 2w (|C_f|^2 +
+    |S_f|^2), o_f = sum 2w (C_f F_c + S_f F_s), and r and o_b likewise with
+    G_b's real [C_b | S_b]. All of it is contracted from _spectra's basis and
+    blocks of G_f, one block at a time, and G_b from h and the z2 phases one
+    at a time: it is never formed as a (times, z2, k) array, and
+    |G_b|^2 = C_b^2 + S_b^2 is |h|^2.
     """
     basis, b_row, h, g_f_blocks = _spectra(setup, times, refine)
-    w, phase = basis.w, basis.z2
-    sc = w * _f1_spectrum(setup, basis.k)
+    w = basis.w
+    sc = _f1_spectrum(setup, basis)
     dens = setup.grid2.weights * np.abs(setup.f2(setup.grid2.nodes)) ** 2
     p_row = np.empty(b_row.shape)
-    r_row = np.empty(b_row.shape, dtype=complex)
-    o_f_row = np.empty(b_row.shape, dtype=complex)
-    box_w, phase_c = np.conj(h) * w, np.conj(phase)
+    r_row = np.empty(b_row.shape, dtype=b_row.dtype)
+    o_f_row = np.empty(b_row.shape, dtype=b_row.dtype)
+    # r's sum_k w (C_f C_b + S_f S_b), with C_b = cos(k z2) hc + sin(k z2) hs
+    # and S_b = sin(k z2) hc - cos(k z2) hs, gives G_f's [C_f | S_f] columns
+    # the weights w [hc | -hs] cos(k z2) + w [hs | hc] sin(k z2)
+    w_hc, w_hs = np.split(h * w, 2, axis=1)
+    on_cos, on_sin = np.hstack([w_hc, -w_hs]), np.hstack([w_hs, w_hc])
+    cz, sz = np.split(basis.z2, 2, axis=1)
+    z_cos, z_sin = np.hstack([cz, cz]), np.hstack([sz, sz])
     # einsums, not matmul (see the copropagating module docstring)
     start = 0
     for g_f in g_f_blocks:
         rows = slice(start, start + g_f.shape[0])
         start = rows.stop
-        np.einsum("tjk,k->tj", np.abs(g_f) ** 2, w, out=p_row[rows])
-        np.einsum("tjk,k->tj", g_f, sc, out=o_f_row[rows])
-        np.einsum("tjk,tk,jk->tj", g_f, box_w[rows], phase_c, out=r_row[rows])
-    box_nsq = np.einsum("tk,k->t", np.abs(h) ** 2, w)
-    o_b_row = np.einsum("tk,jk->tj", h * sc, phase)
+        np.einsum("tjm,m->tj", np.abs(g_f) ** 2, w, out=p_row[rows])
+        np.einsum("tjm,m->tj", g_f, sc, out=o_f_row[rows])
+        np.einsum("tjm,tm,jm->tj", g_f, on_cos[rows], z_cos, out=r_row[rows])
+        r_row[rows] += np.einsum("tjm,tm,jm->tj", g_f, on_sin[rows], z_sin)
+    box_nsq = np.einsum("tm,m->t", h ** 2, w)
+    # o_b's sum_k 2w (F_c C_b + F_s S_b) gives cos(k z2) the weight
+    # 2w (hc F_c - hs F_s) and sin(k z2) the weight 2w (hs F_c + hc F_s)
+    (hc, hs), (fc, fs) = np.split(h, 2, axis=1), np.split(sc, 2)
+    o_b_row = np.einsum("tm,jm->tj", np.hstack([hc * fc - hs * fs, hs * fc + hc * fs]),
+                        basis.z2)
     p_mom = np.sum(p_row * dens, axis=1)
     r_mom = np.sum(np.conj(b_row) * r_row * dens, axis=1)
     c_mom = box_nsq * np.sum(np.abs(b_row) ** 2 * dens, axis=1)
@@ -477,25 +513,35 @@ def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
     H(a) = (1/2 pi) int G(a, k) F(k) dk, F(k) = int conj(f1(z)) exp(-ikz) dz.
     This returns |f1|^2, the G_f and B G_b parts of H, and the three k-Gram
     matrices of G_f and B G_b, all from _spectra at the single time t; the
-    cost is O(n2^2 nk) past the trajectory.
+    cost is O(n2^2 nk) past the trajectory. Over k+ (_KBasis) each k-Gram is
+    sum 2w (C_a conj(C_b) + S_a conj(S_b)), one product over the [C | S]
+    columns, real for a real f1, row-blocked on the calling thread
+    (_real_products).
     """
     basis, b, h, blocks = _spectra(setup, np.array([float(t)]), refine)
     g_f = next(blocks)[0]
-    g_b = b[0][:, None] * h * basis.z2
-    w = basis.w
-    sc = w * _f1_spectrum(setup, basis.k)
+    g_b = b[0][:, None] * basis.box(h[0])
+    sc = _f1_spectrum(setup, basis)
+
+    def gram(left, right):
+        return _real_products(left * basis.w, np.conj(right.T),
+                              np.empty((left.shape[0], right.shape[0]), dtype=left.dtype))
+
     return (_window_nsq(setup.grid1, setup.f1), g_f @ sc, g_b @ sc,
-            (g_f * w) @ np.conj(g_f.T), (g_f * w) @ np.conj(g_b.T),
-            (g_b * w) @ np.conj(g_b.T))
+            gram(g_f, g_f), gram(g_f, g_b), gram(g_b, g_b))
 
 
 class _TimeTables(NamedTuple):
-    """What InteractionTables keeps per time: no n1 x n2 array."""
+    """What InteractionTables keeps per time: no n1 x n2 array.
+
+    Spectra are kept at k+ as their cosine and sine transforms (_KBasis), in
+    f1's dtype: a real f1 keeps G_f real.
+    """
 
     a: np.ndarray  # A by difference: A[i, j] = a[j - i + n1 - 1]
     b: np.ndarray  # B per z2
-    g_f: np.ndarray  # D's spectrum G_f, shape (z2, k)
-    h: np.ndarray  # A's time factor: its spectrum G_b is basis.z2 * h, shape (k,)
+    g_f: np.ndarray  # D's spectrum [C_f | S_f], shape (z2, 2 k+)
+    h: np.ndarray  # A's time factor: its spectrum is basis.box(h), shape (2 k+,)
     basis: _KBasis
 
 
@@ -505,8 +551,9 @@ class InteractionTables:
     The time-integral tables, the fidelity moments and the entropy blocks
     all come from one k side, _spectra's basis, B, h and G_f, at refine 1
     and 2. The tables serve the series and its closed form. Per time
-    sample they keep A by difference, B, D's spectrum G_f (n2 x n_k) and
-    A's time factor, never an n1 x n2 table (see ensure). Each table
+    sample they keep A by difference, B, D's spectrum G_f as its cosine and
+    sine transforms at k+ (n2 x 2 n_k+, real for a real f1) and A's time
+    factor, never an n1 x n2 table (see ensure). Each table
     is verified against a doubled trajectory and k resolution; a gap beyond
     1e-6 of the table's largest entry, or beyond 1e-10, raises an accuracy
     error. ensure() builds every listed time at once. at() fills a missing
@@ -594,7 +641,8 @@ class InteractionTables:
 
         Each resolution takes the spectra of all the missing times from
         _spectra and forms A from h by difference: A(u) = (1/2 pi) int
-        exp(iku) h(k) dk on the n1 + n2 - 1 differences u = z2 - z1 of the
+        exp(iku) h(k) dk = sum 2w (hc cos(ku) + hs sin(ku)) over k+, with
+        h = [hc | hs], on the n1 + n2 - 1 differences u = z2 - z1 of the
         equal-spacing co-moving grids. At every time both resolutions' D are
         formed from their spectra and checked with A and B; only the fine
         resolution's tables are kept. t = 0 needs no case of its own: its
@@ -613,7 +661,7 @@ class InteractionTables:
         both = []
         for refine in (1, 2):
             basis, b, h, blocks = _spectra(setup, missing, refine)
-            a = _real_products(h * basis.w, np.exp(1j * np.outer(basis.k, diffs)),
+            a = _real_products(h * basis.w, _cos_sin(diffs, basis.k).T,
                                np.empty((missing.size, diffs.size)))
             g_f = (g for block in blocks for g in block)
             both.append(map(_TimeTables, a, b, g_f, h, repeat(basis)))
@@ -633,21 +681,20 @@ class InteractionTables:
 def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np.ndarray:
     """psi_free + i chi D f2 + weight A B f2 as one row-blocked real product.
 
-    D and A are the box transforms of G_f and of G_b = exp(ik z2) h, so
-    psi = f1(z1) f2(z2) + (1/2 pi) int exp(-ik z1) X(z2, k) dk with
-    X = (i chi G_f + weight B G_b) f2: the product of
-    [f1 | w cos(k z1) | w sin(k z1)] with [f2 row; X folded (_KBasis)],
+    D and A are the box transforms of G_f and of A's spectrum basis.box(h),
+    so psi = f1(z1) f2(z2) + (1/2 pi) int exp(-ik z1) X(z2, k) dk with
+    X = (i chi G_f + weight B G_b) f2, kept at k+ as [C_X | S_X] (_KBasis):
+    the product of [f1 | 2w cos(k z1) | 2w sin(k z1)] with [f2 row; X rows],
     written into psi's float64 view (_real_products). No n1 x n2 table is
     formed.
     """
     basis = entry.basis
     f2_row = setup.f2(setup.grid2.nodes)
-    g_b = basis.z2 * entry.h
-    spec = 1j * setup.params.chi * entry.g_f + (weight * entry.b)[:, None] * g_b
+    spec = 1j * setup.params.chi * entry.g_f + (weight * entry.b)[:, None] * basis.box(entry.h)
     spec *= f2_row[:, None]
     psi = np.empty((setup.grid1.n, setup.grid2.n), dtype=complex)
     return _real_products(np.hstack([setup.f1(setup.grid1.nodes)[:, None], basis.z1]),
-                          np.vstack([f2_row[None, :], basis.fold(spec)]), psi)
+                          np.vstack([f2_row[None, :], spec.T]), psi)
 
 
 def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,

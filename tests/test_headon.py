@@ -612,26 +612,32 @@ def test_square_pulse_tables_and_amplitudes():
         assert np.max(np.abs(b_tab - exact)) <= 1e-12 * np.max(exact)
 
 
-# the tables keep A by difference, B and D's n2 x n_k spectrum per time:
+# the tables keep A by difference, B and D's n2 x 2 n_k+ spectrum per time:
 # over the 121 times of the fig4 ladder, n1 x n2 tables per time grew a fresh
 # process by about 155 MB. The moments contract G_f a block of times at a
-# time; over the whole ladder at once they grew it by about 45 MB.
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads ru_maxrss in KiB, as Linux reports it")
+# time; over the whole ladder at once they grew it by about 45 MB. The child
+# reads its own high-water mark, VmHWM (kB): its ru_maxrss starts at the
+# spawning process's, which hides growth below it.
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
+                    reason="needs the process's own VmHWM from /proc/self/status")
 @pytest.mark.parametrize("call, bound_mb", (("ensure", 40), ("line_moments", 30)),
                          ids=("ensure", "line_moments"))
 def test_table_ladder_memory(call, bound_mb):
     src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
     script = textwrap.dedent(f"""
-        import math, resource
+        import math
         from xpmsim import InteractionTables
         from xpmsim.cli.config import RunConfig
         from xpmsim.cli.sweeps import collision_setup
 
+        def hwm():
+            with open("/proc/self/status", encoding="ascii") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
         setup = collision_setup(RunConfig(task="fig4"), math.pi)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = hwm()
         InteractionTables(setup).{call}(setup, setup.times)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        print(hwm() - before)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -885,20 +891,101 @@ def test_merged_edges_match_every_edge_construction(make, monkeypatch):
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
+def complex_trajectory(traj, k):
+    """The trajectory integrals of f1 exp(iky) at wave numbers k, shape (times, z2, k).
+
+    Complex exponentials on the trajectory's own panels, the panel sums
+    accumulated from both ends and from the centre as _Trajectory does.
+    """
+    panels = np.einsum("pq,pqk->pk", traj._front, np.exp(1j * traj._nodes[..., None] * k))
+    zero = np.zeros((1, k.size))
+    left = np.concatenate([zero, np.cumsum(panels, axis=0)])
+    right = np.concatenate([np.cumsum(panels[::-1], axis=0)[::-1], zero])
+    c = traj._centre_at
+    past = (np.arange(left.shape[0]) >= c)[:, None]
+    sums = np.stack([left, -right, np.where(past, right[c] - right, left - left[c])])
+    return (sums[traj._side, traj._upper] - sums[traj._side, traj._lower]) / traj._v_r
+
+
+def complex_k_side(setup, times, refine):
+    """The k side in complex form over both halves of C's box: (k, w, B, G_f, G_b, F).
+
+    The spectra at every node of [-k_s, k_s] with its weight over 2 pi, from
+    complex exponentials (complex_trajectory for G_f and B). Every
+    contraction is then a plain complex sum over k, with no pairing of nodes.
+    """
+    k, w = _k_rule(setup, float(times[-1]), refine)
+    pos = k > 0.0
+    k, w = np.concatenate([k[pos], -k[pos]]), np.concatenate([w[pos], w[pos]])
+    traj = _Trajectory(setup, times, refine)
+    v_r, t = setup.params.v_r, times[:, None, None]
+    g_b = (t * np.sinc(k * v_r * t / (2.0 * math.pi))
+           * np.exp(1j * k * (setup.grid2.nodes[None, :, None] - 0.5 * v_r * t)))
+    g1 = setup.grid1
+    f = np.exp(-1j * np.outer(k, g1.nodes)) @ (g1.weights * np.conj(setup.f1(g1.nodes)))
+    return (k, w, complex_trajectory(traj, np.zeros(1))[..., 0], complex_trajectory(traj, k),
+            g_b, f)
+
+
+def complex_moments(setup, times, refine):
+    """(p, r, c, o_f, o_b) of _trajectory_moments as complex sums over +-k."""
+    _, w, b, g_f, g_b, f = complex_k_side(setup, times, refine)
+    dens = setup.grid2.weights * np.abs(setup.f2(setup.grid2.nodes)) ** 2
+    return ((np.abs(g_f) ** 2 @ w) @ dens,
+            (np.conj(b) * ((g_f * np.conj(g_b)) @ w)) @ dens,
+            (np.abs(b) ** 2 * (np.abs(g_b) ** 2 @ w)) @ dens,
+            (g_f @ (w * f)) @ dens,
+            (b * (g_b @ (w * f))) @ dens)
+
+
+def complex_entropy_blocks(setup, t, refine):
+    """_entropy_blocks' |f1|^2, H parts and k-Gram matrices as complex sums over +-k."""
+    _, w, b, g_f, g_b, f = complex_k_side(setup, np.array([t]), refine)
+    g_f, g_b = g_f[0], b[0][:, None] * g_b[0]
+    g1 = setup.grid1
+    return (g1.weights @ np.abs(setup.f1(g1.nodes)) ** 2, g_f @ (w * f), g_b @ (w * f),
+            (g_f * w) @ np.conj(g_f.T), (g_f * w) @ np.conj(g_b.T), (g_b * w) @ np.conj(g_b.T))
+
+
+@pytest.mark.parametrize("make", MERGE_CASES.values(), ids=MERGE_CASES.keys())
+def test_cos_sin_k_side_matches_complex_form(make):
+    # over a mirrored pair of nodes every contraction of G(+-k) = C +- i S
+    # is a real one of C and S at k+; the complex sums over both halves of
+    # the box must give the same moments, blocks and tables up to rounding
+    setup = make()
+    times = np.asarray(setup.times)
+    for refine in (1, 2):
+        got = (*headon._trajectory_moments(setup, times, refine),
+               *_entropy_blocks(setup, float(times[-1]), refine))
+        ref = (*complex_moments(setup, times, refine),
+               *complex_entropy_blocks(setup, float(times[-1]), refine))
+        for g, r in zip(got, ref):
+            assert np.all(np.abs(g - r) <= 1e-13 * np.abs(r))
+    tables = InteractionTables(setup)
+    tables.ensure(setup, times)
+    k, w, b, g_f, g_b, _ = complex_k_side(setup, times, 2)
+    back = np.exp(-1j * np.outer(setup.grid1.nodes, k)) * w
+    for i in sorted({times.size // 2, times.size - 1}):
+        ref = back @ g_b[i].T, b[i], back @ g_f[i].T
+        for g, r in zip(tables.at(setup, times[i]), ref):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+
 @pytest.mark.parametrize("make", (fig4_setup, partial(collision, k0=0.06, phi=0.5, grid_n=101,
                                                       times=np.linspace(0.0, 2e-3, 25))),
                          ids=("default", "k0=0.06"))
 def test_box_transform_factors_match_direct_transform(make):
-    # the time factor times the basis' z2 phase is the whole box transform
+    # the time factor turned by the basis' z2 cosines and sines (angle
+    # addition) is the whole box transform at k+: C_b + i S_b
     setup = make()
     times = np.asarray(setup.times)
     basis = _KBasis(setup, float(times[-1]), 2)
     k = basis.k
-    box_t = _box_transform(setup, times, k)
+    c_b, s_b = np.split(basis.box(_box_transform(setup, times, k)), 2, axis=-1)
     v_r, t = setup.params.v_r, times[:, None, None]
     direct = (t * np.sinc(k * v_r * t / (2.0 * math.pi))
               * np.exp(1j * k * (setup.grid2.nodes[None, :, None] - 0.5 * v_r * t)))
-    assert np.all(np.abs(box_t[:, None, :] * basis.z2 - direct) <= 1e-15 * np.abs(direct))
+    assert np.all(np.abs(c_b + 1j * s_b - direct) <= 1e-15 * np.abs(direct))
 
 
 def test_fig4_final_fidelities_pinned():

@@ -1,14 +1,14 @@
-"""The CLI tasks, the head-on oracle and the grid route run on the calling thread alone.
+"""The CLI tasks, the head-on oracle, the collision entropy and the grid route run on one thread.
 
 NumPy's bundled OpenBLAS starts helper threads when it loads. It hands a
 product to them by its own size rule, and on a small machine a handoff can
 stall for milliseconds while the helpers spin. The spectrum products of the
-CLI tasks, the head-on tables and amplitudes and the grid route's far rows
-are sized to stay on the calling thread (see the copropagating module
-docstring). Each task runs in
-a fresh interpreter, which counts the context switches of every thread but
-the main one, from /proc/self/task/*/status, before and after the task: a
-helper that was never scheduled has the same count afterwards. The test sets no BLAS or
+CLI tasks, the head-on tables, amplitudes and entropy blocks and the grid
+route's far rows are sized to stay on the calling thread (see the
+copropagating module docstring). Each task runs in a fresh interpreter,
+which counts the context switches of every thread but the main one, from
+/proc/self/task/*/status, before and after the task: a helper that was
+never scheduled has the same count afterwards. The test sets no BLAS or
 thread environment variable, so it runs the library as a user's
 invocation does.
 """
@@ -78,6 +78,25 @@ ORACLE_PROBE = textwrap.dedent("""
 """) + COUNTER
 
 
+# the collision entropy of the benchmark's collision workload: the whole-line
+# blocks' k-Gram products are real over the cosine and sine columns and
+# row-blocked (_real_products)
+ENTROPY_PROBE = textwrap.dedent("""
+    import math
+    from xpmsim import InteractionTables, collision_entropy
+    from xpmsim.cli.config import RunConfig
+    from xpmsim.cli.sweeps import collision_setup
+
+    setup = collision_setup(RunConfig(task="fig4"), math.pi)
+
+    def run():
+        tables = InteractionTables(setup)
+        for t in (1e-3, 2e-3):
+            collision_entropy(setup, t, tables=tables)
+        return 0
+""") + COUNTER
+
+
 # the grid route of criterion 05 and the benchmark: criterion 05's lattice, one
 # interaction_grids pair per k0; its far rows are thin products sized to stay
 # on the calling thread (copropagating._far_sums)
@@ -125,6 +144,13 @@ def test_task_leaves_helper_threads_unscheduled(task, profile, tmp_path):
                     reason="needs per-thread /proc/self/task/*/status")
 def test_headon_oracle_leaves_helper_threads_unscheduled():
     report = run_probe(ORACLE_PROBE)
+    assert report["after"] == report["before"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread /proc/self/task/*/status")
+def test_collision_entropy_leaves_helper_threads_unscheduled():
+    report = run_probe(ENTROPY_PROBE)
     assert report["after"] == report["before"]
 
 
