@@ -18,37 +18,14 @@ Phi, above it the curve climbs through pi/2 and reaches pi at Phi = pi.
 C1 is computed on the k side. The sinc kernel is a box in k,
 sinc(k0 x) = (1/2k0) int_{-k0}^{k0} exp(i k x) dk, so on a quadrature axis
 C1 = (1/k0) int_0^k0 Re(conj F(k) G(k)) dk with F and G the spectra of
-w f1 and w f1 |f2|^2. The k integral is cumulative in k0: its whole
-panels are memoized per axis and sample pair, so a k0 lattice and the
-transition bisection share one spectrum pass. The panels are built in
-fixed chunks in a fixed order, so a value never depends on call history.
-
-Hot products are real-valued, here and in headon: a real BLAS product or
-an einsum, never a small complex BLAS product. NumPy's bundled OpenBLAS
-(scipy-openblas 0.3.31, two threads on a 2-core machine) hands complex
-products as small as 32 x 184 x 16 (ZGEMM) or 401 x 16 (ZGEMV) to a
-helper thread, which then spins, and a handoff sometimes stalls for
-4-8 ms. In one `coeffs --profile gaussian` run the 11 C1 chunk products
-took 73 ms that way and 0.6 ms on one thread; threaded products stalled
-the trajectory moments for up to 0.8 s at a time. A real DGEMM of the same
-flop count stays on the calling thread at these sizes, while large ones
-still thread, where threading pays: on the 2-core machine, products of up
-to 641600 multiply-adds (m n k) stayed on the calling thread and one of
-1.03M did not, and a single 401 x 401 x 16 product took 4.5 ms where five
-row blocks of it took 0.15 ms. So the C1 spectra multiply the float64
-view of exp(-ikz) by a real basis (_real_operator); headon's D tables,
-amplitudes and entropy k-Gram matrices are real products split into row
-blocks of fewer than 2**19 multiply-adds (numerics._GEMM_MNK,
-_real_products); its f1 spectrum and trajectory moments are einsums. The grid route's far rows are two thin
-real products per row block under the same limit (_far_sums), and its
-dot products over the 15.7k-node tail axis are einsums. Over criterion
-05's lattice that route took 0.08-0.10 s of wall and 0.09-0.12 s of CPU,
-its process peaking at 38 MB; the same products in row blocks of 4e6
-elements, which thread, took 0.13-0.32 s of wall, 0.24-0.32 s of CPU and
-96 MB, so the second core does not pay there either. No thread setting
-is needed; tests/test_threads.py checks that no CLI task, no pass of the
-head-on oracle, no collision entropy and no pass of the grid route wakes
-a helper.
+w f1 and w f1 |f2|^2. They are kept as cosine and sine transforms, F =
+C_F - i S_F, so Re(conj F G) = C_F C_G + S_F S_G, and are built, as the
+head-on k side is, from numerics' cos_sin and real_products: real products
+in row blocks that stay on the calling thread. The k integral is
+cumulative in k0: its whole panels are memoized per axis and sample pair,
+so a k0 lattice and the transition bisection share one spectrum pass. The
+panels are built in fixed chunks in a fixed order, so a value never
+depends on call history.
 """
 
 from __future__ import annotations
@@ -72,13 +49,15 @@ from .numerics import (
     Grid1D,
     PulseProfile,
     SystemParams,
-    _GEMM_MNK,
     _converged,
     _gauss_legendre,
     composite_gauss_grid,
+    cos_sin,
+    gemm_rows,
     join_grids,
     make_grid,
     make_profile,
+    real_products,
     sinc_kernel,
 )
 from .state import TwoParticleState, linear_entropy, normalize
@@ -191,68 +170,62 @@ _C1_MEMO_SIZE = 4
 _C1_MEMO: OrderedDict = OrderedDict()
 
 
-def _real_operator(b: np.ndarray) -> np.ndarray:
-    """The real (2N, 2M) form of a complex (N, M) operator b.
-
-    Row 2n is [Re b_n | Im b_n] and row 2n+1 is [-Im b_n | Re b_n], so for a
-    C-contiguous complex e of N columns, e.view(float) @ result is
-    [Re(e @ b) | Im(e @ b)]: a real product on the float64 view, no copy.
-    """
-    n, m = b.shape
-    out = np.empty((2 * n, 2 * m))
-    out[0::2, :m] = out[1::2, m:] = b.real
-    out[0::2, m:] = b.imag
-    out[1::2, :m] = -b.imag
-    return out
-
-
 class _BoxIntegral:
     """Running integral of Re(conj F(k) G(k)) over k >= 0 for one axis and sample pair.
 
-    F and G are the spectra sum_z left(z) exp(-i k z) and the same of right.
-    The k half-line is cut into panels of width h, each integrated by an
-    8-node Gauss rule. Panel j's nodes are j h + t_q, so
-    exp(-i (j h + t_q) z) = exp(-i j h z) exp(-i t_q z): the N x 16 basis of
-    left and right times exp(-i t_q z) is built once, in its real (2N, 32)
-    form, and a chunk of _C1_CHUNK panels costs one (chunk x N) exponential
-    and one real product of its float64 view with that basis, which gives
-    the columns [Re F | Re G | Im F | Im G] (the module docstring says why
-    the product is real). The partial panel of up_to takes the same view
-    against the real form of [left | right]. Chunks start at multiples of
-    _C1_CHUNK and are appended in order, so the prefix sums do not depend on
-    which k0 asked for them first.
+    F and G are the spectra sum_z left(z) exp(-i k z) and the same of right,
+    kept as cosine and sine transforms: F = C_F - i S_F, so
+    Re(conj F G) = C_F C_G + S_F S_G. The k half-line is cut into panels of
+    width h, each integrated by an 8-node Gauss rule. A node a + t is reached
+    by angle addition, [cos | sin](a z) turned by [cos | sin](t z):
+        cos((a + t) z) = cos(a z) cos(t z) - sin(a z) sin(t z),
+        sin((a + t) z) = sin(a z) cos(t z) + cos(a z) sin(t z).
+    So the spectra at every a + t are one cos_sin of the a and one
+    real_products call against the real (2N, 4 n_t) block of the t (_turned),
+    with rows [c | s] v, then [-s | c] v, for c, s = cos, sin(t z) and
+    v = left, right. Panel j's nodes are j h + t_q: the block of the t_q is
+    built once, and a chunk of _C1_CHUNK panels turns its panel starts by
+    it. The partial panel of up_to has nodes of its own, which are turned by
+    the block of its one start. Chunks start at multiples of _C1_CHUNK and
+    are appended in order, so the prefix sums do not depend on which k0
+    asked for them first.
     """
 
     def __init__(self, z: np.ndarray, left: np.ndarray, right: np.ndarray, h: float):
-        x, g = _gauss_legendre(_C1_PANEL_NODES)
-        self._z, self._h = z, h
-        self._gw = 0.5 * h * g
-        phase = np.exp(-1j * np.outer(z, 0.5 * h * (1.0 + x)))
-        self._basis = _real_operator(
-            np.concatenate([left[:, None] * phase, right[:, None] * phase], axis=1))
-        self._pair = _real_operator(np.stack([left, right], axis=1))
+        self._z, self._h, self._pair = z, h, np.stack([left, right])
+        self._x, self._g = _gauss_legendre(_C1_PANEL_NODES)
+        self._turn = self._turned(0.5 * h * (1.0 + self._x))
         # prefix[m]: the integral over [0, m h]
         self._prefix = np.zeros(1)
 
+    def _turned(self, t: np.ndarray) -> np.ndarray:
+        """The (2N, 4 n_t) block of the turns t; columns run over v, cosine or sine, t."""
+        # axes: v, cosine or sine, t, z
+        c_s = self._pair[:, None, None, :] * cos_sin(t, self._z).reshape(
+            t.size, 2, -1).swapaxes(0, 1)
+        # the transposed block: [c | s] v along z, then [-s | c] v
+        return np.concatenate([c_s, c_s[:, ::-1] * np.array([-1.0, 1.0])[:, None, None]],
+                              axis=3).reshape(-1, 2 * self._z.size).T.copy()
+
+    def _products(self, a: np.ndarray, turn: np.ndarray) -> np.ndarray:
+        """Re(conj F G) at each a turned by each t of turn, shape (a, n_t)."""
+        f, g = real_products(cos_sin(a, self._z), turn, np.empty(
+            (a.size, turn.shape[1]))).reshape(a.size, 2, 2, -1).swapaxes(0, 1)
+        return (f * g).sum(axis=1)
+
     def _extend(self, panels: int) -> None:
         while self._prefix.size <= panels:
-            start = self._prefix.size - 1
-            k = self._h * np.arange(start, start + _C1_CHUNK)
-            spec = np.exp(-1j * np.outer(k, self._z)).view(float) @ self._basis
-            re_f, re_g, im_f, im_g = np.split(spec, 4, axis=1)
-            panel = (re_f * re_g + im_f * im_g) @ self._gw
+            k = self._h * (self._prefix.size - 1 + np.arange(_C1_CHUNK))
+            panel = self._products(k, self._turn) @ (0.5 * self._h * self._g)
             self._prefix = np.concatenate([self._prefix, self._prefix[-1] + np.cumsum(panel)])
 
     def up_to(self, k0: float) -> float:
         """The integral over [0, k0]: whole panels from the prefix, the rest fresh."""
         m = math.floor(k0 / self._h)
         self._extend(m)
-        x, g = _gauss_legendre(_C1_PANEL_NODES)
-        lo = m * self._h
-        half = 0.5 * (k0 - lo)
-        phase = np.exp(-1j * np.outer(lo + half * (1.0 + x), self._z))
-        re_f, re_r, im_f, im_r = (phase.view(float) @ self._pair).T
-        return float(self._prefix[m]) + half * float(g @ (re_f * re_r + im_f * im_r))
+        half = 0.5 * (k0 - m * self._h)
+        rest = self._products(half * (1.0 + self._x), self._turned(np.array([m * self._h])))
+        return float(self._prefix[m]) + half * float(self._g @ rest[:, 0])
 
 
 def _box_integral(axis: Grid1D, left: np.ndarray, right: np.ndarray,
@@ -542,10 +515,10 @@ def _far_sums(z1: np.ndarray, left: np.ndarray, w1: np.ndarray, z2: np.ndarray,
         <F, Kp>  = (1/k0) sum_i left_i [s1 (R (c2 right)) - c1 (R (s2 right))]_i,
         <Kp, Kp> = (1/k0^2) sum_i w1_i [s1^2 (R^2 (c2^2 dens))
                    - 2 s1 c1 (R^2 (s2 c2 dens)) + c1^2 (R^2 (s2^2 dens))]_i.
-    R and R^2 take real products with 4 and 3 columns, in row blocks of
-    fewer than _GEMM_MNK multiply-adds, so no kernel sample is built and
-    OpenBLAS keeps every product on the calling thread. Since
-    |k0 (z1 - z2)| >= 1 on these rows, the absolute error of sin(k0 z1), of
+    R and R^2 take real products with 4 and 3 columns, in row blocks sized
+    by numerics.gemm_rows, so no kernel sample is built and OpenBLAS keeps
+    every product on the calling thread. Since |k0 (z1 - z2)| >= 1 on these
+    rows, the absolute error of sin(k0 z1), of
     the order of the rounding of k0 z1, is that of the direct argument
     k0 (z1 - z2), and the division by it cannot amplify that error.
     """
@@ -555,7 +528,7 @@ def _far_sums(z1: np.ndarray, left: np.ndarray, w1: np.ndarray, z2: np.ndarray,
     dens_cols = np.stack([c2 * c2, s2 * c2, s2 * s2], axis=1) * dens[:, None]
     applied = np.empty((z1.size, 4))
     squared = np.empty((z1.size, 3))
-    rows = max(1, (_GEMM_MNK - 1) // cols.size)
+    rows = gemm_rows(cols.size)
     for i in range(0, z1.size, rows):
         inv = np.subtract.outer(z1[i:i + rows], z2)
         np.reciprocal(inv, out=inv)

@@ -48,8 +48,10 @@ has 2 n_k+ columns, 16 at the default geometry, against n1 = n2 = 401. D
 is formed on demand as one real product of [cos kz1 | sin kz1] with rows of
 G_f, and each amplitude as one of [f1 | cos kz1 | sin kz1] with rows of f2
 and of the correction's spectrum, in row blocks that stay on the calling
-thread (_real_products). No n1 x n2 table is stored. series_term, a time
-quadrature at arbitrary points, is the position-side check of all of this.
+thread. The cosine and sine transforms and the row-blocked products are
+numerics' cos_sin and real_products, which C1 takes as well. No n1 x n2
+table is stored. series_term, a time quadrature at arbitrary points, is
+the position-side check of all of this.
 """
 
 from __future__ import annotations
@@ -74,12 +76,13 @@ from .numerics import (
     Grid1D,
     PulseProfile,
     SystemParams,
-    _GEMM_MNK,
     _converged,
     _gauss_legendre,
     commutator_kernel,
     composite_gauss_grid,
+    cos_sin,
     make_grid,
+    real_products,
 )
 from .results import Axis, SweepResult
 from .state import TwoParticleState, free_state
@@ -209,29 +212,6 @@ def _profile_key(f: PulseProfile) -> tuple:
     return (f.shape, f.center, f.sigma, f.width, f.scale) + tables
 
 
-def _real_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = left @ right as real BLAS products of fewer than 2**19 multiply-adds.
-
-    right is complex and left real or complex; a complex left is split into
-    [Re left | Im left] against [right; i right]. A complex out is written
-    through its float64 view, whose rows interleave real and imaginary parts
-    as right's float64 view does; a real out takes the real part. Products
-    that small stay on the calling thread (see the copropagating module
-    docstring), so out is filled a block of rows at a time.
-    """
-    if np.iscomplexobj(left):
-        left = np.hstack([left.real, left.imag])
-        right = np.concatenate([right, 1j * right])
-    if np.iscomplexobj(out):
-        rhs, dst = np.ascontiguousarray(right).view(float), out.view(float)
-    else:
-        rhs, dst = np.ascontiguousarray(right.real), out
-    rows = max(1, (_GEMM_MNK - 1) // rhs.size)
-    for i in range(0, left.shape[0], rows):
-        np.matmul(left[i:i + rows], rhs, out=dst[i:i + rows])
-    return out
-
-
 class _KBasis:
     """_k_rule's positive nodes k+, with the z1 and z2 factors of the box transforms.
 
@@ -243,17 +223,18 @@ class _KBasis:
         (1/2 pi) int G conj(G') dk     -> 2w (Cg conj(Cg') + Sg conj(Sg')),
     with F = F_c - i F_s f1's conjugate spectrum. A spectrum is therefore
     kept as [Cg | Sg] over 2 n_k+ columns, and w holds the pair weight 2w for
-    each column. z1 holds [2w cos(k z1) | 2w sin(k z1)], so a transform is a
-    real left factor (_real_products), and z2 [cos(k z2) | sin(k z2)], from
-    which box() forms A's spectrum by angle addition.
+    each column. z1 holds [2w cos(k z1) | 2w sin(k z1)] (numerics.cos_sin),
+    so a transform is a real left factor of numerics.real_products, and z2
+    [cos(k z2) | sin(k z2)], from which box() forms A's spectrum by angle
+    addition.
     """
 
     def __init__(self, setup: CollisionSetup, t: float, refine: int):
         k, wk = _k_rule(setup, t, refine)
         self.k = k[k > 0.0]
         self.w = np.tile(2.0 * wk[k > 0.0], 2)
-        self.z1 = self.w * _cos_sin(setup.grid1.nodes, self.k)
-        self.z2 = _cos_sin(setup.grid2.nodes, self.k)
+        self.z1 = self.w * cos_sin(setup.grid1.nodes, self.k)
+        self.z2 = cos_sin(setup.grid2.nodes, self.k)
 
     def box(self, h: np.ndarray) -> np.ndarray:
         """A's spectrum [C_b | S_b] from its time factor h, shape (..., z2, 2 n_k+).
@@ -267,13 +248,7 @@ class _KBasis:
 
     def table(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = (1/2 pi) int exp(-ik z1) spec(z2, k) dk, an n1 x n2 table."""
-        return _real_products(self.z1, spec.T, out)
-
-
-def _cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """[cos(k x) | sin(k x)], shape (x, 2 k)."""
-    arg = np.outer(x, k)
-    return np.hstack([np.cos(arg), np.sin(arg)])
+        return real_products(self.z1, spec.T, out)
 
 
 def _k_rule(setup: CollisionSetup, t: float, refine: int):
@@ -293,7 +268,7 @@ def _k_rule(setup: CollisionSetup, t: float, refine: int):
 def _f1_spectrum(setup: CollisionSetup, basis: _KBasis) -> np.ndarray:
     """[2w F_c | 2w F_s]: F(k) = F_c - i F_s = int conj(f1(z)) exp(-ikz) dz on the z1 window.
 
-    An einsum, not a BLAS product (see the copropagating module docstring);
+    An einsum, not a BLAS product (see numerics' note on real products);
     f1 may be complex.
     """
     g1 = setup.grid1
@@ -480,7 +455,7 @@ def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
     on_cos, on_sin = np.hstack([w_hc, -w_hs]), np.hstack([w_hs, w_hc])
     cz, sz = np.split(basis.z2, 2, axis=1)
     z_cos, z_sin = np.hstack([cz, cz]), np.hstack([sz, sz])
-    # einsums, not matmul (see the copropagating module docstring)
+    # einsums, not matmul (see numerics' note on real products)
     start = 0
     for g_f in g_f_blocks:
         rows = slice(start, start + g_f.shape[0])
@@ -516,7 +491,7 @@ def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
     cost is O(n2^2 nk) past the trajectory. Over k+ (_KBasis) each k-Gram is
     sum 2w (C_a conj(C_b) + S_a conj(S_b)), one product over the [C | S]
     columns, real for a real f1, row-blocked on the calling thread
-    (_real_products).
+    (real_products).
     """
     basis, b, h, blocks = _spectra(setup, np.array([float(t)]), refine)
     g_f = next(blocks)[0]
@@ -524,8 +499,8 @@ def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
     sc = _f1_spectrum(setup, basis)
 
     def gram(left, right):
-        return _real_products(left * basis.w, np.conj(right.T),
-                              np.empty((left.shape[0], right.shape[0]), dtype=left.dtype))
+        return real_products(left * basis.w, np.conj(right.T),
+                             np.empty((left.shape[0], right.shape[0]), dtype=left.dtype))
 
     return (_window_nsq(setup.grid1, setup.f1), g_f @ sc, g_b @ sc,
             gram(g_f, g_f), gram(g_f, g_b), gram(g_b, g_b))
@@ -661,8 +636,8 @@ class InteractionTables:
         both = []
         for refine in (1, 2):
             basis, b, h, blocks = _spectra(setup, missing, refine)
-            a = _real_products(h * basis.w, _cos_sin(diffs, basis.k).T,
-                               np.empty((missing.size, diffs.size)))
+            a = real_products(h * basis.w, cos_sin(diffs, basis.k).T,
+                              np.empty((missing.size, diffs.size)))
             g_f = (g for block in blocks for g in block)
             both.append(map(_TimeTables, a, b, g_f, h, repeat(basis)))
         # the two resolutions' D, formed at each time for the check only
@@ -685,16 +660,16 @@ def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np
     so psi = f1(z1) f2(z2) + (1/2 pi) int exp(-ik z1) X(z2, k) dk with
     X = (i chi G_f + weight B G_b) f2, kept at k+ as [C_X | S_X] (_KBasis):
     the product of [f1 | 2w cos(k z1) | 2w sin(k z1)] with [f2 row; X rows],
-    written into psi's float64 view (_real_products). No n1 x n2 table is
-    formed.
+    a real left against a complex right, written into psi's float64 view
+    (numerics.real_products). No n1 x n2 table is formed.
     """
     basis = entry.basis
     f2_row = setup.f2(setup.grid2.nodes)
     spec = 1j * setup.params.chi * entry.g_f + (weight * entry.b)[:, None] * basis.box(entry.h)
     spec *= f2_row[:, None]
     psi = np.empty((setup.grid1.n, setup.grid2.n), dtype=complex)
-    return _real_products(np.hstack([setup.f1(setup.grid1.nodes)[:, None], basis.z1]),
-                          np.vstack([f2_row[None, :], spec.T]), psi)
+    return real_products(np.hstack([setup.f1(setup.grid1.nodes)[:, None], basis.z1]),
+                         np.vstack([f2_row[None, :], spec.T]), psi)
 
 
 def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,

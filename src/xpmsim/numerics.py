@@ -1,9 +1,13 @@
-"""Grids, quadrature rules, the bandwidth kernel, and pulse profiles.
+"""Grids, quadrature rules, the bandwidth kernel, pulse profiles, and real k-side products.
 
 Everything downstream works in pulse-width units: lengths are measured in
 units of the common pulse width sigma, so a profile of unit width centered
 at z0 and the dimensionless bandwidth parameter k0 fully describe the
 single-pulse inputs.
+
+The kernel is a box in k, so both engines take their k-side transforms from
+here, as real cosine and sine transforms (cos_sin) multiplied in row blocks
+that stay on the calling thread (real_products).
 """
 
 from __future__ import annotations
@@ -29,9 +33,6 @@ __all__ = [
 ]
 
 _SINC_SERIES_CUTOFF = 1e-4
-# multiply-adds of one real product that OpenBLAS keeps on the calling thread
-# (see the copropagating module docstring)
-_GEMM_MNK = 1 << 19
 
 
 def sinc_kernel(x: np.ndarray | float, k0: float = 1.0) -> np.ndarray | float:
@@ -69,6 +70,72 @@ def commutator_kernel(x: np.ndarray | float, k0: float, sigma: float = 1.0):
         raise ParameterError(f"sigma must be positive, got {sigma}")
     ks = k0 / sigma
     return (ks / math.pi) * sinc_kernel(x, ks)
+
+
+def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """[cos(k x) | sin(k x)], shape (x, 2 k)."""
+    arg = np.outer(x, k)
+    return np.hstack([np.cos(arg), np.sin(arg)])
+
+
+# Hot products are real: a real BLAS product in row blocks, or an einsum, never
+# a complex BLAS product and never one large product. NumPy's bundled OpenBLAS
+# (scipy-openblas 0.3.31, two threads on a 2-core machine) hands complex
+# products as small as 32 x 184 x 16 (ZGEMM) or 401 x 16 (ZGEMV) to a helper
+# thread, which then spins, and a handoff sometimes stalls for 4-8 ms: in one
+# `coeffs --profile gaussian` run the 11 C1 chunk products took 73 ms that way
+# and 0.6 ms on one thread, and threaded products stalled the head-on
+# trajectory moments for up to 0.8 s at a time. A real DGEMM stays on the
+# calling thread up to a size: on the 2-core machine products of up to 641600
+# multiply-adds (m n k) stayed there and one of 1.03M did not, and a single
+# 401 x 401 x 16 product took 4.5 ms where five row blocks of it took 0.15 ms.
+# So real_products and the grid route's far rows (copropagating._far_sums)
+# take blocks of fewer than _GEMM_MNK multiply-adds (gemm_rows). C1's chunk
+# products of 1.0-6.3M multiply-adds at k0 = 30 and 100 woke the helper in
+# every run while they were single products. Where one row alone reaches the
+# limit (C1 of unit gaussians past k0 = 270), one-row products stream all of
+# right per row: a 32 x 18128 x 32 product took 6.7 ms that way and 0.95 ms
+# summed over slabs of right's rows. Over criterion 05's lattice the far rows took 0.08-0.10 s
+# of wall and 0.09-0.12 s of CPU in blocks, the process peaking at 38 MB; in
+# row blocks of 4e6 elements, which thread, they took 0.13-0.32 s of wall,
+# 0.24-0.32 s of CPU and 96 MB, so the second core does not pay there either.
+# No thread setting is needed; tests/test_threads.py checks that no CLI task,
+# no C1 at k0 = 30 or 100, no pass of the head-on oracle, no collision entropy
+# and no pass of the grid route wakes a helper.
+_GEMM_MNK = 1 << 19
+
+
+def gemm_rows(row_cost: int) -> int:
+    """Rows per block of a real product whose every row costs row_cost multiply-adds."""
+    return max(1, (_GEMM_MNK - 1) // row_cost)
+
+
+def real_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = left @ right as real BLAS products of fewer than _GEMM_MNK multiply-adds.
+
+    left and right are each real or complex. A complex left is split into
+    [Re left | Im left] against [right; i right]. A complex out is written
+    through its float64 view, whose rows interleave real and imaginary parts
+    as a complex right's float64 view does, so it needs a complex left or
+    right; a real out takes the real part. out is filled a block of rows at
+    a time (gemm_rows). Where one row alone reaches _GEMM_MNK, one-row
+    products would each stream all of right, so all rows are summed over
+    slabs of right's rows instead, which needs out below _GEMM_MNK entries.
+    """
+    if np.iscomplexobj(left):
+        left = np.hstack([left.real, left.imag])
+        right = np.concatenate([right, 1j * right])
+    if np.iscomplexobj(out):
+        rhs, dst = np.ascontiguousarray(right).view(float), out.view(float)
+    else:
+        rhs, dst = np.ascontiguousarray(right.real), out
+    slab = rhs.shape[0] if rhs.size < _GEMM_MNK else gemm_rows(dst.size)
+    rows = gemm_rows(slab * rhs.shape[1])
+    for i in range(0, left.shape[0], rows):
+        np.matmul(left[i:i + rows, :slab], rhs[:slab], out=dst[i:i + rows])
+        for j in range(slab, rhs.shape[0], slab):
+            dst[i:i + rows] += np.matmul(left[i:i + rows, j:j + slab], rhs[j:j + slab])
+    return out
 
 
 @dataclass(frozen=True, eq=False)

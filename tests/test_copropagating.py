@@ -192,6 +192,44 @@ def test_k_route_matches_sinc_double_sum(pair):
         assert compute_C1(f1, f2, k0, rtol=1.0) == got
 
 
+def per_node_spectra(z, left, right, k):
+    """[C_F | S_F | C_G | S_G] at each k from its own cosines and sines of k z."""
+    c, s = np.split(numerics.cos_sin(k, z), 2, axis=1)
+    return np.stack([c @ left, s @ left, c @ right, s @ right], axis=1)
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("k0", [0.5, 10.0, 100.0])
+@pytest.mark.parametrize("shape", ["gaussian", "square"])
+def test_c1_angle_addition_matches_per_node_spectra(shape, k0, refine):
+    prof = make_profile(shape)
+    axis = copropagating._coefficient_axis(prof, prof, k0, 160, refine)
+    z = axis.nodes
+    left = axis.weights * prof(z)
+    right = left * prof(z) ** 2
+    h = math.pi / (refine * (axis.hi - axis.lo))
+    box = copropagating._BoxIntegral(z, left, right, h)
+    x = numerics._gauss_legendre(8)[0]
+    chunk = copropagating._C1_CHUNK
+    m = math.floor(k0 / h)
+    half = 0.5 * (k0 - m * h)
+    # the samples are non-negative, so the spectra at k = 0 (the first chunk's
+    # largest entries) bound every entry; near k0 = 100 a gaussian's spectra
+    # are rounding noise, so a chunk there has no scale of its own, and only
+    # the first chunk shows a wrong turn
+    scale = max(left.sum(), right.sum())
+    # the first chunk and the one holding k0's panel, their starts turned by
+    # the panel nodes, and up_to's partial panel, its nodes turned by its start
+    panels = [(h * np.arange(first, first + chunk), 0.5 * h * (1.0 + x))
+              for first in sorted({0, m - m % chunk})]
+    panels.append((half * (1.0 + x), np.array([m * h])))
+    for a, t in panels:
+        got = numerics.cos_sin(a, z) @ box._turned(t)  # columns: 4 spectra x t
+        got = got.reshape(a.size, 4, t.size).transpose(0, 2, 1).reshape(-1, 4)
+        want = per_node_spectra(z, left, right, (a[:, None] + t).ravel())
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("shape", ["gaussian", "square"])
 def test_c1_lattice_is_history_independent(shape):
     # chunks have fixed boundaries and are summed in a fixed order, so the

@@ -147,6 +147,49 @@ def test_converged_reports_the_entry_that_misses_by_most():
         numerics._converged("C1", 0.5, 0.25, 1e-6, at=" at k0=2")
 
 
+# --------------------------------------------------------- real products
+
+def _dyadic(rng, shape, dtype):
+    # multiples of 1/64 in [-1, 1]: every product and sum below is exact, so
+    # any blocking or summation order gives the same bits, and a misplaced
+    # block or a wrong sign moves whole entries
+    parts = rng.integers(-64, 65, (2, *shape)) / 64.0
+    return parts[0] + 1j * parts[1] if dtype is complex else parts[0]
+
+
+# (left, right, out) dtypes of each caller, with _GEMM_MNK as a multiple of
+# right's size: 8 gives row blocks of 7, 3 and 1 rows for a real, a complex
+# right and a complex left; "c1 slabs" makes one row alone reach _GEMM_MNK
+REAL_PRODUCT_CASES = {
+    "c1 chunk": ((25, 60), (60, 32), float, float, float, 8),
+    "c1 slabs": ((25, 600), (600, 4), float, float, float, 1),
+    "ensure A, table of a real f1": ((25, 16), (16, 81), float, float, float, 8),
+    "amplitude": ((25, 17), (17, 41), float, complex, complex, 8),
+    "entropy gram of a complex f1": ((25, 16), (16, 25), complex, complex, complex, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REAL_PRODUCT_CASES))
+def test_real_products_match_matmul_in_every_caller_dtype(case, monkeypatch):
+    lshape, rshape, ltype, rtype, otype, budget = REAL_PRODUCT_CASES[case]
+    rng = np.random.default_rng(21)
+    left, right = _dyadic(rng, lshape, ltype), _dyadic(rng, rshape, rtype)
+    monkeypatch.setattr(numerics, "_GEMM_MNK", budget * right.size)
+    products = []
+    matmul = np.matmul
+
+    def counting(a, b, **kwargs):
+        products.append(a.shape)
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(numerics.np, "matmul", counting)
+    out = numerics.real_products(left, right, np.empty((lshape[0], rshape[1]), dtype=otype))
+    assert len(products) >= 3
+    want = left @ right
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(out - want) <= 4.0 * np.spacing(scale))
+
+
 # -------------------------------------------------------------- kernels
 
 def test_sinc_kernel_values():

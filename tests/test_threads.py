@@ -1,16 +1,16 @@
-"""The CLI tasks, the head-on oracle, the collision entropy and the grid route run on one thread.
+"""The CLI tasks, C1, the head-on oracle, the collision entropy and the grid route use one thread.
 
 NumPy's bundled OpenBLAS starts helper threads when it loads. It hands a
 product to them by its own size rule, and on a small machine a handoff can
 stall for milliseconds while the helpers spin. The spectrum products of the
-CLI tasks, the head-on tables, amplitudes and entropy blocks and the grid
-route's far rows are sized to stay on the calling thread (see the
-copropagating module docstring). Each task runs in a fresh interpreter,
-which counts the context switches of every thread but the main one, from
-/proc/self/task/*/status, before and after the task: a helper that was
-never scheduled has the same count afterwards. The test sets no BLAS or
-thread environment variable, so it runs the library as a user's
-invocation does.
+CLI tasks and of C1, the head-on tables, amplitudes and entropy blocks and
+the grid route's far rows are sized to stay on the calling thread (see the
+note on real products in numerics, next to real_products). Each task runs
+in a fresh interpreter, which counts the context switches of every thread
+but the main one, from /proc/self/task/*/status, before and after the
+task: a helper that was never scheduled has the same count afterwards. The
+test sets no BLAS or thread environment variable, so it runs the library
+as a user's invocation does.
 """
 
 from __future__ import annotations
@@ -56,9 +56,24 @@ PROBE = textwrap.dedent("""
         return main(sys.argv[1:])
 """) + COUNTER
 
+# C1 at one k0 on both coefficient axes: each chunk's spectra are one
+# numerics.real_products call; at k0 = 30 and 100 a chunk's product is
+# 1.0-6.3M multiply-adds, which OpenBLAS threads in one product
+C1_PROBE = textwrap.dedent("""
+    import sys
+    from xpmsim import compute_C1, make_profile
+
+    prof = make_profile("gaussian")
+
+    def run():
+        compute_C1(prof, prof, float(sys.argv[1]))
+        return 0
+""") + COUNTER
+
+
 # the head-on oracle of criterion 09 and the benchmark: the tables over the
 # fig4 ladder, then both amplitudes at every time, each one real product
-# sized to stay on the calling thread (_real_products)
+# sized to stay on the calling thread (numerics.real_products)
 ORACLE_PROBE = textwrap.dedent("""
     import math
     from xpmsim import (InteractionTables, two_particle_headon_closed,
@@ -80,7 +95,7 @@ ORACLE_PROBE = textwrap.dedent("""
 
 # the collision entropy of the benchmark's collision workload: the whole-line
 # blocks' k-Gram products are real over the cosine and sine columns and
-# row-blocked (_real_products)
+# row-blocked (numerics.real_products)
 ENTROPY_PROBE = textwrap.dedent("""
     import math
     from xpmsim import InteractionTables, collision_entropy
@@ -98,8 +113,8 @@ ENTROPY_PROBE = textwrap.dedent("""
 
 
 # the grid route of criterion 05 and the benchmark: criterion 05's lattice, one
-# interaction_grids pair per k0; its far rows are thin products sized to stay
-# on the calling thread (copropagating._far_sums)
+# interaction_grids pair per k0; its far rows are thin products in row blocks
+# of numerics.gemm_rows rows (copropagating._far_sums)
 GRID_ROUTE_PROBE = textwrap.dedent("""
     from xpmsim import (SystemParams, grid_metrics_copropagating, interaction_grids,
                         make_profile)
@@ -137,6 +152,14 @@ def run_probe(probe, *args):
 def test_task_leaves_helper_threads_unscheduled(task, profile, tmp_path):
     report = run_probe(PROBE, task, "--profile", profile,
                        "--out", str(tmp_path / f"{task}.csv"))
+    assert report["after"] == report["before"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread /proc/self/task/*/status")
+@pytest.mark.parametrize("k0", [30, 100])
+def test_c1_leaves_helper_threads_unscheduled(k0):
+    report = run_probe(C1_PROBE, str(k0))
     assert report["after"] == report["before"]
 
 
