@@ -22,10 +22,13 @@ w f1 and w f1 |f2|^2. They are kept as cosine and sine transforms, F =
 C_F - i S_F, so Re(conj F G) = C_F C_G + S_F S_G, and are built, as the
 head-on k side is, from numerics' cos_sin and real_products: real products
 in row blocks that stay on the calling thread. The k integral is
-cumulative in k0: its whole panels are memoized per axis and sample pair,
-so a k0 lattice and the transition bisection share one spectrum pass. The
-panels are built in fixed chunks in a fixed order, so a value never
-depends on call history.
+cumulative in k0. Each coefficient axis is memoized with what C1 and C2
+keep on it (C1's whole panels, C2's k0-free sum), keyed by both profiles'
+defining fields, the axis's node target and its resolution, in one LRU of
+_C1_MEMO_SIZE entries; the axis depends on k0 only through its node
+target, so a k0 lattice and the transition bisection share one axis and
+one spectrum pass per resolution. The panels are built in fixed chunks in
+a fixed order, so a value never depends on call history.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .numerics import (
     join_grids,
     make_grid,
     make_profile,
+    profile_key,
     real_products,
     sinc_kernel,
 )
@@ -135,23 +139,34 @@ def _check_coeff_inputs(f1: PulseProfile, f2: PulseProfile, k0: float):
             raise ProfileError(f"profile {i} is not unit-normalized")
 
 
+def _axis_target(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
+                 refine: int) -> tuple[float, float, int]:
+    """The coefficient axis's interval [lo, hi] and its target node count.
+
+    The target grows with k0 * span so the oscillatory kernel stays
+    resolved; k0 = 0 leaves it at max(n, 32), for an integrand with no
+    kernel (C2). The refine factor multiplies the target, so a refined axis
+    never coincides with the base one even when the k0 floor dominates.
+    The axis depends on k0 only through the target, so every k0 with
+    0.75 k0 span + 32 <= n shares one axis.
+    """
+    lo = min(f1.center - f1.support_halfwidth(), f2.center - f2.support_halfwidth())
+    hi = max(f1.center + f1.support_halfwidth(), f2.center + f2.support_halfwidth())
+    return lo, hi, refine * max(n, int(math.ceil(0.75 * k0 * (hi - lo))) + 32)
+
+
 def _coefficient_axis(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
                       refine: int = 1) -> Grid1D:
     """Composite 8-node Gauss-Legendre axis resolving both profiles and the kernel.
 
-    The target node count grows with k0 * span so the oscillatory kernel
-    stays resolved; k0 = 0 leaves it at max(n, 32), for an integrand with
-    no kernel (C2). Profile discontinuities become piece boundaries, and
-    each piece gets equal 8-node Gauss panels: at least 12 nodes and its
-    share of the target, rounded up to whole panels. Every panel reuses
+    Profile discontinuities become piece boundaries, and each piece gets
+    equal 8-node Gauss panels: at least 12 nodes and its share of the
+    target (_axis_target), rounded up to whole panels. Every panel reuses
     the one cached 8-node rule, so no large Legendre eigen-solve is needed
-    at any k0. The refine factor multiplies the target, so a refined axis
-    never coincides with the base one even when the k0 floor dominates.
+    at any k0.
     """
-    lo = min(f1.center - f1.support_halfwidth(), f2.center - f2.support_halfwidth())
-    hi = max(f1.center + f1.support_halfwidth(), f2.center + f2.support_halfwidth())
+    lo, hi, total = _axis_target(f1, f2, k0, n, refine)
     span = hi - lo
-    total = refine * max(n, int(math.ceil(0.75 * k0 * span)) + 32)
     cuts = sorted({b for p in (f1, f2) for b in p.breakpoints if lo < b < hi})
     edges = [lo, *cuts, hi]
     pieces = []
@@ -161,12 +176,15 @@ def _coefficient_axis(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
     return join_grids(*pieces)
 
 
-# k-side C1: 8-node Gauss panels over [0, k0], built _C1_CHUNK panels at a time;
-# _C1_MEMO maps (panel width, copies of the axis and the weighted samples) to the
-# panels' prefix sums, least recently used first, at most _C1_MEMO_SIZE entries
+# k-side C1: 8-node Gauss panels over [0, k0], built _C1_CHUNK panels at a time.
+# _C1_MEMO maps (both profiles' profile_key, the axis's node target, refine) to
+# an _AxisEntry, least recently used first, at most _C1_MEMO_SIZE entries: C1's
+# two resolutions at two node targets (a lattice on the n floor and one k0 past
+# it, or two profile pairs) and C2's two, so interleaved C2 calls evict no C1
+# spectra
 _C1_PANEL_NODES = 8
 _C1_CHUNK = 32
-_C1_MEMO_SIZE = 4
+_C1_MEMO_SIZE = 6
 _C1_MEMO: OrderedDict = OrderedDict()
 
 
@@ -228,36 +246,59 @@ class _BoxIntegral:
         return float(self._prefix[m]) + half * float(self._g @ rest[:, 0])
 
 
-def _box_integral(axis: Grid1D, left: np.ndarray, right: np.ndarray,
-                  h: float) -> _BoxIntegral:
-    """The memoized _BoxIntegral for (h, axis, left, right), built on a miss.
+class _AxisEntry:
+    """One coefficient axis of a profile pair, with what C1 and C2 keep on it.
 
-    The key holds copies of every array, so an equal axis and equal samples
-    hit however they were built, and anything edited in place misses.
+    C1's _BoxIntegral and C2's k0-free sum of w |f1|^2 |f2|^2 are built on
+    their first call, so an axis that only C2 or the entropy sweep reads
+    never takes C1's spectra.
     """
-    key = (h, *(v.tobytes() for v in (axis.nodes, axis.weights, left, right)))
-    box = _C1_MEMO.get(key)
-    if box is None:
-        box = _BoxIntegral(axis.nodes.copy(), left, right, h)
-        _C1_MEMO[key] = box
+
+    def __init__(self, f1: PulseProfile, f2: PulseProfile, axis: Grid1D, refine: int):
+        self.f1, self.f2, self.axis, self.refine = f1, f2, axis, refine
+        self._box: _BoxIntegral | None = None
+        self._c2_sum: float | None = None
+
+    def c1(self, k0: float) -> float:
+        if self._box is None:
+            # sinc(k0 u) = (1/2k0) int_{-k0}^{k0} exp(i k u) dk turns the double
+            # sum sum a(z) b(z') sinc(k0 (z - z')) into (1/k0) int_0^k0 Re(conj F G) dk;
+            # z - z' stays inside (-span, span), so a panel of pi/span holds at
+            # most half a period of the integrand
+            z, w = self.axis.nodes, self.axis.weights
+            left = w * np.real(self.f1(z))
+            right = left * np.abs(self.f2(z)) ** 2
+            h = math.pi / (self.refine * (self.axis.hi - self.axis.lo))
+            self._box = _BoxIntegral(z, left, right, h)
+        return self._box.up_to(k0) / k0
+
+    def c2(self, k0: float) -> float:
+        # the squared kernel's line integral pi/k0 is the only k0 in C2
+        if self._c2_sum is None:
+            z, w = self.axis.nodes, self.axis.weights
+            self._c2_sum = float(w @ (np.abs(self.f1(z)) ** 2 * np.abs(self.f2(z)) ** 2))
+        return (math.pi / k0) * self._c2_sum
+
+
+def _axis_entry(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
+                refine: int) -> _AxisEntry:
+    """The memoized _AxisEntry of _coefficient_axis(f1, f2, k0, n, refine), built on a miss.
+
+    The key is both profiles' defining fields (profile_key), the axis's node
+    target and refine, which fix the axis, the samples and C1's panel width:
+    an equal profile hits however it was built, and a table edited in place
+    misses.
+    """
+    key = (profile_key(f1), profile_key(f2), _axis_target(f1, f2, k0, n, refine)[2], refine)
+    entry = _C1_MEMO.get(key)
+    if entry is None:
+        entry = _C1_MEMO[key] = _AxisEntry(
+            f1, f2, _coefficient_axis(f1, f2, k0, n, refine), refine)
         if len(_C1_MEMO) > _C1_MEMO_SIZE:
             _C1_MEMO.popitem(last=False)
     else:
         _C1_MEMO.move_to_end(key)
-    return box
-
-
-def _c1_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float, axis: Grid1D,
-                refine: int) -> float:
-    # sinc(k0 u) = (1/2k0) int_{-k0}^{k0} exp(i k u) dk turns the double sum
-    # sum a(z) b(z') sinc(k0 (z - z')) into (1/k0) int_0^k0 Re(conj F G) dk;
-    # z - z' stays inside (-span, span), so a panel of pi/span holds at most
-    # half a period of the integrand
-    z, w = axis.nodes, axis.weights
-    left = w * np.real(f1(z))
-    right = left * np.abs(f2(z)) ** 2
-    h = math.pi / (refine * (axis.hi - axis.lo))
-    return _box_integral(axis, left, right, h).up_to(k0) / k0
+    return entry
 
 
 def compute_C1(f1: PulseProfile, f2: PulseProfile, k0: float, *,
@@ -269,25 +310,20 @@ def compute_C1(f1: PulseProfile, f2: PulseProfile, k0: float, *,
     into C1 = (1/k0) int_0^k0 Re(conj F(k) G(k)) dk, where F and G are the
     spectra of w f1 and w f1 |f2|^2 on the axis. The k integral runs over
     8-node Gauss panels of width pi/span (pi/(2 span) on the refined
-    axis). Whole panels come from prefix sums memoized per axis and sample
-    pair, so every k0 of a lattice or a bisection on the same axis reuses
-    one spectrum pass; only the partial panel up to k0 is new. The panels
-    are built in fixed chunks in a fixed order, so a value never depends
-    on which calls came before. Evaluated at two axis resolutions (n and
-    2n target nodes); disagreement beyond rtol raises an accuracy error
-    carrying both estimates.
+    axis). The axis and the prefix sums of whole panels are memoized
+    (_axis_entry) per profile pair, axis node target and resolution, in an
+    LRU of _C1_MEMO_SIZE entries shared with C2; so every k0 of a lattice
+    or a bisection on the same axis reuses one axis and one spectrum pass,
+    and only the partial panel up to k0 is new. The panels are built in
+    fixed chunks in a fixed order, so a value never depends on which calls
+    came before. Evaluated at two axis resolutions (n and 2n target nodes);
+    disagreement beyond rtol raises an accuracy error carrying both
+    estimates.
     """
     _check_coeff_inputs(f1, f2, k0)
-    coarse = _c1_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n), 1)
-    fine = _c1_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, k0, n, refine=2), 2)
+    coarse, fine = (_axis_entry(f1, f2, k0, n, r).c1(k0) for r in (1, 2))
     return _converged("C1 quadrature", coarse, fine, rtol, max(1.0, abs(fine)),
                       at=f" at k0={k0}")
-
-
-def _c2_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float, axis: Grid1D) -> float:
-    z, w = axis.nodes, axis.weights
-    dens = np.abs(f1(z)) ** 2 * np.abs(f2(z)) ** 2
-    return (math.pi / k0) * float(w @ dens)
 
 
 def compute_C2(f1: PulseProfile, f2: PulseProfile, k0: float, *,
@@ -296,13 +332,14 @@ def compute_C2(f1: PulseProfile, f2: PulseProfile, k0: float, *,
 
     The integrand depends on Z1 only through the squared kernel, whose full
     line integral is pi/k0; what remains is a 1-D quadrature of
-    |f1|^2 |f2|^2, again checked at two resolutions. That integrand carries
-    no kernel, so its axis resolves the profiles only and does not grow
-    with k0.
+    |f1|^2 |f2|^2, again checked at two resolutions at every call. That
+    integrand carries no kernel, so its axis resolves the profiles only and
+    does not grow with k0: the sum on each axis is memoized with C1's
+    entries (_axis_entry, per profile pair, node target and resolution, at
+    most _C1_MEMO_SIZE entries), and C2(k0) is pi/k0 times it.
     """
     _check_coeff_inputs(f1, f2, k0)
-    coarse = _c2_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, 0.0, n))
-    fine = _c2_on_axis(f1, f2, k0, _coefficient_axis(f1, f2, 0.0, n, refine=2))
+    coarse, fine = (_axis_entry(f1, f2, 0.0, n, r).c2(k0) for r in (1, 2))
     return _converged("C2 quadrature", coarse, fine, rtol, max(1.0, abs(fine)),
                       at=f" at k0={k0}")
 
@@ -712,7 +749,7 @@ def entropy_phase_sweep(f1: PulseProfile, f2: PulseProfile, k0: float,
     if np.any(phis < 0.0):
         raise ParameterError("phi values must be non-negative")
     coarse, fine = (_entropy_sweep_on_axis(f1, f2, k0, phis,
-                                           _coefficient_axis(f1, f2, k0, 160, refine=r))
+                                           _axis_entry(f1, f2, k0, 160, r).axis)
                     for r in (1, 2))
     return _converged("linear entropy", coarse, fine, _ENTROPY_TOL,
                       at=lambda i: f" at k0={k0}, phi={phis[i]}")

@@ -82,6 +82,7 @@ from .numerics import (
     composite_gauss_grid,
     cos_sin,
     make_grid,
+    profile_key,
     real_products,
 )
 from .results import Axis, SweepResult
@@ -168,7 +169,7 @@ class CollisionSetup:
             self.f2.center + self.grid_halfwidth, self.grid_n, rule="uniform"))
         p = self.params
         object.__setattr__(self, "_signature", (
-            _profile_key(self.f1), _profile_key(self.f2), p.k0, p.sigma, p.v1, p.v2,
+            profile_key(self.f1), profile_key(self.f2), p.k0, p.sigma, p.v1, p.v2,
             self.grid_halfwidth, self.grid_n))
 
     @property
@@ -199,17 +200,6 @@ def _time_ladder(times) -> np.ndarray:
     if times[0] < 0.0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
         raise ParameterError("time samples must be non-negative and increasing")
     return times
-
-
-def _profile_key(f: PulseProfile) -> tuple:
-    """Every field that defines a profile, its table arrays as raw bytes.
-
-    The label is not enough: it prints center and sigma with %g and gives
-    a tabulated profile only its node count.
-    """
-    tables = tuple(None if a is None else a.tobytes()
-                   for a in (f.table_nodes, f.table_values))
-    return (f.shape, f.center, f.sigma, f.width, f.scale) + tables
 
 
 class _KBasis:

@@ -75,7 +75,10 @@ def commutator_kernel(x: np.ndarray | float, k0: float, sigma: float = 1.0):
 def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """[cos(k x) | sin(k x)], shape (x, 2 k)."""
     arg = np.outer(x, k)
-    return np.hstack([np.cos(arg), np.sin(arg)])
+    out = np.empty((arg.shape[0], 2 * arg.shape[1]))
+    np.cos(arg, out=out[:, :arg.shape[1]])
+    np.sin(arg, out=out[:, arg.shape[1]:])
+    return out
 
 
 # Hot products are real: a real BLAS product in row blocks, or an einsum, never
@@ -397,6 +400,18 @@ class PulseProfile:
         if nsq <= 0.0:
             raise ParameterError("cannot normalize an identically zero profile")
         return replace(self, scale=self.scale / math.sqrt(nsq))
+
+
+def profile_key(f: PulseProfile) -> tuple:
+    """Every field that defines a profile, its table arrays as raw bytes.
+
+    The label is not enough: it prints center and sigma with %g and gives
+    a tabulated profile only its node count. The bytes are copies, so a
+    table edited in place gives another key.
+    """
+    tables = tuple(None if a is None else a.tobytes()
+                   for a in (f.table_nodes, f.table_values))
+    return (f.shape, f.center, f.sigma, f.width, f.scale) + tables
 
 
 def make_profile(shape: str, center: float = 0.0, sigma: float = 1.0,

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ def test_k_route_matches_sinc_double_sum(pair):
     for k0 in (0.1, 0.5, 1.0, 2.5, 3.7, 8.0, 10.0, 30.0):
         for refine in (1, 2):
             axis = copropagating._coefficient_axis(f1, f2, k0, 160, refine)
-            got = copropagating._c1_on_axis(f1, f2, k0, axis, refine)
+            got = copropagating._AxisEntry(f1, f2, axis, refine).c1(k0)
             assert abs(got - sinc_double_sum(f1, f2, k0, axis)) <= 1e-14, (k0, refine)
         # compute_C1 returns the refined axis's value; rtol=1 because the
         # tables end in jumps that the axis does not put on panel edges
@@ -299,6 +300,112 @@ def test_c1_memo_misses_on_changed_inputs(box_builds):
     count = len(box_builds)
     assert compute_C1(GAUSS, GAUSS, 2.5) == base
     assert len(box_builds) == count
+
+
+@pytest.fixture
+def axis_builds(monkeypatch):
+    built = []
+    real = copropagating._coefficient_axis
+
+    def counting(*args):
+        built.append(args)
+        assert len(copropagating._C1_MEMO) <= copropagating._C1_MEMO_SIZE
+        return real(*args)
+
+    copropagating._C1_MEMO.clear()
+    monkeypatch.setattr(copropagating, "_coefficient_axis", counting)
+    return built
+
+
+def both_coefficients(f1, f2, k0, **kwargs):
+    return compute_C1(f1, f2, k0, **kwargs), compute_C2(f1, f2, k0, **kwargs)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "square"])
+def test_coefficient_memo_hits_a_rebuilt_profile(axis_builds, shape):
+    prof = make_profile(shape)
+    values = both_coefficients(prof, prof, 2.5)
+    assert len(axis_builds) == 4  # C1's and C2's axes, two resolutions each
+    again = make_profile(shape)
+    assert again is not prof
+    assert both_coefficients(again, again, 2.5) == values
+    assert len(axis_builds) == 4
+
+
+def test_coefficient_memo_misses_on_every_defining_field(axis_builds):
+    # each changed profile takes four new axes, and its values equal those
+    # computed with a cleared memo
+    sq = make_profile("square")
+    tab = make_profile("tabulated", table_nodes=_TAB_NODES,
+                       table_values=np.exp(-_TAB_NODES**2 / 2.0)
+                       * (1.0 + 0.3 * np.tanh(_TAB_NODES)))
+    changes = (
+        ((GAUSS, GAUSS), (make_profile("gaussian", center=0.25), GAUSS)),
+        ((GAUSS, GAUSS), (GAUSS, make_profile("gaussian", sigma=0.5))),
+        ((sq, sq), (make_profile("square", width=2.5), sq)),
+        ((GAUSS, GAUSS), (GAUSS, replace(GAUSS, scale=1.0 + 1e-12))),
+    )
+    for base, changed in changes:
+        before = both_coefficients(*base, 2.5)
+        count = len(axis_builds)
+        after = both_coefficients(*changed, 2.5)
+        assert len(axis_builds) == count + 4 and after != before
+        copropagating._C1_MEMO.clear()
+        assert both_coefficients(*changed, 2.5) == after
+    # a tabulated profile's table edited in place; rtol=1 because the axis does
+    # not put the table's kinks on panel edges
+    before = both_coefficients(tab, GAUSS, 2.5, rtol=1.0)
+    tab.table_values[:] = tab.table_values[::-1].copy()
+    count = len(axis_builds)
+    after = both_coefficients(tab, GAUSS, 2.5, rtol=1.0)
+    assert len(axis_builds) == count + 4 and after != before
+    copropagating._C1_MEMO.clear()
+    assert both_coefficients(tab, GAUSS, 2.5, rtol=1.0) == after
+    # another n; at n = 300 C1's target is n at k0 = 2.5, as C2's is, so the
+    # two share an entry per resolution
+    count = len(axis_builds)
+    both_coefficients(GAUSS, GAUSS, 2.5, n=300)
+    assert len(axis_builds) == count + 2
+    # another refine on the same axis: C1's panels are half as wide
+    coarse = copropagating._axis_entry(GAUSS, GAUSS, 2.5, 320, 1)
+    fine = copropagating._axis_entry(GAUSS, GAUSS, 2.5, 160, 2)
+    assert fine is not coarse and fine.axis.same_as(coarse.axis)
+    assert fine.c1(2.5) != coarse.c1(2.5)
+
+
+def test_coefficient_memo_builds_each_fig3_axis_once(monkeypatch):
+    from xpmsim.cli.config import RunConfig
+    from xpmsim.cli.sweeps import run_fig3
+
+    built = Counter()
+    real = copropagating.composite_gauss_grid
+
+    def counting(*args):
+        built[args] += 1
+        return real(*args)
+
+    copropagating._C1_MEMO.clear()
+    monkeypatch.setattr(copropagating, "composite_gauss_grid", counting)
+    for shape in ("gaussian", "square"):
+        run_fig3(RunConfig(task="fig3", profile_shape=shape))
+        assert len(copropagating._C1_MEMO) <= copropagating._C1_MEMO_SIZE
+    # one piece per axis: a profile, a resolution, C1's axis or C2's
+    assert sum(built.values()) == len(built) == 2 * 2 * 2
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "square"])
+def test_c2_lattice_is_history_independent(shape):
+    prof = make_profile(shape)
+    copropagating._C1_MEMO.clear()
+    forward = {k0: compute_C2(prof, prof, k0) for k0 in FIG3_K0}
+    reverse = {k0: compute_C2(prof, prof, k0) for k0 in reversed(FIG3_K0)}
+    order = list(FIG3_K0)
+    np.random.default_rng(12).shuffle(order)
+    shuffled = {k0: compute_C2(prof, prof, k0) for k0 in order}
+    assert reverse == forward and shuffled == forward
+    for k0 in FIG3_K0:
+        copropagating._C1_MEMO.clear()
+        assert compute_C2(prof, prof, k0) == forward[k0]
 
 
 # ----------------------------------------------------------- transition

@@ -190,6 +190,18 @@ def test_real_products_match_matmul_in_every_caller_dtype(case, monkeypatch):
     assert np.all(np.abs(out - want) <= 4.0 * np.spacing(scale))
 
 
+@pytest.mark.parametrize("shape", [(8, 320), (320, 8), (32, 9064)])
+def test_cos_sin_writes_the_bits_of_the_stacked_form(shape):
+    # cos and sin go straight into the two halves of one array; the shapes are
+    # C1's panel turns, a transposed block and a refine-2 chunk at k0 = 300
+    rng = np.random.default_rng(17)
+    x, k = rng.uniform(-40.0, 40.0, shape[0]), rng.uniform(-20.0, 20.0, shape[1])
+    arg = np.outer(x, k)
+    want = np.hstack([np.cos(arg), np.sin(arg)])
+    got = numerics.cos_sin(x, k)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # -------------------------------------------------------------- kernels
 
 def test_sinc_kernel_values():
