@@ -40,7 +40,6 @@ KEYMAP = {
     "headon.k0": ("headon_k0", "float"),
     "headon.phis": ("headon_phis", "floats"),
     "headon.time_n": ("headon_time_n", "int"),
-    "headon.n_max": ("headon_n_max", "int"),
     "grid.core_n": ("grid_core_n", "int"),
     "grid.halfwidth": ("grid_halfwidth", "float"),
     "output.format": ("output_format", "str"),
@@ -75,7 +74,6 @@ class RunConfig:
     headon_phis: tuple[float, ...] = (math.pi / 4, math.pi / 2,
                                       3 * math.pi / 4, math.pi)
     headon_time_n: int = 121
-    headon_n_max: int = 40
     grid_core_n: int = 401
     grid_halfwidth: float = 10.0
     output_format: str = "csv"
@@ -105,8 +103,7 @@ class RunConfig:
         if (self.phi_min is not None and self.phi_max is not None
                 and not self.phi_min < self.phi_max):
             raise ConfigError("phi.min must be below phi.max")
-        for name in ("lattice_k0_n", "lattice_phi_n", "headon_time_n",
-                     "headon_n_max", "grid_core_n"):
+        for name in ("lattice_k0_n", "lattice_phi_n", "headon_time_n", "grid_core_n"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{_ATTR_TO_KEY[name]} must be at least 2")
         if not self.lattice_k0_min < self.lattice_k0_max:

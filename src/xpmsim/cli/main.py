@@ -16,7 +16,6 @@ from ..errors import (
     AccuracyError,
     ConfigError,
     ParameterError,
-    TruncationError,
     XpmsimError,
 )
 from .config import FORMATS, TASKS, RunConfig, _parse_value, parse_config
@@ -105,7 +104,7 @@ def main(argv=None) -> int:
         emit(result, config.output_format, path)
         sys.stdout.write(f"wrote {path}\n")
         return 0
-    except (AccuracyError, TruncationError) as exc:
+    except AccuracyError as exc:
         sys.stderr.write(f"xpmsim: convergence failure: {exc}\n")
         return 3
     except (ConfigError, ParameterError, OSError) as exc:

@@ -182,7 +182,6 @@ def collision_setup(config: RunConfig, phi: float) -> CollisionSetup:
     times = tuple(float(t) for t in
                   np.linspace(0.0, t_pass, config.headon_time_n))
     return CollisionSetup(f1, f2, params, times=times,
-                          n_max=config.headon_n_max,
                           grid_halfwidth=config.grid_halfwidth,
                           grid_n=config.grid_core_n)
 

@@ -592,7 +592,8 @@ def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
     interaction_grids, nearly all of K) take no kernel samples: their sums
     are two thin Cauchy-matrix products (_far_sums). The other rows take
     sinc_kernel, whose small-argument series they may need, in row blocks
-    of 4e6 samples; a grid pair with no far row gives sinc_kernel's bits.
+    sized by numerics.gemm_rows; a grid pair with no far row gives
+    sinc_kernel's bits.
     """
     last = _KERNEL_SUMS_MEMO.get("last")
     if last is not None and last[0] == k0 and all(
@@ -610,7 +611,7 @@ def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
     near_z1, near_left, near_w1 = z1[~far], left[~far], w1[~far]
     free_corr = 0j
     corr_nsq = 0.0
-    step = max(1, int(4e6) // z2.size)
+    step = gemm_rows(2 * z2.size)
     for i in range(0, near_z1.size, step):
         block = sinc_kernel(near_z1[i:i + step, None] - z2[None, :], k0)
         applied = block @ cols
@@ -698,11 +699,11 @@ def _entropy_sweep_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float,
     pair = a1 * a2
     dens = w * np.abs(pair) ** 2
     # sinc applied to w f1 (giving g, as sinc is symmetric) and to w p conj(f2),
-    # in row blocks that keep the kernel near 32 MB
+    # in row blocks sized by numerics.gemm_rows
     vecs = np.stack([w * a1, w * pair * np.conj(a2)], axis=1)
     applied = np.empty_like(vecs)
     sinc_sq = 0.0
-    step = max(1, int(4e6) // z.size)
+    step = gemm_rows(2 * z.size)
     for i in range(0, z.size, step):
         block = sinc_kernel(z[i:i + step, None] - z[None, :], k0)
         applied[i:i + step] = block @ vecs

@@ -43,15 +43,18 @@ with F_c and F_s f1's spectrum; a real f1 keeps every spectrum real, and
 a complex one takes the same code in complex arithmetic. For the series
 and its closed form, the oracle amplitude on the co-moving grids,
 D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk = sum 2w (C_f cos kz1 +
-S_f sin kz1), and A likewise, kept by difference (n1 + n2 - 1 values). G_f
-has 2 n_k+ columns, 16 at the default geometry, against n1 = n2 = 401. D
-is formed on demand as one real product of [cos kz1 | sin kz1] with rows of
-G_f, and each amplitude as one of [f1 | cos kz1 | sin kz1] with rows of f2
-and of the correction's spectrum, in row blocks that stay on the calling
-thread. The cosine and sine transforms and the row-blocked products are
-numerics' cos_sin and real_products, which C1 takes as well. No n1 x n2
-table is stored. series_term, a time quadrature at arbitrary points, is
-the position-side check of all of this.
+S_f sin kz1), and A likewise from its spectrum basis.box(h). G_f has
+2 n_k+ columns, 16 at the default geometry, against n1 = n2 = 401. A and
+D are formed on demand as one real product of [cos kz1 | sin kz1] with
+rows of their spectra, and each amplitude as one of [f1 | cos kz1 |
+sin kz1] with rows of f2 and of the correction's spectrum, in row blocks
+that stay on the calling thread. The cosine and sine transforms and the
+row-blocked products are numerics' cos_sin and real_products, which C1
+takes as well. No n1 x n2 table is stored: the series reads its
+sup-norms from two chi-independent column maxima over z1, of |A| and of
+|D|, which the tables' resolution check leaves behind. series_term, a
+time quadrature at arbitrary points, is the position-side check of all of
+this.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ _EDGE_ULPS = 8
 
 @dataclass(frozen=True, eq=False)
 class CollisionSetup:
-    """Geometry, grids, and truncation policy for one collision run.
+    """Geometry and grids for one collision run.
 
     Co-moving grids are windows of grid_halfwidth around each pulse center;
     in the offsets z_i' those windows never move, so one grid pair serves
@@ -131,7 +134,6 @@ class CollisionSetup:
     f2: PulseProfile
     params: SystemParams
     times: tuple[float, ...] | None = None
-    n_max: int = 40
     grid_halfwidth: float = 10.0
     grid_n: int = 401
     grid1: Grid1D = field(init=False, repr=False)
@@ -152,8 +154,6 @@ class CollisionSetup:
                 raise ParameterError(
                     "pulses must approach each other (center order and "
                     "velocity signs disagree)")
-        if self.n_max < 1:
-            raise ParameterError(f"n_max must be at least 1, got {self.n_max}")
         if self.grid_halfwidth <= 0.0:
             raise ParameterError("grid_halfwidth must be positive")
         if self.times is None and sep == 0.0:
@@ -500,14 +500,17 @@ class _TimeTables(NamedTuple):
     """What InteractionTables keeps per time: no n1 x n2 array.
 
     Spectra are kept at k+ as their cosine and sine transforms (_KBasis), in
-    f1's dtype: a real f1 keeps G_f real.
+    f1's dtype: a real f1 keeps G_f real. A and D are formed from their
+    spectra on demand; their column maxima over z1 give the series its
+    sup-norms.
     """
 
-    a: np.ndarray  # A by difference: A[i, j] = a[j - i + n1 - 1]
     b: np.ndarray  # B per z2
     g_f: np.ndarray  # D's spectrum [C_f | S_f], shape (z2, 2 k+)
     h: np.ndarray  # A's time factor: its spectrum is basis.box(h), shape (2 k+,)
     basis: _KBasis
+    a_max: np.ndarray  # max over z1 of |A|, per z2
+    d_max: np.ndarray  # max over z1 of |D|, per z2
 
 
 class InteractionTables:
@@ -516,14 +519,14 @@ class InteractionTables:
     The time-integral tables, the fidelity moments and the entropy blocks
     all come from one k side, _spectra's basis, B, h and G_f, at refine 1
     and 2. The tables serve the series and its closed form. Per time
-    sample they keep A by difference, B, D's spectrum G_f as its cosine and
-    sine transforms at k+ (n2 x 2 n_k+, real for a real f1) and A's time
-    factor, never an n1 x n2 table (see ensure). Each table
-    is verified against a doubled trajectory and k resolution; a gap beyond
-    1e-6 of the table's largest entry, or beyond 1e-10, raises an accuracy
-    error. ensure() builds every listed time at once. at() fills a missing
-    time as a ladder of one, expands A from its difference form through
-    strided windows and forms D from G_f.
+    sample they keep B, D's spectrum G_f as its cosine and sine transforms
+    at k+ (n2 x 2 n_k+, real for a real f1), A's time factor h and the
+    basis, plus the column maxima over z1 of |A| and |D| that the series
+    takes its sup-norms from, never an n1 x n2 table (see ensure). Each
+    table is verified against a doubled trajectory and k resolution; a gap
+    beyond 1e-6 of the table's largest entry, or beyond 1e-10, raises an
+    accuracy error. ensure() builds every listed time at once. at() fills
+    a missing time as a ladder of one and forms A and D from their spectra.
     line_moments() caches the fidelity's trajectory moments per time.
     entropy_blocks() builds the reduced-kernel blocks of one time on every
     call and caches nothing: each entropy is asked for once. Both are
@@ -547,11 +550,13 @@ class InteractionTables:
                                     "collision geometry")
 
     def at(self, setup: CollisionSetup, t: float):
-        """A, B and D at time t, A and D as n1 x n2 tables (D formed from its spectrum)."""
+        """A, B and D at time t, A and D as n1 x n2 tables formed from their spectra."""
         entry = self._entry(setup, t)
+        basis = entry.basis
         n1, n2 = setup.grid1.n, setup.grid2.n
-        d_tab = entry.basis.table(entry.g_f, np.empty((n1, n2), dtype=entry.b.dtype))
-        return sliding_window_view(entry.a, n2)[::-1].copy(), entry.b, d_tab
+        a_tab = basis.table(basis.box(entry.h), np.empty((n1, n2)))
+        d_tab = basis.table(entry.g_f, np.empty((n1, n2), dtype=entry.b.dtype))
+        return a_tab, entry.b, d_tab
 
     def _entry(self, setup: CollisionSetup, t: float) -> _TimeTables:
         """The cached tables at time t, computed as a ladder of one if missing."""
@@ -605,13 +610,14 @@ class InteractionTables:
         """Fill the cache for every listed time.
 
         Each resolution takes the spectra of all the missing times from
-        _spectra and forms A from h by difference: A(u) = (1/2 pi) int
-        exp(iku) h(k) dk = sum 2w (hc cos(ku) + hs sin(ku)) over k+, with
-        h = [hc | hs], on the n1 + n2 - 1 differences u = z2 - z1 of the
-        equal-spacing co-moving grids. At every time both resolutions' D are
-        formed from their spectra and checked with A and B; only the fine
-        resolution's tables are kept. t = 0 needs no case of its own: its
-        trajectory and box integrals vanish.
+        _spectra. For the check A is formed by difference: A(u) = (1/2 pi)
+        int exp(iku) h(k) dk = sum 2w (hc cos(ku) + hs sin(ku)) over k+,
+        with h = [hc | hs], on the n1 + n2 - 1 differences u = z2 - z1 of
+        the equal-spacing co-moving grids, and at every time both
+        resolutions' D are formed from their spectra; A, B and D are
+        checked, and only the fine resolution's B, G_f, h and basis are
+        kept, with the column maxima of its |A| and |D| over z1. t = 0 needs
+        no case of its own: its trajectory and box integrals vanish.
         """
         self._require_compatible(setup)
         wanted = np.asarray(times, dtype=float).ravel()
@@ -629,18 +635,24 @@ class InteractionTables:
             a = real_products(h * basis.w, cos_sin(diffs, basis.k).T,
                               np.empty((missing.size, diffs.size)))
             g_f = (g for block in blocks for g in block)
-            both.append(map(_TimeTables, a, b, g_f, h, repeat(basis)))
+            both.append(zip(a, b, g_f, h, repeat(basis)))
         # the two resolutions' D, formed at each time for the check only
-        d_tabs = [np.empty((setup.grid1.n, setup.grid2.n),
-                           dtype=float if setup.f1.is_real else complex) for _ in range(2)]
-        for t, coarse, fine in zip(missing, *both):
-            for tabs, d_tab in zip((coarse, fine), d_tabs):
-                tabs.basis.table(tabs.g_f, d_tab)
-            for c, f in zip((coarse.a, coarse.b, d_tabs[0]), (fine.a, fine.b, d_tabs[1])):
-                peak = max(np.max(np.abs(c)), np.max(np.abs(f)))
+        d_coarse, d_fine = (np.empty((setup.grid1.n, setup.grid2.n),
+                                     dtype=float if setup.f1.is_real else complex)
+                            for _ in range(2))
+        for t, (a_c, b_c, g_c, _, basis_c), (a_f, b_f, g_f, h, basis) in zip(missing, *both):
+            basis_c.table(g_c, d_coarse)
+            basis.table(g_f, d_fine)
+            # column j of A is a_f[j:j + n1] reversed
+            a_max = sliding_window_view(np.abs(a_f), z1.size).max(axis=1)
+            d_max = np.max(np.abs(d_fine), axis=0)
+            # each fine table's moduli, or their maxima over z1, give its peak
+            for c, f, f_abs in ((a_c, a_f, a_max), (b_c, b_f, np.abs(b_f)),
+                                (d_coarse, d_fine, d_max)):
+                peak = max(np.max(np.abs(c)), np.max(f_abs))
                 _converged("interaction time integrals", c, f,
                            min(_TABLE_ATOL, _TABLE_RTOL * peak), at=f" at t={t}")
-            self._cache[float(t)] = fine
+            self._cache[float(t)] = _TimeTables(b_f, g_f, h, basis, a_max, d_max)
 
 
 def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np.ndarray:
@@ -702,8 +714,7 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
     return complex(out) if out.ndim == 0 else out.copy()
 
 
-def two_particle_headon_series(setup: CollisionSetup, t: float,
-                               n_max: int | None = None, *,
+def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40, *,
                                tables: InteractionTables | None = None) -> TwoParticleState:
     """Partial sum of the interaction series on the co-moving grids.
 
@@ -711,13 +722,12 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
     reached; if the last term is still above 1e-6 the truncation is
     reported as an error. Every order n >= 2 is the scalar weight
     w_n = (i x)^n / (n! kappa t^2) times the one row A B f2, so the weights
-    are summed as scalars, the sup-norm of order n is taken as
-    |w_n| max|A B f2|, and the state is formed once, with the summed weight
-    (_amplitude): no n x n array is built per order. The first-order term
-    is formed for its sup-norm only. The result is not normalized.
+    are summed as scalars and the state is formed once, with the summed
+    weight (_amplitude). The sup-norms come from the tables' column maxima
+    over z1: |chi| max(max|D| |f2|) for the first order and
+    |w_n| max(max|A| |B f2|) for order n, so no n1 x n2 array but the state
+    is built. The result is not normalized.
     """
-    if n_max is None:
-        n_max = setup.n_max
     if n_max < 1:
         raise ParameterError(f"n_max must be at least 1, got {n_max}")
     if t < 0.0:
@@ -729,19 +739,11 @@ def two_particle_headon_series(setup: CollisionSetup, t: float,
     entry = tables._entry(setup, t)
     p = setup.params
     x = p.chi * p.kappa * t
-    n1, n2 = setup.grid1.n, setup.grid2.n
     f2_row = setup.f2(setup.grid2.nodes)
-    # the first-order term chi D f2 (up to the factor i), for its sup-norm only;
-    # a real one takes its modulus in place
-    term = entry.basis.table(p.chi * entry.g_f * f2_row[:, None],
-                             np.empty((n1, n2), dtype=np.result_type(entry.b, f2_row)))
-    sup = float(np.max(np.abs(term, out=term) if np.isrealobj(term) else np.abs(term)))
-    del term
+    sup = abs(p.chi) * float(np.max(entry.d_max * np.abs(f2_row)))
     total = 0j
     if sup >= _STOP_TOL:
-        # column j of A is entry.a[j:j + n1] reversed
-        a_max = sliding_window_view(np.abs(entry.a), n1).max(axis=1)
-        ab_max = float(np.max(a_max * np.abs(entry.b * f2_row)))
+        ab_max = float(np.max(entry.a_max * np.abs(entry.b * f2_row)))
         scale = 1.0 / (p.kappa * t * t)
         coef = 1j * x
         for n in range(2, n_max + 1):

@@ -92,8 +92,9 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # calling thread up to a size: on the 2-core machine products of up to 641600
 # multiply-adds (m n k) stayed there and one of 1.03M did not, and a single
 # 401 x 401 x 16 product took 4.5 ms where five row blocks of it took 0.15 ms.
-# So real_products and the grid route's far rows (copropagating._far_sums)
-# take blocks of fewer than _GEMM_MNK multiply-adds (gemm_rows). C1's chunk
+# So real_products, the grid route's far rows (copropagating._far_sums) and
+# the sampled sinc blocks of its near rows and of the entropy sweep take
+# blocks of fewer than _GEMM_MNK multiply-adds (gemm_rows). C1's chunk
 # products of 1.0-6.3M multiply-adds at k0 = 30 and 100 woke the helper in
 # every run while they were single products. Where one row alone reaches the
 # limit (C1 of unit gaussians past k0 = 270), one-row products stream all of
@@ -103,8 +104,9 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # row blocks of 4e6 elements, which thread, they took 0.13-0.32 s of wall,
 # 0.24-0.32 s of CPU and 96 MB, so the second core does not pay there either.
 # No thread setting is needed; tests/test_threads.py checks that no CLI task,
-# no C1 at k0 = 30 or 100, no pass of the head-on oracle, no collision entropy
-# and no pass of the grid route wakes a helper.
+# no C1 at k0 = 30 or 100, no entropy sweep at k0 = 100, no pass of the
+# head-on oracle, no collision entropy and no pass of the grid route wakes a
+# helper.
 _GEMM_MNK = 1 << 19
 
 

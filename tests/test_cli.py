@@ -272,6 +272,10 @@ def test_main_config_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_main(["fig1", "--threads", "1"])
     assert exc.value.code == 2
+    # nor a `headon.n_max` key: the series' own default is its only cap
+    cap = tmp_path / "n_max.cfg"
+    cap.write_text("task = fig4\nheadon.n_max = 40\n", encoding="utf-8")
+    assert run_main(["fig4", "--config", str(cap)]) == 2
 
 
 def test_main_fig4_square_profile(tmp_path):

@@ -833,7 +833,7 @@ def sinc_kernel_sums(k0, samples):
     cols = np.stack([right.real, right.imag], axis=1)
     dens = w2 * np.abs(pair) ** 2
     free_corr, corr_nsq = 0j, 0.0
-    step = max(1, int(4e6) // z2.size)
+    step = numerics.gemm_rows(2 * z2.size)
     for i in range(0, z1.size, step):
         block = numerics.sinc_kernel(z1[i:i + step, None] - z2[None, :], k0)
         applied = block @ cols
@@ -896,7 +896,7 @@ def test_far_rows_match_sinc_kernel_sums(far_rows, k0):
 
 
 def test_kernel_sums_without_far_rows_keep_sinc_kernel_bits(far_rows):
-    # every z1 within 1/k0 of z2's range; 4001 z2 nodes make three row blocks
+    # every z1 within 1/k0 of z2's range; 4001 z2 nodes make 39 row blocks
     k0 = 2.5
     chirped = ROUTE_PROFILES["chirped"]
     z1 = np.linspace(-10.0 - 0.9 / k0, 10.0 + 0.9 / k0, 2500)

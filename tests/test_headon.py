@@ -54,19 +54,18 @@ from xpmsim.headon import (
     _KBasis,
     _Trajectory,
 )
+from xpmsim.numerics import real_products
 
 SEP = 10.0
 V = 5e3
 T_PASS = 2.0 * SEP / (2.0 * V)
 
 
-def collision(phi=math.pi, k0=1e-3, times=(5e-4, 1e-3), grid_n=161, n_max=40,
-              grid_halfwidth=10.0):
+def collision(phi=math.pi, k0=1e-3, times=(5e-4, 1e-3), grid_n=161, grid_halfwidth=10.0):
     f1 = make_profile("gaussian", center=-SEP / 2.0)
     f2 = make_profile("gaussian", center=SEP / 2.0)
     params = SystemParams.headon(k0, SEP, V, -V, phi=phi)
-    return CollisionSetup(f1, f2, params, times=tuple(times),
-                          n_max=n_max, grid_n=grid_n,
+    return CollisionSetup(f1, f2, params, times=tuple(times), grid_n=grid_n,
                           grid_halfwidth=grid_halfwidth)
 
 
@@ -612,7 +611,7 @@ def test_square_pulse_tables_and_amplitudes():
         assert np.max(np.abs(b_tab - exact)) <= 1e-12 * np.max(exact)
 
 
-# the tables keep A by difference, B and D's n2 x 2 n_k+ spectrum per time:
+# the tables keep B, D's n2 x 2 n_k+ spectrum and two column maxima per time:
 # over the 121 times of the fig4 ladder, n1 x n2 tables per time grew a fresh
 # process by about 155 MB. The moments contract G_f a block of times at a
 # time; over the whole ladder at once they grew it by about 45 MB. The child
@@ -733,10 +732,10 @@ def test_series_matches_per_order_arrays(make, t, n_max):
 @pytest.mark.parametrize("phi", [math.pi / 4.0, math.pi])
 def test_series_peak_memory_is_independent_of_order(phi):
     # at Phi = pi the series runs past order 12 (see the truncation test); the
-    # call holds the state, the first-order term and the A B f2 row, whatever
-    # the order. Building a fresh term, sum and modulus per order peaked at
-    # 4.3 n x n complex arrays on these 161-node grids. The closed form holds
-    # the same three arrays.
+    # call holds the state and the product's factors of 1 + 2 n_k rows, whatever
+    # the order, since its sup-norms come from the tables' column maxima: 1.37
+    # n x n complex arrays on these 161-node grids. Building a fresh term, sum
+    # and modulus per order peaked at 4.3. The closed form holds the same arrays.
     setup = collision(phi=phi, times=(2e-3,))
     tables = InteractionTables(setup)
     tables.at(setup, 2e-3)
@@ -748,6 +747,26 @@ def test_series_peak_memory_is_independent_of_order(phi):
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 16 * setup.grid1.n * setup.grid2.n, build.__name__
+
+
+@pytest.mark.parametrize("make", [lambda: collision(phi=math.pi / 2.0), complex_front],
+                         ids=["real", "complex"])
+def test_series_makes_one_real_product(make, monkeypatch):
+    # the state is the one n1 x n2 product of a series call: its sup-norms
+    # come from the tables' column maxima of |A| and |D| over z1
+    setup = make()
+    t = 1e-3
+    tables = InteractionTables(setup)
+    tables.ensure(setup, [t])
+    calls = []
+
+    def counted(left, right, out):
+        calls.append(out.shape)
+        return real_products(left, right, out)
+
+    monkeypatch.setattr(headon, "real_products", counted)
+    two_particle_headon_series(setup, t, tables=tables)
+    assert calls == [(setup.grid1.n, setup.grid2.n)]
 
 
 @pytest.mark.parametrize("make", [lambda: collision(phi=math.pi / 2.0), complex_front],
@@ -1071,9 +1090,9 @@ def test_setup_validation():
     with pytest.raises(ParameterError):
         CollisionSetup(f1, f2, good, times=(1e-3, 1e-3))
     with pytest.raises(ParameterError):
-        CollisionSetup(f1, f2, good, n_max=0)
-    with pytest.raises(ParameterError):
         CollisionSetup(f1, f2, good, grid_halfwidth=0.0)
+    with pytest.raises(ParameterError, match="n_max"):
+        two_particle_headon_series(CollisionSetup(f1, f2, good), 1e-3, n_max=0)
     # co-centered pulses have no pass time, so the window must be explicit
     centered = SystemParams.headon(2.5, 0.0, 1e-6, -1e-6, chi=1.0)
     u = make_profile("gaussian")

@@ -1,11 +1,12 @@
-"""The CLI tasks, C1, the head-on oracle, the collision entropy and the grid route use one thread.
+"""The CLI tasks and the library's BLAS-heavy paths use one thread.
 
 NumPy's bundled OpenBLAS starts helper threads when it loads. It hands a
 product to them by its own size rule, and on a small machine a handoff can
 stall for milliseconds while the helpers spin. The spectrum products of the
-CLI tasks and of C1, the head-on tables, amplitudes and entropy blocks and
-the grid route's far rows are sized to stay on the calling thread (see the
-note on real products in numerics, next to real_products). Each task runs
+CLI tasks and of C1, the entropy sweep's sampled sinc blocks, the head-on
+tables, amplitudes and entropy blocks and the grid route's far and near
+rows are sized to stay on the calling thread (see the note on real
+products in numerics, next to real_products). Each task runs
 in a fresh interpreter, which counts the context switches of every thread
 but the main one, from /proc/self/task/*/status, before and after the
 task: a helper that was never scheduled has the same count afterwards. The
@@ -67,6 +68,22 @@ C1_PROBE = textwrap.dedent("""
 
     def run():
         compute_C1(prof, prof, float(sys.argv[1]))
+        return 0
+""") + COUNTER
+
+
+# the entropy sweep at one k0: its sinc row blocks go through block @ vecs and
+# dens @ block**2 @ dens, in blocks of numerics.gemm_rows rows; at k0 = 100 the
+# two coefficient axes hold 1536 and 3064 nodes, 10 and 37 blocks
+SWEEP_PROBE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from xpmsim import entropy_phase_sweep, make_profile
+
+    prof = make_profile("gaussian")
+
+    def run():
+        entropy_phase_sweep(prof, prof, float(sys.argv[1]), np.linspace(0.0, np.pi, 5))
         return 0
 """) + COUNTER
 
@@ -160,6 +177,13 @@ def test_task_leaves_helper_threads_unscheduled(task, profile, tmp_path):
 @pytest.mark.parametrize("k0", [30, 100])
 def test_c1_leaves_helper_threads_unscheduled(k0):
     report = run_probe(C1_PROBE, str(k0))
+    assert report["after"] == report["before"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread /proc/self/task/*/status")
+def test_entropy_sweep_leaves_helper_threads_unscheduled():
+    report = run_probe(SWEEP_PROBE, "100")
     assert report["after"] == report["before"]
 
 
