@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
@@ -24,12 +24,12 @@ FORMATS = ("csv", "json", "svg")
 KEYMAP = {
     "task": ("task", "str"),
     "profile.shape": ("profile_shape", "str"),
-    "profile.width": ("profile_width", "opt_float"),
-    "k0.list": ("k0_values", "opt_floats"),
-    "c1.list": ("c1_values", "opt_floats"),
-    "phi.min": ("phi_min", "opt_float"),
-    "phi.max": ("phi_max", "opt_float"),
-    "phi.n": ("phi_n", "opt_int"),
+    "profile.width": ("profile_width", "float"),
+    "k0.list": ("k0_values", "floats"),
+    "c1.list": ("c1_values", "floats"),
+    "phi.min": ("phi_min", "float"),
+    "phi.max": ("phi_max", "float"),
+    "phi.n": ("phi_n", "int"),
     "lattice.k0.min": ("lattice_k0_min", "float"),
     "lattice.k0.max": ("lattice_k0_max", "float"),
     "lattice.k0.n": ("lattice_k0_n", "int"),
@@ -43,8 +43,7 @@ KEYMAP = {
     "grid.core_n": ("grid_core_n", "int"),
     "grid.halfwidth": ("grid_halfwidth", "float"),
     "output.format": ("output_format", "str"),
-    "output.path": ("output_path", "opt_str"),
-    "validate.tol_scale": ("tol_scale", "float"),
+    "output.path": ("output_path", "str"),
 }
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in KEYMAP.items()}
@@ -78,7 +77,6 @@ class RunConfig:
     grid_halfwidth: float = 10.0
     output_format: str = "csv"
     output_path: str | None = None
-    tol_scale: float = 1.0
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -118,19 +116,14 @@ class RunConfig:
             raise ConfigError("headon.k0 must be positive")
         if self.grid_halfwidth <= 0.0:
             raise ConfigError("grid.halfwidth must be positive")
-        if self.tol_scale <= 0.0:
-            raise ConfigError("validate.tol_scale must be positive")
-
-    def with_overrides(self, **changes) -> "RunConfig":
-        return replace(self, **changes)
 
 
 def _format_value(value, kind: str) -> str:
-    if kind in ("float", "opt_float"):
+    if kind == "float":
         return repr(float(value))
-    if kind in ("int", "opt_int"):
+    if kind == "int":
         return str(int(value))
-    if kind in ("floats", "opt_floats"):
+    if kind == "floats":
         return ", ".join(repr(float(v)) for v in value)
     return str(value)
 
@@ -138,11 +131,11 @@ def _format_value(value, kind: str) -> str:
 def _parse_value(text: str, kind: str, key: str):
     text = text.strip()
     try:
-        if kind in ("float", "opt_float"):
+        if kind == "float":
             return float(text)
-        if kind in ("int", "opt_int"):
+        if kind == "int":
             return int(text)
-        if kind in ("floats", "opt_floats"):
+        if kind == "floats":
             parts = [p.strip() for p in text.split(",") if p.strip()]
             if not parts:
                 raise ValueError("empty list")

@@ -2,22 +2,19 @@
 
 Usage: xpmsim <task> [flags]. Tasks produce one output file (coeffs and the
 four figure sweeps) or run the acceptance suite (validate). Flags override
-config-file keys, which override defaults. Exit codes: 0 success, 1 a
-validation criterion failed, 2 configuration or I/O problem, 3 a numerical
-convergence guard tripped.
+config-file keys, which override defaults; validate runs on the defaults
+and reads only --out. Exit codes: 0 success, 1 a validation criterion
+failed, 2 configuration or I/O problem, 3 a numerical convergence guard
+tripped.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from ..errors import (
-    AccuracyError,
-    ConfigError,
-    ParameterError,
-    XpmsimError,
-)
+from ..errors import AccuracyError, ConfigError, XpmsimError
 from .config import FORMATS, TASKS, RunConfig, _parse_value, parse_config
 from .output import emit
 from .sweeps import run_task
@@ -85,7 +82,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         overrides["profile_shape"] = args.profile
     if args.grid_n is not None:
         overrides["grid_core_n"] = args.grid_n
-    return config.with_overrides(**overrides)
+    return replace(config, **overrides)
 
 
 def main(argv=None) -> int:
@@ -93,7 +90,7 @@ def main(argv=None) -> int:
     try:
         config = load_run_config(args)
         if config.task == "validate":
-            report = run_validate(config)
+            report = run_validate()
             sys.stdout.write(report.text)
             if config.output_path is not None:
                 with open(config.output_path, "w", encoding="utf-8") as fh:
@@ -107,10 +104,7 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         sys.stderr.write(f"xpmsim: convergence failure: {exc}\n")
         return 3
-    except (ConfigError, ParameterError, OSError) as exc:
-        sys.stderr.write(f"xpmsim: {exc}\n")
-        return 2
-    except XpmsimError as exc:
+    except (XpmsimError, OSError) as exc:
         sys.stderr.write(f"xpmsim: {exc}\n")
         return 2
 

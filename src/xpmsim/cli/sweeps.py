@@ -186,23 +186,18 @@ def collision_setup(config: RunConfig, phi: float) -> CollisionSetup:
                           grid_n=config.grid_core_n)
 
 
-def run_fig4(config: RunConfig, *, tables: InteractionTables | None = None) -> SweepResult:
+def run_fig4(config: RunConfig) -> SweepResult:
     """Collision fidelity evolution, one curve per accumulated phase.
 
-    The time-integral tables depend only on the geometry, so one cache is
-    shared by every curve.
+    The time-integral tables depend only on the geometry, so one cache,
+    built from the first setup, is shared by every curve.
     """
+    setups = [collision_setup(config, phi) for phi in config.headon_phis]
+    tables = InteractionTables(setups[0])
+    prov = _base_provenance(config, setups[0].f1.label)
     fid_cols, theta_cols, gauge_col = [], [], None
-    prov = None
     notes = []
-    times = None
-    for phi in config.headon_phis:
-        setup = collision_setup(config, phi)
-        if prov is None:
-            prov = _base_provenance(config, setup.f1.label)
-            times = setup.times
-        if tables is None:
-            tables = InteractionTables(setup)
+    for phi, setup in zip(config.headon_phis, setups):
         curve = fidelity_evolution(setup, tables=tables)
         fid_cols.extend(curve.columns["F"])
         theta_cols.extend(curve.columns["theta"])
@@ -214,7 +209,7 @@ def run_fig4(config: RunConfig, *, tables: InteractionTables | None = None) -> S
     return SweepResult(
         kind="fig4",
         axes=(Axis("phi", "rad", tuple(config.headon_phis)),
-              Axis("t", "time", times)),
+              Axis("t", "time", setups[0].times)),
         columns={
             "F": tuple(fid_cols),
             "theta": tuple(theta_cols),

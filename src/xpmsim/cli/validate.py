@@ -3,8 +3,10 @@
 Each criterion measures a quantitative property of the solvers against an
 independent reference (closed forms, a dual computation route, or a pinned
 geometry) and reports one pass/fail line with the measured values. The
-criteria run in one pass that writes nothing; the only value they share is
-the transition point, bisected once on first use.
+criteria run on the default configuration, and every bound is a literal
+in its criterion, so no config key or flag reaches the gate. They run in
+one pass that writes nothing; the only value they share is the transition
+point, bisected once on first use.
 """
 
 from __future__ import annotations
@@ -101,11 +103,9 @@ class ValidationReport:
 
 
 class _Context:
-    """What the criteria share: the config, profiles and the transition point."""
+    """What the criteria share: the profiles and the transition point."""
 
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.scale = config.tol_scale
+    def __init__(self):
         self.f1 = make_profile("gaussian")
         self.f2 = make_profile("gaussian")
         self._kstar: float | None = None
@@ -128,11 +128,9 @@ def _c02_fidelity_zero(ctx: _Context):
     co = overlap_coefficients(ctx.f1, ctx.f2, kstar)
     f_closed = fidelity_closed_form(co.c1, co.c2, math.pi)
     params = SystemParams.copropagating(kstar, math.pi)
-    grids = interaction_grids(ctx.f1, ctx.f2, kstar,
-                              core_halfwidth=ctx.config.grid_halfwidth,
-                              core_n=ctx.config.grid_core_n)
+    grids = interaction_grids(ctx.f1, ctx.f2, kstar)
     f_grid = grid_metrics_copropagating(ctx.f1, ctx.f2, params, grids=grids).fidelity
-    tol = 1e-3 * ctx.scale
+    tol = 1e-3
     ok = f_closed <= tol and f_grid <= tol
     return ok, (f"F(k0*, pi): closed {f_closed:.3e}, grid {f_grid:.3e}, "
                 f"tolerance {tol:.1e}")
@@ -142,7 +140,7 @@ def _c03_boundary_line(ctx: _Context):
     phis = np.linspace(0.0, math.pi - 0.01, 400)
     theta = conditional_phase_sweep(0.5, phis)
     dev = float(np.max(np.abs(theta - 0.5 * phis)))
-    tol = 1e-9 * ctx.scale
+    tol = 1e-9
     return dev < tol, f"max |theta - phi/2| = {dev:.2e} at C1=0.5 (tol {tol:.1e})"
 
 
@@ -163,7 +161,7 @@ def _c04_regimes(ctx: _Context):
         parts.append(f"sup({c1:g})={sup:.4f}")
         if c1 == 0.98:
             theta_at_pi = float(theta[int(np.argmin(np.abs(phis - math.pi)))])
-            ok &= abs(theta_at_pi - math.pi) <= 1e-3 * ctx.scale
+            ok &= abs(theta_at_pi - math.pi) <= 1e-3
     return ok, ", ".join(parts) + f"; theta(pi)@0.98 = {theta_at_pi:.6f}"
 
 
@@ -171,9 +169,7 @@ def _c05_dual_route(ctx: _Context):
     worst_f = worst_t = 0.0
     for k0 in _LATTICE_K0:
         co = overlap_coefficients(ctx.f1, ctx.f2, k0)
-        grids = interaction_grids(ctx.f1, ctx.f2, k0,
-                                  core_halfwidth=ctx.config.grid_halfwidth,
-                                  core_n=ctx.config.grid_core_n)
+        grids = interaction_grids(ctx.f1, ctx.f2, k0)
         for phi in _LATTICE_PHI:
             f_closed = fidelity_closed_form(co.c1, co.c2, phi)
             t_closed = conditional_phase(co.c1, phi)
@@ -181,7 +177,7 @@ def _c05_dual_route(ctx: _Context):
             m = grid_metrics_copropagating(ctx.f1, ctx.f2, params, grids=grids)
             worst_f = max(worst_f, abs(m.fidelity - f_closed))
             worst_t = max(worst_t, abs(m.phase - t_closed))
-    tol = 1e-3 * ctx.scale
+    tol = 1e-3
     ok = worst_f < tol and worst_t < tol
     return ok, (f"max |F_grid - F_closed| = {worst_f:.2e}, "
                 f"max |theta_grid - theta_closed| = {worst_t:.2e} (tol {tol:.1e})")
@@ -193,7 +189,7 @@ def _c06_c2_analytic(ctx: _Context):
         ref = math.sqrt(math.pi / 2.0) / k0
         worst = max(worst, abs(compute_C2(ctx.f1, ctx.f2, k0) - ref))
     c2_small = compute_C2(ctx.f1, ctx.f2, 0.01)
-    tol = 1e-6 * ctx.scale
+    tol = 1e-6
     ok = worst < tol and c2_small > 100.0
     return ok, (f"max |C2 - sqrt(pi/2)/k0| = {worst:.2e} (tol {tol:.1e}); "
                 f"C2(0.01) = {c2_small:.1f}")
@@ -269,12 +265,12 @@ def _c07_entropy(ctx: _Context):
         chain[k0] = float(entropy_phase_sweep(ctx.f1, ctx.f2, k0,
                                               np.array([math.pi]))[0])
         gaps[k0] = abs(chain[k0] - _entropy_reference(ctx.f1, ctx.f2, k0, math.pi))
-    tol = 1e-3 * ctx.scale
+    tol = 1e-3
     agrees = all(g <= tol for g in gaps.values())
     peaked = chain[5.0] > chain[2.5] and chain[5.0] > chain[10.0]
 
-    ok = (s_prod < 1e-9 * ctx.scale
-          and abs(s_bal - 0.5) <= 1e-6 * ctx.scale
+    ok = (s_prod < 1e-9
+          and abs(s_bal - 0.5) <= 1e-6
           and interior and agrees and peaked)
     return ok, (f"S_L(product)={s_prod:.1e}; S_L(balanced)={s_bal:.9f} "
                 f"(svd {s_svd:.9f}); interior max at phi*={phi_star:.3f} "
@@ -305,7 +301,7 @@ def _c08_series_structure(ctx: _Context):
         power *= 1j * x / n
         taylor += power
         worst = max(worst, float(np.max(np.abs(partial - taylor * base))))
-    tol = 1e-6 * ctx.scale
+    tol = 1e-6
     return worst < tol, (f"max deviation through order 6 = {worst:.2e} "
                          f"at x = pi, v_r = 1e-6 (tol {tol:.1e})")
 
@@ -317,7 +313,7 @@ def _c09_closed_vs_series(ctx: _Context):
     # series does, at the first term below 1e-12, and at order 40 at most.
     # Orders past 2 share order 2's integrals A and B, so each is the one
     # before times i x / n
-    setups = [collision_setup(ctx.config, phi)
+    setups = [collision_setup(RunConfig(task="fig4"), phi)
               for phi in (math.pi / 4, math.pi / 2, math.pi)]
     # the tables do not depend on chi, so the three curves share one cache
     tables = InteractionTables(setups[0])
@@ -337,20 +333,21 @@ def _c09_closed_vs_series(ctx: _Context):
             top = max(top, n)
             closed = two_particle_headon_closed(setup, t, tables=tables).psi[sub, sub]
             worst = max(worst, float(np.max(np.abs(closed - series))))
-    tol = 1e-6 * ctx.scale
+    tol = 1e-6
     return worst < tol, (f"sup |psi_closed - psi_series| = {worst:.2e} over "
                          f"3 curves x {len(setup.times) - 1} times on {z1.size} x {z2.size} "
                          f"nodes, series_term to order {top} (tol {tol:.1e})")
 
 
 def _c10_collision_quality(ctx: _Context):
-    result = run_fig4(ctx.config.with_overrides(task="fig4"))
+    config = RunConfig(task="fig4")
+    result = run_fig4(config)
     phis = result.axis("phi").values
     times = np.asarray(result.axis("t").values)
     n_t = times.size
     fid = np.asarray(result.columns["F"]).reshape(len(phis), n_t)
-    v_r = abs(ctx.config.headon_v1 - ctx.config.headon_v2)
-    t_contact = 0.5 * ctx.config.headon_separation / v_r
+    v_r = abs(config.headon_v1 - config.headon_v2)
+    t_contact = 0.5 * config.headon_separation / v_r
     pre_mask = times <= t_contact
     i_late = int(np.argmin(np.abs(times - 0.8 * times[-1])))
 
@@ -359,8 +356,8 @@ def _c10_collision_quality(ctx: _Context):
     finals = [float(fid[i, -1]) for i in range(len(phis))]
     decreasing = all(a > b for a, b in zip(finals, finals[1:]))
 
-    pre_ok = f_pre >= 1.0 - 1e-3 * ctx.scale
-    stab_ok = all(d < 1e-3 * ctx.scale for d in drifts)
+    pre_ok = f_pre >= 1.0 - 1e-3
+    stab_ok = all(d < 1e-3 for d in drifts)
     ok = pre_ok and stab_ok and decreasing
     return ok, (f"pre-contact min F = {f_pre:.6f}; |dF| over last 20%: "
                 + ", ".join(f"{d:.2e}" for d in drifts)
@@ -380,13 +377,12 @@ def _c11_ideal_limit(ctx: _Context):
 
 def _c12_sanity(ctx: _Context):
     problems = []
-    base = ctx.config
     battery = (
-        base.with_overrides(task="coeffs"),
-        base.with_overrides(task="fig1"),
-        base.with_overrides(task="fig2", k0_values=(2.5, 5.0), phi_n=17),
-        base.with_overrides(task="fig3", lattice_k0_n=20, lattice_phi_n=16),
-        base.with_overrides(task="fig4", headon_time_n=31),
+        RunConfig(task="coeffs"),
+        RunConfig(task="fig1"),
+        RunConfig(task="fig2", k0_values=(2.5, 5.0), phi_n=17),
+        RunConfig(task="fig3", lattice_k0_n=20, lattice_phi_n=16),
+        RunConfig(task="fig4", headon_time_n=31),
     )
     for cfg in battery:
         first = run_task(cfg)
@@ -405,7 +401,7 @@ def _c12_sanity(ctx: _Context):
     params = SystemParams.copropagating(2.5, 2.0)
     state = normalize(two_particle_copropagating(ctx.f1, ctx.f2, params,
                                                  grid, grid))
-    kern_tol = 1e-8 * ctx.scale
+    kern_tol = 1e-8
     for axis in (0, 1):
         kern = reduced_kernel(state, axis=axis)
         w_mat = kern.weighted_matrix()
@@ -437,15 +433,15 @@ _CRITERIA = (
 )
 
 
-def run_validate(config: RunConfig | None = None) -> ValidationReport:
+def run_validate() -> ValidationReport:
     """Run all criteria in order and assemble the one-line-each report.
 
-    An exception inside a criterion counts as its failure, and a criterion
-    with a runtime budget fails when it overruns it.
+    The criteria take no configuration: grids, geometry and profiles are
+    the defaults (RunConfig's for criteria 09, 10 and 12, interaction_grids'
+    for 02 and 05), and the bounds are literals. An exception inside a criterion counts as its failure, and a
+    criterion with a runtime budget fails when it overruns it.
     """
-    if config is None:
-        config = RunConfig(task="validate")
-    ctx = _Context(config)
+    ctx = _Context()
     results = []
     for number, name, fn, budget in _CRITERIA:
         start = time.perf_counter()

@@ -344,10 +344,9 @@ def compute_C2(f1: PulseProfile, f2: PulseProfile, k0: float, *,
                       at=f" at k0={k0}")
 
 
-def overlap_coefficients(f1: PulseProfile, f2: PulseProfile, k0: float, *,
-                         rtol: float = 1e-6) -> OverlapCoeffs:
-    """Bundle C1 and C2 for one (profile pair, k0)."""
-    c1 = compute_C1(f1, f2, k0, rtol=rtol)
+def overlap_coefficients(f1: PulseProfile, f2: PulseProfile, k0: float) -> OverlapCoeffs:
+    """Bundle C1 and C2 for one (profile pair, k0), each at its own default rtol."""
+    c1 = compute_C1(f1, f2, k0)
     c2 = compute_C2(f1, f2, k0)
     return OverlapCoeffs(c1=c1, c2=c2, k0=k0, profile1=f1.label, profile2=f2.label)
 
@@ -513,7 +512,7 @@ def two_particle_copropagating(f1: PulseProfile, f2: PulseProfile,
 
 def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
                           phi: float, *, with_entropy: bool = False,
-                          boundary_tol: float = 1e-3, rtol: float = 1e-6) -> GateMetrics:
+                          boundary_tol: float = 1e-3) -> GateMetrics:
     """Closed-form fidelity and conditional phase, optional linear entropy.
 
     Within boundary_tol of the regime boundary C1 = 1/2 the pointwise
@@ -523,7 +522,7 @@ def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
     Phi <= pi) the boundary curve itself is reported; pass boundary_tol=0
     to force the raw arctangent everywhere.
     """
-    coeffs = overlap_coefficients(f1, f2, k0, rtol=rtol)
+    coeffs = overlap_coefficients(f1, f2, k0)
     on_boundary = abs(coeffs.c1 - 0.5) <= boundary_tol and phi <= math.pi + 1e-12
     if on_boundary:
         if phi < 0.0:

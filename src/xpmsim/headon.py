@@ -695,8 +695,7 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
         out = np.zeros(shape, dtype=complex)
         return complex(out) if out.ndim == 0 else out
     p = setup.params
-    rule = composite_gauss_grid(0.0, t, max(1, math.ceil(abs(p.v_r) * t / p.sigma)) * refine,
-                                nodes_per_panel=8)
+    rule = composite_gauss_grid(0.0, t, max(1, math.ceil(abs(p.v_r) * t / p.sigma)) * refine)
     tq, wq = rule.nodes, rule.weights
     kern = commutator_kernel(z2[..., None] - z1[..., None] - p.v_r * tq,
                              p.k0, p.sigma)
@@ -807,12 +806,13 @@ def _beta(params: SystemParams, t: float) -> complex:
     return _exp_remainder(params.chi * params.kappa * t) / (params.kappa * t * t)
 
 
-def fidelity_evolution(setup: CollisionSetup, times=None, *,
+def fidelity_evolution(setup: CollisionSetup, *,
                        tables: InteractionTables | None = None) -> SweepResult:
     """Fidelity and conditional phase against the free reference over time.
 
-    Builds no two-photon state: with the chi-independent trajectory moments
-    (p, r, c, o_f, o_b) of InteractionTables.line_moments,
+    The samples are setup.times, a ladder CollisionSetup has already
+    checked. Builds no two-photon state: with the chi-independent
+    trajectory moments (p, r, c, o_f, o_b) of InteractionTables.line_moments,
         <free|raw> = |free|^2 + i chi o_f + beta o_b,
         |raw|^2    = |free|^2 + 2 Re(i chi o_f + beta o_b)
                      + chi^2 p - 2 chi Im(conj(beta) r) + |beta|^2 c,
@@ -823,7 +823,7 @@ def fidelity_evolution(setup: CollisionSetup, times=None, *,
     like two_particle_headon_closed, this warns when the slow-pulse gauge
     exceeds 0.1.
     """
-    samples = _time_ladder(setup.times if times is None else times)
+    samples = np.asarray(setup.times)
     _warn_gauge(setup, float(samples[-1]))
     if tables is None:
         tables = InteractionTables(setup)

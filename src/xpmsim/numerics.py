@@ -248,16 +248,15 @@ def make_grid(lo: float, hi: float, n: int, rule: str = "uniform") -> Grid1D:
     raise ParameterError(f"unknown grid rule {rule!r}")
 
 
-def composite_gauss_grid(lo: float, hi: float, n_panels: int,
-                         nodes_per_panel: int = 8) -> Grid1D:
-    """Composite Gauss-Legendre rule: n_panels equal panels on [lo, hi]."""
+def composite_gauss_grid(lo: float, hi: float, n_panels: int) -> Grid1D:
+    """Composite Gauss-Legendre rule: n_panels equal 8-node panels on [lo, hi]."""
     if n_panels < 1:
         raise ParameterError(f"need at least one panel, got {n_panels}")
-    x, w = _gauss_legendre(nodes_per_panel)
+    x, w = _gauss_legendre(8)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     nodes = (half * x[None, :] + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
-    weights = np.broadcast_to(half * w, (n_panels, nodes_per_panel)).ravel()
+    weights = np.broadcast_to(half * w, (n_panels, 8)).ravel()
     return Grid1D(nodes, weights.copy(), domain=(lo, hi))
 
 
@@ -381,10 +380,13 @@ class PulseProfile:
             return (self.center - self.width / 2.0, self.center + self.width / 2.0)
         return ()
 
-    def support_halfwidth(self, tail: float = 10.0) -> float:
-        """Half-width beyond which the profile is negligible (or exactly zero)."""
+    def support_halfwidth(self) -> float:
+        """Half-width beyond which the profile is negligible (or exactly zero).
+
+        A gaussian's is ten sigma, where it has fallen to exp(-50).
+        """
         if self.shape == "gaussian":
-            return tail * self.sigma
+            return 10.0 * self.sigma
         if self.shape == "square":
             return self.width / 2.0
         return max(abs(self.table_nodes[0] - self.center),

@@ -63,19 +63,14 @@ class TwoParticleState:
 
 
 def free_state(f1: PulseProfile, f2: PulseProfile,
-               grid1: Grid1D, grid2: Grid1D | None = None, *,
-               params=None, t: float = 0.0) -> TwoParticleState:
-    """Non-interacting product amplitude f1(z1 - v1 t) f2(z2 - v2 t).
+               grid1: Grid1D, grid2: Grid1D | None = None) -> TwoParticleState:
+    """Non-interacting product amplitude f1(z1) f2(z2), sampled in place.
 
-    Without params (or at t = 0) the profiles are sampled in place, which is
-    also the correct reference amplitude on co-moving grids at any time.
+    On co-moving grids this is the reference amplitude at any time.
     """
     if grid2 is None:
         grid2 = grid1
-    s1 = s2 = 0.0
-    if params is not None and t != 0.0:
-        s1, s2 = params.v1 * t, params.v2 * t
-    psi = np.outer(f1(grid1.nodes - s1), f2(grid2.nodes - s2)).astype(complex)
+    psi = np.outer(f1(grid1.nodes), f2(grid2.nodes)).astype(complex)
     return TwoParticleState(grid1, grid2, psi)
 
 

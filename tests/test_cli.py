@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import xpmsim
 from xpmsim import ParameterError, compute_C1, compute_C2
 from xpmsim.cli.config import (
+    KEYMAP,
     RunConfig,
     config_hash,
     emit_config,
@@ -19,9 +21,9 @@ from xpmsim.cli.config import (
 )
 from xpmsim.cli.main import main
 from xpmsim.cli.output import emit, render_csv, render_json, render_svg
-from xpmsim.cli.sweeps import collision_setup, run_fig1, run_fig2, run_fig3, run_fig4, run_task
+from xpmsim.cli.sweeps import run_fig1, run_fig2, run_fig3, run_fig4, run_task
 from xpmsim.cli.validate import CriterionResult, ValidationReport
-from xpmsim.errors import ConfigError
+from xpmsim.errors import CoefficientError, ConfigError
 from xpmsim.results import Axis, SweepResult
 
 
@@ -36,8 +38,13 @@ def test_config_round_trip_overrides():
     cfg = RunConfig(task="fig4", k0_values=(0.5, 2.5), phi_min=0.1, phi_max=2.0,
                     phi_n=11, headon_phis=(0.7853981633974483, math.pi),
                     profile_shape="square", profile_width=1.5,
-                    output_path="out.csv", output_format="json", tol_scale=3.0)
+                    output_path="out.csv", output_format="json")
     assert parse_config(emit_config(cfg)) == cfg
+
+
+def test_keymap_names_every_config_field():
+    # a setting is removed from the dataclass and the key map together
+    assert {attr for attr, _ in KEYMAP.values()} == {f.name for f in fields(RunConfig)}
 
 
 def test_config_parser_errors():
@@ -65,8 +72,6 @@ def test_config_validation():
         RunConfig(task="fig3", lattice_k0_n=1)
     with pytest.raises(ConfigError):
         RunConfig(task="fig4", headon_v1=1.0, headon_v2=1.0)
-    with pytest.raises(ConfigError):
-        RunConfig(task="fig2", tol_scale=0.0)
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -81,10 +86,10 @@ def test_config_hash_is_stable_and_sensitive():
 
 def test_config_hash_names_the_computation_not_the_output():
     base = RunConfig(task="fig4", output_format="json", output_path="p.json")
-    assert config_hash(base) == config_hash(base.with_overrides(output_path="n.json"))
-    assert config_hash(base) == config_hash(base.with_overrides(output_format="csv"))
-    assert config_hash(base) != config_hash(base.with_overrides(k0_values=(2.5, 5.0)))
-    assert config_hash(base) != config_hash(base.with_overrides(headon_k0=2e-3))
+    assert config_hash(base) == config_hash(replace(base, output_path="n.json"))
+    assert config_hash(base) == config_hash(replace(base, output_format="csv"))
+    assert config_hash(base) != config_hash(replace(base, k0_values=(2.5, 5.0)))
+    assert config_hash(base) != config_hash(replace(base, headon_k0=2e-3))
 
 
 # -------------------------------------------------------------- output
@@ -208,17 +213,20 @@ def test_fig4_curves_and_gauge(tmp_path):
 
 def test_fig4_builds_no_tables_or_states(monkeypatch):
     # the fidelity comes from trajectory moments: the n x n A, B, D tables
-    # and the closed-form amplitude stay the oracle's
+    # (built by ensure, read by at) and the closed-form amplitude stay the
+    # oracle's
     from xpmsim import headon
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("fig4 built a closed-form two-photon state")
+    def forbidden(what):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"fig4 called {what}")
+        return fail
 
-    monkeypatch.setattr(headon, "two_particle_headon_closed", forbidden)
-    cfg = RunConfig(task="fig4")
-    tables = headon.InteractionTables(collision_setup(cfg, cfg.headon_phis[0]))
-    run_fig4(cfg, tables=tables)
-    assert tables._cache == {}
+    monkeypatch.setattr(headon, "two_particle_headon_closed",
+                        forbidden("two_particle_headon_closed"))
+    monkeypatch.setattr(headon.InteractionTables, "ensure", forbidden("ensure"))
+    monkeypatch.setattr(headon.InteractionTables, "at", forbidden("at"))
+    run_fig4(RunConfig(task="fig4"))
 
 
 # ---------------------------------------------------------- entry point
@@ -276,6 +284,21 @@ def test_main_config_errors_exit_2(tmp_path):
     cap = tmp_path / "n_max.cfg"
     cap.write_text("task = fig4\nheadon.n_max = 40\n", encoding="utf-8")
     assert run_main(["fig4", "--config", str(cap)]) == 2
+    # nor a `validate.tol_scale` key: validate's bounds are literals
+    scale = tmp_path / "tol_scale.cfg"
+    scale.write_text("task = validate\nvalidate.tol_scale = 1.4\n", encoding="utf-8")
+    assert run_main(["validate", "--config", str(scale)]) == 2
+
+
+def test_main_library_error_exits_2(monkeypatch, capsys):
+    import xpmsim.cli.main as entry
+
+    def failing(config):
+        raise CoefficientError("C1 input rejected")
+
+    monkeypatch.setattr(entry, "run_task", failing)
+    assert run_main(["coeffs"]) == 2
+    assert capsys.readouterr().err == "xpmsim: C1 input rejected\n"
 
 
 def test_main_fig4_square_profile(tmp_path):
@@ -344,7 +367,7 @@ def test_validate_references_leave_scipy_unloaded():
 def test_main_validate_exit_reflects_report(tmp_path, monkeypatch):
     import xpmsim.cli.main as entry
 
-    def fake_validate(config):
+    def fake_validate():
         results = (CriterionResult(1, "stub", False, "nope", 0.0),)
         return ValidationReport(results=results, text="stub\n")
 
@@ -353,10 +376,30 @@ def test_main_validate_exit_reflects_report(tmp_path, monkeypatch):
     assert run_main(["validate", "--out", str(out)]) == 1
     assert out.read_text(encoding="utf-8") == "stub\n"
 
-    def ok_validate(config):
+    def ok_validate():
         results = (CriterionResult(1, "stub", True, "yep", 0.0),)
         return ValidationReport(results=results, text="ok\n")
 
     monkeypatch.setattr(entry, "run_validate", ok_validate)
     assert run_main(["validate"]) == 0
+
+
+def test_main_validate_passes_no_flag_to_the_gate(tmp_path, monkeypatch):
+    # validate runs on the default configuration: the grid and profile
+    # flags reach no criterion, and --out only names the report file
+    import xpmsim.cli.main as entry
+
+    calls = []
+
+    def fake_validate(*args, **kwargs):
+        calls.append((args, kwargs))
+        results = (CriterionResult(1, "stub", True, "yep", 0.0),)
+        return ValidationReport(results=results, text="ok\n")
+
+    monkeypatch.setattr(entry, "run_validate", fake_validate)
+    out = tmp_path / "report.txt"
+    assert run_main(["validate", "--grid-n", "101", "--profile", "square",
+                     "--out", str(out)]) == 0
+    assert calls == [((), {})]
+    assert out.read_text(encoding="utf-8") == "ok\n"
 

@@ -74,20 +74,6 @@ def test_free_state_norm_and_normalize():
     assert unit.norm() == pytest.approx(1.0, abs=1e-14)
 
 
-def test_free_state_moving_centers():
-    g = make_grid(-12.0, 12.0, 201)
-    f1 = make_profile("gaussian", center=-5.0)
-    f2 = make_profile("gaussian", center=5.0)
-    params = SystemParams.headon(0.001, 10.0, 5e3, -5e3, phi=math.pi)
-    t = 4e-4
-    moved = free_state(f1, f2, g, g, params=params, t=t)
-    expected = np.outer(f1(g.nodes - 5e3 * t), f2(g.nodes + 5e3 * t))
-    assert np.allclose(moved.psi, expected, atol=1e-15)
-    # without params the profiles stay put
-    still = free_state(f1, f2, g, g, t=t)
-    assert np.allclose(still.psi, np.outer(f1(g.nodes), f2(g.nodes)), atol=1e-15)
-
-
 def test_state_validation():
     g = make_grid(0.0, 1.0, 5)
     with pytest.raises(ParameterError, match="shape"):
