@@ -52,13 +52,16 @@ that stay on the calling thread. The cosine and sine transforms and the
 row-blocked products are numerics' cos_sin and real_products, which C1
 takes as well. No n1 x n2 table is stored: the series reads its
 sup-norms from two chi-independent column maxima over z1, of |A| and of
-|D|, which the tables' resolution check leaves behind. series_term, a
-time quadrature at arbitrary points, is the position-side check of all of
-this.
+|D|, which the tables' resolution check leaves behind. The check forms
+none either: |A|'s maxima are running maxima over A's n1 + n2 - 1
+differences z2 - z1, and D's two resolutions are compared a row block at
+a time, with running reductions. series_term, a time quadrature at
+arbitrary points, is the position-side check of all of this.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from itertools import repeat
@@ -66,7 +69,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ApproximationWarning,
@@ -84,6 +86,7 @@ from .numerics import (
     commutator_kernel,
     composite_gauss_grid,
     cos_sin,
+    gemm_rows,
     make_grid,
     profile_key,
     real_products,
@@ -191,6 +194,21 @@ class CollisionSetup:
         """
         return self._signature
 
+    @functools.cached_property
+    def f1_samples(self) -> np.ndarray:
+        """f1 on grid1's nodes, sampled once per setup (read-only)."""
+        return _read_only(self.f1(self.grid1.nodes))
+
+    @functools.cached_property
+    def f2_samples(self) -> np.ndarray:
+        """f2 on grid2's nodes, sampled once per setup (read-only)."""
+        return _read_only(self.f2(self.grid2.nodes))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 def _time_ladder(times) -> np.ndarray:
     """times as a float array, checked to be a non-empty increasing ladder from t >= 0."""
@@ -225,16 +243,29 @@ class _KBasis:
         self.w = np.tile(2.0 * wk[k > 0.0], 2)
         self.z1 = self.w * cos_sin(setup.grid1.nodes, self.k)
         self.z2 = cos_sin(setup.grid2.nodes, self.k)
+        self._setup = setup
+
+    @functools.cached_property
+    def left(self) -> np.ndarray:
+        """[f1 | 2w cos(k z1) | 2w sin(k z1)], the left factor of every amplitude (_amplitude)."""
+        return _read_only(np.hstack([self._setup.f1_samples[:, None], self.z1]))
 
     def box(self, h: np.ndarray) -> np.ndarray:
         """A's spectrum [C_b | S_b] from its time factor h, shape (..., z2, 2 n_k+).
 
         With h = s [cos phi | sin phi] (_box_transform), C_b = s cos(k z2 - phi)
-        and S_b = s sin(k z2 - phi).
+        and S_b = s sin(k z2 - phi), each written into its half of one array.
         """
-        hc, hs = np.split(h[..., None, :], 2, axis=-1)
-        cz, sz = np.split(self.z2, 2, axis=1)
-        return np.concatenate([cz * hc + sz * hs, sz * hc - cz * hs], axis=-1)
+        n = self.k.size
+        hc, hs = h[..., None, :n], h[..., None, n:]
+        cz, sz = self.z2[:, :n], self.z2[:, n:]
+        out = np.empty(h.shape[:-1] + self.z2.shape)
+        c_b, s_b = out[..., :n], out[..., n:]
+        np.multiply(cz, hc, out=c_b)
+        c_b += sz * hs
+        np.multiply(sz, hc, out=s_b)
+        s_b -= cz * hs
+        return out
 
     def table(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = (1/2 pi) int exp(-ik z1) spec(z2, k) dk, an n1 x n2 table."""
@@ -501,8 +532,9 @@ class _TimeTables(NamedTuple):
 
     Spectra are kept at k+ as their cosine and sine transforms (_KBasis), in
     f1's dtype: a real f1 keeps G_f real. A and D are formed from their
-    spectra on demand; their column maxima over z1 give the series its
-    sup-norms.
+    spectra on demand (InteractionTables.at); their column maxima over z1,
+    which ensure takes while checking (as running maxima over A's
+    differences, and over D's row blocks), give the series its sup-norms.
     """
 
     b: np.ndarray  # B per z2
@@ -525,8 +557,10 @@ class InteractionTables:
     takes its sup-norms from, never an n1 x n2 table (see ensure). Each
     table is verified against a doubled trajectory and k resolution; a gap
     beyond 1e-6 of the table's largest entry, or beyond 1e-10, raises an
-    accuracy error. ensure() builds every listed time at once. at() fills
-    a missing time as a ladder of one and forms A and D from their spectra.
+    accuracy error. The check of D forms no n1 x n2 table either unless it
+    fails: it runs over row blocks of both resolutions. ensure() builds
+    every listed time at once. at() fills a missing time as a ladder of one
+    and forms A and D from their spectra.
     line_moments() caches the fidelity's trajectory moments per time.
     entropy_blocks() builds the reduced-kernel blocks of one time on every
     call and caches nothing: each entropy is asked for once. Both are
@@ -613,11 +647,14 @@ class InteractionTables:
         _spectra. For the check A is formed by difference: A(u) = (1/2 pi)
         int exp(iku) h(k) dk = sum 2w (hc cos(ku) + hs sin(ku)) over k+,
         with h = [hc | hs], on the n1 + n2 - 1 differences u = z2 - z1 of
-        the equal-spacing co-moving grids, and at every time both
-        resolutions' D are formed from their spectra; A, B and D are
-        checked, and only the fine resolution's B, G_f, h and basis are
-        kept, with the column maxima of its |A| and |D| over z1. t = 0 needs
-        no case of its own: its trajectory and box integrals vanish.
+        the equal-spacing co-moving grids, so the column maxima of |A| over
+        z1 are running maxima over windows of n1 differences, taken for
+        every time at once (_window_maxima). A, B and then D are checked at
+        each time; D in row blocks, with running reductions and no n1 x n2
+        table (_checked_d_maxima). Only the fine resolution's B, G_f, h and
+        basis are kept, with the column maxima of its |A| and |D| over z1.
+        t = 0 needs no case of its own: its trajectory and box integrals
+        vanish.
         """
         self._require_compatible(setup)
         wanted = np.asarray(times, dtype=float).ravel()
@@ -636,23 +673,74 @@ class InteractionTables:
                               np.empty((missing.size, diffs.size)))
             g_f = (g for block in blocks for g in block)
             both.append(zip(a, b, g_f, h, repeat(basis)))
-        # the two resolutions' D, formed at each time for the check only
-        d_coarse, d_fine = (np.empty((setup.grid1.n, setup.grid2.n),
-                                     dtype=float if setup.f1.is_real else complex)
-                            for _ in range(2))
-        for t, (a_c, b_c, g_c, _, basis_c), (a_f, b_f, g_f, h, basis) in zip(missing, *both):
-            basis_c.table(g_c, d_coarse)
-            basis.table(g_f, d_fine)
-            # column j of A is a_f[j:j + n1] reversed
-            a_max = sliding_window_view(np.abs(a_f), z1.size).max(axis=1)
-            d_max = np.max(np.abs(d_fine), axis=0)
+        # a is the fine resolution's A, for every time
+        a_max = _window_maxima(np.abs(a), z1.size)
+        for t, a_max_t, (a_c, b_c, g_c, _, basis_c), (a_f, b_f, g_f, h, basis) in zip(
+                missing, a_max, *both):
             # each fine table's moduli, or their maxima over z1, give its peak
-            for c, f, f_abs in ((a_c, a_f, a_max), (b_c, b_f, np.abs(b_f)),
-                                (d_coarse, d_fine, d_max)):
+            for c, f, f_abs in ((a_c, a_f, a_max_t), (b_c, b_f, np.abs(b_f))):
                 peak = max(np.max(np.abs(c)), np.max(f_abs))
                 _converged("interaction time integrals", c, f,
                            min(_TABLE_ATOL, _TABLE_RTOL * peak), at=f" at t={t}")
-            self._cache[float(t)] = _TimeTables(b_f, g_f, h, basis, a_max, d_max)
+            d_max = _checked_d_maxima(t, basis_c, g_c, basis, g_f)
+            self._cache[float(t)] = _TimeTables(b_f, g_f, h, basis, a_max_t, d_max)
+
+
+def _window_maxima(a: np.ndarray, n1: int) -> np.ndarray:
+    """max(a[..., j:j + n1]) for j < n2, with a of n1 + n2 - 1 entries and n2 <= n1.
+
+    Column j of A over z1 is a[j:j + n1] reversed (InteractionTables.ensure).
+    Each window is the first n1 entries from j on and the rest's first j
+    entries, so its maximum is the larger of a suffix maximum of the first n1
+    and a prefix maximum of the rest (van Herk / Gil-Werman): two running
+    maxima in place of n2 window scans. Like np.max, both propagate NaN.
+    """
+    suffix = np.maximum.accumulate(a[..., n1 - 1::-1], axis=-1)[..., ::-1]
+    prefix = np.maximum.accumulate(a[..., n1:], axis=-1)
+    out = suffix[..., :prefix.shape[-1] + 1].copy()
+    np.maximum(out[..., 1:], prefix, out=out[..., 1:])
+    return out
+
+
+def _checked_d_maxima(t: float, basis_c: _KBasis, g_c: np.ndarray,
+                      basis: _KBasis, g_f: np.ndarray) -> np.ndarray:
+    """Column maxima over z1 of the fine |D|, once D's two resolutions agree.
+
+    Coarse and fine D are formed a block of rows at a time, in the fine
+    product's own real_products blocks, so the maxima keep the bits of the
+    whole fine table's. Per block the coarse peak, the column maxima and the
+    worst gap |coarse - fine| are updated; a NaN gap is skipped, as
+    _converged lets it pass. The worst gap is held against
+    min(_TABLE_ATOL, _TABLE_RTOL * peak), the peak taken over the coarse
+    table and the fine maxima. Only when it fails are both whole tables
+    formed and handed to _converged, which raises for the worst entry with
+    its two estimates.
+    """
+    right_c, right_f = np.ascontiguousarray(g_c.T), np.ascontiguousarray(g_f.T)
+    n1 = basis.z1.shape[0]
+    rows = gemm_rows(right_f.view(float).size)  # real_products' rows for the fine D
+    shape = (min(rows, n1), right_f.shape[1])
+    block_c, block_f = np.empty(shape, dtype=g_f.dtype), np.empty(shape, dtype=g_f.dtype)
+    moduli = np.empty(shape)
+    peak_c, gap = 0.0, 0.0
+    d_max = np.zeros(shape[1])
+    for i in range(0, n1, rows):
+        c = real_products(basis_c.z1[i:i + rows], right_c, block_c[:n1 - i])
+        f = real_products(basis.z1[i:i + rows], right_f, block_f[:n1 - i])
+        mod = np.abs(c, out=moduli[:c.shape[0]])
+        peak_c = np.maximum(peak_c, mod.max())
+        np.maximum(d_max, np.abs(f, out=mod).max(axis=0), out=d_max)
+        # c's block takes the difference: its peak is already taken
+        np.abs(np.subtract(c, f, out=c), out=mod)
+        gap = np.fmax(gap, np.fmax.reduce(mod, axis=None))
+    bound = min(_TABLE_ATOL, _TABLE_RTOL * max(peak_c, np.max(d_max)))
+    if gap > bound:
+        n2 = right_f.shape[1]
+        _converged("interaction time integrals",
+                   basis_c.table(g_c, np.empty((n1, n2), dtype=g_f.dtype)),
+                   basis.table(g_f, np.empty((n1, n2), dtype=g_f.dtype)),
+                   bound, at=f" at t={t}")
+    return d_max
 
 
 def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np.ndarray:
@@ -663,15 +751,16 @@ def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np
     X = (i chi G_f + weight B G_b) f2, kept at k+ as [C_X | S_X] (_KBasis):
     the product of [f1 | 2w cos(k z1) | 2w sin(k z1)] with [f2 row; X rows],
     a real left against a complex right, written into psi's float64 view
-    (numerics.real_products). No n1 x n2 table is formed.
+    (numerics.real_products). The left factor is built once per basis
+    (_KBasis.left) and f2's samples once per setup. No n1 x n2 table is
+    formed.
     """
     basis = entry.basis
-    f2_row = setup.f2(setup.grid2.nodes)
+    f2_row = setup.f2_samples
     spec = 1j * setup.params.chi * entry.g_f + (weight * entry.b)[:, None] * basis.box(entry.h)
     spec *= f2_row[:, None]
     psi = np.empty((setup.grid1.n, setup.grid2.n), dtype=complex)
-    return real_products(np.hstack([setup.f1(setup.grid1.nodes)[:, None], basis.z1]),
-                         np.vstack([f2_row[None, :], spec.T]), psi)
+    return real_products(basis.left, np.vstack([f2_row[None, :], spec.T]), psi)
 
 
 def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
@@ -738,7 +827,7 @@ def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40,
     entry = tables._entry(setup, t)
     p = setup.params
     x = p.chi * p.kappa * t
-    f2_row = setup.f2(setup.grid2.nodes)
+    f2_row = setup.f2_samples
     sup = abs(p.chi) * float(np.max(entry.d_max * np.abs(f2_row)))
     total = 0j
     if sup >= _STOP_TOL:

@@ -94,9 +94,12 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # 401 x 401 x 16 product took 4.5 ms where five row blocks of it took 0.15 ms.
 # So real_products, the grid route's far rows (copropagating._far_sums) and
 # the sampled sinc blocks of its near rows and of the entropy sweep take
-# blocks of fewer than _GEMM_MNK multiply-adds (gemm_rows). C1's chunk
-# products of 1.0-6.3M multiply-adds at k0 = 30 and 100 woke the helper in
-# every run while they were single products. Where one row alone reaches the
+# blocks of fewer than _GEMM_MNK multiply-adds (gemm_rows), and so does the
+# head-on tables' check of D (headon._checked_d_maxima), which forms both
+# resolutions a block of the fine product's real_products rows at a time
+# (81 of 401 rows at the default geometry), never as one product. C1's
+# chunk products of 1.0-6.3M multiply-adds at k0 = 30 and 100 woke the
+# helper in every run while they were single products. Where one row alone reaches the
 # limit (C1 of unit gaussians past k0 = 270), one-row products stream all of
 # right per row: a 32 x 18128 x 32 product took 6.7 ms that way and 0.95 ms
 # summed over slabs of right's rows. Over criterion 05's lattice the far rows took 0.08-0.10 s

@@ -18,6 +18,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
 import xpmsim
@@ -52,9 +53,11 @@ from xpmsim.headon import (
     _exp_remainder,
     _k_rule,
     _KBasis,
+    _spectra,
     _Trajectory,
+    _window_maxima,
 )
-from xpmsim.numerics import real_products
+from xpmsim.numerics import PulseProfile, _converged, cos_sin, real_products
 
 SEP = 10.0
 V = 5e3
@@ -1003,6 +1006,182 @@ def test_box_transform_factors_match_direct_transform(make):
     direct = (t * np.sinc(k * v_r * t / (2.0 * math.pi))
               * np.exp(1j * k * (setup.grid2.nodes[None, :, None] - 0.5 * v_r * t)))
     assert np.all(np.abs(c_b + 1j * s_b - direct) <= 1e-15 * np.abs(direct))
+
+
+def concatenated_box(basis, h):
+    """A's spectrum as two sums joined by np.concatenate, each half formed apart."""
+    hc, hs = np.split(h[..., None, :], 2, axis=-1)
+    cz, sz = np.split(basis.z2, 2, axis=1)
+    return np.concatenate([cz * hc + sz * hs, sz * hc - cz * hs], axis=-1)
+
+
+def resampling_amplitude(setup, entry, weight):
+    """_amplitude with the concatenated box and the profiles and left factor sampled per call."""
+    basis = entry.basis
+    f2_row = setup.f2(setup.grid2.nodes)
+    spec = (1j * setup.params.chi * entry.g_f
+            + (weight * entry.b)[:, None] * concatenated_box(basis, entry.h))
+    spec *= f2_row[:, None]
+    psi = np.empty((setup.grid1.n, setup.grid2.n), dtype=complex)
+    return real_products(np.hstack([setup.f1(setup.grid1.nodes)[:, None], basis.z1]),
+                         np.vstack([f2_row[None, :], spec.T]), psi)
+
+
+def test_box_writes_the_bits_of_the_concatenated_form():
+    setup = fig4_setup()
+    times = np.asarray(setup.times)
+    basis = _KBasis(setup, float(times[-1]), 2)
+    h = _box_transform(setup, times, basis.k)
+    for arg in (h, h[-1]):
+        got, ref = basis.box(arg), concatenated_box(basis, arg)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n1, n2", ((7, 7), (7, 4), (1, 1), (401, 401)))
+def test_window_maxima_match_sliding_windows(n1, n2):
+    # on the fig4 ladder every column's largest |A| lies in the first n1
+    # differences, so random rows, a NaN and a run of zeros reach the prefix
+    # maxima of the rest as well
+    a = np.abs(np.random.default_rng(n1 + n2).standard_normal((5, n1 + n2 - 1)))
+    a[1, -1] = np.nan
+    a[2, :] = 0.0
+    a[3, n1:] += 10.0
+    ref = sliding_window_view(a, n1, axis=-1).max(axis=-1)
+    got = _window_maxima(a, n1)
+    assert got.shape == (5, n2) and got.tobytes() == ref.tobytes()
+
+
+FIG4_LADDERS = (fig4_setup, partial(fig4_setup, profile="square"),
+                lambda: replace(complex_front(grid_n=401), times=None))
+
+
+@pytest.mark.parametrize("make", FIG4_LADDERS, ids=("gaussian", "square", "complex"))
+def test_ensure_keeps_the_maxima_and_amplitudes_of_whole_tables(make, monkeypatch):
+    # ensure takes |A|'s column maxima as running maxima and checks D in row
+    # blocks; both must equal what whole arrays give, bit for bit, and so
+    # must every amplitude the tables feed, against the amplitude that
+    # resamples its profiles and joins A's spectrum per call
+    setup = make()
+    times = np.asarray(setup.times)
+    assert times.size == 121
+    tables = InteractionTables(setup)
+    tables.ensure(setup, times)
+    z1, z2 = setup.grid1.nodes, setup.grid2.nodes
+    diffs = np.concatenate([z2[0] - z1[::-1], z2[1:] - z1[0]])
+    basis, _, h, _ = _spectra(setup, times, 2)
+    a = real_products(h * basis.w, cos_sin(diffs, basis.k).T, np.empty((times.size, diffs.size)))
+    windows = sliding_window_view(np.abs(a), z1.size, axis=-1).max(axis=-1)
+    for t, window in zip(times, windows):
+        entry = tables._entry(setup, t)
+        assert entry.a_max.tobytes() == window.tobytes()
+        d_tab = tables.at(setup, t)[2]
+        assert entry.d_max.tobytes() == np.max(np.abs(d_tab), axis=0).tobytes()
+        assert not np.signbit(entry.d_max).any()
+    builds = (two_particle_headon_closed, two_particle_headon_series)
+    got = [[build(setup, t, tables=tables).psi for t in times] for build in builds]
+    monkeypatch.setattr(headon, "_amplitude", resampling_amplitude)
+    for build, psis in zip(builds, got):
+        for t, psi in zip(times, psis):
+            assert psi.tobytes() == build(setup, t, tables=tables).psi.tobytes(), (build, t)
+
+
+def perturbed_spectra(monkeypatch, edit):
+    """Patch _spectra so that edit(G_f) alters the coarse G_f of all times, (times, z2, 2 k+).
+
+    Returns the dict that collects each resolution's basis and G_f.
+    """
+    spectra, seen = headon._spectra, {}
+
+    def perturbed(setup, times, refine):
+        basis, b, h, blocks = spectra(setup, times, refine)
+        g_f = np.concatenate(list(blocks))
+        if refine == 1:
+            edit(g_f)
+        seen[refine] = basis, g_f
+        return basis, b, h, iter([g_f])
+
+    monkeypatch.setattr(headon, "_spectra", perturbed)
+    return seen
+
+
+@pytest.mark.parametrize("with_nan", (False, True), ids=("alone", "beside a NaN"))
+def test_failing_d_check_raises_as_the_whole_table_check(with_nan, monkeypatch):
+    # one coarse G_f entry at the middle time, off by a tenth of G_f's peak,
+    # moves a column of the coarse D by about 2e-9, and fails D's check
+    # alone: A and B do not involve G_f. ensure forms the whole tables only
+    # then, and raises what _converged raises on them. A NaN entry in
+    # another column makes that column's gaps NaN, which pass, and must not
+    # hide the failing one; it also makes the peak NaN, which leaves the
+    # bound at _TABLE_ATOL = 1e-10
+    setup = collision(times=(5e-4, 1e-3, 1.5e-3))
+    q, j = 1, setup.grid2.n // 2
+
+    def edit(g_f):
+        g_f[q, j, 0] += 0.1 * np.max(np.abs(g_f))
+        if with_nan:
+            g_f[q, j // 2, 0] = np.nan
+
+    seen = perturbed_spectra(monkeypatch, edit)
+    table_checks = []
+
+    def counted(what, coarse, fine, *args, **kwargs):
+        table_checks.append(np.ndim(coarse) == 2)
+        return _converged(what, coarse, fine, *args, **kwargs)
+
+    monkeypatch.setattr(headon, "_converged", counted)
+    t = setup.times[q]
+    with pytest.raises(AccuracyError,
+                       match=f"interaction time integrals not converged at t={t}:") as err:
+        InteractionTables(setup).ensure(setup, setup.times)
+    # A and B at both times, then the whole D tables at the failing one only
+    assert table_checks == [False] * 4 + [True]
+    (basis_c, g_c), (basis_f, g_f) = seen[1], seen[2]
+    shape = (setup.grid1.n, setup.grid2.n)
+    d_c = real_products(basis_c.z1, g_c[q].T, np.empty(shape))
+    d_f = real_products(basis_f.z1, g_f[q].T, np.empty(shape))
+    peak = max(np.max(np.abs(d_c)), np.max(np.abs(d_f)))
+    with pytest.raises(AccuracyError) as whole:
+        _converged("interaction time integrals", d_c, d_f,
+                   min(headon._TABLE_ATOL, headon._TABLE_RTOL * peak), at=f" at t={t}")
+    assert (err.value.coarse, err.value.fine) == (whole.value.coarse, whole.value.fine)
+    assert str(err.value) == str(whole.value)
+
+
+def test_d_check_lets_a_nan_gap_pass(monkeypatch):
+    # _converged lets a NaN gap pass, and so does the row-blocked check: a NaN
+    # coarse entry of G_f turns one column of the coarse D into NaN
+    setup = collision(times=(5e-4, 1e-3))
+
+    def edit(g_f):
+        g_f[1, setup.grid2.n // 2, 0] = np.nan
+
+    perturbed_spectra(monkeypatch, edit)
+    tables = InteractionTables(setup)
+    tables.ensure(setup, setup.times)
+    assert np.all(np.isfinite(tables._entry(setup, 1e-3).d_max))
+
+
+def test_amplitudes_sample_the_profiles_once(monkeypatch):
+    # f1 and f2 are sampled on the co-moving grids once per setup, and the
+    # left factor [f1 | 2w cos kz1 | 2w sin kz1] once per basis
+    setup = collision(times=(5e-4, 1e-3))
+    tables = InteractionTables(setup)
+    tables.ensure(setup, setup.times)
+    two_particle_headon_closed(setup, 5e-4, tables=tables)
+    calls = []
+    sample = PulseProfile.__call__
+
+    def counted(profile, z):
+        calls.append(profile)
+        return sample(profile, z)
+
+    monkeypatch.setattr(PulseProfile, "__call__", counted)
+    for t in setup.times:
+        two_particle_headon_closed(setup, t, tables=tables)
+        two_particle_headon_series(setup, t, tables=tables)
+    assert calls == []
+    basis = tables._entry(setup, 1e-3).basis
+    assert basis.left is basis.left and not basis.left.flags.writeable
 
 
 def test_fig4_final_fidelities_pinned():
