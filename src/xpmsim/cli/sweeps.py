@@ -14,7 +14,7 @@ import numpy as np
 from ..copropagating import (
     conditional_phase_sweep,
     entropy_phase_sweep,
-    fidelity_closed_form,
+    fidelity_sweep,
     overlap_coefficients,
     transition_k0,
 )
@@ -123,9 +123,10 @@ def run_fig2(config: RunConfig) -> SweepResult:
     phis = _phi_axis(config, default_max=math.pi, default_n=65)
 
     fid, ent = [], []
+    phi_row = phis.tolist()
     for k0 in k0s:
         coeffs = overlap_coefficients(f1, f2, k0)
-        fid.extend(fidelity_closed_form(coeffs.c1, coeffs.c2, float(p)) for p in phis)
+        fid.extend(fidelity_sweep(coeffs.c1, coeffs.c2, phi_row).tolist())
         ent.extend(entropy_phase_sweep(f1, f2, k0, phis).tolist())
     prov = _base_provenance(config, f1.label)
     prov["phi_max"] = float(phis[-1])
@@ -154,9 +155,10 @@ def run_fig3(config: RunConfig) -> SweepResult:
     phis = np.linspace(lo, hi, config.lattice_phi_n)
 
     fid = []
+    phi_row = phis.tolist()
     for k0 in k0s:
         coeffs = overlap_coefficients(f1, f2, float(k0))
-        fid.extend(fidelity_closed_form(coeffs.c1, coeffs.c2, float(p)) for p in phis)
+        fid.extend(fidelity_sweep(coeffs.c1, coeffs.c2, phi_row).tolist())
     return SweepResult(
         kind="fig3",
         axes=(Axis("k0", "dimensionless", tuple(float(k) for k in k0s)),

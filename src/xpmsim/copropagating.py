@@ -75,6 +75,7 @@ __all__ = [
     "conditional_phase_sweep",
     "entropy_phase_sweep",
     "fidelity_closed_form",
+    "fidelity_sweep",
     "grid_metrics_copropagating",
     "interaction_grids",
     "metrics_copropagating",
@@ -401,23 +402,33 @@ def conditional_phase_sweep(c1: float, phis: np.ndarray) -> np.ndarray:
     return theta
 
 
-def fidelity_closed_form(c1: float, c2: float, phi: float) -> float:
-    """Gate fidelity from the overlap coefficients.
+def fidelity_sweep(c1: float, c2: float, phis) -> np.ndarray:
+    """Gate fidelity from the overlap coefficients at each Phi of a sequence.
 
     Requires C2 >= C1^2 (up to rounding), which keeps the result in [0, 1]
-    and the denominator positive.
+    and the denominator positive; a non-positive denominator raises at the
+    first Phi that gives one. sin^2(Phi/2) is taken by math.sin per Phi,
+    and the rest is row arithmetic in the order of the scalar formula, so
+    each entry is the bits of fidelity_closed_form at that Phi.
     """
     if c1 <= 0.0 or c2 <= 0.0:
         raise CoefficientError(f"coefficients must be positive: C1={c1}, C2={c2}")
     if c2 < c1**2 - _COEFF_TOL * max(1.0, c1**2):
         raise CoefficientError(f"C2={c2} < C1^2={c1**2}: inconsistent coefficients")
-    s2 = math.sin(0.5 * phi) ** 2
+    s2 = np.array([math.sin(0.5 * phi) ** 2 for phi in phis])
     num = 1.0 - 4.0 * c1 * (1.0 - c1) * s2
     den = 1.0 - 4.0 * (c1 - c2) * s2
-    if den <= 0.0:
+    bad = np.flatnonzero(den <= 0.0)
+    if bad.size:
+        i = bad[0]
         raise CoefficientError(
-            f"non-positive denominator {den} at C1={c1}, C2={c2}, phi={phi}")
-    return min(max(num / den, 0.0), 1.0)
+            f"non-positive denominator {den[i]} at C1={c1}, C2={c2}, phi={phis[i]}")
+    return np.minimum(np.maximum(num / den, 0.0), 1.0)
+
+
+def fidelity_closed_form(c1: float, c2: float, phi: float) -> float:
+    """Gate fidelity from the overlap coefficients at one Phi (fidelity_sweep)."""
+    return float(fidelity_sweep(c1, c2, [phi])[0])
 
 
 def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None, *,

@@ -7,7 +7,10 @@ single-pulse inputs.
 
 The kernel is a box in k, so both engines take their k-side transforms from
 here, as real cosine and sine transforms (cos_sin) multiplied in row blocks
-that stay on the calling thread (real_products).
+that stay on the calling thread (real_products). Their composite Gauss
+panels all use the 8-node Gauss-Legendre rule, kept here as literal
+arrays, so no sweep or API call loads numpy.polynomial; only another
+rule size (make_grid's 'gauss-legendre' rule) builds one with leggauss.
 """
 
 from __future__ import annotations
@@ -212,15 +215,37 @@ class Grid1D:
         )
 
 
+def _read_only(values: list[float]) -> np.ndarray:
+    a = np.array(values)
+    a.setflags(write=False)
+    return a
+
+
+# np.polynomial.legendre.leggauss(8), bit for bit: building it imports
+# numpy.polynomial, about 4 ms in every process that needs one panel
+_GAUSS_8 = (
+    _read_only([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                0.7966664774136267, 0.9602898564975362]),
+    _read_only([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                0.22238103445337443, 0.10122853629037706]),
+)
+
+
 @functools.lru_cache(maxsize=128)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
 
-    The rule is an eigen-solve whose cost grows fast with n, so the
-    coefficient axis, the k rules and the trajectory panels are composite
-    panels of the 8-node rule, which a process builds once. The arrays are
-    shared by all callers, so they are read-only.
+    The coefficient axis, the k rules and the trajectory panels are
+    composite panels of the 8-node rule, which is kept as literals
+    (_GAUSS_8), so none of them loads numpy.polynomial. Any other n (a
+    make_grid 'gauss-legendre' rule, such as validate's 400-node reference)
+    is an eigen-solve by leggauss, built once per n. The arrays are shared
+    by all callers, so they are read-only.
     """
+    if n == 8:
+        return _GAUSS_8
     x, w = np.polynomial.legendre.leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -30,7 +30,7 @@ class Axis:
         values = tuple(float(v) for v in self.values)
         if len(values) == 0:
             raise ParameterError(f"axis {self.name!r} has no values")
-        if not all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ParameterError(f"axis {self.name!r} has non-finite values")
         object.__setattr__(self, "values", values)
 
@@ -67,7 +67,7 @@ class SweepResult:
             if len(arr) != rows:
                 raise ParameterError(
                     f"column {name!r} has {len(arr)} entries, expected {rows}")
-            if not all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ParameterError(f"column {name!r} has non-finite entries")
             if _is_fidelity(name) and not all(-1e-9 <= v <= 1.0 + 1e-9 for v in arr):
                 raise ParameterError(f"column {name!r} leaves [0, 1]")

@@ -131,6 +131,45 @@ def test_json_mirrors_to_dict():
     assert json.loads(render_json(result)) == result.to_dict()
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "square"])
+@pytest.mark.parametrize("task", ["coeffs", "fig1", "fig2", "fig3", "fig4"])
+def test_json_is_the_bytes_of_json_dumps(task, profile):
+    result = run_task(RunConfig(task=task, profile_shape=profile))
+    assert render_json(result) == json.dumps(result.to_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("warnings", [
+    (),
+    ('say "when"', "back\\slash", "tab\there", "\u03c6 = \u03c0, \u00e9t\u00e9", "\U0001f600"),
+])
+def test_json_is_the_bytes_of_json_dumps_for_edge_values(warnings):
+    result = SweepResult(
+        kind="fig3",
+        axes=(Axis("k0", "dimensionless", (2.5,)),
+              Axis("\u03a6 \"rad\"", "r\\ad", (-0.0, 5e-324, 1e300))),
+        columns={"F": (0.0, 5e-324, 1.0), "x \u00e9": (-0.0, 1e300, -1e-300)},
+        provenance={"task": "fig3", "n": 7, "big": 10**30, "f": 0.1, "tiny": 5e-324,
+                    "neg": -0.0, "flag": True, "off": False, "note": "a\"b\\c\u00e9"},
+        warnings=warnings,
+    )
+    assert render_json(result) == json.dumps(result.to_dict(), indent=2) + "\n"
+    empty = SweepResult(kind="coeffs", axes=(Axis("k0", "dimensionless", (1.0,)),),
+                        columns={})
+    assert render_json(empty) == json.dumps(empty.to_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_results_reject_non_finite_values(bad):
+    with pytest.raises(ParameterError, match="non-finite"):
+        Axis("k0", "dimensionless", (1.0, bad))
+    axis = Axis("k0", "dimensionless", (1.0, 2.0))
+    with pytest.raises(ParameterError, match="non-finite"):
+        SweepResult(kind="coeffs", axes=(axis,), columns={"C1": (bad, 0.5)})
+    # finite extremes pass, as numpy scalars too
+    SweepResult(kind="coeffs", axes=(Axis("k0", "", (np.float64(-1e308), 5e-324)),),
+                columns={"C1": (1.7e308, np.float64(-0.0))})
+
+
 def test_svg_is_self_contained():
     line = render_svg(small_fig1_result())
     assert line.startswith("<svg ") and line.rstrip().endswith("</svg>")
@@ -333,6 +372,21 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_sweep_tasks_leave_numpy_polynomial_unloaded(tmp_path):
+    # every sweep panel takes the literal 8-node Gauss rule; leggauss, and
+    # with it numpy.polynomial, is for validate's references alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from xpmsim.cli.main import main; "
+            "codes = [main([t, '--format', 'json', '--out', t + '.json']) "
+            "for t in ('coeffs', 'fig2', 'fig3', 'fig4')]; "
+            "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True, cwd=tmp_path)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_validate_references_leave_scipy_unloaded():

@@ -41,6 +41,7 @@ from xpmsim import (
     conditional_phase_sweep,
     entropy_phase_sweep,
     fidelity_closed_form,
+    fidelity_sweep,
     free_state,
     grid_metrics_copropagating,
     interaction_grids,
@@ -459,8 +460,9 @@ def test_transition_matches_scipy_bisect(shape, monkeypatch):
 
 
 def test_coefficient_quadrature_builds_only_the_8_node_rule_once(monkeypatch):
-    # every coefficient and entropy axis is made of 8-node Gauss panels, so
-    # no call needs a larger Legendre rule, whatever k0 and profile
+    # every coefficient and entropy axis is made of 8-node Gauss panels,
+    # whose rule is literal, so no call builds a Legendre rule at all,
+    # whatever k0 and profile
     built = Counter()
     real = np.polynomial.legendre.leggauss
 
@@ -477,7 +479,7 @@ def test_coefficient_quadrature_builds_only_the_8_node_rule_once(monkeypatch):
     for k0 in (0.5, 5.0):
         entropy_phase_sweep(GAUSS, GAUSS, k0, np.linspace(0.0, math.pi, 5))
         entropy_phase_sweep(sq, sq, k0, np.linspace(0.0, math.pi, 5))
-    assert built == {8: 1}
+    assert built == {}
 
 
 # ------------------------------------------------------ conditional phase
@@ -570,6 +572,68 @@ def test_fidelity_closed_form_errors():
         fidelity_closed_form(0.9, 0.5, 1.0)
     with pytest.raises(CoefficientError, match="denominator"):
         fidelity_closed_form(0.5, 0.25, math.pi)
+
+
+def _fidelity_reference(c1, c2, phi):
+    # the scalar closed form as it read before fidelity_sweep served it
+    if c1 <= 0.0 or c2 <= 0.0:
+        raise CoefficientError(f"coefficients must be positive: C1={c1}, C2={c2}")
+    if c2 < c1**2 - 1e-9 * max(1.0, c1**2):
+        raise CoefficientError(f"C2={c2} < C1^2={c1**2}: inconsistent coefficients")
+    s2 = math.sin(0.5 * phi) ** 2
+    num = 1.0 - 4.0 * c1 * (1.0 - c1) * s2
+    den = 1.0 - 4.0 * (c1 - c2) * s2
+    if den <= 0.0:
+        raise CoefficientError(
+            f"non-positive denominator {den} at C1={c1}, C2={c2}, phi={phi}")
+    return min(max(num / den, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("lattice", ["fig2", "fig3"])
+@pytest.mark.parametrize("shape", ["gaussian", "square"])
+def test_fidelity_sweep_writes_the_bits_of_the_scalar_form(shape, lattice):
+    from xpmsim.cli.config import RunConfig
+    from xpmsim.cli.sweeps import DEFAULT_K0_SET
+
+    cfg = RunConfig(task=lattice)
+    if lattice == "fig2":
+        k0s, phis = DEFAULT_K0_SET, np.linspace(0.0, math.pi, 65)
+    else:
+        k0s = np.linspace(cfg.lattice_k0_min, cfg.lattice_k0_max, cfg.lattice_k0_n)
+        phis = np.linspace(0.0, math.pi, cfg.lattice_phi_n)
+    prof = make_profile(shape, width=cfg.profile_width if shape == "square" else None)
+    for k0 in k0s:
+        c = overlap_coefficients(prof, prof, float(k0))
+        row = fidelity_sweep(c.c1, c.c2, phis.tolist())
+        assert row.shape == phis.shape
+        got = [float(v).hex() for v in row]
+        assert got == [fidelity_closed_form(c.c1, c.c2, float(p)).hex() for p in phis]
+        assert got == [_fidelity_reference(c.c1, c.c2, float(p)).hex() for p in phis]
+
+
+def _first_error(c1, c2, phis):
+    for phi in phis:
+        try:
+            _fidelity_reference(c1, c2, phi)
+        except CoefficientError as exc:
+            return str(exc)
+    raise AssertionError("the reference raised nothing")
+
+
+@pytest.mark.parametrize("c1, c2", [
+    (0.0, 0.5),                  # C1 <= 0
+    (-0.3, 0.5),
+    (0.4, 0.0),                  # C2 <= 0
+    (0.9, 0.5),                  # C2 < C1^2
+    (0.5, 0.25),                 # zero denominator at Phi = pi
+    (0.5, 0.25 - 1e-9),          # negative denominators near Phi = pi
+])
+def test_fidelity_sweep_raises_at_the_first_bad_phi(c1, c2):
+    # a row that starts well and turns bad after its first entries
+    phis = [0.0, 1.0, 2.0] + (math.pi + np.linspace(-1e-4, 1e-4, 5)).tolist() + [3.5]
+    with pytest.raises(CoefficientError) as err:
+        fidelity_sweep(c1, c2, phis)
+    assert str(err.value) == _first_error(c1, c2, phis)
 
 
 # ------------------------------------------------------- grid cross-route

@@ -59,6 +59,19 @@ def test_cached_gauss_rule_is_read_only():
         w[0] = 0.0
 
 
+def test_eight_node_gauss_rule_is_leggauss_bit_for_bit():
+    # every composite panel takes the literal 8-node rule, never leggauss
+    x, w = numerics._gauss_legendre(8)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(8)
+    assert x.dtype == w.dtype == np.float64
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
 def test_composite_gauss_grid_oscillatory():
     g = composite_gauss_grid(0.0, 2.0 * math.pi, 6)
     assert abs(g.integrate(np.cos(g.nodes))) < 1e-12
