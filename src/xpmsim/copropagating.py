@@ -552,6 +552,40 @@ def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
 # tuple replaced whole, so a reader never pairs one call's key with another's sums
 _KERNEL_SUMS_MEMO: dict = {}
 
+# _far_sums' bands of |rho|, the separation ratio of a far row, by upper edge.
+# A band's rows take the fewest expansion terms whose tails at its edge are at
+# most _FAR_TAIL (_far_terms); rows past the last edge take direct products.
+_FAR_EDGES = (1 / 256, 1 / 16, 1 / 4, 1 / 2)
+_FAR_TAIL = 2.0**-54
+
+
+def _far_terms(edge: float) -> int:
+    """Fewest terms N of _far_sums' two expansions with tails at |rho| = edge within _FAR_TAIL.
+
+    With |u| <= 1 the terms from N on of sum rho^n u^n add up to at most
+    rho^N / (1 - rho), and those of sum (n + 1) rho^n u^n to at most
+    rho^N (N + 1 - N rho) / (1 - rho)^2, for rho = edge; N is the first count
+    that takes both to _FAR_TAIL or below.
+    """
+    n = 1
+    while max(edge**n / (1.0 - edge),
+              edge**n * (n + 1 - n * edge) / (1.0 - edge) ** 2) > _FAR_TAIL:
+        n += 1
+    return n
+
+
+_FAR_TERMS = tuple(_far_terms(edge) for edge in _FAR_EDGES)
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0, ..., x^(n-1) as the rows of an (n, x.size) array, by running products."""
+    out = np.empty((n, x.size))
+    out[0] = 1.0
+    # row by row: multiply.accumulate over axis 0 took nine times as long
+    for i in range(1, n):
+        np.multiply(out[i - 1], x, out=out[i])
+    return out
+
 
 def _far_sums(z1: np.ndarray, left: np.ndarray, w1: np.ndarray, z2: np.ndarray,
               right: np.ndarray, dens: np.ndarray, k0: float) -> tuple[complex, float]:
@@ -562,31 +596,60 @@ def _far_sums(z1: np.ndarray, left: np.ndarray, w1: np.ndarray, z2: np.ndarray,
         <F, Kp>  = (1/k0) sum_i left_i [s1 (R (c2 right)) - c1 (R (s2 right))]_i,
         <Kp, Kp> = (1/k0^2) sum_i w1_i [s1^2 (R^2 (c2^2 dens))
                    - 2 s1 c1 (R^2 (s2 c2 dens)) + c1^2 (R^2 (s2^2 dens))]_i.
-    R and R^2 take real products with 4 and 3 columns, in row blocks sized
-    by numerics.gemm_rows, so no kernel sample is built and OpenBLAS keeps
-    every product on the calling thread. Since |k0 (z1 - z2)| >= 1 on these
-    rows, the absolute error of sin(k0 z1), of
-    the order of the rounding of k0 z1, is that of the direct argument
-    k0 (z1 - z2), and the division by it cannot amplify that error.
+    Most rows apply R and R^2 to those seven columns without forming R, by
+    the far-field step of the fast multipole method (Greengard & Rokhlin,
+    J. Comput. Phys. 73, 325, 1987). With z2's range c +- L, d = z1 - c,
+    u = (z2 - c)/L in [-1, 1] and a row's separation ratio rho = L/d,
+        R = (1/d) sum_n rho^n u^n,  R^2 = (1/d^2) sum_n (n + 1) rho^n u^n.
+    The columns' moments sum_j cols_j u_j^n are taken once per call. A row
+    with |rho| <= 1/2 is then a product of its powers rho^n with them, cut
+    after the term count of the band of |rho| it falls in (_FAR_EDGES,
+    _far_terms: 8, 15, 30 and 61 terms up to 1/256, 1/16, 1/4 and 1/2), so
+    its cut drops at most 2^-54 of sum_j |cols_j| / |d| (/ d^2 for R^2).
+    The few rows with |rho| > 1/2 take R itself, in row blocks. Every
+    product is sized by gemm_rows or is a numerics real product, so no
+    kernel sample is built and OpenBLAS keeps every product on the calling
+    thread. Since |k0 (z1 - z2)| >= 1 on these rows, the absolute error of
+    sin(k0 z1), of the order of the rounding of k0 z1, is that of the direct
+    argument k0 (z1 - z2), and the division by it cannot amplify that error.
     """
     s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
-    cols = np.stack([c2 * right.real, c2 * right.imag,
-                     s2 * right.real, s2 * right.imag], axis=1)
-    dens_cols = np.stack([c2 * c2, s2 * c2, s2 * s2], axis=1) * dens[:, None]
-    applied = np.empty((z1.size, 4))
-    squared = np.empty((z1.size, 3))
-    rows = gemm_rows(cols.size)
-    for i in range(0, z1.size, rows):
-        inv = np.subtract.outer(z1[i:i + rows], z2)
+    cols = np.stack([c2 * right.real, c2 * right.imag, s2 * right.real, s2 * right.imag,
+                     c2 * c2 * dens, s2 * c2 * dens, s2 * s2 * dens], axis=1)
+    lo, hi = z2.min(), z2.max()
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    d = z1 - centre
+    rho = half / d
+    band = np.searchsorted(_FAR_EDGES, np.abs(rho))
+    u = (z2 - centre) / half if half > 0.0 else np.zeros_like(z2)
+    most = _FAR_TERMS[-1]
+    moments = real_products(_powers(u, most), cols, np.empty((most, 7)))
+    moments[:, 4:] *= np.arange(1.0, most + 1.0)[:, None]
+    # one column per row: the scalings by 1/d and the contraction run on
+    # contiguous rows of sums
+    sums = np.empty((7, z1.size))
+    for b, terms in enumerate(_FAR_TERMS):
+        rows = np.flatnonzero(band == b)
+        powers = _powers(rho[rows], terms)
+        step = gemm_rows(7 * terms)
+        for i in range(0, rows.size, step):
+            sums[:, rows[i:i + step]] = moments[:terms].T @ powers[:, i:i + step]
+    sums[:4] /= d
+    sums[4:] /= np.square(d)
+    direct = np.flatnonzero(band == len(_FAR_EDGES))
+    step = gemm_rows(4 * z2.size)
+    for i in range(0, direct.size, step):
+        rows = direct[i:i + step]
+        inv = np.subtract.outer(z1[rows], z2)
         np.reciprocal(inv, out=inv)
-        np.matmul(inv, cols, out=applied[i:i + rows])
+        sums[:4, rows] = (inv @ cols[:, :4]).T
         np.square(inv, out=inv)
-        np.matmul(inv, dens_cols, out=squared[i:i + rows])
+        sums[4:, rows] = (inv @ cols[:, 4:]).T
     s1, c1 = np.sin(k0 * z1), np.cos(k0 * z1)
-    k_right = s1[:, None] * applied[:, :2] - c1[:, None] * applied[:, 2:]
-    free_corr = complex(np.einsum("i,i->", left, k_right[:, 0] + 1j * k_right[:, 1])) / k0
-    trig = np.stack([s1 * s1, -2.0 * s1 * c1, c1 * c1], axis=1)
-    return free_corr, float(np.einsum("i,ij,ij->", w1, trig, squared)) / k0**2
+    k_right = s1 * sums[:2] - c1 * sums[2:4]
+    free_corr = complex(np.einsum("i,i->", left, k_right[0] + 1j * k_right[1])) / k0
+    trig = np.stack([s1 * s1, -2.0 * s1 * c1, c1 * c1])
+    return free_corr, float(np.einsum("i,ji,ji->", w1, trig, sums[4:])) / k0**2
 
 
 def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
@@ -600,7 +663,8 @@ def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
 
     Rows of K at least 1/k0 outside z2's range (the sinc tail of
     interaction_grids, nearly all of K) take no kernel samples: their sums
-    are two thin Cauchy-matrix products (_far_sums). The other rows take
+    come from the Cauchy matrix 1/(z1 - z2), mostly as a truncated multipole
+    expansion in each row's separation ratio (_far_sums). The other rows take
     sinc_kernel, whose small-argument series they may need, in row blocks
     sized by numerics.gemm_rows; a grid pair with no far row gives
     sinc_kernel's bits.
@@ -660,16 +724,17 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     rows at least 1/k0 outside Z2's range, nearly all of K on the default
     grids, take no kernel samples: there K = sin(k0 (Z1 - Z2)) / (k0 (Z1 - Z2))
     splits by angle addition into sines and cosines of k0 Z1 and k0 Z2 and
-    the Cauchy matrix 1/(Z1 - Z2), so both sums are two thin products with
-    that matrix, in row blocks of at most 1 MB (_far_sums). The other rows
-    sample K at the nodes of two_particle_copropagating (sinc_kernel). The
-    two K sums do not depend on Phi, and the
-    last pair is memoized (_kernel_sums): a call that repeats the last
-    call's k0, both grids' nodes and weights, and the samples f1(Z1),
-    f2(Z2) and p does O(n1 + n2) work. A grid edited in place, another
-    profile or another k0 samples K again. The input and norm checks and
-    the clamp F <= 1 run on every call. with_entropy builds the sampled
-    state for linear_entropy. Supports complex profiles.
+    the Cauchy matrix 1/(Z1 - Z2). That matrix is applied, on all but the
+    rows nearest Z2's range, as a truncated multipole expansion in the row's
+    separation ratio: a few moments of Z2's columns per row in place of n2
+    columns (_far_sums). The other rows sample K at the nodes of
+    two_particle_copropagating (sinc_kernel). The two K sums do not depend
+    on Phi, and the last pair is memoized (_kernel_sums): a call that
+    repeats the last call's k0, both grids' nodes and weights, and the
+    samples f1(Z1), f2(Z2) and p does O(n1 + n2) work. A grid edited in
+    place, another profile or another k0 samples K again. The input and norm
+    checks and the clamp F <= 1 run on every call. with_entropy builds the
+    sampled state for linear_entropy. Supports complex profiles.
     """
     if params.mode != "copropagating":
         raise ModeError(

@@ -71,6 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    AccuracyError,
     ApproximationWarning,
     GridMismatchError,
     ModeError,
@@ -651,7 +652,8 @@ class InteractionTables:
         z1 are running maxima over windows of n1 differences, taken for
         every time at once (_window_maxima). A, B and then D are checked at
         each time; D in row blocks, with running reductions and no n1 x n2
-        table (_checked_d_maxima). Only the fine resolution's B, G_f, h and
+        table (_checked_d_maxima). A table whose peak is NaN or infinite
+        fails its check. Only the fine resolution's B, G_f, h and
         basis are kept, with the column maxima of its |A| and |D| over z1.
         t = 0 needs no case of its own: its trajectory and box integrals
         vanish.
@@ -679,9 +681,10 @@ class InteractionTables:
                 missing, a_max, *both):
             # each fine table's moduli, or their maxima over z1, give its peak
             for c, f, f_abs in ((a_c, a_f, a_max_t), (b_c, b_f, np.abs(b_f))):
-                peak = max(np.max(np.abs(c)), np.max(f_abs))
+                peak = np.max((np.max(np.abs(c)), np.max(f_abs)))
                 _converged("interaction time integrals", c, f,
                            min(_TABLE_ATOL, _TABLE_RTOL * peak), at=f" at t={t}")
+                _require_finite_peak(t, peak)
             d_max = _checked_d_maxima(t, basis_c, g_c, basis, g_f)
             self._cache[float(t)] = _TimeTables(b_f, g_f, h, basis, a_max_t, d_max)
 
@@ -714,7 +717,8 @@ def _checked_d_maxima(t: float, basis_c: _KBasis, g_c: np.ndarray,
     min(_TABLE_ATOL, _TABLE_RTOL * peak), the peak taken over the coarse
     table and the fine maxima. Only when it fails are both whole tables
     formed and handed to _converged, which raises for the worst entry with
-    its two estimates.
+    its two estimates. A gap that passes beside a NaN or infinite peak
+    raises as well (_require_finite_peak).
     """
     right_c, right_f = np.ascontiguousarray(g_c.T), np.ascontiguousarray(g_f.T)
     n1 = basis.z1.shape[0]
@@ -733,14 +737,28 @@ def _checked_d_maxima(t: float, basis_c: _KBasis, g_c: np.ndarray,
         # c's block takes the difference: its peak is already taken
         np.abs(np.subtract(c, f, out=c), out=mod)
         gap = np.fmax(gap, np.fmax.reduce(mod, axis=None))
-    bound = min(_TABLE_ATOL, _TABLE_RTOL * max(peak_c, np.max(d_max)))
+    peak = np.max((peak_c, np.max(d_max)))
+    bound = min(_TABLE_ATOL, _TABLE_RTOL * peak)
     if gap > bound:
         n2 = right_f.shape[1]
         _converged("interaction time integrals",
                    basis_c.table(g_c, np.empty((n1, n2), dtype=g_f.dtype)),
                    basis.table(g_f, np.empty((n1, n2), dtype=g_f.dtype)),
                    bound, at=f" at t={t}")
+    _require_finite_peak(t, peak)
     return d_max
+
+
+def _require_finite_peak(t: float, peak: float) -> None:
+    """Raise unless a table check's peak is finite.
+
+    A NaN or infinite peak leaves no relative bound: min(_TABLE_ATOL,
+    _TABLE_RTOL * peak) would quietly widen to _TABLE_ATOL. The checks call
+    this after their gap test, so a gap that fails even that bound is
+    reported first, with its two estimates.
+    """
+    if not np.isfinite(peak):
+        raise AccuracyError(f"interaction time integrals not finite at t={t}: peak {peak}")
 
 
 def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np.ndarray:

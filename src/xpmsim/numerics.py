@@ -105,10 +105,14 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # helper in every run while they were single products. Where one row alone reaches the
 # limit (C1 of unit gaussians past k0 = 270), one-row products stream all of
 # right per row: a 32 x 18128 x 32 product took 6.7 ms that way and 0.95 ms
-# summed over slabs of right's rows. Over criterion 05's lattice the far rows took 0.08-0.10 s
-# of wall and 0.09-0.12 s of CPU in blocks, the process peaking at 38 MB; in
-# row blocks of 4e6 elements, which thread, they took 0.13-0.32 s of wall,
-# 0.24-0.32 s of CPU and 96 MB, so the second core does not pay there either.
+# summed over slabs of right's rows. Over criterion 05's lattice the far rows,
+# while each took a full Cauchy-matrix row, took 0.08-0.10 s of wall and
+# 0.09-0.12 s of CPU in blocks, the process peaking at 38 MB; in row blocks
+# of 4e6 elements, which thread, they took 0.13-0.32 s of wall, 0.24-0.32 s
+# of CPU and 96 MB, so the second core does not pay there either. All but 934
+# of their 36 418 rows now take a multipole expansion of a few terms, and
+# _far_sums over the gaussian lattice's five k0 takes 10-12 ms, warm, where
+# the full rows took 46-55 ms.
 # No thread setting is needed; tests/test_threads.py checks that no CLI task,
 # no C1 at k0 = 30 or 100, no entropy sweep at k0 = 100, no pass of the
 # head-on oracle, no collision entropy and no pass of the grid route wakes a

@@ -17,6 +17,7 @@ import sys
 import textwrap
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -996,6 +997,84 @@ def test_far_rule_takes_rows_from_one_over_k0_out(far_rows):
     assert [list(r) for r in far_rows] == [[lo, hi]]
     for g, r in zip(got, sinc_kernel_sums(k0, ends)):
         assert abs(g - r) <= 1e-13 * abs(r)
+
+
+def direct_far_sums(z1, left, w1, z2, right, dens, k0):
+    """_far_sums' two sums with every row from the full Cauchy matrix.
+
+    The regrouped algebra of _far_sums, with R = 1/(z1 - z2) formed whole and
+    applied to the 4 and 3 columns by plain products. Also returns each
+    sum's row-sum scale: the same sums over the moduli of their terms.
+    """
+    s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
+    s1, c1 = np.sin(k0 * z1), np.cos(k0 * z1)
+    cols = np.stack([c2 * right.real, c2 * right.imag, s2 * right.real, s2 * right.imag],
+                    axis=1)
+    dens_cols = np.stack([c2 * c2, s2 * c2, s2 * s2], axis=1) * dens[:, None]
+    inv = 1.0 / np.subtract.outer(z1, z2)
+    applied, squared = inv @ cols, (inv * inv) @ dens_cols
+    k_right = s1[:, None] * applied[:, :2] - c1[:, None] * applied[:, 2:]
+    corr = complex(left @ (k_right[:, 0] + 1j * k_right[:, 1])) / k0
+    trig = np.stack([s1 * s1, -2.0 * s1 * c1, c1 * c1], axis=1)
+    nsq = float(np.sum(w1[:, None] * trig * squared)) / k0**2
+    moduli = np.abs(inv) @ np.abs(cols)
+    corr_scale = float(np.abs(left) @ (np.abs(s1[:, None]) * moduli[:, :2]
+                                       + np.abs(c1[:, None]) * moduli[:, 2:]).sum(axis=1)) / k0
+    nsq_scale = float(np.sum(w1[:, None] * np.abs(trig) * ((inv * inv) @ np.abs(dens_cols))))
+    return corr, nsq, corr_scale, nsq_scale / k0**2
+
+
+FAR_Z2 = {
+    "uniform": numerics.make_grid(-10.0, 10.0, 401),
+    "gauss-panels": numerics.composite_gauss_grid(-7.0, 13.0, 50),
+}
+
+
+@pytest.mark.parametrize("z2_rule", sorted(FAR_Z2))
+@pytest.mark.parametrize("shape", ["gaussian", "chirped"])
+def test_far_expansion_matches_direct_cauchy_rows(z2_rule, shape):
+    # rows at separation ratios just inside and just outside each band edge
+    # and at |rho| = 1/2, on both sides of z2's range; each row's two sums
+    # agree with the full Cauchy row to 1e-14 of their row-sum scale
+    k0 = 2.5
+    grid2 = FAR_Z2[z2_rule]
+    z2, w2 = grid2.nodes, grid2.weights
+    prof = ROUTE_PROFILES[shape]
+    pair = GAUSS(z2) * prof(z2)
+    right = w2 * np.conj(prof(z2)) * pair
+    dens = w2 * np.abs(pair) ** 2
+    assert np.iscomplexobj(right) == (shape == "chirped")
+    lo, hi = z2.min(), z2.max()
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    ratios = [0.5] + [e * f for e in copropagating._FAR_EDGES for f in (1 - 1e-9, 1 + 1e-9)]
+    z1 = np.array([centre + sign * half / r for r in ratios for sign in (1.0, -1.0)])
+    bands = np.searchsorted(copropagating._FAR_EDGES, np.abs(half / (z1 - centre)))
+    assert set(bands) == set(range(len(copropagating._FAR_EDGES) + 1))
+    assert np.all(k0 * np.minimum(np.abs(z1 - lo), np.abs(z1 - hi)) >= 1.0)
+    for i, row in enumerate(z1):
+        rows = np.array([row])
+        left = np.array([0.3 - 0.7j * (i % 3)])
+        w1 = np.array([0.05 + 0.01 * i])
+        corr, nsq = copropagating._far_sums(rows, left, w1, z2, right, dens, k0)
+        ref_corr, ref_nsq, corr_scale, nsq_scale = direct_far_sums(rows, left, w1, z2, right,
+                                                                   dens, k0)
+        assert abs(corr - ref_corr) <= 1e-14 * corr_scale, (row, corr, ref_corr)
+        assert abs(nsq - ref_nsq) <= 1e-14 * nsq_scale, (row, nsq, ref_nsq)
+
+
+def test_far_term_counts_meet_both_tail_bounds_and_one_fewer_does_not():
+    # exact rational tails at each band edge: the terms from N on of
+    # sum rho^n and of sum (n + 1) rho^n
+    def tails(edge, n):
+        return (edge**n / (1 - edge), edge**n * (n + 1 - n * edge) / (1 - edge) ** 2)
+
+    tail = Fraction(1, 2**54)
+    assert copropagating._FAR_TAIL == float(tail)
+    assert copropagating._FAR_TERMS == (8, 15, 30, 61)
+    for edge, n in zip(copropagating._FAR_EDGES, copropagating._FAR_TERMS):
+        edge = Fraction(edge)
+        assert all(t <= tail for t in tails(edge, n)), edge
+        assert any(t > tail for t in tails(edge, n - 1)), edge
 
 
 def test_norm_identity_on_grid():

@@ -1147,18 +1147,59 @@ def test_failing_d_check_raises_as_the_whole_table_check(with_nan, monkeypatch):
     assert str(err.value) == str(whole.value)
 
 
-def test_d_check_lets_a_nan_gap_pass(monkeypatch):
-    # _converged lets a NaN gap pass, and so does the row-blocked check: a NaN
-    # coarse entry of G_f turns one column of the coarse D into NaN
+def test_d_check_raises_on_a_nan_peak(monkeypatch):
+    # a NaN coarse entry of G_f turns one column of the coarse D into NaN: its
+    # gaps pass, as _converged lets a NaN gap pass, but the peak is NaN too,
+    # which leaves no relative bound, so the check fails at that time
     setup = collision(times=(5e-4, 1e-3))
 
     def edit(g_f):
         g_f[1, setup.grid2.n // 2, 0] = np.nan
 
     perturbed_spectra(monkeypatch, edit)
-    tables = InteractionTables(setup)
-    tables.ensure(setup, setup.times)
-    assert np.all(np.isfinite(tables._entry(setup, 1e-3).d_max))
+    with pytest.raises(AccuracyError, match="interaction time integrals not finite at t=0.001: "
+                                            "peak nan"):
+        InteractionTables(setup).ensure(setup, setup.times)
+
+
+@pytest.mark.parametrize("with_nan", (False, True), ids=("alone", "beside a NaN"))
+def test_d_check_fails_closed_beside_a_nan(with_nan, monkeypatch):
+    # one coarse G_f entry moved by 1e-4 of G_f's peak gives a D gap of about
+    # 2e-12 against a relative bound of about 6e-14, so the check fails on it
+    # alone; a NaN coarse entry in another column must not widen the bound to
+    # _TABLE_ATOL = 1e-10 and let the gap pass
+    setup = collision(times=(5e-4, 1e-3, 1.5e-3))
+    q, j = 1, setup.grid2.n // 2
+
+    def edit(g_f):
+        g_f[q, j, 0] += 1e-4 * np.max(np.abs(g_f))
+        if with_nan:
+            g_f[q, j // 2, 0] = np.nan
+
+    perturbed_spectra(monkeypatch, edit)
+    failure = "not finite" if with_nan else "not converged"
+    t = setup.times[q]
+    with pytest.raises(AccuracyError, match=f"interaction time integrals {failure} at t={t}:"):
+        InteractionTables(setup).ensure(setup, setup.times)
+
+
+@pytest.mark.parametrize("table", ("A", "B"))
+def test_a_and_b_checks_raise_on_a_nan_peak(table, monkeypatch):
+    # a NaN in the coarse h makes the coarse A of its time NaN throughout, one
+    # in the coarse B one entry; either makes that check's peak NaN
+    setup = collision(times=(5e-4, 1e-3))
+    spectra = headon._spectra
+
+    def perturbed(setup, times, refine):
+        basis, b, h, blocks = spectra(setup, times, refine)
+        if refine == 1:
+            (h if table == "A" else b)[1, 0] = np.nan
+        return basis, b, h, blocks
+
+    monkeypatch.setattr(headon, "_spectra", perturbed)
+    with pytest.raises(AccuracyError, match="interaction time integrals not finite at t=0.001: "
+                                            "peak nan"):
+        InteractionTables(setup).ensure(setup, setup.times)
 
 
 def test_amplitudes_sample_the_profiles_once(monkeypatch):
