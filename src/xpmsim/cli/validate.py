@@ -309,8 +309,9 @@ def _c08_series_structure(ctx: _Context):
 def _c09_closed_vs_series(ctx: _Context):
     # the closed form against the series summed order by order from
     # series_term, a time quadrature at points with no tables and no k rule,
-    # on every 40th node of both co-moving grids; the orders stop, as the
-    # series does, at the first term below 1e-12, and at order 40 at most.
+    # on every 40th node of both co-moving grids; the orders stop at the
+    # first term whose sup-norm on those nodes is below 1e-12, order 1
+    # included, and at order 40 at most.
     # Orders past 2 share order 2's integrals A and B, so each is the one
     # before times i x / n
     setups = [collision_setup(RunConfig(task="fig4"), phi)

@@ -88,6 +88,8 @@ _COEFF_TOL = 1e-9
 _DEGENERATE_EPS = 1e-12
 _ENTROPY_TOL = 1e-8
 _MAX_PHASE_STEP = math.pi / 2  # largest theta step a Phi sweep may take
+# half-width of the band around C1 = 1/2 where metrics_copropagating reports theta = Phi/2
+_BOUNDARY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -522,19 +524,17 @@ def two_particle_copropagating(f1: PulseProfile, f2: PulseProfile,
 
 
 def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
-                          phi: float, *, with_entropy: bool = False,
-                          boundary_tol: float = 1e-3) -> GateMetrics:
+                          phi: float, *, with_entropy: bool = False) -> GateMetrics:
     """Closed-form fidelity and conditional phase, optional linear entropy.
 
-    Within boundary_tol of the regime boundary C1 = 1/2 the pointwise
-    arctangent at Phi near pi is dominated by the sign of (1 - 2 C1), which
-    flips across the boundary while the physical curve approaches
-    theta = Phi/2 uniformly on [0, pi). Inside that band (and for
-    Phi <= pi) the boundary curve itself is reported; pass boundary_tol=0
-    to force the raw arctangent everywhere.
+    Within 1e-3 of the regime boundary C1 = 1/2 the pointwise arctangent at
+    Phi near pi is dominated by the sign of (1 - 2 C1), which flips across
+    the boundary while the physical curve approaches theta = Phi/2
+    uniformly on [0, pi). Inside that band (and for Phi <= pi) the boundary
+    curve itself is reported; conditional_phase gives the raw arctangent.
     """
     coeffs = overlap_coefficients(f1, f2, k0)
-    on_boundary = abs(coeffs.c1 - 0.5) <= boundary_tol and phi <= math.pi + 1e-12
+    on_boundary = abs(coeffs.c1 - 0.5) <= _BOUNDARY_TOL and phi <= math.pi + 1e-12
     if on_boundary:
         if phi < 0.0:
             raise ParameterError(f"phi must be non-negative, got {phi}")

@@ -50,13 +50,13 @@ rows of their spectra, and each amplitude as one of [f1 | cos kz1 |
 sin kz1] with rows of f2 and of the correction's spectrum, in row blocks
 that stay on the calling thread. The cosine and sine transforms and the
 row-blocked products are numerics' cos_sin and real_products, which C1
-takes as well. No n1 x n2 table is stored: the series reads its
-sup-norms from two chi-independent column maxima over z1, of |A| and of
-|D|, which the tables' resolution check leaves behind. The check forms
-none either: |A|'s maxima are running maxima over A's n1 + n2 - 1
-differences z2 - z1, and D's two resolutions are compared a row block at
-a time, with running reductions. series_term, a time quadrature at
-arbitrary points, is the position-side check of all of this.
+takes as well. No n1 x n2 table is stored. The series needs none to stop:
+C's box in k gives |C| <= C(0) = kappa, so |A| <= kappa t everywhere and
+each order n >= 2 is bounded through B alone. The tables' resolution check
+forms none either: A is checked over its n1 + n2 - 1 differences z2 - z1,
+and D's two resolutions are compared a row block at a time, with running
+reductions. series_term, a time quadrature at arbitrary points, is the
+position-side check of all of this.
 """
 
 from __future__ import annotations
@@ -533,17 +533,13 @@ class _TimeTables(NamedTuple):
 
     Spectra are kept at k+ as their cosine and sine transforms (_KBasis), in
     f1's dtype: a real f1 keeps G_f real. A and D are formed from their
-    spectra on demand (InteractionTables.at); their column maxima over z1,
-    which ensure takes while checking (as running maxima over A's
-    differences, and over D's row blocks), give the series its sup-norms.
+    spectra on demand (InteractionTables.at).
     """
 
     b: np.ndarray  # B per z2
     g_f: np.ndarray  # D's spectrum [C_f | S_f], shape (z2, 2 k+)
     h: np.ndarray  # A's time factor: its spectrum is basis.box(h), shape (2 k+,)
     basis: _KBasis
-    a_max: np.ndarray  # max over z1 of |A|, per z2
-    d_max: np.ndarray  # max over z1 of |D|, per z2
 
 
 class InteractionTables:
@@ -554,9 +550,8 @@ class InteractionTables:
     and 2. The tables serve the series and its closed form. Per time
     sample they keep B, D's spectrum G_f as its cosine and sine transforms
     at k+ (n2 x 2 n_k+, real for a real f1), A's time factor h and the
-    basis, plus the column maxima over z1 of |A| and |D| that the series
-    takes its sup-norms from, never an n1 x n2 table (see ensure). Each
-    table is verified against a doubled trajectory and k resolution; a gap
+    basis, never an n1 x n2 table (see ensure). Each table is verified
+    against a doubled trajectory and k resolution; a gap
     beyond 1e-6 of the table's largest entry, or beyond 1e-10, raises an
     accuracy error. The check of D forms no n1 x n2 table either unless it
     fails: it runs over row blocks of both resolutions. ensure() builds
@@ -648,15 +643,13 @@ class InteractionTables:
         _spectra. For the check A is formed by difference: A(u) = (1/2 pi)
         int exp(iku) h(k) dk = sum 2w (hc cos(ku) + hs sin(ku)) over k+,
         with h = [hc | hs], on the n1 + n2 - 1 differences u = z2 - z1 of
-        the equal-spacing co-moving grids, so the column maxima of |A| over
-        z1 are running maxima over windows of n1 differences, taken for
-        every time at once (_window_maxima). A, B and then D are checked at
-        each time; D in row blocks, with running reductions and no n1 x n2
-        table (_checked_d_maxima). A table whose peak is NaN or infinite
-        fails its check. Only the fine resolution's B, G_f, h and
-        basis are kept, with the column maxima of its |A| and |D| over z1.
-        t = 0 needs no case of its own: its trajectory and box integrals
-        vanish.
+        the equal-spacing co-moving grids, for every time at once. Those
+        differences hold every entry of the n1 x n2 table, so their peak is
+        the table's. A, B and then D are checked at each time; D in row
+        blocks, with running reductions and no n1 x n2 table (_check_d). A
+        table whose peak is NaN or infinite fails its check. Only the fine
+        resolution's B, G_f, h and basis are kept. t = 0 needs no case of
+        its own: its trajectory and box integrals vanish.
         """
         self._require_compatible(setup)
         wanted = np.asarray(times, dtype=float).ravel()
@@ -675,50 +668,29 @@ class InteractionTables:
                               np.empty((missing.size, diffs.size)))
             g_f = (g for block in blocks for g in block)
             both.append(zip(a, b, g_f, h, repeat(basis)))
-        # a is the fine resolution's A, for every time
-        a_max = _window_maxima(np.abs(a), z1.size)
-        for t, a_max_t, (a_c, b_c, g_c, _, basis_c), (a_f, b_f, g_f, h, basis) in zip(
-                missing, a_max, *both):
-            # each fine table's moduli, or their maxima over z1, give its peak
-            for c, f, f_abs in ((a_c, a_f, a_max_t), (b_c, b_f, np.abs(b_f))):
-                peak = np.max((np.max(np.abs(c)), np.max(f_abs)))
+        for t, (a_c, b_c, g_c, _, basis_c), (a_f, b_f, g_f, h, basis) in zip(missing, *both):
+            for c, f in ((a_c, a_f), (b_c, b_f)):
+                peak = np.max((np.max(np.abs(c)), np.max(np.abs(f))))
                 _converged("interaction time integrals", c, f,
                            min(_TABLE_ATOL, _TABLE_RTOL * peak), at=f" at t={t}")
                 _require_finite_peak(t, peak)
-            d_max = _checked_d_maxima(t, basis_c, g_c, basis, g_f)
-            self._cache[float(t)] = _TimeTables(b_f, g_f, h, basis, a_max_t, d_max)
+            _check_d(t, basis_c, g_c, basis, g_f)
+            self._cache[float(t)] = _TimeTables(b_f, g_f, h, basis)
 
 
-def _window_maxima(a: np.ndarray, n1: int) -> np.ndarray:
-    """max(a[..., j:j + n1]) for j < n2, with a of n1 + n2 - 1 entries and n2 <= n1.
-
-    Column j of A over z1 is a[j:j + n1] reversed (InteractionTables.ensure).
-    Each window is the first n1 entries from j on and the rest's first j
-    entries, so its maximum is the larger of a suffix maximum of the first n1
-    and a prefix maximum of the rest (van Herk / Gil-Werman): two running
-    maxima in place of n2 window scans. Like np.max, both propagate NaN.
-    """
-    suffix = np.maximum.accumulate(a[..., n1 - 1::-1], axis=-1)[..., ::-1]
-    prefix = np.maximum.accumulate(a[..., n1:], axis=-1)
-    out = suffix[..., :prefix.shape[-1] + 1].copy()
-    np.maximum(out[..., 1:], prefix, out=out[..., 1:])
-    return out
-
-
-def _checked_d_maxima(t: float, basis_c: _KBasis, g_c: np.ndarray,
-                      basis: _KBasis, g_f: np.ndarray) -> np.ndarray:
-    """Column maxima over z1 of the fine |D|, once D's two resolutions agree.
+def _check_d(t: float, basis_c: _KBasis, g_c: np.ndarray,
+             basis: _KBasis, g_f: np.ndarray) -> None:
+    """Raise unless D's two resolutions agree, forming no n1 x n2 table while they do.
 
     Coarse and fine D are formed a block of rows at a time, in the fine
-    product's own real_products blocks, so the maxima keep the bits of the
-    whole fine table's. Per block the coarse peak, the column maxima and the
-    worst gap |coarse - fine| are updated; a NaN gap is skipped, as
+    product's own real_products blocks, so each fine entry has the bits of
+    the whole fine table's. Per block the peak of |D| over both resolutions
+    and the worst gap |coarse - fine| are updated; a NaN gap is skipped, as
     _converged lets it pass. The worst gap is held against
-    min(_TABLE_ATOL, _TABLE_RTOL * peak), the peak taken over the coarse
-    table and the fine maxima. Only when it fails are both whole tables
-    formed and handed to _converged, which raises for the worst entry with
-    its two estimates. A gap that passes beside a NaN or infinite peak
-    raises as well (_require_finite_peak).
+    min(_TABLE_ATOL, _TABLE_RTOL * peak). Only when it fails are both whole
+    tables formed and handed to _converged, which raises for the worst
+    entry with its two estimates. A gap that passes beside a NaN or
+    infinite peak raises as well (_require_finite_peak).
     """
     right_c, right_f = np.ascontiguousarray(g_c.T), np.ascontiguousarray(g_f.T)
     n1 = basis.z1.shape[0]
@@ -726,18 +698,15 @@ def _checked_d_maxima(t: float, basis_c: _KBasis, g_c: np.ndarray,
     shape = (min(rows, n1), right_f.shape[1])
     block_c, block_f = np.empty(shape, dtype=g_f.dtype), np.empty(shape, dtype=g_f.dtype)
     moduli = np.empty(shape)
-    peak_c, gap = 0.0, 0.0
-    d_max = np.zeros(shape[1])
+    peak, gap = 0.0, 0.0
     for i in range(0, n1, rows):
         c = real_products(basis_c.z1[i:i + rows], right_c, block_c[:n1 - i])
         f = real_products(basis.z1[i:i + rows], right_f, block_f[:n1 - i])
         mod = np.abs(c, out=moduli[:c.shape[0]])
-        peak_c = np.maximum(peak_c, mod.max())
-        np.maximum(d_max, np.abs(f, out=mod).max(axis=0), out=d_max)
-        # c's block takes the difference: its peak is already taken
+        peak = np.max((peak, mod.max(), np.abs(f, out=mod).max()))
+        # c's block takes the difference: both peaks are already taken
         np.abs(np.subtract(c, f, out=c), out=mod)
         gap = np.fmax(gap, np.fmax.reduce(mod, axis=None))
-    peak = np.max((peak_c, np.max(d_max)))
     bound = min(_TABLE_ATOL, _TABLE_RTOL * peak)
     if gap > bound:
         n2 = right_f.shape[1]
@@ -746,7 +715,6 @@ def _checked_d_maxima(t: float, basis_c: _KBasis, g_c: np.ndarray,
                    basis.table(g_f, np.empty((n1, n2), dtype=g_f.dtype)),
                    bound, at=f" at t={t}")
     _require_finite_peak(t, peak)
-    return d_max
 
 
 def _require_finite_peak(t: float, peak: float) -> None:
@@ -824,18 +792,19 @@ def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40,
                                tables: InteractionTables | None = None) -> TwoParticleState:
     """Partial sum of the interaction series on the co-moving grids.
 
-    Terms are added until one falls below 1e-12 in sup-norm or n_max is
-    reached; if the last term is still above 1e-6 the truncation is
-    reported as an error. Every order n >= 2 is the scalar weight
-    w_n = (i x)^n / (n! kappa t^2) times the one row A B f2, so the weights
-    are summed as scalars and the state is formed once, with the summed
-    weight (_amplitude). The sup-norms come from the tables' column maxima
-    over z1: |chi| max(max|D| |f2|) for the first order and
-    |w_n| max(max|A| |B f2|) for order n, so no n1 x n2 array but the state
-    is built. The result is not normalized.
+    Order 1, i chi D f2, is always summed. Every order n >= 2 is the scalar
+    weight w_n = (i x)^n / (n! kappa t^2) times the one row A B f2, so the
+    weights are summed as scalars and the state is formed once, with the
+    summed weight (_amplitude). C's box in k gives |A| <= kappa t (see the
+    module docstring), so order n's sup-norm is at most
+    |w_n| kappa t max|B f2|, a bound from B alone. Orders are added until
+    that bound falls below 1e-12 or n_max is reached; if the last bound is
+    still above 1e-6 the truncation is reported as an error. n_max must be
+    at least 2, so that an order is left to bound. No n1 x n2 array but the
+    state is built. The result is not normalized.
     """
-    if n_max < 1:
-        raise ParameterError(f"n_max must be at least 1, got {n_max}")
+    if n_max < 2:
+        raise ParameterError(f"n_max must be at least 2, got {n_max}")
     if t < 0.0:
         raise ParameterError(f"time must be non-negative, got {t}")
     if t == 0.0:
@@ -845,25 +814,21 @@ def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40,
     entry = tables._entry(setup, t)
     p = setup.params
     x = p.chi * p.kappa * t
-    f2_row = setup.f2_samples
-    sup = abs(p.chi) * float(np.max(entry.d_max * np.abs(f2_row)))
-    total = 0j
-    if sup >= _STOP_TOL:
-        ab_max = float(np.max(entry.a_max * np.abs(entry.b * f2_row)))
-        scale = 1.0 / (p.kappa * t * t)
-        coef = 1j * x
-        for n in range(2, n_max + 1):
-            coef = coef * (1j * x) / n
-            weight = coef * scale
-            total += weight
-            sup = abs(weight) * ab_max
-            if sup < _STOP_TOL:
-                break
-        else:
-            if sup > _FAIL_TOL:
-                raise TruncationError(
-                    f"series not converged by order {n_max}: last term "
-                    f"sup-norm {sup:.3e} (accumulated phase x={x:.3g})")
+    ab_bound = p.kappa * t * float(np.max(np.abs(entry.b * setup.f2_samples)))
+    scale = 1.0 / (p.kappa * t * t)
+    coef, total = 1j * x, 0j
+    for n in range(2, n_max + 1):
+        coef = coef * (1j * x) / n
+        weight = coef * scale
+        total += weight
+        bound = abs(weight) * ab_bound
+        if bound < _STOP_TOL:
+            break
+    else:
+        if bound > _FAIL_TOL:
+            raise TruncationError(
+                f"series not converged by order {n_max}: last term "
+                f"sup-norm bound {bound:.3e} (accumulated phase x={x:.3g})")
     return TwoParticleState(setup.grid1, setup.grid2, _amplitude(setup, entry, total))
 
 

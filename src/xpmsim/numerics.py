@@ -98,7 +98,7 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # So real_products, the grid route's far rows (copropagating._far_sums) and
 # the sampled sinc blocks of its near rows and of the entropy sweep take
 # blocks of fewer than _GEMM_MNK multiply-adds (gemm_rows), and so does the
-# head-on tables' check of D (headon._checked_d_maxima), which forms both
+# head-on tables' check of D (headon._check_d), which forms both
 # resolutions a block of the fine product's real_products rows at a time
 # (81 of 401 rows at the default geometry), never as one product. C1's
 # chunk products of 1.0-6.3M multiply-adds at k0 = 30 and 100 woke the

@@ -1110,11 +1110,11 @@ def test_metrics_boundary_band():
     k0 = transition_k0()  # C1 within 1e-3 of 1/2 here
     banded = metrics_copropagating(GAUSS, GAUSS, k0, math.pi)
     assert banded.phase == pytest.approx(math.pi / 2.0, abs=1e-12)
-    # disabling the band exposes the raw arctangent, which collapses to a
-    # regime endpoint instead of the boundary line
-    raw = metrics_copropagating(GAUSS, GAUSS, k0, math.pi, boundary_tol=0.0)
-    assert min(abs(raw.phase), abs(raw.phase - math.pi)) < 1e-3
-    assert abs(banded.phase - raw.phase) > 1.0
+    # the raw arctangent collapses to a regime endpoint instead of the
+    # boundary line
+    raw = conditional_phase(overlap_coefficients(GAUSS, GAUSS, k0).c1, math.pi)
+    assert min(abs(raw), abs(raw - math.pi)) < 1e-3
+    assert abs(banded.phase - raw) > 1.0
 
 
 def test_metrics_boundary_band_only_below_pi():

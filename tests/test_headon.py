@@ -18,7 +18,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
 import xpmsim
@@ -53,11 +52,9 @@ from xpmsim.headon import (
     _exp_remainder,
     _k_rule,
     _KBasis,
-    _spectra,
     _Trajectory,
-    _window_maxima,
 )
-from xpmsim.numerics import PulseProfile, _converged, cos_sin, real_products
+from xpmsim.numerics import PulseProfile, _converged, real_products
 
 SEP = 10.0
 V = 5e3
@@ -166,7 +163,7 @@ def test_small_phase_truncates_at_second_order():
 def test_truncation_reported_at_full_phase():
     setup = collision(phi=math.pi, times=(1e-3, 2e-3))
     tables = InteractionTables(setup)
-    with pytest.raises(TruncationError, match="order 12"):
+    with pytest.raises(TruncationError, match="order 12: last term sup-norm bound"):
         two_particle_headon_series(setup, 2e-3, n_max=12, tables=tables)
     # half the accumulated phase converges within the same order budget
     half = collision(phi=math.pi / 2.0, times=(1e-3, 2e-3))
@@ -612,7 +609,7 @@ def test_square_pulse_tables_and_amplitudes():
         assert np.max(np.abs(b_tab - exact)) <= 1e-12 * np.max(exact)
 
 
-# the tables keep B, D's n2 x 2 n_k+ spectrum and two column maxima per time:
+# the tables keep B, D's n2 x 2 n_k+ spectrum, A's time factor and the basis per time:
 # over the 121 times of the fig4 ladder, n1 x n2 tables per time grew a fresh
 # process by about 155 MB. The moments contract G_f a block of times at a
 # time; over the whole ladder at once they grew it by about 45 MB. The child
@@ -685,28 +682,25 @@ def test_complex_front_closed_form_against_series_terms():
 def series_by_full_arrays(setup, t, n_max, tables):
     """The series partial sum built order by order on full n x n arrays.
 
-    Each order's term is formed, added and measured in sup-norm as an
-    array, with the same 1e-12 stop; truncation is not checked here.
+    Order 1 is always added. Each later order's term is formed, added and
+    measured in sup-norm as an array, with the same 1e-12 stop; truncation
+    is not checked here.
     """
     a_tab, b_tab, d_tab = tables.at(setup, t)
     p = setup.params
     f2_row = setup.f2(setup.grid2.nodes)
     psi = np.outer(setup.f1(setup.grid1.nodes), f2_row).astype(complex)
     x = p.chi * p.kappa * t
-    term = 1j * p.chi * d_tab * f2_row[None, :]
-    psi = psi + term
-    sup = float(np.max(np.abs(term)))
-    if sup >= 1e-12:
-        ab_row = a_tab * (b_tab * f2_row)[None, :]
-        scale = 1.0 / (p.kappa * t * t)
-        coef = 1j * x
-        for n in range(2, n_max + 1):
-            coef = coef * (1j * x) / n
-            term = (coef * scale) * ab_row
-            psi = psi + term
-            sup = float(np.max(np.abs(term)))
-            if sup < 1e-12:
-                break
+    psi = psi + 1j * p.chi * d_tab * f2_row[None, :]
+    ab_row = a_tab * (b_tab * f2_row)[None, :]
+    scale = 1.0 / (p.kappa * t * t)
+    coef = 1j * x
+    for n in range(2, n_max + 1):
+        coef = coef * (1j * x) / n
+        term = (coef * scale) * ab_row
+        psi = psi + term
+        if float(np.max(np.abs(term))) < 1e-12:
+            break
     return psi
 
 
@@ -734,7 +728,7 @@ def test_series_matches_per_order_arrays(make, t, n_max):
 def test_series_peak_memory_is_independent_of_order(phi):
     # at Phi = pi the series runs past order 12 (see the truncation test); the
     # call holds the state and the product's factors of 1 + 2 n_k rows, whatever
-    # the order, since its sup-norms come from the tables' column maxima: 1.37
+    # the order, since it bounds each order through |A| <= kappa t and B: 1.37
     # n x n complex arrays on these 161-node grids. Building a fresh term, sum
     # and modulus per order peaked at 4.3. The closed form holds the same arrays.
     setup = collision(phi=phi, times=(2e-3,))
@@ -753,8 +747,8 @@ def test_series_peak_memory_is_independent_of_order(phi):
 @pytest.mark.parametrize("make", [lambda: collision(phi=math.pi / 2.0), complex_front],
                          ids=["real", "complex"])
 def test_series_makes_one_real_product(make, monkeypatch):
-    # the state is the one n1 x n2 product of a series call: its sup-norms
-    # come from the tables' column maxima of |A| and |D| over z1
+    # the state is the one n1 x n2 product of a series call: it bounds each
+    # order through |A| <= kappa t and B, and forms neither A nor D
     setup = make()
     t = 1e-3
     tables = InteractionTables(setup)
@@ -787,11 +781,14 @@ def test_amplitudes_match_full_array_expression(make):
     f2_row = setup.f2(setup.grid2.nodes)
     x = p.chi * p.kappa * t
     free = np.outer(setup.f1(setup.grid1.nodes), f2_row).astype(complex)
-    # order 1 alone converges only for a small phase; the tables do not
-    # depend on it
+    # orders 1 and 2 alone converge only for a small phase; the tables do
+    # not depend on it
     weak = replace(setup, params=SystemParams.headon(p.k0, SEP, V, -V, phi=1e-7))
-    first = two_particle_headon_series(weak, t, n_max=1, tables=tables)
-    assert_close(first.psi, free + 1j * weak.params.chi * d_tab * f2_row[None, :])
+    x_weak = weak.params.chi * p.kappa * t
+    w_2 = (1j * x_weak) ** 2 / 2.0 / (p.kappa * t * t)
+    first = two_particle_headon_series(weak, t, n_max=2, tables=tables)
+    assert_close(first.psi, free + 1j * weak.params.chi * d_tab * f2_row[None, :]
+                 + w_2 * (a_tab * (b_tab * f2_row)[None, :]))
     ref = free + 1j * p.chi * d_tab * f2_row[None, :]
     ref = ref + (_exp_remainder(x) / (p.kappa * t * t)) * (a_tab * (b_tab * f2_row)[None, :])
     assert_close(two_particle_headon_closed(setup, t, tables=tables).psi, ref)
@@ -1037,52 +1034,60 @@ def test_box_writes_the_bits_of_the_concatenated_form():
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("n1, n2", ((7, 7), (7, 4), (1, 1), (401, 401)))
-def test_window_maxima_match_sliding_windows(n1, n2):
-    # on the fig4 ladder every column's largest |A| lies in the first n1
-    # differences, so random rows, a NaN and a run of zeros reach the prefix
-    # maxima of the rest as well
-    a = np.abs(np.random.default_rng(n1 + n2).standard_normal((5, n1 + n2 - 1)))
-    a[1, -1] = np.nan
-    a[2, :] = 0.0
-    a[3, n1:] += 10.0
-    ref = sliding_window_view(a, n1, axis=-1).max(axis=-1)
-    got = _window_maxima(a, n1)
-    assert got.shape == (5, n2) and got.tobytes() == ref.tobytes()
-
-
 FIG4_LADDERS = (fig4_setup, partial(fig4_setup, profile="square"),
                 lambda: replace(complex_front(grid_n=401), times=None))
 
 
 @pytest.mark.parametrize("make", FIG4_LADDERS, ids=("gaussian", "square", "complex"))
-def test_ensure_keeps_the_maxima_and_amplitudes_of_whole_tables(make, monkeypatch):
-    # ensure takes |A|'s column maxima as running maxima and checks D in row
-    # blocks; both must equal what whole arrays give, bit for bit, and so
-    # must every amplitude the tables feed, against the amplitude that
-    # resamples its profiles and joins A's spectrum per call
+def test_ensure_keeps_the_amplitudes_of_whole_tables(make, monkeypatch):
+    # every amplitude the tables feed must equal, bit for bit, the amplitude
+    # that resamples its profiles and joins A's spectrum per call
     setup = make()
     times = np.asarray(setup.times)
     assert times.size == 121
     tables = InteractionTables(setup)
     tables.ensure(setup, times)
-    z1, z2 = setup.grid1.nodes, setup.grid2.nodes
-    diffs = np.concatenate([z2[0] - z1[::-1], z2[1:] - z1[0]])
-    basis, _, h, _ = _spectra(setup, times, 2)
-    a = real_products(h * basis.w, cos_sin(diffs, basis.k).T, np.empty((times.size, diffs.size)))
-    windows = sliding_window_view(np.abs(a), z1.size, axis=-1).max(axis=-1)
-    for t, window in zip(times, windows):
-        entry = tables._entry(setup, t)
-        assert entry.a_max.tobytes() == window.tobytes()
-        d_tab = tables.at(setup, t)[2]
-        assert entry.d_max.tobytes() == np.max(np.abs(d_tab), axis=0).tobytes()
-        assert not np.signbit(entry.d_max).any()
     builds = (two_particle_headon_closed, two_particle_headon_series)
     got = [[build(setup, t, tables=tables).psi for t in times] for build in builds]
     monkeypatch.setattr(headon, "_amplitude", resampling_amplitude)
     for build, psis in zip(builds, got):
         for t, psi in zip(times, psis):
             assert psi.tobytes() == build(setup, t, tables=tables).psi.tobytes(), (build, t)
+
+
+@pytest.mark.parametrize("make", FIG4_LADDERS + (lambda: collision(k0=0.3, grid_n=61),),
+                         ids=("gaussian", "square", "complex", "k0=0.3"))
+def test_a_is_bounded_by_kappa_t(make):
+    # C is a box in k, so |C| <= C(0) = kappa and |A| <= kappa t: the bound
+    # the series stops on. The fig4 ladders reach 0.99999999957 of it, and
+    # k0 = 0.3 reaches 0.99834
+    setup = make()
+    tables = InteractionTables(setup)
+    tables.ensure(setup, setup.times)
+    for t in setup.times:
+        a_tab = tables.at(setup, t)[0]
+        assert np.max(np.abs(a_tab)) <= setup.kappa * t * (1.0 + 1e-6), t
+
+
+def test_series_sums_the_later_orders_where_the_first_is_below_the_stop():
+    # at the first times of the fig4 ladder sup|chi D f2| is below the 1e-12
+    # stop while the orders n >= 2 are not: a series that stopped at order 1
+    # there sat up to 1.5e-14 from the closed form, one that sums them 2e-16
+    phis = RunConfig(task="fig4").headon_phis
+    setups = [fig4_setup(phi) for phi in phis]
+    tables = InteractionTables(setups[0])
+    tables.ensure(setups[0], setups[0].times)
+    f2_row = np.abs(setups[0].f2_samples)
+    points = []
+    for t in setups[0].times[1:]:
+        d_sup = float(np.max(np.abs(tables.at(setups[0], t)[2]) * f2_row))
+        for setup in setups:
+            if abs(setup.params.chi) * d_sup < 1e-12:
+                points.append((setup.params.phi, t))
+                series = two_particle_headon_series(setup, t, tables=tables)
+                closed = two_particle_headon_closed(setup, t, tables=tables)
+                assert np.max(np.abs(series.psi - closed.psi)) <= 1e-15, points[-1]
+    assert len(points) == 8
 
 
 def perturbed_spectra(monkeypatch, edit):
@@ -1310,7 +1315,7 @@ def test_setup_validation():
     with pytest.raises(ParameterError):
         CollisionSetup(f1, f2, good, grid_halfwidth=0.0)
     with pytest.raises(ParameterError, match="n_max"):
-        two_particle_headon_series(CollisionSetup(f1, f2, good), 1e-3, n_max=0)
+        two_particle_headon_series(CollisionSetup(f1, f2, good), 1e-3, n_max=1)
     # co-centered pulses have no pass time, so the window must be explicit
     centered = SystemParams.headon(2.5, 0.0, 1e-6, -1e-6, chi=1.0)
     u = make_profile("gaussian")
