@@ -3,9 +3,9 @@
 Usage: xpmsim <task> [flags]. Tasks produce one output file (coeffs and the
 four figure sweeps) or run the acceptance suite (validate). Flags override
 config-file keys, which override defaults; validate runs on the defaults
-and reads only --out. Exit codes: 0 success, 1 a validation criterion
-failed, 2 configuration or I/O problem, 3 a numerical convergence guard
-tripped.
+and refuses every flag but --out. Exit codes: 0 success, 1 a validation
+criterion failed, 2 configuration or I/O problem, 3 a numerical
+convergence guard tripped.
 """
 
 from __future__ import annotations
@@ -85,17 +85,26 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return replace(config, **overrides)
 
 
+def _validate(args: argparse.Namespace) -> int:
+    """Run the acceptance suite, which reads no setting: every flag but --out is refused."""
+    given = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+             if name not in ("task", "out") and value is not None]
+    if given:
+        raise ConfigError(f"validate runs on the defaults and takes no {', '.join(given)}")
+    report = run_validate()
+    sys.stdout.write(report.text)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(report.text)
+    return 0 if report.all_passed else 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.task == "validate":
+            return _validate(args)
         config = load_run_config(args)
-        if config.task == "validate":
-            report = run_validate()
-            sys.stdout.write(report.text)
-            if config.output_path is not None:
-                with open(config.output_path, "w", encoding="utf-8") as fh:
-                    fh.write(report.text)
-            return 0 if report.all_passed else 1
         result = run_task(config)
         path = config.output_path or f"{config.task}.{config.output_format}"
         emit(result, config.output_format, path)

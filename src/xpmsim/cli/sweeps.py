@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from ..copropagating import (
+    _C1_RTOL,
+    _TRANSITION_XTOL,
     conditional_phase_sweep,
     entropy_phase_sweep,
     fidelity_sweep,
@@ -72,8 +74,8 @@ def run_coeffs(config: RunConfig) -> SweepResult:
     prov = _base_provenance(config, f1.label)
     prov.update({
         "transition_k0": transition,
-        "transition_xtol": 1e-4,
-        "coefficient_rtol": 1e-6,
+        "transition_xtol": _TRANSITION_XTOL,
+        "coefficient_rtol": _C1_RTOL,
     })
     return SweepResult(
         kind="coeffs",

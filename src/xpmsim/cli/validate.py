@@ -306,14 +306,29 @@ def _c08_series_structure(ctx: _Context):
                          f"at x = pi, v_r = 1e-6 (tol {tol:.1e})")
 
 
+def _series_on_nodes(setup: CollisionSetup, z1, z2, t: float):
+    """psi_free plus the interaction series at (z1, z2), and the last order summed.
+
+    The orders come from series_term, a time quadrature at points with no
+    tables and no k rule. Orders 1 and 2 are always summed; the sum stops at
+    the first order n >= 2 whose sup-norm on the nodes is below 1e-12, and
+    at order 40 at most. Order 1 alone can fall below that while later
+    orders, which the closed form keeps, do not. Orders past 2 share order
+    2's integrals A and B, so each is the one before times i x / n.
+    """
+    series = setup.f1(z1) * setup.f2(z2) + 0j
+    x = setup.params.chi * setup.params.kappa * t
+    for n in range(1, 41):
+        term = series_term(setup, n, z1, z2, t) if n <= 2 else term * (1j * x / n)
+        series += term
+        if n >= 2 and np.max(np.abs(term)) < 1e-12:
+            break
+    return series, n
+
+
 def _c09_closed_vs_series(ctx: _Context):
-    # the closed form against the series summed order by order from
-    # series_term, a time quadrature at points with no tables and no k rule,
-    # on every 40th node of both co-moving grids; the orders stop at the
-    # first term whose sup-norm on those nodes is below 1e-12, order 1
-    # included, and at order 40 at most.
-    # Orders past 2 share order 2's integrals A and B, so each is the one
-    # before times i x / n
+    # the closed form against the series (_series_on_nodes) on every 40th
+    # node of both co-moving grids
     setups = [collision_setup(RunConfig(task="fig4"), phi)
               for phi in (math.pi / 4, math.pi / 2, math.pi)]
     # the tables do not depend on chi, so the three curves share one cache
@@ -324,13 +339,7 @@ def _c09_closed_vs_series(ctx: _Context):
         tables.ensure(setup, setup.times)
         z1, z2 = setup.grid1.nodes[sub, None], setup.grid2.nodes[None, sub]
         for t in setup.times[1:]:  # the ladder starts at t = 0, the free product
-            series = setup.f1(z1) * setup.f2(z2) + 0j
-            x = setup.params.chi * setup.params.kappa * t
-            for n in range(1, 41):
-                term = series_term(setup, n, z1, z2, t) if n <= 2 else term * (1j * x / n)
-                series += term
-                if np.max(np.abs(term)) < 1e-12:
-                    break
+            series, n = _series_on_nodes(setup, z1, z2, t)
             top = max(top, n)
             closed = two_particle_headon_closed(setup, t, tables=tables).psi[sub, sub]
             worst = max(worst, float(np.max(np.abs(closed - series))))

@@ -64,7 +64,7 @@ from .numerics import (
     real_products,
     sinc_kernel,
 )
-from .state import TwoParticleState, linear_entropy, normalize
+from .state import TwoParticleState
 
 __all__ = [
     "GateMetrics",
@@ -90,6 +90,17 @@ _ENTROPY_TOL = 1e-8
 _MAX_PHASE_STEP = math.pi / 2  # largest theta step a Phi sweep may take
 # half-width of the band around C1 = 1/2 where metrics_copropagating reports theta = Phi/2
 _BOUNDARY_TOL = 1e-3
+# coefficient axes: the node floor of C1's and the entropy sweep's axis, and
+# C2's; each coefficient's two-resolution tolerance (compute_C1's default)
+_AXIS_NODES = 160
+_C2_AXIS_NODES = 240
+_C1_RTOL = 1e-6
+_C2_RTOL = 1e-9
+# transition_k0's bisection bracket and its absolute tolerance in k0
+_TRANSITION_BRACKET = (0.5, 6.0)
+_TRANSITION_XTOL = 1e-4
+# half-width of interaction_grids' uniform core around the two pulse centres
+_CORE_HALFWIDTH = 10.0
 
 
 @dataclass(frozen=True)
@@ -98,9 +109,6 @@ class OverlapCoeffs:
 
     c1: float
     c2: float
-    k0: float
-    profile1: str
-    profile2: str
 
     def __post_init__(self):
         if not (self.c1 > 0.0 and self.c2 > 0.0):
@@ -305,7 +313,7 @@ def _axis_entry(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
 
 
 def compute_C1(f1: PulseProfile, f2: PulseProfile, k0: float, *,
-               n: int = 160, rtol: float = 1e-6) -> float:
+               rtol: float = _C1_RTOL) -> float:
     """First overlap coefficient as a k-box integral, with a resolution check.
 
     On a coefficient axis with weights w, the sinc identity
@@ -319,39 +327,37 @@ def compute_C1(f1: PulseProfile, f2: PulseProfile, k0: float, *,
     or a bisection on the same axis reuses one axis and one spectrum pass,
     and only the partial panel up to k0 is new. The panels are built in
     fixed chunks in a fixed order, so a value never depends on which calls
-    came before. Evaluated at two axis resolutions (n and 2n target nodes);
-    disagreement beyond rtol raises an accuracy error carrying both
-    estimates.
+    came before. Evaluated at two axis resolutions (at least _AXIS_NODES
+    and twice that many target nodes); disagreement beyond rtol raises an
+    accuracy error carrying both estimates.
     """
     _check_coeff_inputs(f1, f2, k0)
-    coarse, fine = (_axis_entry(f1, f2, k0, n, r).c1(k0) for r in (1, 2))
+    coarse, fine = (_axis_entry(f1, f2, k0, _AXIS_NODES, r).c1(k0) for r in (1, 2))
     return _converged("C1 quadrature", coarse, fine, rtol, max(1.0, abs(fine)),
                       at=f" at k0={k0}")
 
 
-def compute_C2(f1: PulseProfile, f2: PulseProfile, k0: float, *,
-               n: int = 240, rtol: float = 1e-9) -> float:
+def compute_C2(f1: PulseProfile, f2: PulseProfile, k0: float) -> float:
     """Second overlap coefficient, diverging as 1/k0 for small k0.
 
     The integrand depends on Z1 only through the squared kernel, whose full
     line integral is pi/k0; what remains is a 1-D quadrature of
-    |f1|^2 |f2|^2, again checked at two resolutions at every call. That
-    integrand carries no kernel, so its axis resolves the profiles only and
-    does not grow with k0: the sum on each axis is memoized with C1's
-    entries (_axis_entry, per profile pair, node target and resolution, at
-    most _C1_MEMO_SIZE entries), and C2(k0) is pi/k0 times it.
+    |f1|^2 |f2|^2, checked at two resolutions (_C2_AXIS_NODES and twice
+    that many nodes) to _C2_RTOL at every call. That integrand carries no
+    kernel, so its axis resolves the profiles only and does not grow with
+    k0: the sum on each axis is memoized with C1's entries (_axis_entry,
+    per profile pair, node target and resolution, at most _C1_MEMO_SIZE
+    entries), and C2(k0) is pi/k0 times it.
     """
     _check_coeff_inputs(f1, f2, k0)
-    coarse, fine = (_axis_entry(f1, f2, 0.0, n, r).c2(k0) for r in (1, 2))
-    return _converged("C2 quadrature", coarse, fine, rtol, max(1.0, abs(fine)),
+    coarse, fine = (_axis_entry(f1, f2, 0.0, _C2_AXIS_NODES, r).c2(k0) for r in (1, 2))
+    return _converged("C2 quadrature", coarse, fine, _C2_RTOL, max(1.0, abs(fine)),
                       at=f" at k0={k0}")
 
 
 def overlap_coefficients(f1: PulseProfile, f2: PulseProfile, k0: float) -> OverlapCoeffs:
-    """Bundle C1 and C2 for one (profile pair, k0), each at its own default rtol."""
-    c1 = compute_C1(f1, f2, k0)
-    c2 = compute_C2(f1, f2, k0)
-    return OverlapCoeffs(c1=c1, c2=c2, k0=k0, profile1=f1.label, profile2=f2.label)
+    """Bundle C1 and C2 for one (profile pair, k0), each at its own tolerance."""
+    return OverlapCoeffs(c1=compute_C1(f1, f2, k0), c2=compute_C2(f1, f2, k0))
 
 
 def conditional_phase(c1: float, phi: float) -> float:
@@ -433,19 +439,19 @@ def fidelity_closed_form(c1: float, c2: float, phi: float) -> float:
     return float(fidelity_sweep(c1, c2, [phi])[0])
 
 
-def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None, *,
-                  lo: float = 0.5, hi: float = 6.0, xtol: float = 1e-4) -> float:
+def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None) -> float:
     """Bandwidth parameter where C1 crosses 1/2, located by bisection.
 
     C1(k0) decreases monotonically for the supported profiles, so the root
-    marks the boundary between the two conditional-phase regimes.
+    marks the boundary between the two conditional-phase regimes. The
+    bracket is _TRANSITION_BRACKET and the root is found to
+    _TRANSITION_XTOL in k0.
     """
     if f1 is None:
         f1 = make_profile("gaussian")
     if f2 is None:
         f2 = make_profile("gaussian")
-    if not 0.0 < xtol < 1.0:
-        raise ParameterError(f"xtol must be in (0, 1), got {xtol}")
+    lo, hi = _TRANSITION_BRACKET
 
     def gap(k0: float) -> float:
         return compute_C1(f1, f2, k0, rtol=1e-8) - 0.5
@@ -456,8 +462,8 @@ def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None
             f"bracket [{lo}, {hi}] does not straddle C1 = 0.5: "
             f"gap({lo})={g_lo:.4g}, gap({hi})={g_hi:.4g}")
     # the steps and the stopping rule of scipy.optimize.bisect (rtol = 4 eps),
-    # reusing the two bracket evaluations; dm halves every step and xtol > 0,
-    # so the loop ends
+    # reusing the two bracket evaluations; dm halves every step and the xtol
+    # is positive, so the loop ends
     xa, dm = float(lo), float(hi) - float(lo)
     rtol = 4.0 * np.finfo(float).eps
     while True:
@@ -466,31 +472,31 @@ def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None
         fm = gap(xm)
         if fm * g_lo >= 0.0:
             xa = xm
-        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+        if fm == 0.0 or abs(dm) < _TRANSITION_XTOL + rtol * abs(xm):
             return xm
 
 
 def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float, *,
-                      core_halfwidth: float = 10.0, core_n: int = 401,
-                      tail_scale: float = 2400.0) -> tuple[Grid1D, Grid1D]:
+                      core_n: int = 401, tail_scale: float = 2400.0) -> tuple[Grid1D, Grid1D]:
     """Grid pair for the sampled interacting amplitude (the oracle route).
 
     The second axis only ever sees profile-damped integrands and stays on a
-    uniform core window. The first axis also carries the kernel's slowly
-    decaying sinc tail (the correction term has no profile factor in Z1),
-    so the core is extended by 8-node Gauss panels of length pi/k0 out to
-    a radius tail_scale/k0^2, capped at 6000. The truncated |sinc|^2 mass
-    still moves fidelities and entropies by up to 2.6e-4 at the defaults,
-    less as tail_scale grows; entropy_phase_sweep traces Z1 out exactly instead.
+    uniform core window, _CORE_HALFWIDTH beyond both pulse centres. The
+    first axis also carries the kernel's slowly decaying sinc tail (the
+    correction term has no profile factor in Z1), so the core is extended
+    by 8-node Gauss panels of length pi/k0 out to a radius tail_scale/k0^2,
+    capped at 6000. The truncated |sinc|^2 mass still moves fidelities and
+    entropies by up to 2.6e-4 at the defaults, less as tail_scale grows;
+    entropy_phase_sweep traces Z1 out exactly instead.
     """
     if core_n < 3:
         raise ParameterError(f"core_n must be at least 3, got {core_n}")
     if k0 <= 0.0:
         raise ParameterError(f"k0 must be positive, got {k0}")
-    lo = min(f1.center, f2.center) - core_halfwidth
-    hi = max(f1.center, f2.center) + core_halfwidth
+    lo = min(f1.center, f2.center) - _CORE_HALFWIDTH
+    hi = max(f1.center, f2.center) + _CORE_HALFWIDTH
     core = make_grid(lo, hi, core_n, rule="uniform")
-    radius = min(max(core_halfwidth + 40.0, tail_scale / k0**2), 6000.0)
+    radius = min(max(_CORE_HALFWIDTH + 40.0, tail_scale / k0**2), 6000.0)
     mid = 0.5 * (lo + hi)
     plen = math.pi / k0
     n_panels = max(1, int(math.ceil(((mid + radius) - hi) / plen)))
@@ -703,8 +709,7 @@ def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
 
 def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
                                params: SystemParams, *,
-                               grids: tuple[Grid1D, Grid1D] | None = None,
-                               with_entropy: bool = False) -> GateMetrics:
+                               grids: tuple[Grid1D, Grid1D] | None = None) -> GateMetrics:
     """Gate metrics from the sampled amplitude and the overlap integral.
 
     The sampled amplitude of two_particle_copropagating is linear in
@@ -733,8 +738,7 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     repeats the last call's k0, both grids' nodes and weights, and the
     samples f1(Z1), f2(Z2) and p does O(n1 + n2) work. A grid edited in
     place, another profile or another k0 samples K again. The input and norm
-    checks and the clamp F <= 1 run on every call. with_entropy builds the
-    sampled state for linear_entropy. Supports complex profiles.
+    checks and the clamp F <= 1 run on every call. Supports complex profiles.
     """
     if params.mode != "copropagating":
         raise ModeError(
@@ -758,13 +762,8 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
         if nsq < 1e-28:
             raise DegenerateStateError(
                 f"state norm {math.sqrt(max(nsq, 0.0)):.3e} too small to normalize")
-    entropy = None
-    if with_entropy:
-        entropy = linear_entropy(normalize(
-            two_particle_copropagating(f1, f2, params, grid1, grid2)))
     return GateMetrics(fidelity=min(abs(amp) ** 2 / (free_nsq * out_nsq), 1.0),
-                       phase=math.atan2(amp.imag, amp.real),
-                       linear_entropy=entropy)
+                       phase=math.atan2(amp.imag, amp.real))
 
 
 def _entropy_sweep_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float,
@@ -825,7 +824,7 @@ def entropy_phase_sweep(f1: PulseProfile, f2: PulseProfile, k0: float,
     if np.any(phis < 0.0):
         raise ParameterError("phi values must be non-negative")
     coarse, fine = (_entropy_sweep_on_axis(f1, f2, k0, phis,
-                                           _axis_entry(f1, f2, k0, 160, r).axis)
+                                           _axis_entry(f1, f2, k0, _AXIS_NODES, r).axis)
                     for r in (1, 2))
     return _converged("linear entropy", coarse, fine, _ENTROPY_TOL,
                       at=lambda i: f" at k0={k0}, phi={phis[i]}")

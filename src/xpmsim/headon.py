@@ -1,9 +1,10 @@
 """Counter-propagating pulse collisions in the slow-pulse regime.
 
 For relative velocities small against the bandwidth scale (gauge
-g(t) = k0 |v_r| t / sigma well below one), every chain factor of the
-interaction series collapses to the kernel height kappa = k0/(pi sigma),
-and the order-n amplitude reduces to elementary time integrals:
+g(t) = k0 |v_r| t well below one, lengths in pulse widths), every chain
+factor of the interaction series collapses to the kernel height
+kappa = k0/pi, and the order-n amplitude reduces to elementary time
+integrals:
 
     A(z1', z2', t) = int_0^t C(z2' - z1' - v_r s) ds
     B(z2', t)      = int_0^t f1(z2' - v_r s) ds
@@ -15,10 +16,10 @@ t^(n-2) A B f2(z2'), so the whole series sums to a closed form in
 x = chi kappa t. The series and its closed form work on fixed co-moving
 grids, where the free reference is time-independent.
 
-The correction terms depend on z1 only through C, whose range pi/k_s can
+The correction terms depend on z1 only through C, whose range pi/k0 can
 dwarf any co-moving window, so the collision fidelity and entropy trace z1
 over the whole line through C's box in k: C(x) = (1/2 pi) int exp(ikx) dk
-over |k| <= k_s. With y = z2 - v_r s every time integral then becomes an
+over |k| <= k0. With y = z2 - v_r s every time integral then becomes an
 oriented y-integral over [z2 - v_r t, z2] of f1(y) exp(iky) (or of
 exp(iky) alone, in closed form), and the fidelity needs only five
 chi-independent moments of those per time (see _trajectory_moments): each
@@ -71,7 +72,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    AccuracyError,
     ApproximationWarning,
     GridMismatchError,
     ModeError,
@@ -130,7 +130,7 @@ class CollisionSetup:
     Co-moving grids are windows of grid_halfwidth around each pulse center;
     in the offsets z_i' those windows never move, so one grid pair serves
     every time sample. Default time samples span a full pass,
-    [0, 2 l / |v_r|]. The gauge g(t) = k0 |v_r| t / sigma monitors the
+    [0, 2 l / |v_r|]. The gauge g(t) = k0 |v_r| t monitors the
     slow-pulse approximation and triggers a warning beyond 0.1.
     """
 
@@ -173,7 +173,7 @@ class CollisionSetup:
             self.f2.center + self.grid_halfwidth, self.grid_n, rule="uniform"))
         p = self.params
         object.__setattr__(self, "_signature", (
-            profile_key(self.f1), profile_key(self.f2), p.k0, p.sigma, p.v1, p.v2,
+            profile_key(self.f1), profile_key(self.f2), p.k0, p.v1, p.v2,
             self.grid_halfwidth, self.grid_n))
 
     @property
@@ -185,8 +185,8 @@ class CollisionSetup:
         return 2.0 * self.params.separation / abs(self.params.v_r)
 
     def gauge(self, t: float) -> float:
-        """Slow-pulse validity monitor k0 |v_r| t / sigma."""
-        return self.params.k0 * abs(self.params.v_r) * t / self.params.sigma
+        """Slow-pulse validity monitor k0 |v_r| t."""
+        return self.params.k0 * abs(self.params.v_r) * t
 
     def geometry_signature(self) -> tuple:
         """Everything the interaction tables depend on (chi excluded).
@@ -274,16 +274,16 @@ class _KBasis:
 
 
 def _k_rule(setup: CollisionSetup, t: float, refine: int):
-    """Gauss rule on C's box [-k_s, k_s], weights divided by 2 pi.
+    """Gauss rule on C's box [-k0, k0], weights divided by 2 pi.
 
     k times any z1 - z2 or trajectory distance up to time t stays within
     pi per panel.
     """
     p = setup.params
     g1, g2 = setup.grid1, setup.grid2
-    ks = p.k0 / p.sigma
     reach = max(g1.hi, g2.hi) - min(g1.lo, g2.lo) + abs(p.v_r) * t
-    kgrid = composite_gauss_grid(-ks, ks, refine * max(1, math.ceil(ks * reach / math.pi)))
+    kgrid = composite_gauss_grid(-p.k0, p.k0,
+                                 refine * max(1, math.ceil(p.k0 * reach / math.pi)))
     return kgrid.nodes, kgrid.weights / (2.0 * math.pi)
 
 
@@ -337,7 +337,7 @@ class _Trajectory:
     v_r: the cosine and sine transforms C_f and S_f of the trajectory
     integral G_f = C_f + i S_f, in f1's dtype. Panels run between
     consecutive query points (every z2 and z2 - v_r t), a lattice of at most
-    one sigma and pi/k_s spacing, and f1's breakpoints or table nodes, so a
+    one pulse width and pi/k0 spacing, and f1's breakpoints or table nodes, so a
     square pulse's edges and a tabulated pulse's kinks fall on panel
     boundaries; each panel carries refine 8-node Gauss rules. Points within
     _EDGE_ULPS ulps of the coordinate scale share one edge: on the default
@@ -359,7 +359,7 @@ class _Trajectory:
         lo = min(float(ends.min()), float(z2[0]))
         hi = max(float(ends.max()), float(z2[-1]))
         centre = min(max(setup.f1.center, lo), hi)
-        step = min(p.sigma, math.pi * p.sigma / p.k0)
+        step = min(1.0, math.pi / p.k0)
         lattice = centre + step * np.arange(math.ceil((lo - centre) / step),
                                             math.floor((hi - centre) / step) + 1)
         breaks = np.asarray(setup.f1.table_nodes if setup.f1.shape == "tabulated"
@@ -647,7 +647,7 @@ class InteractionTables:
         differences hold every entry of the n1 x n2 table, so their peak is
         the table's. A, B and then D are checked at each time; D in row
         blocks, with running reductions and no n1 x n2 table (_check_d). A
-        table whose peak is NaN or infinite fails its check. Only the fine
+        NaN or infinite entry leaves a gap that fails its check. Only the fine
         resolution's B, G_f, h and basis are kept. t = 0 needs no case of
         its own: its trajectory and box integrals vanish.
         """
@@ -673,7 +673,6 @@ class InteractionTables:
                 peak = np.max((np.max(np.abs(c)), np.max(np.abs(f))))
                 _converged("interaction time integrals", c, f,
                            min(_TABLE_ATOL, _TABLE_RTOL * peak), at=f" at t={t}")
-                _require_finite_peak(t, peak)
             _check_d(t, basis_c, g_c, basis, g_f)
             self._cache[float(t)] = _TimeTables(b_f, g_f, h, basis)
 
@@ -685,12 +684,12 @@ def _check_d(t: float, basis_c: _KBasis, g_c: np.ndarray,
     Coarse and fine D are formed a block of rows at a time, in the fine
     product's own real_products blocks, so each fine entry has the bits of
     the whole fine table's. Per block the peak of |D| over both resolutions
-    and the worst gap |coarse - fine| are updated; a NaN gap is skipped, as
-    _converged lets it pass. The worst gap is held against
+    and the worst gap |coarse - fine| are updated; a NaN gap stays the
+    worst, as _converged fails it. The worst gap is held against
     min(_TABLE_ATOL, _TABLE_RTOL * peak). Only when it fails are both whole
     tables formed and handed to _converged, which raises for the worst
-    entry with its two estimates. A gap that passes beside a NaN or
-    infinite peak raises as well (_require_finite_peak).
+    entry with its two estimates. A NaN or infinite entry of either
+    resolution leaves a NaN or infinite gap, so it fails too.
     """
     right_c, right_f = np.ascontiguousarray(g_c.T), np.ascontiguousarray(g_f.T)
     n1 = basis.z1.shape[0]
@@ -706,27 +705,14 @@ def _check_d(t: float, basis_c: _KBasis, g_c: np.ndarray,
         peak = np.max((peak, mod.max(), np.abs(f, out=mod).max()))
         # c's block takes the difference: both peaks are already taken
         np.abs(np.subtract(c, f, out=c), out=mod)
-        gap = np.fmax(gap, np.fmax.reduce(mod, axis=None))
+        gap = np.maximum(gap, mod.max())
     bound = min(_TABLE_ATOL, _TABLE_RTOL * peak)
-    if gap > bound:
+    if not gap <= bound:
         n2 = right_f.shape[1]
         _converged("interaction time integrals",
                    basis_c.table(g_c, np.empty((n1, n2), dtype=g_f.dtype)),
                    basis.table(g_f, np.empty((n1, n2), dtype=g_f.dtype)),
                    bound, at=f" at t={t}")
-    _require_finite_peak(t, peak)
-
-
-def _require_finite_peak(t: float, peak: float) -> None:
-    """Raise unless a table check's peak is finite.
-
-    A NaN or infinite peak leaves no relative bound: min(_TABLE_ATOL,
-    _TABLE_RTOL * peak) would quietly widen to _TABLE_ATOL. The checks call
-    this after their gap test, so a gap that fails even that bound is
-    reported first, with its two estimates.
-    """
-    if not np.isfinite(peak):
-        raise AccuracyError(f"interaction time integrals not finite at t={t}: peak {peak}")
 
 
 def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np.ndarray:
@@ -770,10 +756,9 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
         out = np.zeros(shape, dtype=complex)
         return complex(out) if out.ndim == 0 else out
     p = setup.params
-    rule = composite_gauss_grid(0.0, t, max(1, math.ceil(abs(p.v_r) * t / p.sigma)) * refine)
+    rule = composite_gauss_grid(0.0, t, max(1, math.ceil(abs(p.v_r) * t)) * refine)
     tq, wq = rule.nodes, rule.weights
-    kern = commutator_kernel(z2[..., None] - z1[..., None] - p.v_r * tq,
-                             p.k0, p.sigma)
+    kern = commutator_kernel(z2[..., None] - z1[..., None] - p.v_r * tq, p.k0)
     x = p.chi * p.kappa * t
     if n == 1:
         front = setup.f1(z2[..., None] - p.v_r * tq)
@@ -849,7 +834,7 @@ def _exp_remainder(x: float) -> complex:
 
 def _warn_gauge(setup: CollisionSetup, t: float) -> None:
     if setup.gauge(t) > _GAUGE_LIMIT:
-        warnings.warn("slow-pulse approximation degraded: gauge k0|v_r|t/sigma "
+        warnings.warn("slow-pulse approximation degraded: gauge k0|v_r|t "
                       "exceeds 0.1", ApproximationWarning, stacklevel=3)
 
 
@@ -860,7 +845,7 @@ def two_particle_headon_closed(setup: CollisionSetup, t: float, *,
     psi = psi_free + i chi D f2 + A B f2 (exp(ix) - 1 - ix) / (kappa t^2),
     x = chi kappa t. At t = 0 the interaction vanishes and the free product
     is returned exactly. A warning is emitted when the slow-pulse gauge
-    k0 |v_r| t / sigma exceeds 0.1.
+    k0 |v_r| t exceeds 0.1.
     """
     if t < 0.0:
         raise ParameterError(f"time must be non-negative, got {t}")

@@ -63,16 +63,13 @@ def sinc_kernel(x: np.ndarray | float, k0: float = 1.0) -> np.ndarray | float:
     return out.reshape(shape)
 
 
-def commutator_kernel(x: np.ndarray | float, k0: float, sigma: float = 1.0):
-    """Field commutator amplitude C(x) = k_s/pi * sinc(k_s x), k_s = k0/sigma.
+def commutator_kernel(x: np.ndarray | float, k0: float):
+    """Field commutator amplitude C(x) = k0/pi * sinc(k0 x), x in pulse widths.
 
-    Integrates to one over the real line; its height k0/(pi*sigma) is the
-    rate constant kappa used by the collision series.
+    Integrates to one over the real line; its height k0/pi is the rate
+    constant kappa used by the collision series.
     """
-    if sigma <= 0.0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    ks = k0 / sigma
-    return (ks / math.pi) * sinc_kernel(x, ks)
+    return (k0 / math.pi) * sinc_kernel(x, k0)
 
 
 def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -315,9 +312,10 @@ def _converged(what: str, coarse, fine, tol: float, scale=1.0, at=""):
     """fine, once a quadrature's two resolutions agree entry by entry.
 
     coarse, fine and scale broadcast together; an entry agrees when its
-    gap |coarse - fine| is at most tol * scale (a NaN gap passes). Otherwise
-    the entry whose gap exceeds its bound by most raises an AccuracyError
-    carrying that entry's two estimates, with the message
+    gap |coarse - fine| is at most tol * scale, so a NaN gap fails. Otherwise
+    the first entry with a NaN gap, or else the entry whose gap exceeds its
+    bound by most, raises an AccuracyError carrying that entry's two
+    estimates, with the message
     "<what> not converged<at>: <coarse> vs <fine>"; a callable at is given
     that entry's index.
     """
@@ -326,9 +324,10 @@ def _converged(what: str, coarse, fine, tol: float, scale=1.0, at=""):
     # back and fault them in again on every check of the head-on tables
     excess = abs(np.subtract(coarse, fine))
     excess -= tol * scale
-    if not (excess > 0.0).any():
+    if (excess <= 0.0).all():
         return fine
-    worst = np.unravel_index(np.nanargmax(excess), np.shape(excess))
+    # argmax, unlike nanargmax, stops at the first NaN
+    worst = np.unravel_index(np.argmax(excess), np.shape(excess))
     c = np.broadcast_to(coarse, np.shape(excess))[worst]
     f = np.broadcast_to(fine, np.shape(excess))[worst]
     where = at(worst) if callable(at) else at
@@ -472,8 +471,9 @@ def make_profile(shape: str, center: float = 0.0, sigma: float = 1.0,
 class SystemParams:
     """Dimensionless system parameters shared by both propagation modes.
 
-    k0 is the bandwidth parameter sigma * delta_omega_s / (2 c); kappa =
-    k0/(pi sigma) is the commutator height; chi is the interaction rate.
+    k0 is the bandwidth parameter sigma * delta_omega_s / (2 c) of pulses of
+    width sigma, the unit of every length; kappa = k0/pi is the commutator
+    height; chi is the interaction rate.
     The stored accumulated phase phi must be consistent with (chi, kappa)
     and the mode geometry: phi = chi * kappa * interaction_time when
     co-propagating, phi = 2 chi kappa separation / |v_r| when colliding.
@@ -486,13 +486,10 @@ class SystemParams:
     v2: float = 0.0
     separation: float | None = None
     interaction_time: float | None = None
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.k0 <= 0.0:
             raise ParameterError(f"k0 must be positive, got {self.k0}")
-        if self.sigma <= 0.0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if self.phi < 0.0:
             raise ParameterError(f"phi must be non-negative, got {self.phi}")
         tol = 1e-12 * max(1.0, abs(self.phi))
@@ -509,7 +506,7 @@ class SystemParams:
 
     @property
     def kappa(self) -> float:
-        return self.k0 / (math.pi * self.sigma)
+        return self.k0 / math.pi
 
     @property
     def v_r(self) -> float:
@@ -521,19 +518,18 @@ class SystemParams:
 
     @classmethod
     def copropagating(cls, k0: float, phi: float, velocity: float = 0.0,
-                      interaction_time: float = 1.0, sigma: float = 1.0) -> "SystemParams":
+                      interaction_time: float = 1.0) -> "SystemParams":
         """Equal-velocity parameters with chi fixed by phi = chi kappa t."""
         if interaction_time <= 0.0:
             raise ParameterError("interaction_time must be positive")
-        kappa = k0 / (math.pi * sigma)
+        kappa = k0 / math.pi
         chi = phi / (kappa * interaction_time)
         return cls(k0=k0, phi=phi, chi=chi, v1=velocity, v2=velocity,
-                   interaction_time=interaction_time, sigma=sigma)
+                   interaction_time=interaction_time)
 
     @classmethod
     def headon(cls, k0: float, separation: float, v1: float, v2: float,
-               phi: float | None = None, chi: float | None = None,
-               sigma: float = 1.0) -> "SystemParams":
+               phi: float | None = None, chi: float | None = None) -> "SystemParams":
         """Colliding-pulse parameters; give exactly one of phi or chi.
 
         The other is derived from phi = 2 chi kappa separation / |v_r|, the
@@ -543,7 +539,7 @@ class SystemParams:
             raise ModeError("colliding mode needs v1 != v2")
         if (phi is None) == (chi is None):
             raise ParameterError("give exactly one of phi or chi")
-        kappa = k0 / (math.pi * sigma)
+        kappa = k0 / math.pi
         v_r = abs(v1 - v2)
         if chi is None:
             if separation <= 0.0:
@@ -551,5 +547,4 @@ class SystemParams:
             chi = phi * v_r / (2.0 * kappa * separation)
         else:
             phi = 2.0 * chi * kappa * separation / v_r
-        return cls(k0=k0, phi=phi, chi=chi, v1=v1, v2=v2,
-                   separation=separation, sigma=sigma)
+        return cls(k0=k0, phi=phi, chi=chi, v1=v1, v2=v2, separation=separation)

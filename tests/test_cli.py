@@ -418,6 +418,22 @@ def test_validate_references_leave_scipy_unloaded():
     assert f"{root:.7f}" == f"{ref:.7f}" == "2.4967546"
 
 
+def test_c09_reference_sums_the_orders_past_a_small_first():
+    # at phi = pi/2, t = 3T/120 order 1 is below the 1e-12 stop on criterion
+    # 09's nodes; order 2, which the closed form keeps, is summed all the same
+    from xpmsim import two_particle_headon_closed
+    from xpmsim.cli import validate
+    from xpmsim.cli.sweeps import collision_setup
+
+    setup = collision_setup(RunConfig(task="fig4"), math.pi / 2)
+    t = setup.times[3]
+    sub = slice(None, None, 40)
+    z1, z2 = setup.grid1.nodes[sub, None], setup.grid2.nodes[None, sub]
+    series, _ = validate._series_on_nodes(setup, z1, z2, t)
+    closed = two_particle_headon_closed(setup, t).psi[sub, sub]
+    assert np.max(np.abs(closed - series)) <= 1e-15
+
+
 def test_main_validate_exit_reflects_report(tmp_path, monkeypatch):
     import xpmsim.cli.main as entry
 
@@ -438,9 +454,10 @@ def test_main_validate_exit_reflects_report(tmp_path, monkeypatch):
     assert run_main(["validate"]) == 0
 
 
-def test_main_validate_passes_no_flag_to_the_gate(tmp_path, monkeypatch):
-    # validate runs on the default configuration: the grid and profile
-    # flags reach no criterion, and --out only names the report file
+def test_main_validate_passes_no_flag_to_the_gate(tmp_path, monkeypatch, capsys):
+    # validate runs on the default configuration: every flag but --out is
+    # refused with exit 2 before the gate runs, and --out only names the
+    # report file
     import xpmsim.cli.main as entry
 
     calls = []
@@ -451,9 +468,19 @@ def test_main_validate_passes_no_flag_to_the_gate(tmp_path, monkeypatch):
         return ValidationReport(results=results, text="ok\n")
 
     monkeypatch.setattr(entry, "run_validate", fake_validate)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("task = validate\n", encoding="utf-8")
     out = tmp_path / "report.txt"
-    assert run_main(["validate", "--grid-n", "101", "--profile", "square",
-                     "--out", str(out)]) == 0
+    flags = {"--config": str(cfg), "--format": "json", "--k0": "1,2",
+             "--phi": "0:1:3", "--profile": "square", "--grid-n": "101"}
+    # the parser's every option but --out is named here
+    assert {a.option_strings[0] for a in entry.build_parser()._actions
+            if a.option_strings} == {"-h", "--out", *flags}
+    for flag, value in flags.items():
+        assert run_main(["validate", flag, value, "--out", str(out)]) == 2
+        assert f"takes no {flag}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    assert run_main(["validate", "--out", str(out)]) == 0
     assert calls == [((), {})]
     assert out.read_text(encoding="utf-8") == "ok\n"
 

@@ -46,6 +46,7 @@ from xpmsim import (
     free_state,
     grid_metrics_copropagating,
     interaction_grids,
+    linear_entropy,
     make_profile,
     metrics_copropagating,
     normalize,
@@ -135,7 +136,7 @@ def test_coefficient_errors():
     with pytest.raises(ProfileError, match="complex"):
         compute_C1(cplx, GAUSS, 1.0)
     with pytest.raises(CoefficientError):
-        OverlapCoeffs(c1=0.9, c2=0.5, k0=1.0, profile1="a", profile2="b")
+        OverlapCoeffs(c1=0.9, c2=0.5)
 
 
 def test_quadrature_disagreement_is_reported():
@@ -278,7 +279,7 @@ def test_c1_memo_shares_one_spectrum_pass_per_resolution(box_builds):
     assert len(copropagating._C1_MEMO) <= copropagating._C1_MEMO_SIZE
 
 
-def test_c1_memo_misses_on_changed_inputs(box_builds):
+def test_c1_memo_misses_on_changed_inputs(box_builds, monkeypatch):
     base = compute_C1(GAUSS, GAUSS, 2.5)
     assert len(box_builds) == 2
     narrow = make_profile("gaussian", sigma=0.5)
@@ -295,7 +296,9 @@ def test_c1_memo_misses_on_changed_inputs(box_builds):
         assert compute_C1(f1, f2, 2.5) == value != base
     # another axis resolution
     count = len(box_builds)
-    assert compute_C1(GAUSS, GAUSS, 2.5, n=200) == pytest.approx(base, abs=1e-12)
+    with monkeypatch.context() as m:
+        m.setattr(copropagating, "_AXIS_NODES", 200)
+        assert compute_C1(GAUSS, GAUSS, 2.5) == pytest.approx(base, abs=1e-12)
     assert len(box_builds) == count + 2
     # an equal axis rebuilt from scratch hits
     compute_C1(GAUSS, GAUSS, 2.5)
@@ -320,7 +323,7 @@ def axis_builds(monkeypatch):
 
 
 def both_coefficients(f1, f2, k0, **kwargs):
-    return compute_C1(f1, f2, k0, **kwargs), compute_C2(f1, f2, k0, **kwargs)
+    return compute_C1(f1, f2, k0, **kwargs), compute_C2(f1, f2, k0)
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "square"])
@@ -334,7 +337,7 @@ def test_coefficient_memo_hits_a_rebuilt_profile(axis_builds, shape):
     assert len(axis_builds) == 4
 
 
-def test_coefficient_memo_misses_on_every_defining_field(axis_builds):
+def test_coefficient_memo_misses_on_every_defining_field(axis_builds, monkeypatch):
     # each changed profile takes four new axes, and its values equal those
     # computed with a cleared memo
     sq = make_profile("square")
@@ -354,8 +357,9 @@ def test_coefficient_memo_misses_on_every_defining_field(axis_builds):
         assert len(axis_builds) == count + 4 and after != before
         copropagating._C1_MEMO.clear()
         assert both_coefficients(*changed, 2.5) == after
-    # a tabulated profile's table edited in place; rtol=1 because the axis does
-    # not put the table's kinks on panel edges
+    # a tabulated profile's table edited in place; rtol=1, and C2's tolerance
+    # 1, because the axis does not put the table's kinks on panel edges
+    monkeypatch.setattr(copropagating, "_C2_RTOL", 1.0)
     before = both_coefficients(tab, GAUSS, 2.5, rtol=1.0)
     tab.table_values[:] = tab.table_values[::-1].copy()
     count = len(axis_builds)
@@ -363,10 +367,12 @@ def test_coefficient_memo_misses_on_every_defining_field(axis_builds):
     assert len(axis_builds) == count + 4 and after != before
     copropagating._C1_MEMO.clear()
     assert both_coefficients(tab, GAUSS, 2.5, rtol=1.0) == after
-    # another n; at n = 300 C1's target is n at k0 = 2.5, as C2's is, so the
-    # two share an entry per resolution
+    # another node floor; at 300 C1's target is the floor at k0 = 2.5, as
+    # C2's is, so the two share an entry per resolution
     count = len(axis_builds)
-    both_coefficients(GAUSS, GAUSS, 2.5, n=300)
+    monkeypatch.setattr(copropagating, "_AXIS_NODES", 300)
+    monkeypatch.setattr(copropagating, "_C2_AXIS_NODES", 300)
+    both_coefficients(GAUSS, GAUSS, 2.5)
     assert len(axis_builds) == count + 2
     # another refine on the same axis: C1's panels are half as wide
     coarse = copropagating._axis_entry(GAUSS, GAUSS, 2.5, 320, 1)
@@ -428,11 +434,10 @@ def test_transition_point_square():
     assert abs(found - 2.4967546) > 0.05
 
 
-def test_transition_bracket_errors():
+def test_transition_bracket_errors(monkeypatch):
+    monkeypatch.setattr(copropagating, "_TRANSITION_BRACKET", (4.0, 6.0))
     with pytest.raises(ParameterError, match="does not straddle"):
-        transition_k0(lo=4.0, hi=6.0)
-    with pytest.raises(ParameterError):
-        transition_k0(xtol=0.0)
+        transition_k0()
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "square"])
@@ -1200,9 +1205,9 @@ def test_entropy_sweep_approaches_sampled_oracle():
     # square pulse, whose edges the uniform core straddles
     def gap(prof, k0, phi, **grid):
         grids = interaction_grids(prof, prof, k0, **grid)
-        sampled = grid_metrics_copropagating(prof, prof, SystemParams.copropagating(k0, phi),
-                                             grids=grids, with_entropy=True)
-        return abs(sampled.linear_entropy - entropy_phase_sweep(prof, prof, k0, [phi])[0])
+        sampled = linear_entropy(normalize(two_particle_copropagating(
+            prof, prof, SystemParams.copropagating(k0, phi), *grids)))
+        return abs(sampled - entropy_phase_sweep(prof, prof, k0, [phi])[0])
 
     tails = [gap(GAUSS, 2.5, 2.0, tail_scale=s, core_n=161) for s in (150.0, 600.0, 2400.0)]
     square = make_profile("square")

@@ -143,8 +143,15 @@ def test_grid_same_as():
 # ------------------------------------------------- two-resolution check
 
 def test_converged_returns_fine_when_every_entry_agrees():
-    fine = np.array([1.0, 2.0 + 1e-12, np.nan])
-    assert numerics._converged("x", np.array([1.0, 2.0, 0.0]), fine, 1e-9) is fine
+    fine = np.array([1.0, 2.0 + 1e-12, 3.0])
+    assert numerics._converged("x", np.array([1.0, 2.0, 3.0]), fine, 1e-9) is fine
+    # a NaN gap fails, and its entry is reported before a finite miss of any size
+    for coarse, fine, shown in (([1.0, 2.5, np.nan], [1.0, 2.0, 3.0], "nan vs 3.0"),
+                                ([1.0, 2.5, np.inf], [1.0, 2.0, np.inf], "inf vs inf")):
+        with pytest.raises(AccuracyError, match=f"^x not converged at 2: {shown}$"), \
+                np.errstate(invalid="ignore"):  # inf - inf
+            numerics._converged("x", np.array(coarse), np.array(fine), 1e-9,
+                                at=lambda i: f" at {i[0]}")
 
 
 def test_converged_reports_the_entry_that_misses_by_most():
@@ -264,23 +271,16 @@ def test_sinc_kernel_bitwise_matches_two_branch_formula(k0):
         assert type(got) is float and got == _sinc_two_branch(float(x), k0)
         got = sinc_kernel(np.array(x), k0)
         assert np.ndim(got) == 0 and float(got) == float(_sinc_two_branch(np.array(x), k0))
-    for sigma in (1.0, 0.5):
-        ks = k0 / sigma
-        assert np.array_equal(commutator_kernel(diff, k0, sigma),
-                              (ks / math.pi) * _sinc_two_branch(diff, ks))
+    assert np.array_equal(commutator_kernel(diff, k0),
+                          (k0 / math.pi) * _sinc_two_branch(diff, k0))
 
 
 def test_commutator_kernel_shape_and_height():
-    k0, sigma = 2.0, 1.0
-    assert commutator_kernel(0.0, k0, sigma) == pytest.approx(k0 / math.pi, abs=1e-15)
+    k0 = 2.0
+    assert commutator_kernel(0.0, k0) == pytest.approx(k0 / math.pi, abs=1e-15)
     x = np.linspace(-3.0, 3.0, 11)
-    expected = (k0 / (math.pi * sigma)) * np.sinc(k0 * x / (math.pi * sigma))
-    assert np.allclose(commutator_kernel(x, k0, sigma), expected, atol=1e-14)
-    # scaling sigma stretches the argument and rescales the height
-    assert commutator_kernel(1.0, k0, 2.0) == pytest.approx(
-        0.5 * (k0 / math.pi) * np.sinc(k0 * 0.5 / math.pi), abs=1e-15)
-    with pytest.raises(ParameterError):
-        commutator_kernel(1.0, 2.0, 0.0)
+    expected = (k0 / math.pi) * np.sinc(k0 * x / math.pi)
+    assert np.allclose(commutator_kernel(x, k0), expected, atol=1e-14)
 
 
 # ------------------------------------------------------------- profiles
