@@ -359,14 +359,15 @@ def test_coefficient_memo_misses_on_every_defining_field(axis_builds, monkeypatc
         assert both_coefficients(*changed, 2.5) == after
     # a tabulated profile's table edited in place; rtol=1, and C2's tolerance
     # 1, because the axis does not put the table's kinks on panel edges
-    monkeypatch.setattr(copropagating, "_C2_RTOL", 1.0)
-    before = both_coefficients(tab, GAUSS, 2.5, rtol=1.0)
-    tab.table_values[:] = tab.table_values[::-1].copy()
-    count = len(axis_builds)
-    after = both_coefficients(tab, GAUSS, 2.5, rtol=1.0)
-    assert len(axis_builds) == count + 4 and after != before
-    copropagating._C1_MEMO.clear()
-    assert both_coefficients(tab, GAUSS, 2.5, rtol=1.0) == after
+    with monkeypatch.context() as m:
+        m.setattr(copropagating, "_C2_RTOL", 1.0)
+        before = both_coefficients(tab, GAUSS, 2.5, rtol=1.0)
+        tab.table_values[:] = tab.table_values[::-1].copy()
+        count = len(axis_builds)
+        after = both_coefficients(tab, GAUSS, 2.5, rtol=1.0)
+        assert len(axis_builds) == count + 4 and after != before
+        copropagating._C1_MEMO.clear()
+        assert both_coefficients(tab, GAUSS, 2.5, rtol=1.0) == after
     # another node floor; at 300 C1's target is the floor at k0 = 2.5, as
     # C2's is, so the two share an entry per resolution
     count = len(axis_builds)
