@@ -85,8 +85,6 @@ class RunConfig:
             raise ConfigError(f"unsupported profile.shape {self.profile_shape!r}")
         if self.output_format not in FORMATS:
             raise ConfigError(f"unknown output.format {self.output_format!r}")
-        if self.profile_width is not None and self.profile_width <= 0.0:
-            raise ConfigError("profile.width must be positive")
         for name in ("k0_values", "c1_values", "headon_phis"):
             val = getattr(self, name)
             if val is not None:
@@ -94,6 +92,13 @@ class RunConfig:
                 if len(val) == 0:
                     raise ConfigError(f"{_ATTR_TO_KEY[name]} must be non-empty")
                 object.__setattr__(self, name, val)
+        for key, (attr, kind) in KEYMAP.items():
+            val = getattr(self, attr)
+            vals = (val,) if kind == "float" else val if kind == "floats" else ()
+            if val is not None and not all(math.isfinite(v) for v in vals):
+                raise ConfigError(f"{key} must be finite, got {val!r}")
+        if self.profile_width is not None and self.profile_width <= 0.0:
+            raise ConfigError("profile.width must be positive")
         if self.k0_values is not None and any(v <= 0 for v in self.k0_values):
             raise ConfigError("k0.list entries must be positive")
         if self.phi_n is not None and self.phi_n < 2:

@@ -99,8 +99,15 @@ _C2_RTOL = 1e-9
 # transition_k0's bisection bracket and its absolute tolerance in k0
 _TRANSITION_BRACKET = (0.5, 6.0)
 _TRANSITION_XTOL = 1e-4
-# half-width of interaction_grids' uniform core around the two pulse centres
+# least half-width of interaction_grids' uniform core around each pulse centre
 _CORE_HALFWIDTH = 10.0
+# interaction_grids' sinc tail: Gauss panels of pi/k0 on each side of the core.
+# The grid route adds the rest of sinc^2 in closed form (_sinc2_tail), whose
+# _TAIL_TERMS-term series reaches rounding from _TAIL_PANELS pi on; grids
+# whose ends fall short of that by more than the relative _TAIL_SLACK raise
+_TAIL_PANELS = 7
+_TAIL_TERMS = 21
+_TAIL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -477,31 +484,30 @@ def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None
 
 
 def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float, *,
-                      core_n: int = 401, tail_scale: float = 2400.0) -> tuple[Grid1D, Grid1D]:
+                      core_n: int = 401) -> tuple[Grid1D, Grid1D]:
     """Grid pair for the sampled interacting amplitude (the oracle route).
 
     The second axis only ever sees profile-damped integrands and stays on a
-    uniform core window, _CORE_HALFWIDTH beyond both pulse centres. The
-    first axis also carries the kernel's slowly decaying sinc tail (the
-    correction term has no profile factor in Z1), so the core is extended
-    by 8-node Gauss panels of length pi/k0 out to a radius tail_scale/k0^2,
-    capped at 6000. The truncated |sinc|^2 mass still moves fidelities and
-    entropies by up to 2.6e-4 at the defaults, less as tail_scale grows;
-    entropy_phase_sweep traces Z1 out exactly instead.
+    uniform core window that spans each profile's support_halfwidth() and
+    at least _CORE_HALFWIDTH around each centre. The first axis also
+    carries the kernel's slowly decaying sinc tail (the correction term has
+    no profile factor in Z1), so the core is extended by _TAIL_PANELS
+    8-node Gauss panels of length pi/k0 on each side. The grid route adds
+    the squared kernel's line integral beyond them in closed form
+    (_sinc2_tail); a state sampled on these grids (two_particle_copropagating)
+    lacks that remainder, so its norm falls short of the closed form's.
     """
     if core_n < 3:
         raise ParameterError(f"core_n must be at least 3, got {core_n}")
     if k0 <= 0.0:
         raise ParameterError(f"k0 must be positive, got {k0}")
-    lo = min(f1.center, f2.center) - _CORE_HALFWIDTH
-    hi = max(f1.center, f2.center) + _CORE_HALFWIDTH
+    reach = [max(f.support_halfwidth(), _CORE_HALFWIDTH) for f in (f1, f2)]
+    lo = min(f.center - r for f, r in zip((f1, f2), reach))
+    hi = max(f.center + r for f, r in zip((f1, f2), reach))
     core = make_grid(lo, hi, core_n, rule="uniform")
-    radius = min(max(_CORE_HALFWIDTH + 40.0, tail_scale / k0**2), 6000.0)
-    mid = 0.5 * (lo + hi)
-    plen = math.pi / k0
-    n_panels = max(1, int(math.ceil(((mid + radius) - hi) / plen)))
-    right = composite_gauss_grid(hi, hi + n_panels * plen, n_panels)
-    left = composite_gauss_grid(lo - n_panels * plen, lo, n_panels)
+    tail = _TAIL_PANELS * math.pi / k0
+    left = composite_gauss_grid(lo - tail, lo, _TAIL_PANELS)
+    right = composite_gauss_grid(hi, hi + tail, _TAIL_PANELS)
     return join_grids(left, core, right), core
 
 
@@ -554,155 +560,81 @@ def metrics_copropagating(f1: PulseProfile, f2: PulseProfile, k0: float,
     return GateMetrics(fidelity=fid, phase=theta, linear_entropy=entropy)
 
 
-# "last": (k0, copies of the samples, sums) of the last _kernel_sums call, one
-# tuple replaced whole, so a reader never pairs one call's key with another's sums
+# "last": (k0, grid1's domain, copies of the samples, sums) of the last
+# _kernel_sums call, one tuple replaced whole, so a reader never pairs one
+# call's key with another's sums
 _KERNEL_SUMS_MEMO: dict = {}
 
-# _far_sums' bands of |rho|, the separation ratio of a far row, by upper edge.
-# A band's rows take the fewest expansion terms whose tails at its edge are at
-# most _FAR_TAIL (_far_terms); rows past the last edge take direct products.
-_FAR_EDGES = (1 / 256, 1 / 16, 1 / 4, 1 / 2)
-_FAR_TAIL = 2.0**-54
 
+def _sinc2_tail(x: np.ndarray) -> np.ndarray:
+    """int_x^inf sin(v)^2 / v^2 dv at each x >= _TAIL_PANELS pi, by the auxiliary functions of Si.
 
-def _far_terms(edge: float) -> int:
-    """Fewest terms N of _far_sums' two expansions with tails at |rho| = edge within _FAR_TAIL.
-
-    With |u| <= 1 the terms from N on of sum rho^n u^n add up to at most
-    rho^N / (1 - rho), and those of sum (n + 1) rho^n u^n to at most
-    rho^N (N + 1 - N rho) / (1 - rho)^2, for rho = edge; N is the first count
-    that takes both to _FAR_TAIL or below.
+    The integral is sin(x)^2 / x + pi/2 - Si(2x), and with u = 2x,
+    pi/2 - Si(u) = f(u) cos(u) + g(u) sin(u), where (Abramowitz & Stegun
+    5.2.8, 5.2.34-35)
+        f(u) ~ (1/u) sum_n (-1)^n (2n)! / u^(2n),
+        g(u) ~ (1/u^2) sum_n (-1)^n (2n+1)! / u^(2n).
+    sin(x)^2 / x = (1 - cos u)/u cancels f's leading 1/u in closed form, so
+    the integral is (1/u) (1 + cos(u) f_rest + sin(u) g_sum / u), with
+    f_rest and g_sum the two sums without their 1/u, 1/u^2 factors and
+    f_rest without its n = 0 term. Both series envelope their functions, so
+    the first term each leaves out bounds its error: with _TAIL_TERMS terms
+    of each, at u = 14 pi the two add up to 2.7e-18 of the integral, and
+    they fall as u grows.
     """
-    n = 1
-    while max(edge**n / (1.0 - edge),
-              edge**n * (n + 1 - n * edge) / (1.0 - edge) ** 2) > _FAR_TAIL:
-        n += 1
-    return n
+    u = 2.0 * np.asarray(x, dtype=float)
+    s = 1.0 / (u * u)
+    term = np.ones_like(u)
+    f_rest = np.zeros_like(u)
+    g_sum = np.ones_like(u)
+    for n in range(1, _TAIL_TERMS):
+        term *= -(2 * n - 1) * (2 * n) * s
+        f_rest += term
+        g_sum += (2 * n + 1) * term
+    return (1.0 + np.cos(u) * f_rest + np.sin(u) * g_sum / u) / u
 
 
-_FAR_TERMS = tuple(_far_terms(edge) for edge in _FAR_EDGES)
-
-
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x^0, ..., x^(n-1) as the rows of an (n, x.size) array, by running products."""
-    out = np.empty((n, x.size))
-    out[0] = 1.0
-    # row by row: multiply.accumulate over axis 0 took nine times as long
-    for i in range(1, n):
-        np.multiply(out[i - 1], x, out=out[i])
-    return out
-
-
-def _far_sums(z1: np.ndarray, left: np.ndarray, w1: np.ndarray, z2: np.ndarray,
-              right: np.ndarray, dens: np.ndarray, k0: float) -> tuple[complex, float]:
-    """The two sums of _kernel_sums over rows z1 at least 1/k0 outside z2's range.
-
-    There K = (s1 c2 - c1 s2) R / k0, with s, c = sin, cos(k0 z) and the
-    Cauchy matrix R = 1/(z1 - z2), so the sums regroup exactly as
-        <F, Kp>  = (1/k0) sum_i left_i [s1 (R (c2 right)) - c1 (R (s2 right))]_i,
-        <Kp, Kp> = (1/k0^2) sum_i w1_i [s1^2 (R^2 (c2^2 dens))
-                   - 2 s1 c1 (R^2 (s2 c2 dens)) + c1^2 (R^2 (s2^2 dens))]_i.
-    Most rows apply R and R^2 to those seven columns without forming R, by
-    the far-field step of the fast multipole method (Greengard & Rokhlin,
-    J. Comput. Phys. 73, 325, 1987). With z2's range c +- L, d = z1 - c,
-    u = (z2 - c)/L in [-1, 1] and a row's separation ratio rho = L/d,
-        R = (1/d) sum_n rho^n u^n,  R^2 = (1/d^2) sum_n (n + 1) rho^n u^n.
-    The columns' moments sum_j cols_j u_j^n are taken once per call. A row
-    with |rho| <= 1/2 is then a product of its powers rho^n with them, cut
-    after the term count of the band of |rho| it falls in (_FAR_EDGES,
-    _far_terms: 8, 15, 30 and 61 terms up to 1/256, 1/16, 1/4 and 1/2), so
-    its cut drops at most 2^-54 of sum_j |cols_j| / |d| (/ d^2 for R^2).
-    The few rows with |rho| > 1/2 take R itself, in row blocks. Every
-    product is sized by gemm_rows or is a numerics real product, so no
-    kernel sample is built and OpenBLAS keeps every product on the calling
-    thread. Since |k0 (z1 - z2)| >= 1 on these rows, the absolute error of
-    sin(k0 z1), of the order of the rounding of k0 z1, is that of the direct
-    argument k0 (z1 - z2), and the division by it cannot amplify that error.
-    """
-    s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
-    cols = np.stack([c2 * right.real, c2 * right.imag, s2 * right.real, s2 * right.imag,
-                     c2 * c2 * dens, s2 * c2 * dens, s2 * s2 * dens], axis=1)
-    lo, hi = z2.min(), z2.max()
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    d = z1 - centre
-    rho = half / d
-    band = np.searchsorted(_FAR_EDGES, np.abs(rho))
-    u = (z2 - centre) / half if half > 0.0 else np.zeros_like(z2)
-    most = _FAR_TERMS[-1]
-    moments = real_products(_powers(u, most), cols, np.empty((most, 7)))
-    moments[:, 4:] *= np.arange(1.0, most + 1.0)[:, None]
-    # one column per row: the scalings by 1/d and the contraction run on
-    # contiguous rows of sums
-    sums = np.empty((7, z1.size))
-    for b, terms in enumerate(_FAR_TERMS):
-        rows = np.flatnonzero(band == b)
-        powers = _powers(rho[rows], terms)
-        step = gemm_rows(7 * terms)
-        for i in range(0, rows.size, step):
-            sums[:, rows[i:i + step]] = moments[:terms].T @ powers[:, i:i + step]
-    sums[:4] /= d
-    sums[4:] /= np.square(d)
-    direct = np.flatnonzero(band == len(_FAR_EDGES))
-    step = gemm_rows(4 * z2.size)
-    for i in range(0, direct.size, step):
-        rows = direct[i:i + step]
-        inv = np.subtract.outer(z1[rows], z2)
-        np.reciprocal(inv, out=inv)
-        sums[:4, rows] = (inv @ cols[:, :4]).T
-        np.square(inv, out=inv)
-        sums[4:, rows] = (inv @ cols[:, 4:]).T
-    s1, c1 = np.sin(k0 * z1), np.cos(k0 * z1)
-    k_right = s1 * sums[:2] - c1 * sums[2:4]
-    free_corr = complex(np.einsum("i,i->", left, k_right[0] + 1j * k_right[1])) / k0
-    trig = np.stack([s1 * s1, -2.0 * s1 * c1, c1 * c1])
-    return free_corr, float(np.einsum("i,ji,ji->", w1, trig, sums[4:])) / k0**2
-
-
-def _kernel_sums(k0: float, samples: tuple) -> tuple[complex, float]:
+def _kernel_sums(k0: float, domain: tuple[float, float],
+                 samples: tuple) -> tuple[complex, float]:
     """<F, Kp> and <Kp, Kp> of grid_metrics_copropagating, memoized for one key.
 
-    samples is (z1, w1, z2, w2, f1(z1), f2(z2), p): with k0, everything the
-    two sums depend on. A call whose k0 and samples equal the last call's,
-    value for value and dtype for dtype, returns the last sums without
-    sampling K; any other call samples K and becomes the memo. The key holds
-    copies, so a grid edited in place afterwards misses.
+    samples is (z1, w1, z2, w2, f1(z1), f2(z2), p) and domain is grid1's
+    [lo, hi]: with k0, everything the two sums depend on. A call whose k0,
+    domain and samples equal the last call's, value for value and dtype for
+    dtype, returns the last sums without sampling K; any other call samples
+    K and becomes the memo. The key holds copies, so a grid edited in place
+    afterwards misses.
 
-    Rows of K at least 1/k0 outside z2's range (the sinc tail of
-    interaction_grids, nearly all of K) take no kernel samples: their sums
-    come from the Cauchy matrix 1/(z1 - z2), mostly as a truncated multipole
-    expansion in each row's separation ratio (_far_sums). The other rows take
-    sinc_kernel, whose small-argument series they may need, in row blocks
-    sized by numerics.gemm_rows; a grid pair with no far row gives
-    sinc_kernel's bits.
+    Every row of K is sampled with sinc_kernel, in row blocks sized by
+    numerics.gemm_rows. <Kp, Kp> then gains the squared kernel's line
+    integral over Z1 outside [lo, hi], which no grid samples:
+    sum_j w2_j |p_j|^2 [T(k0 (hi - z2_j)) + T(k0 (z2_j - lo))] / k0 with
+    T = _sinc2_tail. <F, Kp> carries f1(Z1) and gains nothing.
     """
     last = _KERNEL_SUMS_MEMO.get("last")
-    if last is not None and last[0] == k0 and all(
-            h.dtype == x.dtype and np.array_equal(h, x) for h, x in zip(last[1], samples)):
-        return last[2]
+    if last is not None and last[0] == k0 and last[1] == domain and all(
+            h.dtype == x.dtype and np.array_equal(h, x) for h, x in zip(last[2], samples)):
+        return last[3]
     z1, w1, z2, w2, a1, b2, pair = samples
     left = w1 * np.conj(a1)
     right = w2 * np.conj(b2) * pair
     dens = w2 * np.abs(pair) ** 2
-    reach = 1.0 / k0
-    far = (z1 <= z2.min() - reach) | (z1 >= z2.max() + reach)
     # K is real: apply it to the real and imaginary parts of w2 conj(f2) p,
     # then square it in place and apply it to w2 |p|^2
     cols = np.stack([right.real, right.imag], axis=1)
-    near_z1, near_left, near_w1 = z1[~far], left[~far], w1[~far]
     free_corr = 0j
     corr_nsq = 0.0
     step = gemm_rows(2 * z2.size)
-    for i in range(0, near_z1.size, step):
-        block = sinc_kernel(near_z1[i:i + step, None] - z2[None, :], k0)
+    for i in range(0, z1.size, step):
+        block = sinc_kernel(z1[i:i + step, None] - z2[None, :], k0)
         applied = block @ cols
-        free_corr += near_left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
+        free_corr += left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
         np.square(block, out=block)
-        corr_nsq += float(near_w1[i:i + step] @ (block @ dens))
-    if far.any():
-        far_corr, far_nsq = _far_sums(z1[far], left[far], w1[far], z2, right, dens, k0)
-        free_corr += far_corr
-        corr_nsq += far_nsq
-    _KERNEL_SUMS_MEMO["last"] = (k0, tuple(np.array(x, copy=True) for x in samples),
+        corr_nsq += float(w1[i:i + step] @ (block @ dens))
+    lo, hi = domain
+    tails = _sinc2_tail(k0 * (hi - z2)) + _sinc2_tail(k0 * (z2 - lo))
+    corr_nsq += float(dens @ tails) / k0
+    _KERNEL_SUMS_MEMO["last"] = (k0, domain, tuple(np.array(x, copy=True) for x in samples),
                                  (free_corr, corr_nsq))
     return free_corr, corr_nsq
 
@@ -724,36 +656,41 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     |psi|^2 = <F, F> + 2 Re(alpha <F, Kp>) + |alpha|^2 <Kp, Kp>; then
     F = |<F, psi>|^2 / (<F, F> |psi|^2) and theta = arg <F, psi>. These are
     the quadrature sums of normalize and overlap on the sampled state,
-    regrouped: no n1 x n2 state is kept, and no closed form or overlap
-    coefficient enters, so the route stays independent of C1 and C2. K's
-    rows at least 1/k0 outside Z2's range, nearly all of K on the default
-    grids, take no kernel samples: there K = sin(k0 (Z1 - Z2)) / (k0 (Z1 - Z2))
-    splits by angle addition into sines and cosines of k0 Z1 and k0 Z2 and
-    the Cauchy matrix 1/(Z1 - Z2). That matrix is applied, on all but the
-    rows nearest Z2's range, as a truncated multipole expansion in the row's
-    separation ratio: a few moments of Z2's columns per row in place of n2
-    columns (_far_sums). The other rows sample K at the nodes of
-    two_particle_copropagating (sinc_kernel). The two K sums do not depend
-    on Phi, and the last pair is memoized (_kernel_sums): a call that
-    repeats the last call's k0, both grids' nodes and weights, and the
-    samples f1(Z1), f2(Z2) and p does O(n1 + n2) work. A grid edited in
-    place, another profile or another k0 samples K again. The input and norm
-    checks and the clamp F <= 1 run on every call. Supports complex profiles.
+    regrouped: no n1 x n2 state is kept, and no gate-metric closed form or
+    overlap coefficient enters, so the route stays independent of C1 and C2. K is
+    sampled at the nodes of two_particle_copropagating (sinc_kernel), and
+    <Kp, Kp> gains the exact line integral of sinc^2 over Z1 beyond grid1's
+    domain (_kernel_sums), so grid1 needs only a short sinc tail. That
+    closed form holds to rounding only where every Z2 node lies at least
+    _TAIL_PANELS pi/k0 inside grid1's domain (to within the rounding of the
+    grid ends), as on interaction_grids; grids that do not meet it raise a
+    ParameterError. The two K sums do not depend on Phi, and the last pair
+    is memoized (_kernel_sums): a call that repeats the last call's k0,
+    grid1's domain, both grids' nodes and weights, and the samples f1(Z1),
+    f2(Z2) and p does O(n1 + n2) work. A grid edited in place, another
+    profile or another k0 samples K again. The input and norm checks and
+    the clamp F <= 1 run on every call. Supports complex profiles.
     """
     if params.mode != "copropagating":
         raise ModeError(
             f"equal velocities required, got v1={params.v1}, v2={params.v2}")
+    k0 = params.k0
     if grids is None:
-        grids = interaction_grids(f1, f2, params.k0)
+        grids = interaction_grids(f1, f2, k0)
     grid1, grid2 = grids
     z1, w1 = grid1.nodes, grid1.weights
     z2, w2 = grid2.nodes, grid2.weights
+    inside = k0 * min(grid1.hi - z2[-1], z2[0] - grid1.lo)
+    if inside < _TAIL_PANELS * math.pi * (1.0 - _TAIL_SLACK):
+        raise ParameterError(
+            f"grid1 reaches {inside / k0:.6g} beyond the Z2 nodes, under the "
+            f"{_TAIL_PANELS} pi/k0 = {_TAIL_PANELS * math.pi / k0:.6g} its sinc tail needs")
     a1, b2 = f1(z1), f2(z2)
     pair = f1(z2) * b2
     alpha = np.exp(1j * params.phi) - 1.0
     if not (np.isfinite(alpha) and all(np.all(np.isfinite(v)) for v in (a1, b2, pair))):
         raise ParameterError("psi contains non-finite entries")
-    free_corr, corr_nsq = _kernel_sums(params.k0, (z1, w1, z2, w2, a1, b2, pair))
+    free_corr, corr_nsq = _kernel_sums(k0, grid1.domain, (z1, w1, z2, w2, a1, b2, pair))
     free_nsq = (float(np.einsum("i,i->", w1, np.abs(a1) ** 2))
                 * float(np.einsum("i,i->", w2, np.abs(b2) ** 2)))
     amp = free_nsq + alpha * free_corr

@@ -92,9 +92,9 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # calling thread up to a size: on the 2-core machine products of up to 641600
 # multiply-adds (m n k) stayed there and one of 1.03M did not, and a single
 # 401 x 401 x 16 product took 4.5 ms where five row blocks of it took 0.15 ms.
-# So real_products, the grid route's far rows (copropagating._far_sums) and
-# the sampled sinc blocks of its near rows and of the entropy sweep take
-# blocks of fewer than _GEMM_MNK multiply-adds (gemm_rows), and so does the
+# So real_products and the sampled sinc blocks of the grid route
+# (copropagating._kernel_sums) and of the entropy sweep take blocks of fewer
+# than _GEMM_MNK multiply-adds (gemm_rows), and so does the
 # head-on tables' check of D (headon._check_d), which forms both
 # resolutions a block of the fine product's real_products rows at a time
 # (81 of 401 rows at the default geometry), never as one product. C1's
@@ -102,14 +102,14 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # helper in every run while they were single products. Where one row alone reaches the
 # limit (C1 of unit gaussians past k0 = 270), one-row products stream all of
 # right per row: a 32 x 18128 x 32 product took 6.7 ms that way and 0.95 ms
-# summed over slabs of right's rows. Over criterion 05's lattice the far rows,
-# while each took a full Cauchy-matrix row, took 0.08-0.10 s of wall and
-# 0.09-0.12 s of CPU in blocks, the process peaking at 38 MB; in row blocks
-# of 4e6 elements, which thread, they took 0.13-0.32 s of wall, 0.24-0.32 s
-# of CPU and 96 MB, so the second core does not pay there either. All but 934
-# of their 36 418 rows now take a multipole expansion of a few terms, and
-# _far_sums over the gaussian lattice's five k0 takes 10-12 ms, warm, where
-# the full rows took 46-55 ms.
+# summed over slabs of right's rows. When the grid route sampled a sinc tail
+# out to 6000 pulse widths (36 418 tail rows over criterion 05's lattice),
+# those rows took 0.08-0.10 s of wall and 0.09-0.12 s of CPU in blocks, the
+# process peaking at 38 MB; in row blocks of 4e6 elements, which thread, they
+# took 0.13-0.32 s of wall, 0.24-0.32 s of CPU and 96 MB, so the second core
+# does not pay there either. The route now samples 513 Z1 rows per k0 and
+# adds the rest of the tail in closed form: over the lattice it takes 31-35 ms
+# warm on the 2-core machine.
 # No thread setting is needed; tests/test_threads.py checks that no CLI task,
 # no C1 at k0 = 30 or 100, no entropy sweep at k0 = 100, no pass of the
 # head-on oracle, no collision entropy and no pass of the grid route wakes a
@@ -321,8 +321,10 @@ def _converged(what: str, coarse, fine, tol: float, scale=1.0, at=""):
     """
     # Python's abs, unlike np.abs, lets NumPy reuse a real difference's own
     # buffer: a second table-sized temporary made the heap hand its pages
-    # back and fault them in again on every check of the head-on tables
-    excess = abs(np.subtract(coarse, fine))
+    # back and fault them in again on every check of the head-on tables.
+    # inf - inf is a NaN gap, which fails below, so it needs no warning
+    with np.errstate(invalid="ignore"):
+        excess = abs(np.subtract(coarse, fine))
     excess -= tol * scale
     if (excess <= 0.0).all():
         return fine

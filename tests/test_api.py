@@ -24,7 +24,7 @@ LEDGER = {
     "fidelity_evolution": ("tables",),
     "free_state": ("grid2",),
     "grid_metrics_copropagating": ("grids",),
-    "interaction_grids": ("core_n", "tail_scale"),
+    "interaction_grids": ("core_n",),
     "linear_entropy": ("axis",),
     "make_grid": ("rule",),
     "make_profile": ("center", "sigma", "width", "table_nodes", "table_values"),

@@ -329,6 +329,36 @@ def test_main_config_errors_exit_2(tmp_path):
     assert run_main(["validate", "--config", str(scale)]) == 2
 
 
+FLOAT_KEYS = sorted(key for key, (_, kind) in KEYMAP.items() if kind in ("float", "floats"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_keys_exit_2(tmp_path, capsys, key, value):
+    # RunConfig refuses the value whichever task runs, before any work
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"task = fig2\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert run_main(["fig2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["coeffs", "--k0", "nan"], "k0.list"),
+    (["coeffs", "--k0", "1.0,inf"], "k0.list"),
+    (["fig2", "--k0=-inf"], "k0.list"),
+    (["fig3", "--phi", "0:inf:5"], "phi.max"),
+    (["fig1", "--phi", "nan:1:5"], "phi.min"),
+    (["fig4", "--phi", "0.5,nan"], "headon.phis"),
+])
+def test_non_finite_flags_exit_2(tmp_path, capsys, argv, key):
+    out = tmp_path / "out.csv"
+    assert run_main([*argv, "--out", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_library_error_exits_2(monkeypatch, capsys):
     import xpmsim.cli.main as entry
 

@@ -17,7 +17,6 @@ import sys
 import textwrap
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -666,21 +665,51 @@ ROUTE_PROFILES = {
 }
 
 
+def sici_sinc2_tail(x):
+    """int_x^inf sin(v)^2 / v^2 dv = sin(x)^2 / x + pi/2 - Si(2x), by scipy's sine integral."""
+    return np.sin(x) ** 2 / x + math.pi / 2.0 - sici(2.0 * x)[0]
+
+
+def sinc2_remainder(f1, f2, k0, grids):
+    """int |p(Z2)|^2 sinc^2(k0 (Z1 - Z2)) over Z1 outside grid1's domain, on grid2."""
+    grid1, grid2 = grids
+    z2 = grid2.nodes
+    dens = grid2.weights * np.abs(f1(z2) * f2(z2)) ** 2
+    return float(dens @ (sici_sinc2_tail(k0 * (grid1.hi - z2))
+                         + sici_sinc2_tail(k0 * (z2 - grid1.lo)))) / k0
+
+
 def state_route(f1, f2, params, grids):
-    """F and theta from the sampled state overlapped with the free product."""
+    """F and theta from the sampled state overlapped with the free product.
+
+    The state has only grid1's nodes, so its squared norm gains the sinc^2
+    remainder beyond grid1 (sinc2_remainder), times |exp(i Phi) - 1|^2.
+    """
     reference = normalize(free_state(f1, f2, *grids))
-    out = normalize(two_particle_copropagating(f1, f2, params, *grids))
-    amp = overlap(reference, out)
-    return abs(amp) ** 2, math.atan2(amp.imag, amp.real)
+    out = two_particle_copropagating(f1, f2, params, *grids)
+    amp = overlap(reference, normalize(out))
+    nsq = out.norm_squared()
+    rest = abs(np.exp(1j * params.phi) - 1.0) ** 2 * sinc2_remainder(f1, f2, params.k0, grids)
+    return abs(amp) ** 2 * nsq / (nsq + rest), math.atan2(amp.imag, amp.real)
+
+
+def test_sinc2_tail_matches_sici():
+    # from the shortest tail interaction_grids leaves, 7 pi, out to 1e3.
+    # scipy's pi/2 - Si(2x) keeps Si's absolute rounding, about a unit in the
+    # last place of pi/2 and so up to 2x times the tail in relative terms:
+    # the bound is absolute, two units in the last place of pi/2
+    x = np.geomspace(7.0 * math.pi, 1e3, 20001)
+    err = np.abs(copropagating._sinc2_tail(x) - sici_sinc2_tail(x))
+    assert np.max(err) <= 2.0 * np.spacing(math.pi / 2.0)
 
 
 @pytest.mark.parametrize("k0", [0.5, 2.5, 10.0])
 @pytest.mark.parametrize("shape", sorted(ROUTE_PROFILES))
 def test_grid_route_sums_match_state_route(shape, k0):
-    # the three-sum route regroups the state's quadrature sums, on any grids;
-    # a shorter sinc tail keeps the state small
+    # the three-sum route regroups the state's quadrature sums and adds the
+    # sinc^2 remainder beyond grid1, on the default grids
     prof = ROUTE_PROFILES[shape]
-    grids = interaction_grids(prof, prof, k0, tail_scale=150.0)
+    grids = interaction_grids(prof, prof, k0)
     for phi in (0.5, math.pi):
         params = SystemParams.copropagating(k0, phi)
         got = grid_metrics_copropagating(prof, prof, params, grids=grids)
@@ -691,8 +720,8 @@ def test_grid_route_sums_match_state_route(shape, k0):
 
 @pytest.mark.parametrize("k0", [0.05, 0.1])
 def test_grid_route_at_small_k0(k0):
-    # a nearly flat kernel: C1 close to 1 and a sinc tail capped at the grid's
-    # outer radius
+    # a nearly flat kernel: C1 close to 1, and sinc tail panels of pi/k0,
+    # 31 to 63 pulse widths long
     co = overlap_coefficients(GAUSS, GAUSS, k0)
     grids = interaction_grids(GAUSS, GAUSS, k0)
     for phi in (1.0, math.pi):
@@ -703,7 +732,7 @@ def test_grid_route_at_small_k0(k0):
 
 
 def test_grid_route_guards():
-    grids = interaction_grids(GAUSS, GAUSS, 1.0, tail_scale=150.0)
+    grids = interaction_grids(GAUSS, GAUSS, 1.0)
     with pytest.raises(ModeError):
         grid_metrics_copropagating(GAUSS, GAUSS,
                                    SystemParams.headon(1.0, 10.0, 5e3, -5e3, phi=1.0),
@@ -715,6 +744,25 @@ def test_grid_route_guards():
     with np.errstate(invalid="ignore"), pytest.raises(ParameterError, match="non-finite"):
         grid_metrics_copropagating(blown, GAUSS, SystemParams.copropagating(1.0, 1.0),
                                    grids=grids)
+
+
+def test_grid_route_refuses_grids_with_a_short_sinc_tail():
+    # the sinc^2 remainder's series holds from 7 pi/k0 beyond every Z2 node,
+    # which interaction_grids' tail panels just reach
+    k0 = 1.0
+    params = SystemParams.copropagating(k0, 1.0)
+    grid1, grid2 = interaction_grids(GAUSS, GAUSS, k0)
+    reach = 7.0 * math.pi / k0
+    assert grid1.hi - grid2.nodes[-1] == pytest.approx(reach, rel=1e-14)
+    assert grid2.nodes[0] - grid1.lo == pytest.approx(reach, rel=1e-14)
+    # Z2 windows 0.01 too near either end of grid1 or past it, and grid1 no
+    # wider than grid2
+    windows = [(grid1.lo + reach - 0.01, 0.0), (0.0, grid1.hi - reach + 0.01),
+               (grid1.hi + 1.0, grid1.hi + 2.0)]
+    pairs = [(grid1, numerics.make_grid(lo, hi, 401)) for lo, hi in windows]
+    for grids in pairs + [(grid2, grid2)]:
+        with pytest.raises(ParameterError, match="sinc tail"):
+            grid_metrics_copropagating(GAUSS, GAUSS, params, grids=grids)
 
 
 @pytest.fixture
@@ -739,13 +787,13 @@ def missing_memo(f1, f2, params, grids):
     return grid_metrics_copropagating(f1, f2, params, grids=grids)
 
 
-# F and theta on the default k0 = 2.5 grids before the kernel sums were memoized,
-# at criterion 05's Phi values
+# F and theta on the default k0 = 2.5 grids with the kernel sums computed
+# afresh, at criterion 05's Phi values
 C05_PHIS = (0.5, 1.5, 2.5, math.pi)
-UNMEMOIZED = ((0.9383812047040974, 0.24968045816640147),
-              (0.533598824355944, 0.7488341753096112),
-              (0.09879423729895398, 1.2462337602339728),
-              (1.5549658411718844e-06, 4.8868770399727986e-14))
+UNMEMOIZED = ((0.9383430803991455, 0.24968045816640155),
+              (0.5334347774519391, 0.7488341753096115),
+              (0.09873556614140841, 1.2462337602339737),
+              (1.5539412255116085e-06, 4.8868770399740987e-14))
 
 
 def test_grid_route_memo_over_phi(kernel_blocks):
@@ -767,7 +815,7 @@ def test_grid_route_memo_over_phi(kernel_blocks):
 
 
 def test_grid_route_memo_misses_on_changed_inputs(kernel_blocks):
-    grids = interaction_grids(GAUSS, GAUSS, 2.5, tail_scale=150.0)
+    grids = interaction_grids(GAUSS, GAUSS, 2.5)
     params = SystemParams.copropagating(2.5, 1.5)
     first = grid_metrics_copropagating(GAUSS, GAUSS, params, grids=grids)
     one_pass = len(kernel_blocks)
@@ -787,7 +835,7 @@ def test_grid_route_memo_misses_on_changed_inputs(kernel_blocks):
         assert got == missing_memo(f1, f2, other, grids)
     # the key is content, not identity: an equal grid pair rebuilt hits
     grid_metrics_copropagating(GAUSS, GAUSS, params, grids=grids)
-    twin = interaction_grids(GAUSS, GAUSS, 2.5, tail_scale=150.0)
+    twin = interaction_grids(GAUSS, GAUSS, 2.5)
     before = len(kernel_blocks)
     assert grid_metrics_copropagating(GAUSS, GAUSS, params, grids=twin) == first
     assert len(kernel_blocks) == before
@@ -804,7 +852,7 @@ def test_grid_route_memo_misses_on_changed_inputs(kernel_blocks):
 
 
 def test_grid_route_guards_on_a_memo_hit(kernel_blocks):
-    grids = interaction_grids(GAUSS, GAUSS, 1.0, tail_scale=150.0)
+    grids = interaction_grids(GAUSS, GAUSS, 1.0)
     for _ in range(2):
         assert grid_metrics_copropagating(
             GAUSS, GAUSS, SystemParams.copropagating(1.0, 0.0), grids=grids).fidelity <= 1.0
@@ -827,10 +875,11 @@ def test_grid_route_guards_on_a_memo_hit(kernel_blocks):
 @pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
                     reason="needs the process's own VmHWM from /proc/self/status")
 def test_grid_route_memory_stays_bounded():
-    # the near rows sample the kernel in row blocks near 32 MB; on the default
-    # k0 = 0.5 grids (15 665 x 401) the complex state alone takes 100 MB,
-    # and building it with its normalized and free copies grew the peak by
-    # about 440 MB. The child reads its own high-water mark, VmHWM (kB): its
+    # the rows sample the kernel in row blocks near 32 MB, so the route builds
+    # no n1 x n2 state: with a sinc tail sampled out to 6000 pulse widths
+    # (15 665 x 401 at k0 = 0.5) the complex state alone took 100 MB, and
+    # building it with its normalized and free copies grew the peak by about
+    # 440 MB. The child reads its own high-water mark, VmHWM (kB): its
     # ru_maxrss starts at the spawning process's, which hides growth below it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
     env = dict(os.environ)
@@ -845,7 +894,7 @@ def test_grid_route_memory_stays_bounded():
 
         prof = make_profile("gaussian")
         grids = interaction_grids(prof, prof, 0.5)
-        assert (grids[0].n, grids[1].n) == (15665, 401), (grids[0].n, grids[1].n)
+        assert (grids[0].n, grids[1].n) == (513, 401), (grids[0].n, grids[1].n)
         before = hwm()
         grid_metrics_copropagating(prof, prof, SystemParams.copropagating(0.5, 1.0),
                                    grids=grids)
@@ -856,47 +905,16 @@ def test_grid_route_memory_stays_bounded():
     assert float(out.stdout) < 200.0
 
 
-@pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
-                    reason="needs the process's own VmHWM from /proc/self/status")
-def test_grid_route_far_rows_take_no_kernel_block_memory():
-    # the far rows take no kernel samples, only Cauchy-matrix row blocks of
-    # at most 1 MB, so on the default k0 = 0.5 grids (15 665 x 401) the route
-    # grows the peak by about 5 MB; sampling them in 32 MB blocks grew it by
-    # 81 MB. The child reads its own high-water mark, VmHWM (kB): its
-    # ru_maxrss starts at the spawning process's, which hides growth below it.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = textwrap.dedent("""
-        from xpmsim import (SystemParams, grid_metrics_copropagating,
-                            interaction_grids, make_profile)
-
-        def hwm():
-            with open("/proc/self/status", encoding="ascii") as fh:
-                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-
-        prof = make_profile("gaussian")
-        grids = interaction_grids(prof, prof, 0.5)
-        assert (grids[0].n, grids[1].n) == (15665, 401), (grids[0].n, grids[1].n)
-        before = hwm()
-        grid_metrics_copropagating(prof, prof, SystemParams.copropagating(0.5, 1.0),
-                                   grids=grids)
-        print((hwm() - before) / 1024.0)
-    """)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert float(out.stdout) < 30.0
-
-
 def route_samples(f1, f2, z1, w1, z2, w2):
     """The samples tuple _kernel_sums takes."""
     return (z1, w1, z2, w2, f1(z1), f2(z2), f1(z2) * f2(z2))
 
 
 def sinc_kernel_sums(k0, samples):
-    """<F, Kp> and <Kp, Kp> with every kernel row from sinc_kernel.
+    """<F, Kp> and <Kp, Kp> with every kernel row from sinc_kernel, on the grid alone.
 
-    The grid route's row blocks and sum algebra, with no far-row shortcut.
+    The grid route's row blocks and sum algebra, without the sinc^2
+    remainder beyond grid1.
     """
     z1, w1, z2, w2, a1, b2, pair = samples
     left = w1 * np.conj(a1)
@@ -914,182 +932,75 @@ def sinc_kernel_sums(k0, samples):
     return free_corr, corr_nsq
 
 
-@pytest.fixture
-def far_rows(monkeypatch):
-    """Record the z1 rows the grid route sums as Cauchy-matrix products."""
-    rows = []
-    build = copropagating._far_sums
-
-    def recorded(z1, *args):
-        rows.append(np.array(z1))
-        return build(z1, *args)
-
-    monkeypatch.setattr(copropagating, "_far_sums", recorded)
-    copropagating._KERNEL_SUMS_MEMO.clear()
-    yield rows
-    copropagating._KERNEL_SUMS_MEMO.clear()
-
-
 _WIDE_NODES = np.linspace(-40.0, 40.0, 4001)
 WIDE_CHIRP = make_profile("tabulated", table_nodes=_WIDE_NODES,
                           table_values=np.exp(-_WIDE_NODES**2 / 2.0 + 0.7j * _WIDE_NODES))
 
 
 @pytest.mark.parametrize("k0", [0.5, 1.0, 2.5, 5.0, 10.0])
-def test_far_rows_match_sinc_kernel_sums(far_rows, k0):
-    # criterion 05's k0 on the default grids, where the sinc tail is nearly all
-    # of K; a chirped f1 makes w2 conj(f2) p complex, and its table reaches
-    # into the far rows
+def test_kernel_sums_match_sinc_kernel_sums_and_the_sici_remainder(k0):
+    # criterion 05's k0 on the default grids; a chirped f1 makes
+    # w2 conj(f2) p complex, and the wide table widens the core to its support
     for f1, f2 in [(GAUSS, GAUSS), (WIDE_CHIRP, GAUSS), (GAUSS, WIDE_CHIRP)]:
         shapes = (f1.label, f2.label)
-        grid1, grid2 = interaction_grids(f1, f2, k0)
+        grids = interaction_grids(f1, f2, k0)
+        grid1, grid2 = grids
+        wide = any(f is WIDE_CHIRP for f in (f1, f2))
+        assert (grid2.lo, grid2.hi) == ((-40.0, 40.0) if wide else (-10.0, 10.0))
         samples = route_samples(f1, f2, grid1.nodes, grid1.weights,
                                 grid2.nodes, grid2.weights)
-        far_rows.clear()
-        got = copropagating._kernel_sums(k0, samples)
-        # 1/k0 is under one pi/k0 tail panel, so at most 8 tail nodes a side are near
-        assert sum(r.size for r in far_rows) >= grid1.n - grid2.n - 16
-        for g, r in zip(got, sinc_kernel_sums(k0, samples)):
-            assert abs(g - r) <= 1e-13 * abs(r), shapes
-        # f1 is below 1e-22 on the far rows, so their share of <F, Kp> vanishes
-        # in the whole sum: check the far rows alone as well. There <F, Kp>
-        # cancels far below its terms, so its bound scales with their size
-        # (|sinc| <= 1); <Kp, Kp> sums positive terms.
-        far = np.isin(grid1.nodes, np.concatenate(far_rows))
-        alone = route_samples(f1, f2, grid1.nodes[far], grid1.weights[far],
-                              grid2.nodes, grid2.weights)
-        (corr, nsq), (ref_corr, ref_nsq) = (copropagating._kernel_sums(k0, alone),
-                                            sinc_kernel_sums(k0, alone))
-        _, w1, _, w2, a1, b2, pair = alone
-        terms = np.sum(np.abs(w1 * a1)) * np.sum(np.abs(w2 * b2 * pair))
-        assert abs(corr - ref_corr) <= 1e-13 * terms, shapes
-        assert abs(nsq - ref_nsq) <= 1e-13 * ref_nsq, shapes
+        copropagating._KERNEL_SUMS_MEMO.clear()
+        corr, nsq = copropagating._kernel_sums(k0, grid1.domain, samples)
+        ref_corr, ref_nsq = sinc_kernel_sums(k0, samples)
+        assert corr == ref_corr, shapes
+        ref_nsq += sinc2_remainder(f1, f2, k0, grids)
+        assert abs(nsq - ref_nsq) <= 1e-14 * ref_nsq, shapes
 
 
-def test_kernel_sums_without_far_rows_keep_sinc_kernel_bits(far_rows):
-    # every z1 within 1/k0 of z2's range; 4001 z2 nodes make 39 row blocks
+def test_kernel_sums_keep_sinc_kernel_bits():
+    # every row is sampled; 4001 z2 nodes make 39 row blocks, and the
+    # remainder is _sinc2_tail's on grid1's ends
     k0 = 2.5
     chirped = ROUTE_PROFILES["chirped"]
-    z1 = np.linspace(-10.0 - 0.9 / k0, 10.0 + 0.9 / k0, 2500)
+    z1 = np.linspace(-10.0 - 30.0 / k0, 10.0 + 30.0 / k0, 2500)
     z2 = np.linspace(-10.0, 10.0, 4001)
     samples = route_samples(chirped, GAUSS, z1, np.full(z1.size, z1[1] - z1[0]),
                             z2, np.full(z2.size, z2[1] - z2[0]))
-    assert copropagating._kernel_sums(k0, samples) == sinc_kernel_sums(k0, samples)
-    assert far_rows == []
+    corr, nsq = sinc_kernel_sums(k0, samples)
+    dens = samples[3] * np.abs(samples[6]) ** 2
+    nsq += float(dens @ (copropagating._sinc2_tail(k0 * (z1[-1] - z2))
+                         + copropagating._sinc2_tail(k0 * (z2 - z1[0])))) / k0
+    copropagating._KERNEL_SUMS_MEMO.clear()
+    assert copropagating._kernel_sums(k0, (z1[0], z1[-1]), samples) == (corr, nsq)
 
 
-def test_far_rule_takes_rows_from_one_over_k0_out(far_rows):
-    k0 = 2.5
-    z2 = np.linspace(-10.0, 10.0, 401)
-    lo, hi = z2.min() - 1.0 / k0, z2.max() + 1.0 / k0
-    edges = [lo, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0), hi]
-    z1 = np.sort(np.concatenate([np.linspace(-400.0, -11.0, 3000), edges, z2,
-                                 np.linspace(11.0, 400.0, 3000)]))
-    samples = route_samples(GAUSS, GAUSS, z1, np.full(z1.size, 0.05),
-                            z2, np.full(z2.size, z2[1] - z2[0]))
-    got = copropagating._kernel_sums(k0, samples)
-    far = np.concatenate(far_rows)
-    assert lo in far and hi in far
-    assert edges[1] not in far and edges[2] not in far
-    assert far.size == 6002
-    for g, r in zip(got, sinc_kernel_sums(k0, samples)):
-        assert abs(g - r) <= 1e-13 * abs(r)
-    # at |k0 (z1 - z2)| = 1 the far sums of those two rows alone still meet
-    # sinc_kernel's
-    ends = route_samples(GAUSS, GAUSS, np.array([lo, hi]), np.full(2, 0.05),
-                         z2, np.full(z2.size, z2[1] - z2[0]))
-    far_rows.clear()
-    got = copropagating._kernel_sums(k0, ends)
-    assert [list(r) for r in far_rows] == [[lo, hi]]
-    for g, r in zip(got, sinc_kernel_sums(k0, ends)):
-        assert abs(g - r) <= 1e-13 * abs(r)
+@pytest.mark.parametrize("sigma", [1.0, 3.0])
+def test_grid_route_meets_the_closed_form_on_the_c05_lattice(sigma):
+    # with the sinc^2 remainder in closed form, what is left is the uniform
+    # core's trapezoid error on undamped kernel rows: 5.1e-7 (unit gaussians)
+    # and 4.2e-7 (sigma = 3), where a tail sampled out to 6000 pulse widths
+    # left 2.0e-4 and 1.5e-4
+    from xpmsim.cli.validate import _LATTICE_K0, _LATTICE_PHI
+
+    prof = make_profile("gaussian", sigma=sigma)
+    for k0 in _LATTICE_K0:
+        co = overlap_coefficients(prof, prof, k0)
+        grids = interaction_grids(prof, prof, k0)
+        for phi in _LATTICE_PHI:
+            got = grid_metrics_copropagating(prof, prof, SystemParams.copropagating(k0, phi),
+                                             grids=grids)
+            assert abs(got.fidelity - fidelity_closed_form(co.c1, co.c2, phi)) <= 1e-6
+            assert abs(got.phase - conditional_phase(co.c1, phi)) <= 1e-6
 
 
-def direct_far_sums(z1, left, w1, z2, right, dens, k0):
-    """_far_sums' two sums with every row from the full Cauchy matrix.
-
-    The regrouped algebra of _far_sums, with R = 1/(z1 - z2) formed whole and
-    applied to the 4 and 3 columns by plain products. Also returns each
-    sum's row-sum scale: the same sums over the moduli of their terms.
-    """
-    s2, c2 = np.sin(k0 * z2), np.cos(k0 * z2)
-    s1, c1 = np.sin(k0 * z1), np.cos(k0 * z1)
-    cols = np.stack([c2 * right.real, c2 * right.imag, s2 * right.real, s2 * right.imag],
-                    axis=1)
-    dens_cols = np.stack([c2 * c2, s2 * c2, s2 * s2], axis=1) * dens[:, None]
-    inv = 1.0 / np.subtract.outer(z1, z2)
-    applied, squared = inv @ cols, (inv * inv) @ dens_cols
-    k_right = s1[:, None] * applied[:, :2] - c1[:, None] * applied[:, 2:]
-    corr = complex(left @ (k_right[:, 0] + 1j * k_right[:, 1])) / k0
-    trig = np.stack([s1 * s1, -2.0 * s1 * c1, c1 * c1], axis=1)
-    nsq = float(np.sum(w1[:, None] * trig * squared)) / k0**2
-    moduli = np.abs(inv) @ np.abs(cols)
-    corr_scale = float(np.abs(left) @ (np.abs(s1[:, None]) * moduli[:, :2]
-                                       + np.abs(c1[:, None]) * moduli[:, 2:]).sum(axis=1)) / k0
-    nsq_scale = float(np.sum(w1[:, None] * np.abs(trig) * ((inv * inv) @ np.abs(dens_cols))))
-    return corr, nsq, corr_scale, nsq_scale / k0**2
-
-
-FAR_Z2 = {
-    "uniform": numerics.make_grid(-10.0, 10.0, 401),
-    "gauss-panels": numerics.composite_gauss_grid(-7.0, 13.0, 50),
-}
-
-
-@pytest.mark.parametrize("z2_rule", sorted(FAR_Z2))
-@pytest.mark.parametrize("shape", ["gaussian", "chirped"])
-def test_far_expansion_matches_direct_cauchy_rows(z2_rule, shape):
-    # rows at separation ratios just inside and just outside each band edge
-    # and at |rho| = 1/2, on both sides of z2's range; each row's two sums
-    # agree with the full Cauchy row to 1e-14 of their row-sum scale
-    k0 = 2.5
-    grid2 = FAR_Z2[z2_rule]
-    z2, w2 = grid2.nodes, grid2.weights
-    prof = ROUTE_PROFILES[shape]
-    pair = GAUSS(z2) * prof(z2)
-    right = w2 * np.conj(prof(z2)) * pair
-    dens = w2 * np.abs(pair) ** 2
-    assert np.iscomplexobj(right) == (shape == "chirped")
-    lo, hi = z2.min(), z2.max()
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    ratios = [0.5] + [e * f for e in copropagating._FAR_EDGES for f in (1 - 1e-9, 1 + 1e-9)]
-    z1 = np.array([centre + sign * half / r for r in ratios for sign in (1.0, -1.0)])
-    bands = np.searchsorted(copropagating._FAR_EDGES, np.abs(half / (z1 - centre)))
-    assert set(bands) == set(range(len(copropagating._FAR_EDGES) + 1))
-    assert np.all(k0 * np.minimum(np.abs(z1 - lo), np.abs(z1 - hi)) >= 1.0)
-    for i, row in enumerate(z1):
-        rows = np.array([row])
-        left = np.array([0.3 - 0.7j * (i % 3)])
-        w1 = np.array([0.05 + 0.01 * i])
-        corr, nsq = copropagating._far_sums(rows, left, w1, z2, right, dens, k0)
-        ref_corr, ref_nsq, corr_scale, nsq_scale = direct_far_sums(rows, left, w1, z2, right,
-                                                                   dens, k0)
-        assert abs(corr - ref_corr) <= 1e-14 * corr_scale, (row, corr, ref_corr)
-        assert abs(nsq - ref_nsq) <= 1e-14 * nsq_scale, (row, nsq, ref_nsq)
-
-
-def test_far_term_counts_meet_both_tail_bounds_and_one_fewer_does_not():
-    # exact rational tails at each band edge: the terms from N on of
-    # sum rho^n and of sum (n + 1) rho^n
-    def tails(edge, n):
-        return (edge**n / (1 - edge), edge**n * (n + 1 - n * edge) / (1 - edge) ** 2)
-
-    tail = Fraction(1, 2**54)
-    assert copropagating._FAR_TAIL == float(tail)
-    assert copropagating._FAR_TERMS == (8, 15, 30, 61)
-    for edge, n in zip(copropagating._FAR_EDGES, copropagating._FAR_TERMS):
-        edge = Fraction(edge)
-        assert all(t <= tail for t in tails(edge, n)), edge
-        assert any(t > tail for t in tails(edge, n - 1)), edge
-
-
-def test_norm_identity_on_grid():
+def test_norm_identity_on_grid(long_tail_grids):
     # || psi ||^2 = 1 - 4 (C1 - C2) sin^2(phi/2) ties the sampled amplitude
-    # to both coefficients at once
+    # to both coefficients at once; the state holds only the sinc tail it
+    # samples, so Z1 runs out to 2400 pulse widths
     k0, phi = 1.0, math.pi
     c = overlap_coefficients(GAUSS, GAUSS, k0)
     closed = 1.0 - 4.0 * (c.c1 - c.c2) * math.sin(phi / 2.0) ** 2
-    grids = interaction_grids(GAUSS, GAUSS, k0)
+    grids = long_tail_grids(GAUSS, GAUSS, k0)
     state = two_particle_copropagating(GAUSS, GAUSS,
                                        SystemParams.copropagating(k0, phi), *grids)
     assert state.norm_squared() == pytest.approx(closed, rel=1e-3)
@@ -1200,12 +1111,12 @@ def test_fig2_entropy_matches_fourier_reference(shape, k0s):
             assert ent[a, b] == pytest.approx(fourier_entropy(shape, k0, phi), abs=1e-10)
 
 
-def test_entropy_sweep_approaches_sampled_oracle():
+def test_entropy_sweep_approaches_sampled_oracle(long_tail_grids):
     # the sampled route converges to the exact-Z1 entropy: in the sinc tail
     # radius for the Gaussian, in the (first-order) core spacing for the
     # square pulse, whose edges the uniform core straddles
     def gap(prof, k0, phi, **grid):
-        grids = interaction_grids(prof, prof, k0, **grid)
+        grids = long_tail_grids(prof, prof, k0, **grid)
         sampled = linear_entropy(normalize(two_particle_copropagating(
             prof, prof, SystemParams.copropagating(k0, phi), *grids)))
         return abs(sampled - entropy_phase_sweep(prof, prof, k0, [phi])[0])

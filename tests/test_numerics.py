@@ -1,6 +1,7 @@
 """Grids, kernels, pulse profiles, and system parameters."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,10 +149,18 @@ def test_converged_returns_fine_when_every_entry_agrees():
     # a NaN gap fails, and its entry is reported before a finite miss of any size
     for coarse, fine, shown in (([1.0, 2.5, np.nan], [1.0, 2.0, 3.0], "nan vs 3.0"),
                                 ([1.0, 2.5, np.inf], [1.0, 2.0, np.inf], "inf vs inf")):
-        with pytest.raises(AccuracyError, match=f"^x not converged at 2: {shown}$"), \
-                np.errstate(invalid="ignore"):  # inf - inf
+        with pytest.raises(AccuracyError, match=f"^x not converged at 2: {shown}$"):
             numerics._converged("x", np.array(coarse), np.array(fine), 1e-9,
                                 at=lambda i: f" at {i[0]}")
+
+
+def test_converged_fails_inf_vs_inf_without_a_warning():
+    # inf - inf is a NaN gap: the AccuracyError reports it, and NumPy's
+    # "invalid value encountered in subtract" is not printed above it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match="^x not converged: inf vs inf$"):
+            numerics._converged("x", np.array([1.0, np.inf]), np.array([1.0, np.inf]), 1e-9)
 
 
 def test_converged_reports_the_entry_that_misses_by_most():

@@ -15,7 +15,6 @@ from xpmsim import (
     SystemParams,
     entropy_phase_sweep,
     fidelity_closed_form,
-    interaction_grids,
     linear_entropy,
     make_profile,
     normalize,
@@ -49,22 +48,25 @@ def test_linear_entropy_is_physical(shape, k0, phi):
     assert -1e-12 <= s < 1.0
 
 
-def sampled_state(shape, k0, phi):
-    """Interacting copropagating state on small oracle grids (short sinc tail)."""
+def sampled_state(grids_for, shape, k0, phi):
+    """Interacting copropagating state on small oracle grids (a 101-node core, short sinc tail).
+
+    grids_for is the long_tail_grids fixture's builder.
+    """
     f = PROFILES[shape]
-    grids = interaction_grids(f, f, k0, core_n=101, tail_scale=20.0)
+    grids = grids_for(f, f, k0, core_n=101, tail_scale=20.0)
     return two_particle_copropagating(f, f, SystemParams.copropagating(k0, phi), *grids)
 
 
 @bounded
 @given(shape=shapes, k0=st.floats(min_value=0.2, max_value=5.0), phi=phis)
-def test_normalize_gives_unit_weighted_norm(shape, k0, phi):
-    state = normalize(sampled_state(shape, k0, phi))
+def test_normalize_gives_unit_weighted_norm(long_tail_grids, shape, k0, phi):
+    state = normalize(sampled_state(long_tail_grids, shape, k0, phi))
     assert abs(state.norm_squared() - 1.0) < 1e-12
 
 
 @bounded
 @given(shape=shapes, k0=st.floats(min_value=0.2, max_value=5.0), phi=phis)
-def test_linear_entropy_same_from_either_axis(shape, k0, phi):
-    state = normalize(sampled_state(shape, k0, phi))
+def test_linear_entropy_same_from_either_axis(long_tail_grids, shape, k0, phi):
+    state = normalize(sampled_state(long_tail_grids, shape, k0, phi))
     assert abs(linear_entropy(state, axis=0) - linear_entropy(state, axis=1)) < 1e-12

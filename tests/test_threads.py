@@ -4,8 +4,8 @@ NumPy's bundled OpenBLAS starts helper threads when it loads. It hands a
 product to them by its own size rule, and on a small machine a handoff can
 stall for milliseconds while the helpers spin. The spectrum products of the
 CLI tasks and of C1, the entropy sweep's sampled sinc blocks, the head-on
-tables, amplitudes and entropy blocks and the grid route's far and near
-rows are sized to stay on the calling thread (see the note on real
+tables, amplitudes and entropy blocks and the grid route's kernel rows
+are sized to stay on the calling thread (see the note on real
 products in numerics, next to real_products). Each task runs
 in a fresh interpreter, which counts the context switches of every thread
 but the main one, from /proc/self/task/*/status, before and after the
@@ -130,8 +130,8 @@ ENTROPY_PROBE = textwrap.dedent("""
 
 
 # the grid route of criterion 05 and the benchmark: criterion 05's lattice, one
-# interaction_grids pair per k0; its far rows are thin products in row blocks
-# of numerics.gemm_rows rows (copropagating._far_sums)
+# interaction_grids pair per k0; its kernel rows are sampled in row blocks of
+# numerics.gemm_rows rows (copropagating._kernel_sums)
 GRID_ROUTE_PROBE = textwrap.dedent("""
     from xpmsim import (SystemParams, grid_metrics_copropagating, interaction_grids,
                         make_profile)
