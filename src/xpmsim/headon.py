@@ -30,23 +30,26 @@ where v_r times the time step is a whole number of z2 steps (the default
 one) most ends land on the z2 lattice, and keeping each rounded copy would
 add panels about 1e-16 wide that cost as much as any other.
 
-One k side serves the fidelity moments, the entropy blocks and the oracle
-tables alike. C's box is even, so _spectra works on its positive nodes k+
-alone: every spectrum here is a transform G(k) = int g(y) exp(iky) dy, and
-with its cosine and sine transforms Cg and Sg it reads Cg +- i Sg at +-k.
+One k side serves the fidelity moments, the collision entropy and the
+oracle tables alike. C's box is even, so _spectra works on its positive
+nodes k+ alone: every spectrum here is a transform G(k) = int g(y)
+exp(iky) dy, and with its cosine and sine transforms Cg and Sg it reads
+Cg +- i Sg at +-k.
 Per resolution _spectra builds one k basis (_KBasis), one trajectory, D's
 spectrum G_f(z2, k) as the trajectory integrals [C_f | S_f], B as C_f at
 k = 0, and A's time factor h(k), which angle addition turns into A's
 spectrum [C_b | S_b] at each z2. Over a pair of nodes +-k every
 contraction is a real one at k+: p = sum 2w (|C|^2 + |S|^2), o_f =
-sum 2w (C F_c + S F_s), each k-Gram sum 2w (C_a conj(C_b) + S_a conj(S_b)),
-with F_c and F_s f1's spectrum; a real f1 keeps every spectrum real, and
-a complex one takes the same code in complex arithmetic. For the series
-and its closed form, the oracle amplitude on the co-moving grids,
-D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk = sum 2w (C_f cos kz1 +
-S_f sin kz1), and A likewise from its spectrum basis.box(h). G_f has
-2 n_k+ columns, 16 at the default geometry, against n1 = n2 = 401. A and
-D are formed on demand as one real product of [cos kz1 | sin kz1] with
+sum 2w (C F_c + S F_s), with F_c and F_s f1's spectrum; a real f1 keeps
+every spectrum real, and a complex one takes the same code in complex
+arithmetic. The z2 reduced kernel has rank at most 2 + 2 n_k+, 18 at the
+default geometry, so the linear entropy takes its trace and purity from
+one Gram of that size over z2 and forms no n2 x n2 array (_line_entropy).
+For the series and its closed form, the oracle amplitude on the co-moving
+grids, D(z1, z2) = (1/2 pi) int exp(-ik z1) G_f(z2, k) dk =
+sum 2w (C_f cos kz1 + S_f sin kz1), and A likewise from its spectrum
+basis.box(h). G_f has 2 n_k+ columns, 16 at the default geometry, against
+n1 = n2 = 401. A and D are formed on demand as one real product of [cos kz1 | sin kz1] with
 rows of their spectra, and each amplitude as one of [f1 | cos kz1 |
 sin kz1] with rows of f2 and of the correction's spectrum, in row blocks
 that stay on the calling thread. The cosine and sine transforms and the
@@ -112,6 +115,10 @@ _STOP_TOL = 1e-12
 _FAIL_TOL = 1e-6
 _SMALL_X = 1e-3
 _LINE_RTOL = 1e-8
+# collision_entropy's two resolutions agree within _LINE_RTOL of S_L plus this
+# floor: they differ by rounding, up to 1.9e-15 on fig4's ladders (gaussian and
+# square pulses, all four phi)
+_ENTROPY_ATOL = 1e-14
 # A, B, D against their doubled resolution: within _TABLE_RTOL of each table's
 # largest entry at that time, and never by more than _TABLE_ATOL
 _TABLE_RTOL = 1e-6
@@ -211,13 +218,29 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _time(t) -> float:
+    """t as a float, checked to be finite and non-negative."""
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"time must be finite and non-negative, got {t}")
+    return t
+
+
+def _times(times) -> np.ndarray:
+    """times as a flat float array, each checked as _time does."""
+    times = np.asarray(times, dtype=float).ravel()
+    if not np.all((0.0 <= times) & (times < math.inf)):
+        raise ParameterError("time samples must be finite and non-negative")
+    return times
+
+
 def _time_ladder(times) -> np.ndarray:
-    """times as a float array, checked to be a non-empty increasing ladder from t >= 0."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
+    """times as a float array, checked to be a non-empty increasing ladder of finite t >= 0."""
+    if np.ndim(times) != 1 or np.size(times) < 1:
         raise ParameterError("time samples must form a non-empty 1-D array")
-    if times[0] < 0.0 or (times.size > 1 and not np.all(np.diff(times) > 0)):
-        raise ParameterError("time samples must be non-negative and increasing")
+    times = _times(times)
+    if not np.all(np.diff(times) > 0):
+        raise ParameterError("time samples must be increasing")
     return times
 
 
@@ -500,32 +523,42 @@ def _trajectory_moments(setup: CollisionSetup, times: np.ndarray, refine: int):
     return p_mom, r_mom, c_mom, o_f, o_b
 
 
-def _entropy_blocks(setup: CollisionSetup, t: float, refine: int):
-    """Chi-independent blocks of the z2 reduced kernel, z1 traced over the line.
+def _line_entropy(setup: CollisionSetup, t: float, refine: int) -> float:
+    """Linear entropy of the normalized closed-form state at one time and resolution.
 
     With G = i chi G_f + beta B G_b as in _trajectory_moments, the correction
-    is f2(z2) (1/2 pi) int G(z2, k) exp(-ik z1) dk. Parseval over z1 gives
-        rho(a, b) = f2(a) conj(f2(b)) (|f1|^2 + H(a) + conj(H(b))
-                    + (1/2 pi) int G(a, k) conj(G(b, k)) dk),
-    H(a) = (1/2 pi) int G(a, k) F(k) dk, F(k) = int conj(f1(z)) exp(-ikz) dz.
-    This returns |f1|^2, the G_f and B G_b parts of H, and the three k-Gram
-    matrices of G_f and B G_b, all from _spectra at the single time t; the
-    cost is O(n2^2 nk) past the trajectory. Over k+ (_KBasis) each k-Gram is
-    sum 2w (C_a conj(C_b) + S_a conj(S_b)), one product over the [C | S]
-    columns, real for a real f1, row-blocked on the calling thread
-    (real_products).
+    is f2(z2) (1/2 pi) int G(z2, k) exp(-ik z1) dk. Parseval over the whole
+    z1 line gives the z2 reduced kernel rho(a, b) = f2(a) conj(f2(b)) K(a, b),
+        K = |f1|^2 + H(a) + conj(H(b)) + (1/2 pi) int G(a, k) conj(G(b, k)) dk,
+    H = (1/2 pi) int G F dk, F(k) = int conj(f1(z)) exp(-ikz) dz. Over k+
+    (_KBasis) K = V M V^H with V = [1 | H | G sqrt(w)], n2 x (2 + 2 n_k+),
+    and M = [[|f1|^2, 1, 0], [1, 0, 0], [0, 0, I]], so with the Gram
+    Q = V^H diag(w2 |f2|^2) V, Tr rho = tr(MQ) and Tr rho^2 = tr((MQ)^2).
+    Then S_L = 1 - Tr rho^2 / (Tr rho)^2 = 2 e2(MQ) / tr(MQ)^2, and by
+    Cauchy-Binet e2(MQ), the sum of MQ's 2 x 2 principal minors, is the sum
+    over index pairs of M's 2 x 2 minors times Q's: with the Gram minors
+    m_ij = Q_ii Q_jj - |Q_ij|^2 (each >= 0),
+        e2 = sum_{1<i<j} m_ij - m_01 + |f1|^2 sum_{j>1} m_0j
+             + 2 Re sum_{j>1} (Q_01 Q_jj - Q_0j Q_j1).
+    The free product has G = 0 and gives exactly 0, and no term is a
+    difference of the order-one free norms: each carries at least two
+    factors of G. Every product is an einsum on the calling thread (see
+    numerics' note on real products).
     """
-    basis, b, h, blocks = _spectra(setup, np.array([float(t)]), refine)
-    g_f = next(blocks)[0]
-    g_b = b[0][:, None] * basis.box(h[0])
-    sc = _f1_spectrum(setup, basis)
-
-    def gram(left, right):
-        return real_products(left * basis.w, np.conj(right.T),
-                             np.empty((left.shape[0], right.shape[0]), dtype=left.dtype))
-
-    return (_window_nsq(setup.grid1, setup.f1), g_f @ sc, g_b @ sc,
-            gram(g_f, g_f), gram(g_f, g_b), gram(g_b, g_b))
+    basis, b, h, blocks = _spectra(setup, np.array([t]), refine)
+    p = setup.params
+    g = 1j * p.chi * next(blocks)[0] + (_beta(p, t) * b[0])[:, None] * basis.box(h[0])
+    v = np.hstack([np.ones((g.shape[0], 1)),
+                   np.einsum("jm,m->j", g, _f1_spectrum(setup, basis))[:, None],
+                   g * np.sqrt(basis.w)])
+    dens = setup.grid2.weights * np.abs(setup.f2_samples) ** 2
+    q = np.einsum("ji,j,jk->ik", np.conj(v), dens, v)
+    d = q.diagonal().real
+    minors = np.outer(d, d) - np.abs(q) ** 2
+    norm1 = _window_nsq(setup.grid1, setup.f1)
+    e2 = (np.sum(np.triu(minors[2:, 2:], 1)) - minors[0, 1] + norm1 * np.sum(minors[0, 2:])
+          + 2.0 * np.sum((q[0, 1] * d[2:] - q[0, 2:] * q[2:, 1]).real))
+    return float(2.0 * e2 / (norm1 * d[0] + 2.0 * q[0, 1].real + np.sum(d[2:])) ** 2)
 
 
 class _TimeTables(NamedTuple):
@@ -545,24 +578,21 @@ class _TimeTables(NamedTuple):
 class InteractionTables:
     """Chi-independent caches for one collision geometry.
 
-    The time-integral tables, the fidelity moments and the entropy blocks
-    all come from one k side, _spectra's basis, B, h and G_f, at refine 1
-    and 2. The tables serve the series and its closed form. Per time
-    sample they keep B, D's spectrum G_f as its cosine and sine transforms
-    at k+ (n2 x 2 n_k+, real for a real f1), A's time factor h and the
-    basis, never an n1 x n2 table (see ensure). Each table is verified
-    against a doubled trajectory and k resolution; a gap
-    beyond 1e-6 of the table's largest entry, or beyond 1e-10, raises an
-    accuracy error. The check of D forms no n1 x n2 table either unless it
-    fails: it runs over row blocks of both resolutions. ensure() builds
-    every listed time at once. at() fills a missing time as a ladder of one
-    and forms A and D from their spectra.
-    line_moments() caches the fidelity's trajectory moments per time.
-    entropy_blocks() builds the reduced-kernel blocks of one time on every
-    call and caches nothing: each entropy is asked for once. Both are
-    verified at doubled resolution to a relative 1e-8. Nothing here depends
-    on the interaction rate chi, so one cache serves every
-    accumulated-phase curve.
+    The time-integral tables and the fidelity moments both come from one k
+    side, _spectra's basis, B, h and G_f, at refine 1 and 2. The tables
+    serve the series and its closed form. Per time sample they keep B, D's
+    spectrum G_f as its cosine and sine transforms at k+ (n2 x 2 n_k+, real
+    for a real f1), A's time factor h and the basis, never an n1 x n2 table
+    (see ensure). Each table is verified against a doubled trajectory and k
+    resolution; a gap beyond 1e-6 of the table's largest entry, or beyond
+    1e-10, raises an accuracy error. The check of D forms no n1 x n2 table
+    either unless it fails: it runs over row blocks of both resolutions.
+    ensure() builds every listed time at once. at() fills a missing time as
+    a ladder of one and forms A and D from their spectra. line_moments()
+    caches the fidelity's trajectory moments per time, verified at doubled
+    resolution to a relative 1e-8. collision_entropy takes the same k side
+    but keeps nothing here. Nothing here depends on the interaction rate
+    chi, so one cache serves every accumulated-phase curve.
     """
 
     def __init__(self, setup: CollisionSetup):
@@ -591,9 +621,7 @@ class InteractionTables:
     def _entry(self, setup: CollisionSetup, t: float) -> _TimeTables:
         """The cached tables at time t, computed as a ladder of one if missing."""
         self._require_compatible(setup)
-        if t < 0.0:
-            raise ParameterError(f"time must be non-negative, got {t}")
-        key = float(t)
+        key = _time(t)
         if key not in self._cache:
             self.ensure(setup, [key])
         return self._cache[key]
@@ -607,9 +635,7 @@ class InteractionTables:
         Returns one array per moment, in the order of times.
         """
         self._require_compatible(setup)
-        wanted = np.asarray(times, dtype=float).ravel()
-        if np.any(wanted < 0.0):
-            raise ParameterError("time samples must be non-negative")
+        wanted = _times(times)
         missing = np.array(sorted({float(t) for t in wanted} - set(self._line)))
         if missing.size:
             coarse = _trajectory_moments(self._setup, missing, refine=1)
@@ -622,19 +648,6 @@ class InteractionTables:
                 self._line[float(t)] = tuple(m[i] for m in fine)
         rows = [self._line[float(t)] for t in wanted]
         return tuple(np.array(col) for col in zip(*rows))
-
-    def entropy_blocks(self, setup: CollisionSetup, t: float) -> tuple:
-        """Whole-line reduced-kernel blocks at one time; see _entropy_blocks."""
-        self._require_compatible(setup)
-        if t <= 0.0:
-            raise ParameterError(f"whole-line entropy blocks need a positive time, got {t}")
-        t = float(t)
-        coarse = _entropy_blocks(self._setup, t, refine=1)
-        fine = _entropy_blocks(self._setup, t, refine=2)
-        for c, f in zip(coarse, fine):
-            _converged("whole-line entropy blocks", c, f, _LINE_RTOL,
-                       max(np.max(np.abs(c)), np.max(np.abs(f))), at=f" at t={t}")
-        return fine
 
     def ensure(self, setup: CollisionSetup, times) -> None:
         """Fill the cache for every listed time.
@@ -652,9 +665,7 @@ class InteractionTables:
         its own: its trajectory and box integrals vanish.
         """
         self._require_compatible(setup)
-        wanted = np.asarray(times, dtype=float).ravel()
-        if np.any(wanted < 0.0):
-            raise ParameterError("time samples must be non-negative")
+        wanted = _times(times)
         missing = np.array(sorted({float(t) for t in wanted} - set(self._cache)))
         if not missing.size:
             return
@@ -747,8 +758,7 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
     """
     if n < 1:
         raise ParameterError(f"series order must be >= 1, got {n}")
-    if t < 0.0:
-        raise ParameterError(f"time must be non-negative, got {t}")
+    t = _time(t)
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     shape = np.broadcast_shapes(z1.shape, z2.shape)
@@ -790,8 +800,7 @@ def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40,
     """
     if n_max < 2:
         raise ParameterError(f"n_max must be at least 2, got {n_max}")
-    if t < 0.0:
-        raise ParameterError(f"time must be non-negative, got {t}")
+    t = _time(t)
     if t == 0.0:
         return free_state(setup.f1, setup.f2, setup.grid1, setup.grid2)
     if tables is None:
@@ -847,8 +856,7 @@ def two_particle_headon_closed(setup: CollisionSetup, t: float, *,
     is returned exactly. A warning is emitted when the slow-pulse gauge
     k0 |v_r| t exceeds 0.1.
     """
-    if t < 0.0:
-        raise ParameterError(f"time must be non-negative, got {t}")
+    t = _time(t)
     if t == 0.0:
         return free_state(setup.f1, setup.f2, setup.grid1, setup.grid2)
     _warn_gauge(setup, t)
@@ -920,31 +928,24 @@ def collision_entropy(setup: CollisionSetup, t: float, *,
                       tables: InteractionTables | None = None) -> float:
     """Linear entropy of the normalized closed-form state at one time.
 
-    z1 is traced over the whole line (see _entropy_blocks), so the kernel
+    z1 is traced over the whole line (see _line_entropy), so the kernel
     tail beyond grid_halfwidth is included; the reduced kernel lives on the
-    z2 grid, where f2 bounds it. Warns like two_particle_headon_closed when
-    the slow-pulse gauge exceeds 0.1.
+    z2 grid, where f2 bounds it. S_L is computed at two resolutions, which
+    must agree within _LINE_RTOL of S_L plus _ENTROPY_ATOL. The entropy
+    reads no cache: tables is only checked against the setup's geometry.
+    Warns like two_particle_headon_closed when the slow-pulse gauge exceeds
+    0.1.
     """
-    if t < 0.0:
-        raise ParameterError(f"time must be non-negative, got {t}")
+    t = _time(t)
+    if tables is not None:
+        tables._require_compatible(setup)
     if t == 0.0:
         return 0.0
     _warn_gauge(setup, t)
-    if tables is None:
-        tables = InteractionTables(setup)
-    norm1, h_f, h_b, p_ff, p_fb, p_bb = tables.entropy_blocks(setup, t)
-    p = setup.params
-    ichi = 1j * p.chi
-    beta = _beta(p, t)
-    h = ichi * h_f + beta * h_b
-    cross = ichi * beta.conjugate() * p_fb
-    kern = (norm1 + h[:, None] + np.conj(h)[None, :] + p.chi ** 2 * p_ff
-            + cross + np.conj(cross.T) + abs(beta) ** 2 * p_bb)
-    f2_row = setup.f2(setup.grid2.nodes)
-    rho = f2_row[:, None] * kern * np.conj(f2_row)[None, :]
-    w2 = setup.grid2.weights
-    nsq = float(np.real(w2 @ np.diag(rho)))
-    return 1.0 - float(w2 @ np.abs(rho) ** 2 @ w2) / nsq ** 2
+    coarse, fine = (_line_entropy(setup, t, refine) for refine in (1, 2))
+    return _converged("whole-line linear entropy", coarse, fine, 1.0,
+                      _LINE_RTOL * max(abs(coarse), abs(fine)) + _ENTROPY_ATOL,
+                      at=f" at t={t}")
 
 
 def ideal_headon_metrics(chi: float, v_r: float) -> GateMetrics:

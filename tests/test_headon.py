@@ -47,11 +47,12 @@ from xpmsim import headon
 from xpmsim.cli.config import RunConfig
 from xpmsim.cli.sweeps import collision_setup, run_fig4
 from xpmsim.headon import (
+    _beta,
     _box_transform,
-    _entropy_blocks,
     _exp_remainder,
     _k_rule,
     _KBasis,
+    _line_entropy,
     _Trajectory,
 )
 from xpmsim.numerics import PulseProfile, _converged, real_products
@@ -840,6 +841,18 @@ def test_collision_entanglement_transient():
         assert s_l == pytest.approx(line_traced_entropy(coarse, t), rel=1e-6)
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "square"])
+def test_collision_entropy_vanishes_without_coupling_and_is_never_negative(profile):
+    # S_L = 2 e2 / tr^2 with e2 a sum of Gram minors: the free product gives
+    # exactly 0, and S_L = 1 - purity, which read down to -1.3e-15 on this
+    # ladder, no longer rounds below 0
+    free = fig4_setup(0.0, profile)
+    assert all(collision_entropy(free, t) == 0.0 for t in free.times[::12])
+    for phi in RunConfig().headon_phis:
+        setup = fig4_setup(phi, profile)
+        assert all(collision_entropy(setup, t) >= 0.0 for t in setup.times)
+
+
 # --------------------------------------------------- trajectory panels
 
 def fig4_setup(phi=math.pi, profile="gaussian"):
@@ -892,9 +905,9 @@ def test_merged_edges_match_every_edge_construction(make, monkeypatch):
     def results():
         traj = _Trajectory(setup, times, 1)
         moments = InteractionTables(setup).line_moments(setup, times)
-        # both resolutions' blocks, not only the checked fine ones
-        blocks = [b for r in (1, 2) for b in _entropy_blocks(setup, float(times[-1]), r)]
-        return traj.edges.size, traj.integrals(k), (*moments, *blocks)
+        # both resolutions' entropies, not only the checked fine one
+        entropies = [_line_entropy(setup, float(times[-1]), r) for r in (1, 2)]
+        return traj.edges.size, traj.integrals(k), (*moments, *entropies)
 
     n_merged, g_merged, merged = results()
     monkeypatch.setattr(headon, "_merge_edges", keep_every_edge)
@@ -955,29 +968,46 @@ def complex_moments(setup, times, refine):
             (b * (g_b @ (w * f))) @ dens)
 
 
-def complex_entropy_blocks(setup, t, refine):
-    """_entropy_blocks' |f1|^2, H parts and k-Gram matrices as complex sums over +-k."""
+def dense_entropy(setup, t, refine):
+    """S_L from the dense n2 x n2 reduced kernel, built from complex sums over +-k.
+
+    rho(a, b) = f2(a) conj(f2(b)) (|f1|^2 + H(a) + conj(H(b)) + sum_k w G(a) conj(G(b)))
+    with G and H as in _line_entropy, and 2 e2(rho) summed as the Gram minors
+    rho_aa rho_bb - |rho_ab|^2 over every pair of z2 nodes (Lagrange's identity).
+    """
     _, w, b, g_f, g_b, f = complex_k_side(setup, np.array([t]), refine)
-    g_f, g_b = g_f[0], b[0][:, None] * g_b[0]
+    p = setup.params
+    g = 1j * p.chi * g_f[0] + _beta(p, t) * b[0][:, None] * g_b[0]
+    big_h = g @ (w * f)
     g1 = setup.grid1
-    return (g1.weights @ np.abs(setup.f1(g1.nodes)) ** 2, g_f @ (w * f), g_b @ (w * f),
-            (g_f * w) @ np.conj(g_f.T), (g_f * w) @ np.conj(g_b.T), (g_b * w) @ np.conj(g_b.T))
+    f2 = setup.f2(setup.grid2.nodes)
+    rho = np.outer(f2, np.conj(f2)) * (g1.weights @ np.abs(setup.f1(g1.nodes)) ** 2
+                                       + big_h[:, None] + np.conj(big_h)[None, :]
+                                       + (g * w) @ np.conj(g.T))
+    w2 = setup.grid2.weights
+    diag = np.real(np.diag(rho)) * w2
+    minors = np.outer(diag, diag) - np.abs(rho) ** 2 * np.outer(w2, w2)
+    return float(np.sum(minors) / np.sum(diag) ** 2)
 
 
 @pytest.mark.parametrize("make", MERGE_CASES.values(), ids=MERGE_CASES.keys())
 def test_cos_sin_k_side_matches_complex_form(make):
     # over a mirrored pair of nodes every contraction of G(+-k) = C +- i S
     # is a real one of C and S at k+; the complex sums over both halves of
-    # the box must give the same moments, blocks and tables up to rounding
+    # the box must give the same moments and tables up to rounding, and the
+    # rank-(2 + 2 n_k+) entropy the dense kernel's
     setup = make()
     times = np.asarray(setup.times)
     for refine in (1, 2):
-        got = (*headon._trajectory_moments(setup, times, refine),
-               *_entropy_blocks(setup, float(times[-1]), refine))
-        ref = (*complex_moments(setup, times, refine),
-               *complex_entropy_blocks(setup, float(times[-1]), refine))
+        got = headon._trajectory_moments(setup, times, refine)
+        ref = complex_moments(setup, times, refine)
         for g, r in zip(got, ref):
             assert np.all(np.abs(g - r) <= 1e-13 * np.abs(r))
+        got = _line_entropy(setup, float(times[-1]), refine)
+        ref = dense_entropy(setup, float(times[-1]), refine)
+        # at the default pass end S_L is about 1e-6, and both forms keep an
+        # absolute rounding error of a few 1e-16 there (3.5e-16 apart at most)
+        assert abs(got - ref) <= 1e-13 * ref + 1e-15
     tables = InteractionTables(setup)
     tables.ensure(setup, times)
     k, w, b, g_f, g_b, _ = complex_k_side(setup, times, 2)
@@ -1241,24 +1271,27 @@ def test_fig4_final_fidelities_pinned():
 
 
 def test_line_checks_compare_separate_resolutions(monkeypatch):
-    # no two separately built resolutions agree to 1e-20 of the moments
+    # no two separately built resolutions agree to 1e-20 of the moments or
+    # of the entropy, once the entropy's absolute floor is gone too
     monkeypatch.setattr(headon, "_LINE_RTOL", 1e-20)
+    monkeypatch.setattr(headon, "_ENTROPY_ATOL", 0.0)
     setup = collision()
     with pytest.raises(AccuracyError, match="moments not converged"):
         InteractionTables(setup).line_moments(setup, setup.times)
-    with pytest.raises(AccuracyError, match="blocks not converged"):
-        InteractionTables(setup).entropy_blocks(setup, 1e-3)
+    with pytest.raises(AccuracyError, match="linear entropy not converged"):
+        collision_entropy(setup, 1e-3)
 
 
 def test_line_and_table_errors_carry_both_estimates(monkeypatch):
     # each check raises for its worst entry with that entry's two estimates,
     # so the gap in the message is the difference of the two it carries
     monkeypatch.setattr(headon, "_LINE_RTOL", 1e-20)
+    monkeypatch.setattr(headon, "_ENTROPY_ATOL", 0.0)
     monkeypatch.setattr(headon, "_TABLE_ATOL", 0.0)
     setup = collision()
     checks = {
         "moments": lambda tables: tables.line_moments(setup, setup.times),
-        "blocks": lambda tables: tables.entropy_blocks(setup, 1e-3),
+        "linear entropy": lambda tables: collision_entropy(setup, 1e-3, tables=tables),
         "time integrals": lambda tables: tables.ensure(setup, setup.times),
     }
     for what, check in checks.items():
@@ -1322,6 +1355,26 @@ def test_setup_validation():
     u = make_profile("gaussian")
     with pytest.raises(ParameterError, match="time samples"):
         CollisionSetup(u, u, centered)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_raise_parameter_error(t):
+    setup = collision()
+    tables = InteractionTables(setup)
+    calls = (
+        lambda: collision_entropy(setup, t),
+        lambda: two_particle_headon_closed(setup, t),
+        lambda: two_particle_headon_series(setup, t),
+        lambda: series_term(setup, 2, 0.0, 0.0, t),
+        lambda: tables.at(setup, t),
+        lambda: tables.line_moments(setup, [1e-3, t]),
+        lambda: tables.ensure(setup, [t]),
+        lambda: replace(setup, times=(t,)),
+        lambda: replace(setup, times=(0.0, 1e-3, t)),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            call()
 
 
 def test_default_time_window():

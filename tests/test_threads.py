@@ -110,9 +110,9 @@ ORACLE_PROBE = textwrap.dedent("""
 """) + COUNTER
 
 
-# the collision entropy of the benchmark's collision workload: the whole-line
-# blocks' k-Gram products are real over the cosine and sine columns and
-# row-blocked (numerics.real_products)
+# the collision entropy of the benchmark's collision workload: the rank-18
+# factor of the reduced kernel and its Gram are einsums on the calling thread
+# (headon._line_entropy)
 ENTROPY_PROBE = textwrap.dedent("""
     import math
     from xpmsim import InteractionTables, collision_entropy
