@@ -194,7 +194,9 @@ REAL_PRODUCT_CASES = {
     "c1 slabs": ((25, 600), (600, 4), float, float, float, 1),
     "ensure A, table of a real f1": ((25, 16), (16, 81), float, float, float, 8),
     "amplitude": ((25, 17), (17, 41), float, complex, complex, 8),
-    "amplitude of a complex f1": ((25, 17), (17, 41), complex, complex, complex, 8),
+    # complex left x complex right, the dtypes of the amplitude of a complex
+    # f1; the case keeps the name of the entropy Gram, its earlier caller
+    "entropy gram of a complex f1": ((25, 16), (16, 25), complex, complex, complex, 8),
 }
 
 
