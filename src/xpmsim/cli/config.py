@@ -99,6 +99,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {val!r}")
         if self.profile_width is not None and self.profile_width <= 0.0:
             raise ConfigError("profile.width must be positive")
+        if self.profile_width is not None and self.profile_shape != "square":
+            raise ConfigError("profile.width is read for square pulses only, "
+                              f"not for profile.shape = {self.profile_shape}")
         if self.k0_values is not None and any(v <= 0 for v in self.k0_values):
             raise ConfigError("k0.list entries must be positive")
         if self.phi_n is not None and self.phi_n < 2:

@@ -59,7 +59,6 @@ from .numerics import (
     gemm_rows,
     join_grids,
     make_grid,
-    make_profile,
     profile_key,
     real_products,
     sinc_kernel,
@@ -99,8 +98,10 @@ _C2_RTOL = 1e-9
 # transition_k0's bisection bracket and its absolute tolerance in k0
 _TRANSITION_BRACKET = (0.5, 6.0)
 _TRANSITION_XTOL = 1e-4
-# least half-width of interaction_grids' uniform core around each pulse centre
+# interaction_grids' uniform core: its least half-width around each pulse
+# centre, and its node count
 _CORE_HALFWIDTH = 10.0
+_CORE_N = 401
 # interaction_grids' sinc tail: Gauss panels of pi/k0 on each side of the core.
 # The grid route adds the rest of sinc^2 in closed form (_sinc2_tail), whose
 # _TAIL_TERMS-term series reaches rounding from _TAIL_PANELS pi on; grids
@@ -177,11 +178,11 @@ def _coefficient_axis(f1: PulseProfile, f2: PulseProfile, k0: float, n: int,
                       refine: int = 1) -> Grid1D:
     """Composite 8-node Gauss-Legendre axis resolving both profiles and the kernel.
 
-    Profile discontinuities become piece boundaries, and each piece gets
-    equal 8-node Gauss panels: at least 12 nodes and its share of the
-    target (_axis_target), rounded up to whole panels. Every panel reuses
-    the one cached 8-node rule, so no large Legendre eigen-solve is needed
-    at any k0.
+    Profile breakpoints (a square's edges, a tabulated profile's table
+    nodes) become piece boundaries, and each piece gets equal 8-node Gauss
+    panels: at least 12 nodes and its share of the target (_axis_target),
+    rounded up to whole panels. Every panel reuses the one cached 8-node
+    rule, so no large Legendre eigen-solve is needed at any k0.
     """
     lo, hi, total = _axis_target(f1, f2, k0, n, refine)
     span = hi - lo
@@ -446,7 +447,7 @@ def fidelity_closed_form(c1: float, c2: float, phi: float) -> float:
     return float(fidelity_sweep(c1, c2, [phi])[0])
 
 
-def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None) -> float:
+def transition_k0(f1: PulseProfile, f2: PulseProfile) -> float:
     """Bandwidth parameter where C1 crosses 1/2, located by bisection.
 
     C1(k0) decreases monotonically for the supported profiles, so the root
@@ -454,10 +455,6 @@ def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None
     bracket is _TRANSITION_BRACKET and the root is found to
     _TRANSITION_XTOL in k0.
     """
-    if f1 is None:
-        f1 = make_profile("gaussian")
-    if f2 is None:
-        f2 = make_profile("gaussian")
     lo, hi = _TRANSITION_BRACKET
 
     def gap(k0: float) -> float:
@@ -483,28 +480,25 @@ def transition_k0(f1: PulseProfile | None = None, f2: PulseProfile | None = None
             return xm
 
 
-def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float, *,
-                      core_n: int = 401) -> tuple[Grid1D, Grid1D]:
+def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float) -> tuple[Grid1D, Grid1D]:
     """Grid pair for the sampled interacting amplitude (the oracle route).
 
     The second axis only ever sees profile-damped integrands and stays on a
-    uniform core window that spans each profile's support_halfwidth() and
-    at least _CORE_HALFWIDTH around each centre. The first axis also
-    carries the kernel's slowly decaying sinc tail (the correction term has
-    no profile factor in Z1), so the core is extended by _TAIL_PANELS
-    8-node Gauss panels of length pi/k0 on each side. The grid route adds
+    uniform core window of _CORE_N nodes that spans each profile's
+    support_halfwidth() and at least _CORE_HALFWIDTH around each centre.
+    The first axis also carries the kernel's slowly decaying sinc tail (the
+    correction term has no profile factor in Z1), so the core is extended
+    by _TAIL_PANELS 8-node Gauss panels of length pi/k0 on each side. The grid route adds
     the squared kernel's line integral beyond them in closed form
     (_sinc2_tail); a state sampled on these grids (two_particle_copropagating)
     lacks that remainder, so its norm falls short of the closed form's.
     """
-    if core_n < 3:
-        raise ParameterError(f"core_n must be at least 3, got {core_n}")
     if k0 <= 0.0:
         raise ParameterError(f"k0 must be positive, got {k0}")
     reach = [max(f.support_halfwidth(), _CORE_HALFWIDTH) for f in (f1, f2)]
     lo = min(f.center - r for f, r in zip((f1, f2), reach))
     hi = max(f.center + r for f, r in zip((f1, f2), reach))
-    core = make_grid(lo, hi, core_n, rule="uniform")
+    core = make_grid(lo, hi, _CORE_N, rule="uniform")
     tail = _TAIL_PANELS * math.pi / k0
     left = composite_gauss_grid(lo - tail, lo, _TAIL_PANELS)
     right = composite_gauss_grid(hi, hi + tail, _TAIL_PANELS)
@@ -513,7 +507,7 @@ def interaction_grids(f1: PulseProfile, f2: PulseProfile, k0: float, *,
 
 def two_particle_copropagating(f1: PulseProfile, f2: PulseProfile,
                                params: SystemParams, grid: Grid1D,
-                               grid2: Grid1D | None = None) -> TwoParticleState:
+                               grid2: Grid1D) -> TwoParticleState:
     """Sampled interacting amplitude for equal velocities (co-moving frame).
 
     psi(Z1, Z2) = f1(Z1) f2(Z2)
@@ -525,8 +519,6 @@ def two_particle_copropagating(f1: PulseProfile, f2: PulseProfile,
     if params.mode != "copropagating":
         raise ModeError(
             f"equal velocities required, got v1={params.v1}, v2={params.v2}")
-    if grid2 is None:
-        grid2 = grid
     z1, z2 = grid.nodes, grid2.nodes
     pair = f1(z2) * f2(z2)
     kernel = sinc_kernel(z1[:, None] - z2[None, :], params.k0)

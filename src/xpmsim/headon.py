@@ -111,8 +111,12 @@ __all__ = [
 ]
 
 _GAUGE_LIMIT = 0.1
+# the series' stop, its truncation bound and its order cap
 _STOP_TOL = 1e-12
 _FAIL_TOL = 1e-6
+_N_MAX = 40
+# series_term's time rule: 8-node Gauss panels per pulse width crossed
+_SERIES_PANELS = 1
 _SMALL_X = 1e-3
 _LINE_RTOL = 1e-8
 # collision_entropy's two resolutions agree within _LINE_RTOL of S_L plus this
@@ -136,15 +140,16 @@ class CollisionSetup:
 
     Co-moving grids are windows of grid_halfwidth around each pulse center;
     in the offsets z_i' those windows never move, so one grid pair serves
-    every time sample. Default time samples span a full pass,
-    [0, 2 l / |v_r|]. The gauge g(t) = k0 |v_r| t monitors the
+    every time sample. times is an increasing ladder of samples
+    (cli.sweeps.collision_setup builds one over a full pass,
+    [0, 2 l / |v_r|]). The gauge g(t) = k0 |v_r| t monitors the
     slow-pulse approximation and triggers a warning beyond 0.1.
     """
 
     f1: PulseProfile
     f2: PulseProfile
     params: SystemParams
-    times: tuple[float, ...] | None = None
+    times: tuple[float, ...]
     grid_halfwidth: float = 10.0
     grid_n: int = 401
     grid1: Grid1D = field(init=False, repr=False)
@@ -167,11 +172,7 @@ class CollisionSetup:
                     "velocity signs disagree)")
         if self.grid_halfwidth <= 0.0:
             raise ParameterError("grid_halfwidth must be positive")
-        if self.times is None and sep == 0.0:
-            raise ParameterError("co-centered setups need explicit time samples")
-        times = _time_ladder(np.linspace(0.0, 2.0 * sep / abs(self.params.v_r), 121)
-                             if self.times is None else self.times)
-        object.__setattr__(self, "times", tuple(float(t) for t in times))
+        object.__setattr__(self, "times", tuple(_time_ladder(self.times).tolist()))
         object.__setattr__(self, "grid1", make_grid(
             self.f1.center - self.grid_halfwidth,
             self.f1.center + self.grid_halfwidth, self.grid_n, rule="uniform"))
@@ -360,9 +361,9 @@ class _Trajectory:
     v_r: the cosine and sine transforms C_f and S_f of the trajectory
     integral G_f = C_f + i S_f, in f1's dtype. Panels run between
     consecutive query points (every z2 and z2 - v_r t), a lattice of at most
-    one pulse width and pi/k0 spacing, and f1's breakpoints or table nodes, so a
-    square pulse's edges and a tabulated pulse's kinks fall on panel
-    boundaries; each panel carries refine 8-node Gauss rules. Points within
+    one pulse width and pi/k0 spacing, and f1's breakpoints, so a square
+    pulse's edges and a tabulated pulse's kinks fall on panel boundaries;
+    each panel carries refine 8-node Gauss rules. Points within
     _EDGE_ULPS ulps of the coordinate scale share one edge: on the default
     fig4 ladder each end z2 - v_r t lands on the z2 lattice up to rounding,
     so 7160 raw points hold 2383 distinct ones, and every rounded copy kept
@@ -385,8 +386,7 @@ class _Trajectory:
         step = min(1.0, math.pi / p.k0)
         lattice = centre + step * np.arange(math.ceil((lo - centre) / step),
                                             math.floor((hi - centre) / step) + 1)
-        breaks = np.asarray(setup.f1.table_nodes if setup.f1.shape == "tabulated"
-                            else setup.f1.breakpoints, dtype=float)
+        breaks = np.asarray(setup.f1.breakpoints, dtype=float)
         breaks = breaks[(lo < breaks) & (breaks < hi)]
         self.tol = _EDGE_ULPS * math.ulp(max(abs(lo), abs(hi)))
         edges, at = _merge_edges(
@@ -587,19 +587,25 @@ class InteractionTables:
     resolution; a gap beyond 1e-6 of the table's largest entry, or beyond
     1e-10, raises an accuracy error. The check of D forms no n1 x n2 table
     either unless it fails: it runs over row blocks of both resolutions.
-    ensure() builds every listed time at once. at() fills a missing time as
-    a ladder of one and forms A and D from their spectra. line_moments()
-    caches the fidelity's trajectory moments per time, verified at doubled
-    resolution to a relative 1e-8. collision_entropy takes the same k side
-    but keeps nothing here. Nothing here depends on the interaction rate
-    chi, so one cache serves every accumulated-phase curve.
+    ensure() builds every missing listed time at once. at() fills a missing
+    time as a ladder of one and forms A and D from their spectra. A time's
+    tables keep the bits of the batch that built them: the k rule is the
+    batch's latest time's, so the same time built in another batch may
+    differ by rounding (at half the default fig4 pass, the closed-form psi
+    from the whole ladder and from that time alone differ in 144 007 of
+    160 801 entries, by up to 4.0e-16). line_moments() caches the
+    fidelity's trajectory moments per ladder, verified at doubled
+    resolution to a relative 1e-8, so a ladder's moments never depend on
+    what the tables computed before. collision_entropy takes the same k
+    side but keeps nothing here. Nothing here depends on the interaction
+    rate chi, so one cache serves every accumulated-phase curve.
     """
 
     def __init__(self, setup: CollisionSetup):
         self.signature = setup.geometry_signature()
         self._setup = setup
         self._cache: dict[float, _TimeTables] = {}
-        self._line: dict[float, tuple] = {}
+        self._line: dict[tuple, tuple] = {}
 
     def compatible(self, setup: CollisionSetup) -> bool:
         return setup.geometry_signature() == self.signature
@@ -627,42 +633,45 @@ class InteractionTables:
         return self._cache[key]
 
     def line_moments(self, setup: CollisionSetup, times) -> tuple:
-        """Trajectory moments (p, r, c, o_f, o_b) per time; see _trajectory_moments.
+        """Trajectory moments (p, r, c, o_f, o_b) on a ladder; see _trajectory_moments.
 
-        The times missing from the cache are computed together, at two
-        resolutions, and each moment is checked at each time on its own, so
-        a moment deep in f1's tail must converge as tightly as a large one.
-        Returns one array per moment, in the order of times.
+        times is an increasing ladder (_time_ladder). The whole ladder is
+        computed as one batch at two resolutions, and each moment is checked
+        at each time on its own, so a moment deep in f1's tail must converge
+        as tightly as a large one. The result, one read-only array per
+        moment, is cached under the ladder: another ladder is a batch of its
+        own, so its moments do not depend on which ladders came before.
         """
         self._require_compatible(setup)
-        wanted = _times(times)
-        missing = np.array(sorted({float(t) for t in wanted} - set(self._line)))
-        if missing.size:
-            coarse = _trajectory_moments(self._setup, missing, refine=1)
-            fine = _trajectory_moments(self._setup, missing, refine=2)
+        ladder = _time_ladder(times)
+        key = tuple(ladder.tolist())
+        if key not in self._line:
+            coarse = _trajectory_moments(self._setup, ladder, refine=1)
+            fine = _trajectory_moments(self._setup, ladder, refine=2)
             for c, f in zip(coarse, fine):
                 _converged("whole-line correction moments", c, f, _LINE_RTOL,
                            np.maximum(np.abs(c), np.abs(f)),
-                           at=lambda i: f" at t={missing[i]}")
-            for i, t in enumerate(missing):
-                self._line[float(t)] = tuple(m[i] for m in fine)
-        rows = [self._line[float(t)] for t in wanted]
-        return tuple(np.array(col) for col in zip(*rows))
+                           at=lambda i: f" at t={ladder[i]}")
+            self._line[key] = tuple(_read_only(m) for m in fine)
+        return self._line[key]
 
     def ensure(self, setup: CollisionSetup, times) -> None:
         """Fill the cache for every listed time.
 
         Each resolution takes the spectra of all the missing times from
-        _spectra. For the check A is formed by difference: A(u) = (1/2 pi)
-        int exp(iku) h(k) dk = sum 2w (hc cos(ku) + hs sin(ku)) over k+,
-        with h = [hc | hs], on the n1 + n2 - 1 differences u = z2 - z1 of
-        the equal-spacing co-moving grids, for every time at once. Those
-        differences hold every entry of the n1 x n2 table, so their peak is
-        the table's. A, B and then D are checked at each time; D in row
-        blocks, with running reductions and no n1 x n2 table (_check_d). A
-        NaN or infinite entry leaves a gap that fails its check. Only the fine
-        resolution's B, G_f, h and basis are kept. t = 0 needs no case of
-        its own: its trajectory and box integrals vanish.
+        _spectra, as one batch whose bits each time keeps: a time cached by
+        an earlier call is not rebuilt, so its tables may differ by rounding
+        from those this batch would have given it. For the check A is
+        formed by difference: A(u) = (1/2 pi) int exp(iku) h(k) dk
+        = sum 2w (hc cos(ku) + hs sin(ku)) over k+, with h = [hc | hs], on
+        the n1 + n2 - 1 differences u = z2 - z1 of the equal-spacing
+        co-moving grids, for every time at once. Those differences hold
+        every entry of the n1 x n2 table, so their peak is the table's. A, B
+        and then D are checked at each time; D in row blocks, with running
+        reductions and no n1 x n2 table (_check_d). A NaN or infinite entry
+        leaves a gap that fails its check. Only the fine resolution's B,
+        G_f, h and basis are kept. t = 0 needs no case of its own: its
+        trajectory and box integrals vanish.
         """
         self._require_compatible(setup)
         wanted = _times(times)
@@ -746,15 +755,15 @@ def _amplitude(setup: CollisionSetup, entry: _TimeTables, weight: complex) -> np
     return real_products(basis.left, np.vstack([f2_row[None, :], spec.T]), psi)
 
 
-def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
-                refine: int = 1) -> np.ndarray | complex:
+def series_term(setup: CollisionSetup, n: int, z1, z2, t: float) -> np.ndarray | complex:
     """Order-n interaction amplitude at arbitrary points (broadcasting).
 
     n = 1 carries the full kernel-times-profile time integral D; higher
     orders factorize into A, B and the t^(n-2) weight. The order-0 free
     term is not a series member (build it with free_state). The time
-    integrals run on composite 8-node Gauss panels, refine per pulse width
-    crossed, with no k rule: the position-side check of the tables.
+    integrals run on composite 8-node Gauss panels, _SERIES_PANELS per
+    pulse width crossed, with no k rule: the position-side check of the
+    tables.
     """
     if n < 1:
         raise ParameterError(f"series order must be >= 1, got {n}")
@@ -766,7 +775,7 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
         out = np.zeros(shape, dtype=complex)
         return complex(out) if out.ndim == 0 else out
     p = setup.params
-    rule = composite_gauss_grid(0.0, t, max(1, math.ceil(abs(p.v_r) * t)) * refine)
+    rule = composite_gauss_grid(0.0, t, max(1, math.ceil(abs(p.v_r) * t)) * _SERIES_PANELS)
     tq, wq = rule.nodes, rule.weights
     kern = commutator_kernel(z2[..., None] - z1[..., None] - p.v_r * tq, p.k0)
     x = p.chi * p.kappa * t
@@ -783,7 +792,7 @@ def series_term(setup: CollisionSetup, n: int, z1, z2, t: float, *,
     return complex(out) if out.ndim == 0 else out.copy()
 
 
-def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40, *,
+def two_particle_headon_series(setup: CollisionSetup, t: float, *,
                                tables: InteractionTables | None = None) -> TwoParticleState:
     """Partial sum of the interaction series on the co-moving grids.
 
@@ -793,13 +802,10 @@ def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40,
     summed weight (_amplitude). C's box in k gives |A| <= kappa t (see the
     module docstring), so order n's sup-norm is at most
     |w_n| kappa t max|B f2|, a bound from B alone. Orders are added until
-    that bound falls below 1e-12 or n_max is reached; if the last bound is
-    still above 1e-6 the truncation is reported as an error. n_max must be
-    at least 2, so that an order is left to bound. No n1 x n2 array but the
-    state is built. The result is not normalized.
+    that bound falls below 1e-12 or order _N_MAX = 40 is reached; if the
+    last bound is still above 1e-6 the truncation is reported as an error.
+    No n1 x n2 array but the state is built. The result is not normalized.
     """
-    if n_max < 2:
-        raise ParameterError(f"n_max must be at least 2, got {n_max}")
     t = _time(t)
     if t == 0.0:
         return free_state(setup.f1, setup.f2, setup.grid1, setup.grid2)
@@ -811,7 +817,7 @@ def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40,
     ab_bound = p.kappa * t * float(np.max(np.abs(entry.b * setup.f2_samples)))
     scale = 1.0 / (p.kappa * t * t)
     coef, total = 1j * x, 0j
-    for n in range(2, n_max + 1):
+    for n in range(2, _N_MAX + 1):
         coef = coef * (1j * x) / n
         weight = coef * scale
         total += weight
@@ -821,7 +827,7 @@ def two_particle_headon_series(setup: CollisionSetup, t: float, n_max: int = 40,
     else:
         if bound > _FAIL_TOL:
             raise TruncationError(
-                f"series not converged by order {n_max}: last term "
+                f"series not converged by order {_N_MAX}: last term "
                 f"sup-norm bound {bound:.3e} (accumulated phase x={x:.3g})")
     return TwoParticleState(setup.grid1, setup.grid2, _amplitude(setup, entry, total))
 

@@ -408,9 +408,15 @@ class PulseProfile:
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        """Discontinuity locations, for piecewise quadrature."""
+        """Where the profile jumps or kinks, for piecewise quadrature.
+
+        A square's two edges; a tabulated profile's table nodes, where the
+        slope of its linear interpolant jumps; none for a gaussian.
+        """
         if self.shape == "square":
             return (self.center - self.width / 2.0, self.center + self.width / 2.0)
+        if self.shape == "tabulated":
+            return tuple(self.table_nodes.tolist())
         return ()
 
     def support_halfwidth(self) -> float:
@@ -519,15 +525,12 @@ class SystemParams:
         return "copropagating" if self.v1 == self.v2 else "headon"
 
     @classmethod
-    def copropagating(cls, k0: float, phi: float, velocity: float = 0.0,
-                      interaction_time: float = 1.0) -> "SystemParams":
-        """Equal-velocity parameters with chi fixed by phi = chi kappa t."""
-        if interaction_time <= 0.0:
-            raise ParameterError("interaction_time must be positive")
-        kappa = k0 / math.pi
-        chi = phi / (kappa * interaction_time)
-        return cls(k0=k0, phi=phi, chi=chi, v1=velocity, v2=velocity,
-                   interaction_time=interaction_time)
+    def copropagating(cls, k0: float, phi: float) -> "SystemParams":
+        """Equal-velocity parameters at rest, with chi fixed by phi = chi kappa t at t = 1.
+
+        The copropagating engine reads only k0 and phi.
+        """
+        return cls(k0=k0, phi=phi, chi=phi / (k0 / math.pi), interaction_time=1.0)
 
     @classmethod
     def headon(cls, k0: float, separation: float, v1: float, v2: float,

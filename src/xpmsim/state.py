@@ -149,13 +149,11 @@ def purity(kernel: ReducedKernel) -> float:
     return float(w @ (np.abs(kernel.matrix) ** 2) @ w)
 
 
-def linear_entropy(state: TwoParticleState, axis: int | None = None) -> float:
-    """Linear entropy 1 - Tr rho^2 of either reduced kernel.
+def linear_entropy(state: TwoParticleState) -> float:
+    """Linear entropy 1 - Tr rho^2 of the reduced kernel on the smaller axis.
 
     The two partial traces give identical values (cyclic trace identity), so
-    by default the contraction runs over the smaller axis.
+    the kernel kept is the smaller one.
     """
-    if axis is None:
-        axis = 1 if state.grid2.n <= state.grid1.n else 0
-    val = 1.0 - purity(reduced_kernel(state, axis=axis))
-    return float(val)
+    axis = 1 if state.grid2.n <= state.grid1.n else 0
+    return float(1.0 - purity(reduced_kernel(state, axis=axis)))

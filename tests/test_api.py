@@ -10,13 +10,12 @@ import xpmsim
 
 LEDGER = {
     "AccuracyError": ("coarse", "fine"),
-    "CollisionSetup": ("times", "grid_halfwidth", "grid_n"),
+    "CollisionSetup": ("grid_halfwidth", "grid_n"),
     "GateMetrics": ("linear_entropy",),
     "Grid1D": ("domain",),
     "PulseProfile": ("center", "sigma", "width", "table_nodes", "table_values", "scale"),
     "SweepResult": ("provenance", "warnings"),
     "SystemParams": ("v1", "v2", "separation", "interaction_time"),
-    "SystemParams.copropagating": ("velocity", "interaction_time"),
     "SystemParams.headon": ("phi", "chi"),
     "TwoParticleState": ("normalized",),
     "collision_entropy": ("tables",),
@@ -24,18 +23,13 @@ LEDGER = {
     "fidelity_evolution": ("tables",),
     "free_state": ("grid2",),
     "grid_metrics_copropagating": ("grids",),
-    "interaction_grids": ("core_n",),
-    "linear_entropy": ("axis",),
     "make_grid": ("rule",),
     "make_profile": ("center", "sigma", "width", "table_nodes", "table_values"),
     "metrics_copropagating": ("with_entropy",),
     "reduced_kernel": ("axis",),
-    "series_term": ("refine",),
     "sinc_kernel": ("k0",),
-    "transition_k0": ("f1", "f2"),
-    "two_particle_copropagating": ("grid2",),
     "two_particle_headon_closed": ("tables",),
-    "two_particle_headon_series": ("n_max", "tables"),
+    "two_particle_headon_series": ("tables",),
 }
 
 

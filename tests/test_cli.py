@@ -319,7 +319,7 @@ def test_main_config_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_main(["fig1", "--threads", "1"])
     assert exc.value.code == 2
-    # nor a `headon.n_max` key: the series' own default is its only cap
+    # nor a `headon.n_max` key: the series' cap of 40 orders is fixed
     cap = tmp_path / "n_max.cfg"
     cap.write_text("task = fig4\nheadon.n_max = 40\n", encoding="utf-8")
     assert run_main(["fig4", "--config", str(cap)]) == 2
@@ -357,6 +357,21 @@ def test_non_finite_flags_exit_2(tmp_path, capsys, argv, key):
     assert run_main([*argv, "--out", str(out)]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_profile_width_is_for_square_pulses_only(tmp_path, capsys):
+    # a gaussian reads no width, so a width without profile.shape = square
+    # exits 2 before any work rather than hash a key that moves no number
+    cfg = tmp_path / "width.cfg"
+    cfg.write_text("task = coeffs\nprofile.width = 3.0\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert run_main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "profile.width is read for square pulses only" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text("task = coeffs\nprofile.shape = square\nprofile.width = 3.0\n",
+                   encoding="utf-8")
+    assert run_main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "width=3" in out.read_text(encoding="utf-8")
 
 
 def test_main_library_error_exits_2(monkeypatch, capsys):

@@ -190,9 +190,30 @@ def test_k_route_matches_sinc_double_sum(pair):
             axis = copropagating._coefficient_axis(f1, f2, k0, 160, refine)
             got = copropagating._AxisEntry(f1, f2, axis, refine).c1(k0)
             assert abs(got - sinc_double_sum(f1, f2, k0, axis)) <= 1e-14, (k0, refine)
-        # compute_C1 returns the refined axis's value; rtol=1 because the
-        # tables end in jumps that the axis does not put on panel edges
-        assert compute_C1(f1, f2, k0, rtol=1.0) == got
+        # compute_C1 returns the refined axis's value; the axis is cut at
+        # every table node, so the tables' kinks and end jumps pass its check
+        assert compute_C1(f1, f2, k0) == got
+
+
+def test_table_nodes_are_coefficient_axis_breakpoints():
+    # a 241-node table's interpolant kinks at every node, where a Gauss rule
+    # across the kink is low order: uncut, C1's two resolutions were 2.9e-4
+    # apart. The reference is the sinc double sum on 8 Gauss nodes per table
+    # interval, where the interpolant is linear, with no k rule
+    z = np.linspace(-6.0, 6.0, 241)
+    f = make_profile("tabulated", table_nodes=z,
+                     table_values=np.exp(-z**2 / 2.0) * (1.0 + 0.1 * z))
+    assert f.breakpoints == tuple(z)
+    x, w = numerics._gauss_legendre(8)
+    half = 0.5 * np.diff(z)[:, None]
+    nodes = (z[:-1, None] + half * (1.0 + x)).ravel()
+    weights = (half * w).ravel()
+    values = weights * f(nodes)
+    kernel = np.sinc(0.5 * (nodes[:, None] - nodes[None, :]) / math.pi)
+    ref = values @ kernel @ (values * f(nodes) ** 2)
+    assert compute_C1(f, f, 0.5) == pytest.approx(ref, rel=1e-12)
+    at_zero, s = entropy_phase_sweep(f, f, 0.5, [0.0, math.pi])
+    assert abs(at_zero) < 1e-12 and 0.0 < s < 1.0
 
 
 def per_node_spectra(z, left, right, k):
@@ -271,7 +292,7 @@ def test_c1_memo_shares_one_spectrum_pass_per_resolution(box_builds):
     for k0 in FIG3_K0:
         compute_C1(GAUSS, GAUSS, k0)
     assert len(box_builds) == 2  # one axis per resolution over the whole lattice
-    found = transition_k0()
+    found = transition_k0(GAUSS, GAUSS)
     assert len(box_builds) == 2 and 2.4 < found < 2.6
     compute_C1(sq, sq, 1.0)
     assert len(box_builds) == 4
@@ -420,7 +441,7 @@ def test_c2_lattice_is_history_independent(shape):
 
 def test_transition_point_gaussian():
     root = brentq(lambda k: c1_gaussian(k) - 0.5, 1.0, 5.0, xtol=1e-10)
-    found = transition_k0()
+    found = transition_k0(GAUSS, GAUSS)
     assert 2.4 < found < 2.6
     assert found == pytest.approx(root, abs=1.5e-4)
 
@@ -437,7 +458,7 @@ def test_transition_point_square():
 def test_transition_bracket_errors(monkeypatch):
     monkeypatch.setattr(copropagating, "_TRANSITION_BRACKET", (4.0, 6.0))
     with pytest.raises(ParameterError, match="does not straddle"):
-        transition_k0()
+        transition_k0(GAUSS, GAUSS)
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "square"])
@@ -556,7 +577,7 @@ def test_fidelity_closed_form_basics():
 
 
 def test_fidelity_vanishes_at_transition():
-    k0 = transition_k0()
+    k0 = transition_k0(GAUSS, GAUSS)
     c = overlap_coefficients(GAUSS, GAUSS, k0)
     assert fidelity_closed_form(c.c1, c.c2, math.pi) < 1e-6
 
@@ -1024,7 +1045,7 @@ def test_copropagating_mode_guard():
 # ------------------------------------------------------ composite metrics
 
 def test_metrics_boundary_band():
-    k0 = transition_k0()  # C1 within 1e-3 of 1/2 here
+    k0 = transition_k0(GAUSS, GAUSS)  # C1 within 1e-3 of 1/2 here
     banded = metrics_copropagating(GAUSS, GAUSS, k0, math.pi)
     assert banded.phase == pytest.approx(math.pi / 2.0, abs=1e-12)
     # the raw arctangent collapses to a regime endpoint instead of the
@@ -1035,7 +1056,7 @@ def test_metrics_boundary_band():
 
 
 def test_metrics_boundary_band_only_below_pi():
-    k0 = transition_k0()
+    k0 = transition_k0(GAUSS, GAUSS)
     c = overlap_coefficients(GAUSS, GAUSS, k0)
     above = metrics_copropagating(GAUSS, GAUSS, k0, 3.5)
     assert above.phase == pytest.approx(conditional_phase(c.c1, 3.5), abs=1e-12)

@@ -33,6 +33,11 @@ from xpmsim import (
     TruncationError,
     collision_entropy,
     commutator_kernel,
+    compute_C1,
+    compute_C2,
+    conditional_phase,
+    entropy_phase_sweep,
+    fidelity_closed_form,
     fidelity_evolution,
     free_state,
     ideal_headon_metrics,
@@ -153,23 +158,25 @@ def test_closed_form_matches_converged_series():
         assert np.max(np.abs(closed.psi - series.psi)) < 1e-10
 
 
-def test_small_phase_truncates_at_second_order():
+def test_small_phase_truncates_at_second_order(monkeypatch):
     # x stays ~1e-3 through the pass, so orders above 2 are invisible
+    monkeypatch.setattr(headon, "_N_MAX", 2)
     setup = collision(phi=1e-3, times=(1e-3, 2e-3))
     closed = two_particle_headon_closed(setup, 2e-3)
-    series = two_particle_headon_series(setup, 2e-3, n_max=2)
+    series = two_particle_headon_series(setup, 2e-3)
     assert np.max(np.abs(closed.psi - series.psi)) < 1e-9
 
 
-def test_truncation_reported_at_full_phase():
+def test_truncation_reported_at_full_phase(monkeypatch):
+    monkeypatch.setattr(headon, "_N_MAX", 12)
     setup = collision(phi=math.pi, times=(1e-3, 2e-3))
     tables = InteractionTables(setup)
     with pytest.raises(TruncationError, match="order 12: last term sup-norm bound"):
-        two_particle_headon_series(setup, 2e-3, n_max=12, tables=tables)
+        two_particle_headon_series(setup, 2e-3, tables=tables)
     # half the accumulated phase converges within the same order budget
     half = collision(phi=math.pi / 2.0, times=(1e-3, 2e-3))
     closed = two_particle_headon_closed(half, 2e-3)
-    series = two_particle_headon_series(half, 2e-3, n_max=12)
+    series = two_particle_headon_series(half, 2e-3)
     assert np.max(np.abs(closed.psi - series.psi)) < 1e-6
 
 
@@ -545,7 +552,8 @@ def test_tabulated_front_passes_the_whole_line_checks():
                       table_values=np.exp(-(nodes + SEP / 2.0) ** 2 / 2.0))
     f2 = make_profile("gaussian", center=SEP / 2.0)
     params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi)
-    got = fidelity_evolution(CollisionSetup(f1, f2, params))
+    got = fidelity_evolution(CollisionSetup(f1, f2, params,
+                                            times=tuple(np.linspace(0.0, T_PASS, 121))))
     ref = fidelity_evolution(collision(times=got.axis("t").values, grid_n=401))
     # the interpolant is the gaussian to about 2e-6
     assert np.max(np.abs(np.subtract(got.columns["F"], ref.columns["F"]))) < 1e-5
@@ -644,7 +652,7 @@ def test_table_ladder_memory(call, bound_mb):
     assert int(out.stdout.split()[-1]) < bound_mb * 1024
 
 
-def test_complex_front_closed_form_against_series_terms():
+def test_complex_front_closed_form_against_series_terms(monkeypatch):
     # the series order by order, i chi D f2 and then
     # (i x)^n / (n! kappa t^2) A B f2, on integrals that follow f1's table
     # kinks, as no time rule does (see reference_tables)
@@ -667,14 +675,15 @@ def test_complex_front_closed_form_against_series_terms():
         summed = summed + weight * a_ref[i, j] * b_ref[j] * f2
     scale = np.max(np.abs(closed.psi))
     assert np.max(np.abs(closed.psi[i, j] - summed)) < 1e-12 * scale
-    # series_term on complex f1 values: its time rule misses the table kinks
-    # by about 5e-8 of B's and D's peaks (reference_tables), and each of
-    # psi's two interaction parts is smaller than psi, so 1e-7 of psi bounds
-    # the gap
+    # series_term on complex f1 values, at two time panels per pulse width:
+    # its time rule misses the table kinks by about 5e-8 of B's and D's
+    # peaks (reference_tables), and each of psi's two interaction parts is
+    # smaller than psi, so 1e-7 of psi bounds the gap
+    monkeypatch.setattr(headon, "_SERIES_PANELS", 2)
     z1, z2 = setup.grid1.nodes[i], setup.grid2.nodes[j]
     summed = setup.f1(z1) * setup.f2(z2)
     for n in range(1, 31):
-        summed = summed + series_term(setup, n, z1, z2, t, refine=2)
+        summed = summed + series_term(setup, n, z1, z2, t)
     assert np.max(np.abs(closed.psi[i, j] - summed)) < 1e-7 * scale
 
 
@@ -714,13 +723,14 @@ SERIES_CASES += [("n_max=2", partial(collision, phi=1e-3), 2e-3, 2),
 
 @pytest.mark.parametrize("make, t, n_max", [c[1:] for c in SERIES_CASES],
                          ids=[c[0] for c in SERIES_CASES])
-def test_series_matches_per_order_arrays(make, t, n_max):
+def test_series_matches_per_order_arrays(make, t, n_max, monkeypatch):
     # T_PASS / 120 is the first nonzero time of the default ladder; summing the
     # orders as scalars moves psi by rounding only, while stopping one order
     # early or late would move it by up to 1e-12
+    monkeypatch.setattr(headon, "_N_MAX", n_max)
     setup = make()
     tables = InteractionTables(setup)
-    got = two_particle_headon_series(setup, t, n_max, tables=tables)
+    got = two_particle_headon_series(setup, t, tables=tables)
     ref = series_by_full_arrays(setup, t, n_max, tables)
     assert np.max(np.abs(got.psi - ref)) <= 2e-15
 
@@ -767,7 +777,7 @@ def test_series_makes_one_real_product(make, monkeypatch):
 
 @pytest.mark.parametrize("make", [lambda: collision(phi=math.pi / 2.0), complex_front],
                          ids=["real", "complex"])
-def test_amplitudes_match_full_array_expression(make):
+def test_amplitudes_match_full_array_expression(make, monkeypatch):
     # both amplitudes are one real product over [f1 | cos kz1 | sin kz1], of
     # at most 2 (1 + n_k) = 34 columns at k0 = 1e-3: each entry is the full
     # array expression up to 64 roundings of the largest
@@ -787,7 +797,8 @@ def test_amplitudes_match_full_array_expression(make):
     weak = replace(setup, params=SystemParams.headon(p.k0, SEP, V, -V, phi=1e-7))
     x_weak = weak.params.chi * p.kappa * t
     w_2 = (1j * x_weak) ** 2 / 2.0 / (p.kappa * t * t)
-    first = two_particle_headon_series(weak, t, n_max=2, tables=tables)
+    monkeypatch.setattr(headon, "_N_MAX", 2)
+    first = two_particle_headon_series(weak, t, tables=tables)
     assert_close(first.psi, free + 1j * weak.params.chi * d_tab * f2_row[None, :]
                  + w_2 * (a_tab * (b_tab * f2_row)[None, :]))
     ref = free + 1j * p.chi * d_tab * f2_row[None, :]
@@ -1065,7 +1076,7 @@ def test_box_writes_the_bits_of_the_concatenated_form():
 
 
 FIG4_LADDERS = (fig4_setup, partial(fig4_setup, profile="square"),
-                lambda: replace(complex_front(grid_n=401), times=None))
+                lambda: replace(complex_front(grid_n=401), times=fig4_setup().times))
 
 
 @pytest.mark.parametrize("make", FIG4_LADDERS, ids=("gaussian", "square", "complex"))
@@ -1270,6 +1281,21 @@ def test_fig4_final_fidelities_pinned():
         assert prov[f"f_final[phi={phi}]"] == pytest.approx(value, abs=1e-13)
 
 
+def test_moments_do_not_depend_on_earlier_ladders():
+    # the moments are cached per ladder, so tables that first ran the
+    # 31-time ladder of the same geometry, which shares every fourth time
+    # with the default one, give the default curve the bits of fresh tables
+    setup = fig4_setup()
+    fresh = fidelity_evolution(setup, tables=InteractionTables(setup))
+    short = collision_setup(RunConfig(task="fig4", headon_time_n=31), math.pi)
+    tables = InteractionTables(short)
+    fidelity_evolution(short, tables=tables)
+    seen = fidelity_evolution(setup, tables=tables)
+    for column in ("F", "theta"):
+        assert seen.columns[column] == fresh.columns[column]
+    assert seen.provenance["f_final"] == fresh.provenance["f_final"]
+
+
 def test_line_checks_compare_separate_resolutions(monkeypatch):
     # no two separately built resolutions agree to 1e-20 of the moments or
     # of the entropy, once the entropy's absolute floor is gone too
@@ -1328,33 +1354,48 @@ def test_ideal_limit_metrics():
         ideal_headon_metrics(1.0, 0.0)
 
 
+@pytest.mark.parametrize("k0", [0.5, 2.5, 10.0])
+def test_slow_collision_meets_the_copropagating_closed_forms(k0):
+    # at v_r = 0 the head-on closed form is the copropagating amplitude with
+    # Phi = x = chi kappa t, and the two engines share no code; at
+    # v_r t = 1e-5 gaussian pulses agree to about 1e-10. theta is compared
+    # modulo 2 pi and scaled by the overlap |1 - C1 + C1 exp(i Phi)|, which
+    # falls to 1.2e-3 at k0 = 2.5, Phi = pi
+    f = make_profile("gaussian")
+    c1, c2 = compute_C1(f, f, k0), compute_C2(f, f, k0)
+    t = 1.0
+    for phi in (0.5, 1.5, 2.5, math.pi):
+        params = SystemParams.headon(k0, 0.0, 5e-6, -5e-6, chi=phi / (k0 / math.pi * t))
+        setup = CollisionSetup(f, f, params, times=(t,))
+        curve = fidelity_evolution(setup)
+        assert abs(curve.columns["F"][0] - fidelity_closed_form(c1, c2, phi)) <= 1e-9
+        gap = math.remainder(curve.columns["theta"][0] - conditional_phase(c1, phi), 2 * math.pi)
+        assert abs(gap) * abs(1.0 - c1 + c1 * np.exp(1j * phi)) <= 1e-9
+        entropy = entropy_phase_sweep(f, f, k0, [phi])[0]
+        assert abs(collision_entropy(setup, t) - entropy) <= 1e-9
+
+
 # ----------------------------------------------------------- validation
 
 def test_setup_validation():
     f1 = make_profile("gaussian", center=-SEP / 2.0)
     f2 = make_profile("gaussian", center=SEP / 2.0)
+    times = (1e-3,)
     with pytest.raises(ModeError):
-        CollisionSetup(f1, f2, SystemParams.copropagating(1e-3, 1.0))
+        CollisionSetup(f1, f2, SystemParams.copropagating(1e-3, 1.0), times)
     with pytest.raises(ParameterError, match="separation"):
         params = SystemParams.headon(1e-3, 12.0, V, -V, phi=1.0)
-        CollisionSetup(f1, f2, params)
+        CollisionSetup(f1, f2, params, times)
     with pytest.raises(ParameterError, match="approach"):
         params = SystemParams.headon(1e-3, SEP, -V, V, phi=1.0)
-        CollisionSetup(f1, f2, params)
+        CollisionSetup(f1, f2, params, times)
     good = SystemParams.headon(1e-3, SEP, V, -V, phi=1.0)
     with pytest.raises(ParameterError):
         CollisionSetup(f1, f2, good, times=(-1e-3, 1e-3))
     with pytest.raises(ParameterError):
         CollisionSetup(f1, f2, good, times=(1e-3, 1e-3))
     with pytest.raises(ParameterError):
-        CollisionSetup(f1, f2, good, grid_halfwidth=0.0)
-    with pytest.raises(ParameterError, match="n_max"):
-        two_particle_headon_series(CollisionSetup(f1, f2, good), 1e-3, n_max=1)
-    # co-centered pulses have no pass time, so the window must be explicit
-    centered = SystemParams.headon(2.5, 0.0, 1e-6, -1e-6, chi=1.0)
-    u = make_profile("gaussian")
-    with pytest.raises(ParameterError, match="time samples"):
-        CollisionSetup(u, u, centered)
+        CollisionSetup(f1, f2, good, times, grid_halfwidth=0.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -1378,10 +1419,8 @@ def test_non_finite_times_raise_parameter_error(t):
 
 
 def test_default_time_window():
-    f1 = make_profile("gaussian", center=-SEP / 2.0)
-    f2 = make_profile("gaussian", center=SEP / 2.0)
-    params = SystemParams.headon(1e-3, SEP, V, -V, phi=math.pi)
-    setup = CollisionSetup(f1, f2, params)
+    # the CLI's collision_setup builds the one pass ladder
+    setup = collision_setup(RunConfig(task="fig4"), math.pi)
     assert len(setup.times) == 121
     assert setup.times[0] == 0.0
     assert setup.times[-1] == pytest.approx(T_PASS)

@@ -374,8 +374,9 @@ def test_copropagating_params():
     assert p.kappa == pytest.approx(1.0 / math.pi)
     assert p.chi == pytest.approx(2.0 * math.pi)  # phi = chi * kappa * t with t = 1
     assert p.v_r == 0.0
-    moving = SystemParams.copropagating(1.0, 2.0, velocity=3.0)
-    assert moving.mode == "copropagating" and moving.v1 == moving.v2 == 3.0
+    assert p.v1 == p.v2 == 0.0 and p.interaction_time == 1.0
+    moving = SystemParams(k0=1.0, phi=2.0, chi=p.chi, v1=3.0, v2=3.0, interaction_time=1.0)
+    assert moving.mode == "copropagating"
 
 
 def test_headon_params_phi_chi_duality():
@@ -401,8 +402,6 @@ def test_params_validation():
         SystemParams.copropagating(-1.0, 2.0)
     with pytest.raises(ParameterError):
         SystemParams.copropagating(1.0, -2.0)
-    with pytest.raises(ParameterError):
-        SystemParams.copropagating(1.0, 2.0, interaction_time=0.0)
     with pytest.raises(ParameterError, match="inconsistent"):
         SystemParams(k0=1.0, phi=1.0, chi=99.0, interaction_time=1.0)
     with pytest.raises(ParameterError, match="inconsistent"):

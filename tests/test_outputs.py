@@ -4,9 +4,10 @@ The 30 default outputs (coeffs and fig1-fig4, gaussian and square pulses,
 csv, json and svg) are regenerated in process, through the CLI's own config
 loading, run_task and renderers, and their sha256 digests compared with
 output_ledger.json beside this file. validate's report is compared line by
-line with its runtimes stripped. The last bits of the outputs hang on numpy
-and its BLAS, so the ledger records both, and on another build the tests
-fail and say so rather than report moved outputs.
+line with its runtimes stripped. The last bits of the outputs hang on numpy,
+its BLAS and the SIMD targets its ufuncs dispatch to on this CPU, so the
+ledger records all three, and on another build the tests fail and say so
+rather than report moved outputs.
 
 An intended output change rewrites the ledger in the same change, and the
 moved outputs are listed in CHANGES.md:
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from xpmsim.cli.main import build_parser, load_run_config
 from xpmsim.cli.output import RENDERERS
@@ -30,16 +32,32 @@ from xpmsim.cli.validate import run_validate
 LEDGER = Path(__file__).with_name("output_ledger.json")
 TASKS = ("coeffs", "fig1", "fig2", "fig3", "fig4")
 PROFILES = ("gaussian", "square")
+# the float64 ufuncs the outputs lean on: gaussian samples go through exp,
+# the k-side transforms through sin and cos, and fig1's and fig4's theta
+# through arctan2. On an X86_V4 target exp and arctan2 differ from libm in
+# the last bit for about 5% and 8% of random inputs, so another target may
+# move outputs that the code did not
+SIMD_UFUNCS = ("arctan2", "cos", "exp", "sin")
+
+
+def simd_targets() -> dict:
+    """The SIMD target each of SIMD_UFUNCS dispatches to for float64 on this CPU."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2.1 does not report its dispatch
+        return dict.fromkeys(SIMD_UFUNCS, "unknown")
+    info = opt_func_info(func_name=f"^({'|'.join(SIMD_UFUNCS)})$", signature="^d+$")
+    return {name: next(iter(info[name].values()))["current"] for name in SIMD_UFUNCS}
 
 
 def build() -> dict:
-    """numpy's version and its BLAS, name and version."""
+    """numpy's version, its BLAS (name and version) and its float64 SIMD targets."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):
         name = "unknown"
-    return {"numpy": np.__version__, "blas": name}
+    return {"numpy": np.__version__, "blas": name, "simd": simd_targets()}
 
 
 def digests() -> dict:
@@ -67,11 +85,20 @@ def report_lines(report) -> list:
 
 def check_build(ledger: dict) -> None:
     here = build()
-    assert here == {key: ledger[key] for key in here}, (
-        f"the ledger was written with numpy {ledger['numpy']} and {ledger['blas']}, "
-        f"this run has numpy {here['numpy']} and {here['blas']}: the outputs' last "
-        "bits are not comparable; rewrite the ledger on this build from a "
-        "known-good checkout")
+    pinned = {key: ledger.get(key) for key in here}
+    assert here == pinned, (
+        f"the ledger was written on a different build ({pinned}), this run has "
+        f"{here}: the outputs' last bits are not comparable; rewrite the ledger "
+        "on this build from a known-good checkout")
+
+
+def test_a_changed_simd_dispatch_is_a_different_build():
+    # a CPU whose exp loop dispatches elsewhere is another build, not moved outputs
+    here = build()
+    check_build(here)
+    moved = {**here, "simd": {**here["simd"], "exp": "baseline"}}
+    with pytest.raises(AssertionError, match="different build"):
+        check_build(moved)
 
 
 def test_default_outputs_match_the_ledger():
