@@ -3,7 +3,27 @@
 Two-particle amplitudes for co-propagating and colliding single-photon
 pulses, their overlap coefficients, fidelity, conditional phase, and
 entanglement entropy, in closed form and by grid quadrature.
+
+When xpmsim is the first to import numpy and no BLAS thread variable is
+set, numpy loads with one OpenBLAS thread (see numerics' note on real
+products). To keep numpy's thread pool, import numpy first.
 """
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads its thread count once, when numpy loads it. Its helper thread
+# spins for about 0.1 s after it starts, and no xpmsim product uses it; the
+# variable is removed again, so the environment child processes inherit is the
+# user's own.
+if "numpy" not in _sys.modules and not any(
+        var in _os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                       "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .copropagating import (
     GateMetrics,

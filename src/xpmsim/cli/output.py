@@ -70,10 +70,9 @@ def render_csv(result: SweepResult) -> str:
         axis_cols = result.axis_columns()
         header = list(axis_cols) + list(result.columns)
         lines.append(",".join(header))
-        for r in range(result.n_rows):
-            row = [_fmt(axis_cols[a][r]) for a in axis_cols]
-            row += [_fmt(result.columns[c][r]) for c in result.columns]
-            lines.append(",".join(row))
+        # each column formatted once, the rows joined from the formatted columns
+        cols = [map(_fmt, values) for values in (*axis_cols.values(), *result.columns.values())]
+        lines += map(",".join, zip(*cols))
     lines += _provenance_block(result)
     return "\n".join(lines) + "\n"
 

@@ -552,7 +552,7 @@ def _line_entropy(setup: CollisionSetup, t: float, refine: int) -> float:
                    np.einsum("jm,m->j", g, _f1_spectrum(setup, basis))[:, None],
                    g * np.sqrt(basis.w)])
     dens = setup.grid2.weights * np.abs(setup.f2_samples) ** 2
-    q = np.einsum("ji,j,jk->ik", np.conj(v), dens, v)
+    q = np.einsum("ji,jk->ik", np.conj(v) * dens[:, None], v)
     d = q.diagonal().real
     minors = np.outer(d, d) - np.abs(q) ** 2
     norm1 = _window_nsq(setup.grid1, setup.f1)

@@ -110,10 +110,17 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # does not pay there either. The route now samples 513 Z1 rows per k0 and
 # adds the rest of the tail in closed form: over the lattice it takes 31-35 ms
 # warm on the 2-core machine.
-# No thread setting is needed; tests/test_threads.py checks that no CLI task,
-# no C1 at k0 = 30 or 100, no entropy sweep at k0 = 100, no pass of the
-# head-on oracle, no collision entropy and no pass of the grid route wakes a
-# helper.
+# Importing numpy starts the helper, which then spins for about 0.1 s (its
+# thread timeout): 0.06 s of CPU during the import and 17-26 ms more in a
+# short job that starts soon after. So when xpmsim is the first to import
+# numpy and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
+# is set, numpy loads with one OpenBLAS thread (xpmsim/__init__.py); the
+# variable is removed again, so child processes see the user's environment.
+# The row blocks stay, because a process that loaded numpy first (pytest, or a
+# library user who imports numpy before xpmsim) keeps numpy's pool:
+# tests/test_threads.py loads numpy first and checks that no CLI task, no C1
+# at k0 = 30 or 100, no entropy sweep at k0 = 100, no pass of the head-on
+# oracle, no collision entropy and no pass of the grid route wakes a helper.
 _GEMM_MNK = 1 << 19
 
 

@@ -7,7 +7,10 @@ output_ledger.json beside this file. validate's report is compared line by
 line with its runtimes stripped. The last bits of the outputs hang on numpy,
 its BLAS and the SIMD targets its ufuncs dispatch to on this CPU, so the
 ledger records all three, and on another build the tests fail and say so
-rather than report moved outputs.
+rather than report moved outputs. Outputs regenerated in the pytest process
+run on the numpy pytest loaded; one case also runs two tasks as a user
+does, `python -m xpmsim.cli.main` in a fresh interpreter, where xpmsim loads
+numpy with one BLAS thread.
 
 An intended output change rewrites the ledger in the same change, and the
 moved outputs are listed in CHANGES.md:
@@ -17,13 +20,16 @@ moved outputs are listed in CHANGES.md:
 
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xpmsim
 from xpmsim.cli.main import build_parser, load_run_config
 from xpmsim.cli.output import RENDERERS
 from xpmsim.cli.sweeps import run_task
@@ -108,6 +114,25 @@ def test_default_outputs_match_the_ledger():
     assert sorted(got) == sorted(ledger["outputs"])
     moved = [name for name, digest in got.items() if ledger["outputs"][name] != digest]
     assert not moved, f"outputs moved from the ledger: {', '.join(moved)}"
+
+
+def test_cli_outputs_in_a_fresh_interpreter_match_the_ledger(tmp_path):
+    ledger = json.loads(LEDGER.read_text(encoding="utf-8"))
+    check_build(ledger)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    moved = []
+    for task, fmt in (("fig4", "json"), ("fig3", "csv")):
+        path = tmp_path / f"{task}.{fmt}"
+        subprocess.run([sys.executable, "-m", "xpmsim.cli.main", task, "--format", fmt,
+                        "--out", str(path)], env=env, capture_output=True, timeout=120,
+                       check=True)
+        if hashlib.sha256(path.read_bytes()).hexdigest() != ledger["outputs"][
+                f"{task}-gaussian.{fmt}"]:
+            moved.append(path.name)
+    assert not moved, f"CLI outputs moved from the ledger: {', '.join(moved)}"
 
 
 def test_validate_report_matches_the_ledger(tmp_path, monkeypatch):

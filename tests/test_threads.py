@@ -2,16 +2,20 @@
 
 NumPy's bundled OpenBLAS starts helper threads when it loads. It hands a
 product to them by its own size rule, and on a small machine a handoff can
-stall for milliseconds while the helpers spin. The spectrum products of the
+stall for milliseconds while the helpers spin. When xpmsim is the first to
+import numpy and no BLAS thread variable is set, numpy loads with one
+OpenBLAS thread and there is no helper (xpmsim/__init__.py);
+test_import_loads_numpy_single_threaded checks that rule. A library user who
+imported numpy first keeps numpy's pool, so the spectrum products of the
 CLI tasks and of C1, the entropy sweep's sampled sinc blocks, the head-on
 tables, amplitudes and entropy blocks and the grid route's kernel rows
-are sized to stay on the calling thread (see the note on real
-products in numerics, next to real_products). Each task runs
-in a fresh interpreter, which counts the context switches of every thread
-but the main one, from /proc/self/task/*/status, before and after the
-task: a helper that was never scheduled has the same count afterwards. The
-test sets no BLAS or thread environment variable, so it runs the library
-as a user's invocation does.
+are also sized to stay on the calling thread (see the note on real
+products in numerics, next to real_products). Each probe checks that
+harder case: with no BLAS thread variable set, it imports numpy before
+xpmsim, so OpenBLAS starts its default pool, and runs its task in a fresh
+interpreter, which counts the context switches of every thread but the
+main one, from /proc/self/task/*/status, before and after the task: a
+helper that was never scheduled has the same count afterwards.
 """
 
 from __future__ import annotations
@@ -149,13 +153,26 @@ GRID_ROUTE_PROBE = textwrap.dedent("""
 """) + COUNTER
 
 
-def run_probe(probe, *args):
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(code, *args, **env_vars):
+    """Run code in a fresh interpreter on this checkout; the JSON of its last line.
+
+    The interpreter sees none of THREAD_VARS but those given.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
-    env = dict(os.environ)
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    env.update(env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", probe, *args],
+    out = subprocess.run([sys.executable, "-c", code, *args],
                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    report = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def run_probe(probe, *args):
+    # numpy first, so that OpenBLAS keeps its default pool (a library user's case)
+    report = run_fresh("import numpy\n" + probe, *args)
     assert report["code"] == 0
     if report["threads"] == 1:
         pytest.skip("the process runs a single thread")
@@ -206,3 +223,41 @@ def test_collision_entropy_leaves_helper_threads_unscheduled():
 def test_grid_route_leaves_helper_threads_unscheduled():
     report = run_probe(GRID_ROUTE_PROBE)
     assert report["after"] == report["before"]
+
+
+# argv: which module to import first (numpy or xpmsim), then the variables to report
+IMPORT_PROBE = textwrap.dedent("""
+    import json, os, sys
+    if sys.argv[1] == "numpy":
+        import numpy
+    import xpmsim
+    print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                      "env": {var: os.environ.get(var) for var in sys.argv[2:]}}))
+""")
+
+# python -m xpmsim.cli.main, counting the threads alive when it exits
+CLI_PROBE = textwrap.dedent("""
+    import atexit, json, os, runpy, sys
+    atexit.register(lambda: print(json.dumps({"threads": len(os.listdir("/proc/self/task"))})))
+    runpy.run_module("xpmsim.cli.main", run_name="__main__", alter_sys=True)
+""")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread /proc/self/task/*/status")
+def test_import_loads_numpy_single_threaded(tmp_path):
+    bare = run_fresh(IMPORT_PROBE, "xpmsim", *THREAD_VARS)
+    assert bare == {"threads": 1, "env": dict.fromkeys(THREAD_VARS)}
+    cli = run_fresh(CLI_PROBE, "coeffs", "--out", str(tmp_path / "coeffs.csv"))
+    assert cli == {"threads": 1}
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts no helper on one core")
+    numpy_alone = run_fresh("import json, os, numpy\n"
+                            "print(json.dumps(len(os.listdir('/proc/self/task'))))")
+    assert numpy_alone > 1
+    # numpy loaded first keeps its pool
+    assert run_fresh(IMPORT_PROBE, "numpy")["threads"] == numpy_alone
+    # a thread count the user set is OpenBLAS's to read, and stays set
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        preset = run_fresh(IMPORT_PROBE, "xpmsim", *THREAD_VARS, **{var: "2"})
+        assert preset == {"threads": 2, "env": {**dict.fromkeys(THREAD_VARS), var: "2"}}
