@@ -10,15 +10,16 @@ products). To keep numpy's thread pool, import numpy first.
 """
 
 import os as _os
-import sys as _sys
 
-# OpenBLAS reads its thread count once, when numpy loads it. Its helper thread
-# spins for about 0.1 s after it starts, and no xpmsim product uses it; the
-# variable is removed again, so the environment child processes inherit is the
-# user's own.
-if "numpy" not in _sys.modules and not any(
-        var in _os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                       "OMP_NUM_THREADS")):
+# OpenBLAS reads its thread count once, when numpy loads it; a numpy already
+# loaded has read it, so the variable changes nothing then. Its helper thread
+# spins for about 0.1 s after it starts, which a short CLI run pays in CPU.
+# The figure tasks keep their products on the calling thread anyway; some
+# state API products do not, and those lose wall time on one thread (see
+# numerics' note on real products). The variable is removed again, so the
+# environment child processes inherit is the user's own.
+if not any(var in _os.environ
+           for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy as _numpy  # noqa: F401

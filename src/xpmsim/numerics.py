@@ -118,9 +118,20 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # variable is removed again, so child processes see the user's environment.
 # The row blocks stay, because a process that loaded numpy first (pytest, or a
 # library user who imports numpy before xpmsim) keeps numpy's pool:
-# tests/test_threads.py loads numpy first and checks that no CLI task, no C1
-# at k0 = 30 or 100, no entropy sweep at k0 = 100, no pass of the head-on
-# oracle, no collision entropy and no pass of the grid route wakes a helper.
+# tests/test_threads.py loads numpy first and checks that no CLI figure task,
+# no C1 at k0 = 30 or 100, no entropy sweep at k0 = 100, no pass of the
+# head-on oracle, no collision entropy, no pass of the grid route and none of
+# validate's criteria but 07, 08 and 12 wakes a helper. Those three use
+# products that are not blocked and that OpenBLAS does thread under numpy's
+# pool: state.reduced_kernel's complex n x n x n product (and so
+# linear_entropy), ReducedKernel.eigenvalues' LAPACK call, validate's SVD and
+# headon.series_term's matrix-vector product over all its points. On one
+# thread, in ten alternating fresh-interpreter pairs on the 2-core machine,
+# a 401-node linear_entropy took 10.9 ms of wall and CPU against 8.7 ms of
+# wall and 17.2 ms of CPU with the helper; eigenvalues of a 401-node kernel
+# took 22.8 ms against 22.0 ms of wall, with half the CPU; and
+# `python -m xpmsim.cli.main validate` took 1.19 s against 1.17 s of wall
+# (inside the helper runs' quartiles) and 1.22 s against 1.55 s of CPU.
 _GEMM_MNK = 1 << 19
 
 

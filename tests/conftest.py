@@ -1,9 +1,13 @@
 """Shared test fixtures."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import xpmsim
 from xpmsim import composite_gauss_grid, interaction_grids, join_grids, make_grid
 
 
@@ -30,3 +34,33 @@ def _long_tail_grids(f1, f2, k0, *, core_n=401, tail_scale=2400.0):
 def long_tail_grids():
     """The builder of grid pairs with a long sampled sinc tail (_long_tail_grids)."""
     return _long_tail_grids
+
+
+# the BLAS thread variables that xpmsim's import rule reads (xpmsim/__init__.py)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(*args, **env_vars):
+    """Run python with args in a fresh interpreter on this checkout.
+
+    The interpreter sees none of THREAD_VARS but those given in env_vars.
+    Returns the CompletedProcess, its output as text; a nonzero exit raises.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    env.update(env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+@pytest.fixture(scope="session")
+def thread_vars():
+    """The BLAS thread variables that xpmsim's import rule reads."""
+    return THREAD_VARS
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """The runner of a fresh interpreter with no BLAS thread variable (_fresh_python)."""
+    return _fresh_python

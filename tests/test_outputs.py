@@ -20,16 +20,13 @@ moved outputs are listed in CHANGES.md:
 
 import hashlib
 import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import xpmsim
 from xpmsim.cli.main import build_parser, load_run_config
 from xpmsim.cli.output import RENDERERS
 from xpmsim.cli.sweeps import run_task
@@ -116,19 +113,13 @@ def test_default_outputs_match_the_ledger():
     assert not moved, f"outputs moved from the ledger: {', '.join(moved)}"
 
 
-def test_cli_outputs_in_a_fresh_interpreter_match_the_ledger(tmp_path):
+def test_cli_outputs_in_a_fresh_interpreter_match_the_ledger(tmp_path, fresh_python):
     ledger = json.loads(LEDGER.read_text(encoding="utf-8"))
     check_build(ledger)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
-    env = {key: value for key, value in os.environ.items()
-           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     moved = []
     for task, fmt in (("fig4", "json"), ("fig3", "csv")):
         path = tmp_path / f"{task}.{fmt}"
-        subprocess.run([sys.executable, "-m", "xpmsim.cli.main", task, "--format", fmt,
-                        "--out", str(path)], env=env, capture_output=True, timeout=120,
-                       check=True)
+        fresh_python("-m", "xpmsim.cli.main", task, "--format", fmt, "--out", str(path))
         if hashlib.sha256(path.read_bytes()).hexdigest() != ledger["outputs"][
                 f"{task}-gaussian.{fmt}"]:
             moved.append(path.name)

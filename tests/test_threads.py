@@ -15,20 +15,19 @@ harder case: with no BLAS thread variable set, it imports numpy before
 xpmsim, so OpenBLAS starts its default pool, and runs its task in a fresh
 interpreter, which counts the context switches of every thread but the
 main one, from /proc/self/task/*/status, before and after the task: a
-helper that was never scheduled has the same count afterwards.
+helper that was never scheduled has the same count afterwards. The state
+API's reduced kernel, its eigenvalues and series_term over a full grid are
+single products that OpenBLAS threads under numpy's pool, so validate's
+probe leaves out criteria 07, 08 and 12, which call them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 import textwrap
 
 import pytest
-
-import xpmsim
 
 COUNTER = textwrap.dedent("""
     import glob, json, os, sys, time
@@ -153,26 +152,31 @@ GRID_ROUTE_PROBE = textwrap.dedent("""
 """) + COUNTER
 
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# validate's criteria but 07, 08 and 12 (see the module docstring): the
+# transition and C1, C2, the grid route, the head-on closed form against the
+# series at every 40th node, and the collision limits
+VALIDATE_PROBE = textwrap.dedent("""
+    from xpmsim.cli.validate import _CRITERIA, _Context
+
+    ctx = _Context()
+
+    def run():
+        for number, _, fn, _ in _CRITERIA:
+            if number not in (7, 8, 12):
+                fn(ctx)
+        return 0
+""") + COUNTER
 
 
-def run_fresh(code, *args, **env_vars):
-    """Run code in a fresh interpreter on this checkout; the JSON of its last line.
-
-    The interpreter sees none of THREAD_VARS but those given.
-    """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xpmsim.__file__)))
-    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
-    env.update(env_vars)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code, *args],
-                         env=env, capture_output=True, text=True, timeout=120, check=True)
+def run_fresh(fresh_python, code, *args, **env_vars):
+    """The JSON of the last line that code prints in a fresh interpreter."""
+    out = fresh_python("-c", code, *args, **env_vars)
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def run_probe(probe, *args):
+def run_probe(fresh_python, probe, *args):
     # numpy first, so that OpenBLAS keeps its default pool (a library user's case)
-    report = run_fresh("import numpy\n" + probe, *args)
+    report = run_fresh(fresh_python, "import numpy\n" + probe, *args)
     assert report["code"] == 0
     if report["threads"] == 1:
         pytest.skip("the process runs a single thread")
@@ -183,8 +187,8 @@ def run_probe(probe, *args):
                     reason="needs per-thread /proc/self/task/*/status")
 @pytest.mark.parametrize("profile", ["gaussian", "square"])
 @pytest.mark.parametrize("task", ["coeffs", "fig1", "fig2", "fig3", "fig4"])
-def test_task_leaves_helper_threads_unscheduled(task, profile, tmp_path):
-    report = run_probe(PROBE, task, "--profile", profile,
+def test_task_leaves_helper_threads_unscheduled(task, profile, tmp_path, fresh_python):
+    report = run_probe(fresh_python, PROBE, task, "--profile", profile,
                        "--out", str(tmp_path / f"{task}.csv"))
     assert report["after"] == report["before"]
 
@@ -192,36 +196,43 @@ def test_task_leaves_helper_threads_unscheduled(task, profile, tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs per-thread /proc/self/task/*/status")
 @pytest.mark.parametrize("k0", [30, 100])
-def test_c1_leaves_helper_threads_unscheduled(k0):
-    report = run_probe(C1_PROBE, str(k0))
+def test_c1_leaves_helper_threads_unscheduled(k0, fresh_python):
+    report = run_probe(fresh_python, C1_PROBE, str(k0))
     assert report["after"] == report["before"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs per-thread /proc/self/task/*/status")
-def test_entropy_sweep_leaves_helper_threads_unscheduled():
-    report = run_probe(SWEEP_PROBE, "100")
+def test_entropy_sweep_leaves_helper_threads_unscheduled(fresh_python):
+    report = run_probe(fresh_python, SWEEP_PROBE, "100")
     assert report["after"] == report["before"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs per-thread /proc/self/task/*/status")
-def test_headon_oracle_leaves_helper_threads_unscheduled():
-    report = run_probe(ORACLE_PROBE)
+def test_headon_oracle_leaves_helper_threads_unscheduled(fresh_python):
+    report = run_probe(fresh_python, ORACLE_PROBE)
     assert report["after"] == report["before"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs per-thread /proc/self/task/*/status")
-def test_collision_entropy_leaves_helper_threads_unscheduled():
-    report = run_probe(ENTROPY_PROBE)
+def test_collision_entropy_leaves_helper_threads_unscheduled(fresh_python):
+    report = run_probe(fresh_python, ENTROPY_PROBE)
     assert report["after"] == report["before"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs per-thread /proc/self/task/*/status")
-def test_grid_route_leaves_helper_threads_unscheduled():
-    report = run_probe(GRID_ROUTE_PROBE)
+def test_grid_route_leaves_helper_threads_unscheduled(fresh_python):
+    report = run_probe(fresh_python, GRID_ROUTE_PROBE)
+    assert report["after"] == report["before"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread /proc/self/task/*/status")
+def test_validate_leaves_helper_threads_unscheduled(fresh_python):
+    report = run_probe(fresh_python, VALIDATE_PROBE)
     assert report["after"] == report["before"]
 
 
@@ -245,19 +256,19 @@ CLI_PROBE = textwrap.dedent("""
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs per-thread /proc/self/task/*/status")
-def test_import_loads_numpy_single_threaded(tmp_path):
-    bare = run_fresh(IMPORT_PROBE, "xpmsim", *THREAD_VARS)
-    assert bare == {"threads": 1, "env": dict.fromkeys(THREAD_VARS)}
-    cli = run_fresh(CLI_PROBE, "coeffs", "--out", str(tmp_path / "coeffs.csv"))
+def test_import_loads_numpy_single_threaded(tmp_path, fresh_python, thread_vars):
+    bare = run_fresh(fresh_python, IMPORT_PROBE, "xpmsim", *thread_vars)
+    assert bare == {"threads": 1, "env": dict.fromkeys(thread_vars)}
+    cli = run_fresh(fresh_python, CLI_PROBE, "coeffs", "--out", str(tmp_path / "coeffs.csv"))
     assert cli == {"threads": 1}
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("OpenBLAS starts no helper on one core")
-    numpy_alone = run_fresh("import json, os, numpy\n"
+    numpy_alone = run_fresh(fresh_python, "import json, os, numpy\n"
                             "print(json.dumps(len(os.listdir('/proc/self/task'))))")
     assert numpy_alone > 1
     # numpy loaded first keeps its pool
-    assert run_fresh(IMPORT_PROBE, "numpy")["threads"] == numpy_alone
+    assert run_fresh(fresh_python, IMPORT_PROBE, "numpy")["threads"] == numpy_alone
     # a thread count the user set is OpenBLAS's to read, and stays set
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        preset = run_fresh(IMPORT_PROBE, "xpmsim", *THREAD_VARS, **{var: "2"})
-        assert preset == {"threads": 2, "env": {**dict.fromkeys(THREAD_VARS), var: "2"}}
+        preset = run_fresh(fresh_python, IMPORT_PROBE, "xpmsim", *thread_vars, **{var: "2"})
+        assert preset == {"threads": 2, "env": {**dict.fromkeys(thread_vars), var: "2"}}
