@@ -61,7 +61,7 @@ from .numerics import (
     make_grid,
     profile_key,
     real_products,
-    sinc_kernel,
+    sinc_block,
 )
 from .state import TwoParticleState
 
@@ -514,14 +514,15 @@ def two_particle_copropagating(f1: PulseProfile, f2: PulseProfile,
                 + f1(Z2) f2(Z2) sinc(k0 (Z1 - Z2)) (exp(i Phi) - 1)
 
     Both profile factors of the correction term sit at Z2; the Z1 dependence
-    is carried entirely by the kernel. The result is not normalized.
+    is carried entirely by the kernel, sampled with sinc_kernel's bits by
+    numerics.sinc_block. The result is not normalized.
     """
     if params.mode != "copropagating":
         raise ModeError(
             f"equal velocities required, got v1={params.v1}, v2={params.v2}")
     z1, z2 = grid.nodes, grid2.nodes
     pair = f1(z2) * f2(z2)
-    kernel = sinc_kernel(z1[:, None] - z2[None, :], params.k0)
+    kernel = sinc_block(z1, z2, params.k0)
     psi = np.outer(f1(z1), f2(z2)).astype(complex)
     psi += (np.exp(1j * params.phi) - 1.0) * kernel * pair[None, :]
     return TwoParticleState(grid, grid2, psi)
@@ -597,8 +598,11 @@ def _kernel_sums(k0: float, domain: tuple[float, float],
     K and becomes the memo. The key holds copies, so a grid edited in place
     afterwards misses.
 
-    Every row of K is sampled with sinc_kernel, in row blocks sized by
-    numerics.gemm_rows. <Kp, Kp> then gains the squared kernel's line
+    Every row of K is sampled with sinc_kernel's bits (numerics.sinc_block),
+    in row blocks sized by numerics.gemm_rows; where grid2's nodes are a run
+    of grid1's, as on interaction_grids, a block samples only half of the
+    square they share. Each block is squared in place for <Kp, Kp>, which
+    then gains the squared kernel's line
     integral over Z1 outside [lo, hi], which no grid samples:
     sum_j w2_j |p_j|^2 [T(k0 (hi - z2_j)) + T(k0 (z2_j - lo))] / k0 with
     T = _sinc2_tail. <F, Kp> carries f1(Z1) and gains nothing.
@@ -618,7 +622,7 @@ def _kernel_sums(k0: float, domain: tuple[float, float],
     corr_nsq = 0.0
     step = gemm_rows(2 * z2.size)
     for i in range(0, z1.size, step):
-        block = sinc_kernel(z1[i:i + step, None] - z2[None, :], k0)
+        block = sinc_block(z1[i:i + step], z2, k0)
         applied = block @ cols
         free_corr += left[i:i + step] @ (applied[:, 0] + 1j * applied[:, 1])
         np.square(block, out=block)
@@ -650,7 +654,7 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
     the quadrature sums of normalize and overlap on the sampled state,
     regrouped: no n1 x n2 state is kept, and no gate-metric closed form or
     overlap coefficient enters, so the route stays independent of C1 and C2. K is
-    sampled at the nodes of two_particle_copropagating (sinc_kernel), and
+    sampled at the nodes of two_particle_copropagating (sinc_block), and
     <Kp, Kp> gains the exact line integral of sinc^2 over Z1 beyond grid1's
     domain (_kernel_sums), so grid1 needs only a short sinc tail. That
     closed form holds to rounding only where every Z2 node lies at least
@@ -697,20 +701,28 @@ def grid_metrics_copropagating(f1: PulseProfile, f2: PulseProfile,
 
 def _entropy_sweep_on_axis(f1: PulseProfile, f2: PulseProfile, k0: float,
                            phis: np.ndarray, axis: Grid1D) -> np.ndarray:
+    """entropy_phase_sweep's linear entropies on one coefficient axis.
+
+    The sinc kernel on the axis is sampled once, in row blocks sized by
+    numerics.gemm_rows, each filled by numerics.sinc_block: its rows are the
+    axis's own nodes, so a block samples its diagonal square from the
+    diagonal on and mirrors the rest. Each block is applied to the two
+    vectors, then squared in place for the sum of sinc^2.
+    """
     z, w = axis.nodes, axis.weights
     a1, a2 = f1(z), f2(z)
     pair = a1 * a2
     dens = w * np.abs(pair) ** 2
-    # sinc applied to w f1 (giving g, as sinc is symmetric) and to w p conj(f2),
-    # in row blocks sized by numerics.gemm_rows
+    # sinc applied to w f1 (giving g, as sinc is symmetric) and to w p conj(f2)
     vecs = np.stack([w * a1, w * pair * np.conj(a2)], axis=1)
     applied = np.empty_like(vecs)
     sinc_sq = 0.0
     step = gemm_rows(2 * z.size)
     for i in range(0, z.size, step):
-        block = sinc_kernel(z[i:i + step, None] - z[None, :], k0)
+        block = sinc_block(z[i:i + step], z, k0)
         applied[i:i + step] = block @ vecs
-        sinc_sq += float(dens[i:i + step] @ block ** 2 @ dens)
+        np.square(block, out=block)
+        sinc_sq += float(dens[i:i + step] @ block @ dens)
     u = pair * np.conj(applied[:, 0])
     # blocks 1-3 are x y^H with these (x, y); block 4 is K = (pi/k0) (p p^H) o sinc
     xs = np.stack([float(w @ np.abs(a1) ** 2) * a2, u, a2], axis=1)

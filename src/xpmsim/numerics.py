@@ -63,6 +63,65 @@ def sinc_kernel(x: np.ndarray | float, k0: float = 1.0) -> np.ndarray | float:
     return out.reshape(shape)
 
 
+# sinc_block's strips: a strip samples at most _STRIP entries, so each of
+# sinc_kernel's temporaries of it (differences, arguments, sines, their
+# moduli) stays, with malloc's header, under 128 KiB, glibc's default mmap
+# threshold, and comes from the heap without faulting pages in. Strips of
+# 2^13 entries sampled fig2's blocks as fast; strips of 2^15 faulted 2.5
+# times as often and took 15% longer
+_STRIP = (1 << 14) - 64
+
+
+def _shared_run(rows: np.ndarray, cols: np.ndarray) -> tuple[int, int, int]:
+    """(a, c, s) with rows[a:a + s] equal to cols[c:c + s], a or c zero.
+
+    The run starts at rows' first node or at cols' first node, found by
+    searchsorted, which finds it in increasing nodes; s is 0 where neither
+    lies in the other array. The run is checked entry by entry, so other
+    inputs can only miss it.
+    """
+    a, c = 0, int(np.searchsorted(cols, rows[0]))
+    if c == cols.size or cols[c] != rows[0]:
+        a, c = int(np.searchsorted(rows, cols[0])), 0
+        if a == rows.size or rows[a] != cols[0]:
+            return 0, 0, 0
+    s = min(rows.size - a, cols.size - c)
+    same = rows[a:a + s] == cols[c:c + s]
+    return a, c, s if same.all() else int(same.argmin())
+
+
+def sinc_block(rows: np.ndarray, cols: np.ndarray, k0: float) -> np.ndarray:
+    """sinc_kernel(rows[:, None] - cols[None, :], k0), bit for bit, in strips of rows.
+
+    Each strip of rows is sampled by sinc_kernel on its own, so no
+    temporary grows past a strip (_STRIP entries) and the block is the only
+    array of its size. Where a run of rows are the same nodes as a run of
+    cols (_shared_run), that square of the block is symmetric bit for bit:
+    fl(y - x) = -fl(x - y), np.sin is odd to the bit, and the small-argument
+    series is even. So a strip of the run samples the square only from its
+    own diagonal on, and takes the entries left of the diagonal from the
+    strips above, transposed: a square block costs about half its sines.
+    """
+    out = np.empty((rows.size, cols.size))
+    step = max(1, _STRIP // cols.size)
+
+    def sample(r: slice, lo: int, hi: int) -> None:
+        if hi > lo:
+            out[r, lo:hi] = sinc_kernel(rows[r, None] - cols[None, lo:hi], k0)
+
+    a, c, s = _shared_run(rows, cols)
+    for lo, hi in ((0, a), (a + s, rows.size)):
+        for i in range(lo, hi, step):
+            sample(slice(i, min(i + step, hi)), 0, cols.size)
+    for q in range(0, s, step):
+        n = min(step, s - q)
+        strip = slice(a + q, a + q + n)
+        sample(strip, 0, c)
+        sample(strip, c + q, cols.size)
+        out[strip, c:c + q] = out[a:a + q, c + q:c + q + n].T
+    return out
+
+
 def commutator_kernel(x: np.ndarray | float, k0: float):
     """Field commutator amplitude C(x) = k0/pi * sinc(k0 x), x in pulse widths.
 
@@ -109,7 +168,20 @@ def cos_sin(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 # took 0.13-0.32 s of wall, 0.24-0.32 s of CPU and 96 MB, so the second core
 # does not pay there either. The route now samples 513 Z1 rows per k0 and
 # adds the rest of the tail in closed form: over the lattice it takes 31-35 ms
-# warm on the 2-core machine.
+# warm on the 2-core machine. Both fill their blocks with sinc_block, which
+# keeps every temporary to a strip and samples a square of shared nodes from
+# its diagonal on: the route's 401 core rows against Z2, and the sweep's
+# axis against itself (all of it while N <= gemm_rows(2 N), N <= 511, which a
+# unit gaussian's refined axis passes at k0 = 15; past it each block's
+# diagonal square). A block sampled whole with sinc_kernel made about six
+# temporaries of its size, each of which faulted its pages in on every call.
+# Warm, a 320 x 320 block took 2.0 ms that way and 0.76 ms with sinc_block,
+# a 368 x 368 block 2.7 and 1.1 ms. In fresh processes (medians of ten
+# alternating pairs) fig2's job fell from 28.6 to 19.4 ms and from 4.6k to
+# 0.8k minor faults, and the grid route over criterion 05's lattice from
+# 28.9 to 15.8 ms and from 7.9k to 0.8k faults. entropy_phase_sweep at
+# k0 = 100 (37 blocks of 85 x 3064) grew VmHWM by 5.2 MB, where whole blocks
+# grew it by 11.2 MB, to 41 MB.
 # Importing numpy starts the helper, which then spins for about 0.1 s (its
 # thread timeout): 0.06 s of CPU during the import and 17-26 ms more in a
 # short job that starts soon after. So when xpmsim is the first to import

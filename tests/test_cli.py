@@ -434,6 +434,14 @@ def test_sweep_tasks_leave_numpy_polynomial_unloaded(tmp_path):
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
+def test_cli_import_leaves_the_acceptance_suite_unloaded(fresh_python):
+    # a sweep task's start-up neither compiles nor runs cli.validate; main
+    # loads it when validate runs
+    code = ("import sys, xpmsim.cli.main; "
+            "print('xpmsim.cli.validate' in sys.modules)")
+    assert fresh_python("-c", code).stdout.strip() == "False"
+
+
 def test_validate_references_leave_scipy_unloaded():
     # validate's closed-form C1 and transition root are math.erf and an
     # in-house bisection; check them against SciPy here, in the test

@@ -790,13 +790,13 @@ def test_grid_route_refuses_grids_with_a_short_sinc_tail():
 def kernel_blocks(monkeypatch):
     """Count the kernel row blocks the grid route samples, from an empty memo."""
     calls = []
-    sample = copropagating.sinc_kernel
+    sample = copropagating.sinc_block
 
     def counted(*args, **kwargs):
         calls.append(1)
         return sample(*args, **kwargs)
 
-    monkeypatch.setattr(copropagating, "sinc_kernel", counted)
+    monkeypatch.setattr(copropagating, "sinc_block", counted)
     copropagating._KERNEL_SUMS_MEMO.clear()
     yield calls
     copropagating._KERNEL_SUMS_MEMO.clear()
@@ -993,6 +993,76 @@ def test_kernel_sums_keep_sinc_kernel_bits():
                          + copropagating._sinc2_tail(k0 * (z2 - z1[0])))) / k0
     copropagating._KERNEL_SUMS_MEMO.clear()
     assert copropagating._kernel_sums(k0, (z1[0], z1[-1]), samples) == (corr, nsq)
+
+
+def sinc_block_row_blocks(rows, cols, k0):
+    """Row blocks of gemm_rows(2 n) rows whose sinc_block differs from sinc_kernel's.
+
+    The whole block is compared too, as two_particle_copropagating samples
+    it. Returns (the count of row blocks, the starts of those that differ).
+    """
+    dense = numerics.sinc_kernel(rows[:, None] - cols[None, :], k0)
+    assert np.array_equal(numerics.sinc_block(rows, cols, k0), dense)
+    step = numerics.gemm_rows(2 * cols.size)
+    starts = range(0, rows.size, step)
+    return len(starts), [i for i in starts if not np.array_equal(
+        numerics.sinc_block(rows[i:i + step], cols, k0), dense[i:i + step])]
+
+
+@pytest.mark.parametrize("k0, refine, blocks", [(0.5, 1, 1), (0.5, 2, 1), (10.0, 1, 1),
+                                                (10.0, 2, 1), (30.0, 2, 4)])
+def test_sinc_block_keeps_sinc_kernel_bits_on_the_sweep_axis(k0, refine, blocks):
+    # fig2's axes fit one row block, whose whole square is mirrored; at
+    # k0 = 30 the refined axis takes several, and each mirrors its diagonal square
+    z = copropagating._axis_entry(GAUSS, GAUSS, k0, copropagating._AXIS_NODES, refine).axis.nodes
+    assert numerics._shared_run(z, z) == (0, 0, z.size)
+    assert sinc_block_row_blocks(z, z, k0) == (blocks, [])
+
+
+@pytest.mark.parametrize("k0", [0.5, 2.5, 10.0])
+def test_sinc_block_keeps_sinc_kernel_bits_on_interaction_grids(k0):
+    # Z2 is the core of Z1, so the core rows mirror their square and the
+    # tail rows are sampled plainly
+    grid1, grid2 = interaction_grids(GAUSS, GAUSS, k0)
+    z1, z2 = grid1.nodes, grid2.nodes
+    tail = 8 * copropagating._TAIL_PANELS
+    assert numerics._shared_run(z1, z2) == (tail, 0, z2.size)
+    assert sinc_block_row_blocks(z1, z2, k0) == (1, [])
+
+
+def test_sinc_block_keeps_sinc_kernel_bits_off_shared_nodes():
+    # a Z2 that is no run of Z1 takes the plain path; nodes 1e-6 apart take
+    # the small-argument series off the diagonal, mirrored like the sines
+    z1, z2 = interaction_grids(GAUSS, GAUSS, 2.5)
+    shifted = z2.nodes + 0.5 * (z2.nodes[1] - z2.nodes[0])
+    assert numerics._shared_run(z1.nodes, shifted)[2] == 0
+    assert sinc_block_row_blocks(z1.nodes, shifted, 2.5) == (1, [])
+    close = np.linspace(-1.0, 1.0, 1201) * 6e-4
+    assert numerics._shared_run(close[100:], close) == (0, 100, 1101)
+    assert sinc_block_row_blocks(close[100:], close, 0.5) == (6, [])
+    assert sinc_block_row_blocks(close, close[100:], 0.5) == (6, [])
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"),
+                    reason="needs the process's own VmHWM from /proc/self/status")
+def test_entropy_sweep_memory_stays_within_a_few_blocks(fresh_python):
+    # at k0 = 100 the refined axis has 3064 nodes, so the sweep takes 37 row
+    # blocks of 85 x 3064 (2.1 MB). Sampled whole, each block's temporaries
+    # grew the peak by 11.2 MB; sampled in strips, by 5.2 MB
+    code = textwrap.dedent("""
+        import numpy as np
+        from xpmsim import entropy_phase_sweep, make_profile
+
+        def hwm():
+            with open("/proc/self/status", encoding="ascii") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+        prof = make_profile("gaussian")
+        before = hwm()
+        entropy_phase_sweep(prof, prof, 100.0, np.linspace(0.0, np.pi, 5))
+        print((hwm() - before) / 1024.0)
+    """)
+    assert float(fresh_python("-c", code).stdout) < 8.0
 
 
 @pytest.mark.parametrize("sigma", [1.0, 3.0])
